@@ -35,7 +35,9 @@
 //! never fire), `detect-coverage` (info, grid-level attack × detector
 //! matrix), and `detect-violation` (error, the pass-driver rule
 //! [`vet_baseline_detectability`] uses when a stored `flagged_rounds` or
-//! condemnation set contradicts its cell's verdict).
+//! condemnation set contradicts its cell's verdict). A fifth id,
+//! `detect-vacuous`, is raised only by the record-time veto, for a grid
+//! whose every corruptible cell is provably invisible.
 
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategyVisibility};
 use arsf_core::sweep::store::Baseline;
@@ -44,7 +46,7 @@ use arsf_detect::DetectorModel;
 use arsf_sensor::FaultKind;
 
 use crate::guarantees::guarantee_report;
-use crate::{sort_findings, Finding, Lint, Location, Severity};
+use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
 
 /// Absolute slack when comparing recorded round counts against derived
 /// bounds: the counts are exact integers round-tripped through `f64`, so
@@ -575,6 +577,24 @@ impl Lint for DetectViolation {
     }
 }
 
+/// Pass-driver rule id for the record-time veto of a grid whose
+/// detection columns are all provably vacuous (reported only when
+/// recording, never by `sweep_lint`).
+struct DetectVacuous;
+
+impl Lint for DetectVacuous {
+    fn id(&self) -> &'static str {
+        "detect-vacuous"
+    }
+    fn severity(&self) -> Severity {
+        Severity::Error
+    }
+    fn description(&self) -> &'static str {
+        "every corruptible cell of a grid being recorded is provably invisible to its \
+         detector: the baseline's detection columns would be vacuous"
+    }
+}
+
 /// The detectability lints, as a dedicated registry (kept out of the
 /// default [`registry`](crate::registry) for the same reason as the
 /// guarantee lints: this is an opt-in analysis pass, not a structural
@@ -585,17 +605,8 @@ pub fn detect_lints() -> Vec<Box<dyn Lint>> {
         Box::new(DetectInvisible),
         Box::new(DetectCoverage),
         Box::new(DetectViolation),
+        Box::new(DetectVacuous),
     ]
-}
-
-/// Runs the detectability lints over one scenario, most-severe-first.
-pub fn analyze_scenario_detectability(scenario: &Scenario) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in detect_lints() {
-        lint.check_scenario(scenario, &mut findings);
-    }
-    sort_findings(&mut findings);
-    findings
 }
 
 /// Runs the detectability lints over every cell of a grid (each finding
@@ -605,38 +616,40 @@ pub fn analyze_scenario_detectability(scenario: &Scenario) -> Vec<Finding> {
 /// This derives a [`DetectVerdict`] for every cell without running a
 /// single simulation round.
 pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for cell in grid.cells() {
-        for mut finding in analyze_scenario_detectability(&cell.scenario) {
-            finding.location = Location::Cell { cell: cell.index };
-            findings.push(finding);
-        }
-    }
-    for lint in detect_lints() {
-        lint.check_grid(grid, &mut findings);
-    }
-    sort_findings(&mut findings);
-    findings
+    lint_grid(&detect_lints(), grid)
 }
 
-/// `true` when the grid declares at least one cell with a corruptible
-/// sensor and *every* such cell is provably invisible to its detector:
-/// the grid's detection columns are all vacuous, so freezing it as a
-/// golden baseline needs an explicit opt-in (`--allow-invisible` on the
-/// record paths).
-pub fn detection_vacuous(grid: &SweepGrid) -> bool {
-    let mut saw_corruptible = false;
+/// The record-time veto: one `detect-vacuous` finding when the grid
+/// declares at least one cell with a corruptible sensor and *every* such
+/// cell is provably invisible to its detector — the grid's detection
+/// columns would freeze a tautology.
+pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
+    let mut corruptible = 0usize;
     for cell in grid.cells() {
         if cell.scenario.static_model().corrupt == 0 {
             continue;
         }
-        saw_corruptible = true;
+        corruptible += 1;
         let report = detect_report(&cell.scenario);
         if !matches!(report.verdict, DetectVerdict::ProvablyInvisible { .. }) {
-            return false;
+            return Vec::new();
         }
     }
-    saw_corruptible
+    if corruptible == 0 {
+        return Vec::new();
+    }
+    vec![Finding {
+        lint: "detect-vacuous",
+        severity: Severity::Error,
+        location: Location::Grid {
+            name: grid.base().name.clone(),
+        },
+        message: format!(
+            "all {corruptible} corruptible cell(s) are provably invisible to their detectors, \
+             so the recorded detection columns would be vacuous (run `sweep_lint \
+             detectability` for the per-cell verdicts)"
+        ),
+    }]
 }
 
 /// Parses a stored pipe-joined condemned label (`"0|2"`) into sensor
@@ -841,7 +854,7 @@ mod tests {
                 "{fuser:?}"
             );
             assert!(detect_report(&scenario).false_alarm_free);
-            let findings = analyze_scenario_detectability(&scenario);
+            let findings = lint_grid(&detect_lints(), &SweepGrid::new(scenario.clone()));
             assert!(
                 findings
                     .iter()
@@ -1155,17 +1168,32 @@ mod tests {
 
     #[test]
     fn vacuous_detection_grids_are_detected() {
-        // Every corruptible cell invisible (detector off): vacuous.
+        let empty = Baseline {
+            address: String::new(),
+            definition: String::new(),
+            rows: Vec::new(),
+        };
+        // Every corruptible cell invisible (detector off): one grid-level
+        // `detect-vacuous` finding.
         let vacuous = SweepGrid::new(attacked(
             Scenario::new("d", SuiteSpec::Landshark).with_detector(DetectionMode::Off),
             vec![0],
             StrategySpec::PhantomOptimal,
         ));
-        assert!(detection_vacuous(&vacuous));
+        let findings = veto(&vacuous, &empty);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, "detect-vacuous");
+        assert_eq!(
+            findings[0].location,
+            Location::Grid {
+                name: "d".to_string()
+            }
+        );
+        assert!(findings[0].message.contains("all 1 corruptible cell(s)"));
         // An honest grid has nothing to detect: not "vacuous", just
         // honest.
         let honest = SweepGrid::new(Scenario::new("d", SuiteSpec::Landshark));
-        assert!(!detection_vacuous(&honest));
+        assert!(veto(&honest, &empty).is_empty());
         // A contingent cell (inverse-variance) keeps the grid
         // non-vacuous.
         let mixed = SweepGrid::new(attacked(
@@ -1174,7 +1202,11 @@ mod tests {
             StrategySpec::PhantomOptimal,
         ))
         .fusers(vec![FuserSpec::Marzullo, FuserSpec::InverseVariance]);
-        assert!(!detection_vacuous(&mixed));
+        assert!(veto(&mixed, &empty).is_empty());
+        // The veto id never surfaces in the grid pass.
+        assert!(!analyze_grid_detectability(&vacuous)
+            .iter()
+            .any(|f| f.lint == "detect-vacuous"));
     }
 
     #[test]

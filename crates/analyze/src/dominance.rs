@@ -22,8 +22,8 @@
 //!   invisibility, and the closed-loop `preemptions` counter always —
 //!   that ordering *is* Table II's headline claim (zero violations under
 //!   ascending vs. dozens under descending, a gap that dwarfs seed
-//!   noise), and `--allow-disorder` on the record paths is the designed
-//!   escape hatch for exotic grids.
+//!   noise), and `--allow order-violation` on the record paths is the
+//!   designed escape hatch for exotic grids.
 //! * [`OrderRule::ContainmentCertificate`] — the lesser cell's fused
 //!   interval provably contains the truth every round
 //!   ([`GuaranteeReport::truth_containment`]), so its `truth_lost`
@@ -73,7 +73,7 @@ use arsf_sensor::FaultKind;
 
 use crate::detectability::{detect_report, DetectVerdict};
 use crate::guarantees::{guarantee_report, GuaranteeReport};
-use crate::{sort_findings, Finding, Lint, Location, Severity};
+use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
 
 /// Absolute slack when comparing two derived width bounds: both come
 /// from the same closed-form evaluation, so anything beyond rounding
@@ -684,12 +684,17 @@ pub fn order_lints() -> Vec<Box<dyn Lint>> {
 /// finding located at its cell pair, a warning when nothing is provable,
 /// and errors for internal bound inversions, sorted most-severe-first.
 pub fn analyze_grid_dominance(grid: &SweepGrid) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in order_lints() {
-        lint.check_grid(grid, &mut findings);
-    }
-    sort_findings(&mut findings);
-    findings
+    lint_grid(&order_lints(), grid)
+}
+
+/// The record-time veto: every recorded cell pair of a freshly-run
+/// baseline that inverts a provable ordering — freezing it would make
+/// `sweep_lint dominance` fail forever after.
+pub(crate) fn veto(grid: &SweepGrid, baseline: &Baseline) -> Vec<Finding> {
+    let location = Location::Grid {
+        name: grid.base().name.clone(),
+    };
+    vet_baseline_dominance(grid, baseline, &location)
 }
 
 /// Vets a stored baseline against every provable dominance edge: for

@@ -18,22 +18,6 @@ use arsf_core::sweep::{AxisCoords, SweepGrid};
 
 use crate::{registry, sort_findings, Finding, Lint, Location};
 
-/// Grid-level static analysis as a method on [`SweepGrid`] itself.
-///
-/// `arsf-core` cannot depend on this crate, so the entry point the
-/// ISSUE promises (`SweepGrid::analyze()`) is provided as an extension
-/// trait: `use arsf_analyze::AnalyzeGrid;` brings it into scope.
-pub trait AnalyzeGrid {
-    /// Runs every registered lint over the grid; see [`analyze_grid`].
-    fn analyze(&self) -> Vec<Finding>;
-}
-
-impl AnalyzeGrid for SweepGrid {
-    fn analyze(&self) -> Vec<Finding> {
-        analyze_grid(self)
-    }
-}
-
 /// Runs every registered lint over a sweep grid.
 ///
 /// Axis-level checks (`duplicate-axis-value`, `seed-collision`) see the
@@ -107,7 +91,7 @@ mod tests {
     use arsf_core::sweep::SweepGrid;
     use arsf_core::DetectionMode;
 
-    use super::AnalyzeGrid;
+    use super::analyze_grid;
     use crate::{Location, Severity};
 
     #[test]
@@ -128,7 +112,7 @@ mod tests {
                 arsf_core::scenario::FuserSpec::BrooksIyengar,
             ])
             .seeds([1, 2]);
-        let findings = grid.analyze();
+        let findings = analyze_grid(&grid);
         let budget: Vec<_> = findings
             .iter()
             .filter(|f| f.lint == "attacker-budget")
@@ -148,7 +132,7 @@ mod tests {
         let grid = SweepGrid::new(base)
             .detectors([DetectionMode::Off, DetectionMode::Immediate])
             .rounds([10, 20]);
-        let findings = grid.analyze();
+        let findings = analyze_grid(&grid);
         let envelope: Vec<_> = findings
             .iter()
             .filter(|f| f.lint == "envelope-order")
@@ -168,7 +152,7 @@ mod tests {
                 },
             ])
             .rounds([100, 1000]);
-        let findings = grid.analyze();
+        let findings = analyze_grid(&grid);
         let window: Vec<_> = findings
             .iter()
             .filter(|f| f.lint == "detector-window")
@@ -187,6 +171,6 @@ mod tests {
                 arsf_core::scenario::FuserSpec::BrooksIyengar,
             ])
             .seeds([7, 8, 9]);
-        assert!(grid.analyze().is_empty());
+        assert!(analyze_grid(&grid).is_empty());
     }
 }

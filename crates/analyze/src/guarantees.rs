@@ -34,7 +34,7 @@ use arsf_fusion::bounds::{
     historical_width_bound, regime, static_theorem2_bound, static_width_bound, BoundRegime,
 };
 
-use crate::{sort_findings, Finding, Lint, Location, Severity};
+use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
 
 /// Absolute slack when comparing a recorded metric against a derived
 /// bound: the bounds are exact sums of declared widths, the metrics are
@@ -420,30 +420,21 @@ pub fn guarantee_lints() -> Vec<Box<dyn Lint>> {
     ]
 }
 
-/// Runs the guarantee lints over one scenario, most-severe-first.
-pub fn analyze_scenario_guarantees(scenario: &Scenario) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for lint in guarantee_lints() {
-        lint.check_scenario(scenario, &mut findings);
-    }
-    sort_findings(&mut findings);
-    findings
-}
-
 /// Runs the guarantee lints over every cell of a grid, each finding
 /// relocated to its [`Location::Cell`], most-severe-first.
 ///
 /// This derives a bound (or a no-bound verdict) for every cell without
 /// running a single simulation round.
 pub fn analyze_grid_guarantees(grid: &SweepGrid) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for cell in grid.cells() {
-        for mut finding in analyze_scenario_guarantees(&cell.scenario) {
-            finding.location = Location::Cell { cell: cell.index };
-            findings.push(finding);
-        }
-    }
-    sort_findings(&mut findings);
+    lint_grid(&guarantee_lints(), grid)
+}
+
+/// The record-time veto: every cell with no static width bound, whose
+/// recorded numbers would be unfalsifiable against the paper's
+/// guarantees.
+pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
+    let mut findings = analyze_grid_guarantees(grid);
+    findings.retain(|f| f.lint == "guarantee-unbounded");
     findings
 }
 
@@ -580,7 +571,7 @@ mod tests {
         assert_eq!(report.width_bound, Some(28.0));
         assert!(report.vacuous());
         assert!(report.truth_containment);
-        let findings = analyze_scenario_guarantees(&scenario);
+        let findings = lint_grid(&guarantee_lints(), &SweepGrid::new(scenario.clone()));
         assert!(findings.iter().any(|f| f.lint == "guarantee-vacuous"));
     }
 
@@ -590,7 +581,7 @@ mod tests {
         let report = guarantee_report(&scenario);
         assert!(report.unbounded());
         assert!(!report.truth_containment);
-        let findings = analyze_scenario_guarantees(&scenario);
+        let findings = lint_grid(&guarantee_lints(), &SweepGrid::new(scenario.clone()));
         let unbounded = findings
             .iter()
             .find(|f| f.lint == "guarantee-unbounded")

@@ -8,36 +8,33 @@
 //! *before* anything runs:
 //!
 //! * [`analyze_scenario`] lints one [`Scenario`] (presets, grid cells);
-//! * [`analyze_grid`] lints a whole [`SweepGrid`] — axis-level checks
-//!   plus per-cell scenario lints over the axis combinations that can
-//!   actually differ, each finding pointed at a representative cell
-//!   (also available as [`SweepGrid::analyze`](AnalyzeGrid::analyze));
+//! * [`analyze_grid`] lints a whole
+//!   [`SweepGrid`](arsf_core::sweep::SweepGrid) — axis-level checks plus
+//!   per-cell scenario lints over the axis combinations that can
+//!   actually differ, each finding pointed at a representative cell;
 //! * [`analyze_baseline_file`] / [`analyze_baseline_dir`] lint persisted
 //!   [`Baseline`](arsf_core::sweep::store::Baseline)s — recomputed
 //!   content addresses, orphaned files, missing recordings — and
 //!   [`tolerance_findings`] flags check-harness tolerances that match no
 //!   column anywhere;
-//! * [`guarantee_report`] statically derives each cell's worst-case
-//!   fusion guarantees (bound regime, Theorem-2 width bound,
-//!   truth-containment provability) from the declaration alone, surfaced
-//!   by [`analyze_scenario_guarantees`] / [`analyze_grid_guarantees`]
-//!   and enforced over stored baselines by [`vet_baseline_guarantees`];
-//! * [`detect_report`] statically derives each cell's detectability
-//!   verdict — whether its attacker × fault set is provably invisible to
-//!   the configured detector, provably flagged every fused round, or
-//!   contingent on runtime state — plus a false-alarm-freedom
-//!   certificate, surfaced by [`analyze_scenario_detectability`] /
-//!   [`analyze_grid_detectability`] and enforced over stored baselines
-//!   by [`vet_baseline_detectability`] ([`detection_vacuous`] backs the
-//!   record-time refusal of grids whose detection columns are all
-//!   provably vacuous);
-//! * [`dominance_report`] statically derives a partial order over a
-//!   grid's cells — [`OrderEdge`]s between cells differing in exactly
-//!   one axis coordinate where the theory proves a metric ordering
-//!   (Table II's schedule chain, containment/invisibility certificates,
-//!   and the width-bound lattice over attackers, fault sets and
-//!   historical fusion) — surfaced by [`analyze_grid_dominance`] and
-//!   enforced over stored baselines by [`vet_baseline_dominance`].
+//! * the [`VERIFIERS`] table holds the three static verifiers, each
+//!   judging a grid from its declaration alone, without simulating:
+//!   * `guarantees` — each cell's worst-case fusion guarantees (bound
+//!     regime, Theorem-2 width bound, truth containment;
+//!     [`guarantee_report`]);
+//!   * `detectability` — each cell's verdict: provably invisible to its
+//!     detector, provably flagged every fused round, or contingent, plus
+//!     a false-alarm-freedom certificate ([`detect_report`]);
+//!   * `dominance` — a partial order over the grid's cells:
+//!     [`OrderEdge`]s between cells differing in one axis coordinate
+//!     where the theory proves a metric ordering (Table II's schedule
+//!     chain, the certificates, the width-bound lattice;
+//!     [`dominance_report`]).
+//!
+//!   Each [`Verifier`] row carries the pass's lint registry, its grid
+//!   pass, the vet of a stored baseline against the grid's facts, and
+//!   the record-time veto whose findings refuse a recording unless their
+//!   id is passed to `--allow`.
 //!
 //! # Lints and severities
 //!
@@ -46,18 +43,11 @@
 //! built-in rules live in [`registry`]; pass drivers add a few findings
 //! the trait cannot express (`baseline-parse`, `baseline-io`,
 //! `baseline-orphan`, `baseline-missing`, `baseline-skipped`,
-//! `tolerance-dead`, `guarantee-violation`) because they concern files
-//! or cross-file context rather than one parsed value. The guarantee
-//! lints (`guarantee-unbounded`, `guarantee-vacuous`, `guarantee-width`)
-//! form their own dedicated pass ([`guarantee_lints`]), run by
-//! `sweep_lint guarantees` and the record-time gates rather than the
-//! default registry; the detectability lints (`detect-verdict`,
-//! `detect-invisible`, `detect-coverage`, `detect-violation`) likewise
-//! form their own pass ([`detect_lints`]), run by `sweep_lint
-//! detectability`; and the dominance lints (`order-edge`,
-//! `order-vacuous`, `order-violation`) form a fourth pass
-//! ([`order_lints`]), run by `sweep_lint dominance` and the record-time
-//! `--allow-disorder` gate.
+//! `tolerance-dead`) because they concern files or cross-file context
+//! rather than one parsed value. Each verifier's lints form a dedicated
+//! registry of their own ([`Verifier::lints`]), run by its `sweep_lint`
+//! subcommand and the record-time vetoes rather than the default
+//! registry.
 //!
 //! [`Severity::Error`] marks definitions the engines reject or the
 //! paper's theorems void outright; [`Severity::Warn`] marks degenerate
@@ -91,6 +81,7 @@ mod dominance;
 mod grid;
 mod guarantees;
 mod lints;
+mod verifier;
 
 use std::fmt;
 use std::path::PathBuf;
@@ -101,18 +92,20 @@ pub use baseline::{
     analyze_baseline_dir, analyze_baseline_file, tolerance_findings, BaselineContext,
 };
 pub use detectability::{
-    analyze_grid_detectability, analyze_scenario_detectability, detect_lints, detect_report,
-    detection_vacuous, vet_baseline_detectability, DetectReport, DetectVerdict, InvisibleReason,
+    analyze_grid_detectability, detect_lints, detect_report, vet_baseline_detectability,
+    DetectReport, DetectVerdict, InvisibleReason,
 };
 pub use dominance::{
     analyze_grid_dominance, dominance_report, order_lints, vet_baseline_dominance, BoundInversion,
     DominanceReport, FRegression, OrderEdge, OrderRule,
 };
-pub use grid::{analyze_grid, AnalyzeGrid};
+pub use grid::analyze_grid;
 pub use guarantees::{
-    analyze_grid_guarantees, analyze_scenario_guarantees, guarantee_lints, guarantee_report,
-    vet_baseline_guarantees, GuaranteeReport,
+    analyze_grid_guarantees, guarantee_lints, guarantee_report, vet_baseline_guarantees,
+    GuaranteeReport,
 };
+pub(crate) use verifier::lint_grid;
+pub use verifier::{Verifier, VERIFIERS};
 
 /// How bad a finding is.
 ///

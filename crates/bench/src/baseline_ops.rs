@@ -1,114 +1,111 @@
-//! Shared `--baseline record|check` semantics for the sweep binaries.
+//! The one `record`/`check` path behind every baseline-writing binary.
 //!
-//! `scenario_sweep` runs a grid in-process and `sweep_drive` merges a
-//! driven run's CSV rows back into a [`Baseline`]; both must apply the
-//! identical recording vetoes and check tolerances, so the logic lives
-//! here rather than in either binary.
+//! `sweep_diff record|check`, `scenario_sweep --baseline` and
+//! `sweep_drive --baseline` all run a grid, build a [`Baseline`] from
+//! its rows and hand it here, so every recording applies the identical
+//! vetoes and every check the identical address verification and
+//! tolerances.
 
 use std::path::PathBuf;
 
-use arsf_analyze::{AnalyzeGrid, Location, Severity};
+use arsf_analyze::{analyze_grid, Finding, Severity, VERIFIERS};
 use arsf_core::sweep::diff::{diff, DiffConfig};
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::SweepGrid;
 
-/// Records `current` under `dir`, applying the four recording vetoes:
+use crate::cli::{parse_allow, parse_tolerances};
+
+/// Records `current` under `dir`, unless a veto refuses it:
 ///
 /// 1. error-severity grid lint findings (never overridable);
-/// 2. cells with no static width bound (`--allow-unbounded` overrides);
-/// 3. a grid whose every corruptible cell is provably invisible to its
-///    detector (`--allow-invisible` overrides);
-/// 4. recorded cell pairs inverting a provable dominance ordering
-///    (`--allow-disorder` overrides).
+/// 2. each [`VERIFIERS`] entry's `veto` in turn — cells with no static
+///    width bound (`guarantee-unbounded`), a grid whose every corruptible
+///    cell is provably invisible to its detector (`detect-vacuous`), and
+///    recorded cell pairs inverting a provable ordering
+///    (`order-violation`). `--allow id[,id…]` overrides the named ids.
 ///
-/// The override flags are read from the process arguments, so both
-/// binaries expose them with identical spellings. Vetoed findings are
+/// The overrides are read from the process arguments, so every binary
+/// exposes `--allow` with identical semantics. Vetoing findings are
 /// printed to stderr before the error is returned.
 ///
 /// # Errors
 ///
-/// Returns the refusal (or I/O failure) message for the caller's
-/// `fail`-style diagnostic.
+/// Returns the refusal (or an unknown `--allow` id, or an I/O failure)
+/// message for the caller's `fail`-style diagnostic.
 pub fn record(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<PathBuf, String> {
+    let allowed = match crate::arg_value("--allow") {
+        Some(spec) => parse_allow(&spec)?,
+        None => Vec::new(),
+    };
     // Refuse to freeze a statically unsound grid: an error-severity
     // finding means the rows are meaningless (soundness violated) or
     // the engines got lucky.
-    let errors: Vec<_> = grid
-        .analyze()
+    let errors: Vec<Finding> = analyze_grid(grid)
         .into_iter()
         .filter(|f| f.severity == Severity::Error)
         .collect();
     if !errors.is_empty() {
-        for finding in &errors {
-            eprintln!("{}", finding.render());
-        }
-        return Err(
-            "refusing to record a baseline for a grid with error-severity lint findings"
-                .to_string(),
+        return refuse(
+            &errors,
+            "refusing to record a baseline for a grid with error-severity lint findings".into(),
         );
     }
-    // Likewise refuse cells with no static width bound: the recorded
-    // numbers would be unfalsifiable against the paper's guarantees.
-    let unbounded: Vec<_> = arsf_analyze::analyze_grid_guarantees(grid)
-        .into_iter()
-        .filter(|f| f.lint == "guarantee-unbounded")
-        .collect();
-    if !unbounded.is_empty() && !crate::has_flag("--allow-unbounded") {
-        for finding in &unbounded {
-            eprintln!("{}", finding.render());
+    for verifier in &VERIFIERS {
+        let vetoed: Vec<Finding> = (verifier.veto)(grid, current)
+            .into_iter()
+            .filter(|f| !allowed.contains(&f.lint))
+            .collect();
+        if !vetoed.is_empty() {
+            return refuse(
+                &vetoed,
+                format!(
+                    "refusing to record a baseline: the {} veto raised {} finding(s) \
+                     (pass --allow {} to record anyway)",
+                    verifier.name,
+                    vetoed.len(),
+                    verifier.veto_id
+                ),
+            );
         }
-        return Err(format!(
-            "refusing to record a baseline: {} cell(s) have no static width bound \
-             (pass --allow-unbounded to record anyway)",
-            unbounded.len()
-        ));
-    }
-    // And refuse a grid whose every attacked cell is provably invisible
-    // to its detector: the detection columns would freeze a tautology
-    // (run `sweep_lint detectability` for the per-cell verdicts).
-    if arsf_analyze::detection_vacuous(grid) && !crate::has_flag("--allow-invisible") {
-        return Err(
-            "refusing to record a baseline: every corruptible cell is provably \
-             invisible to its detector, so the detection columns are vacuous \
-             (pass --allow-invisible to record anyway)"
-                .to_string(),
-        );
-    }
-    // Finally, the freshly-run numbers must respect every cross-cell
-    // ordering the dominance pass proves: freezing an inverted pair
-    // would make `sweep_lint dominance` fail forever after.
-    let inversions = arsf_analyze::vet_baseline_dominance(
-        grid,
-        current,
-        &Location::Grid {
-            name: grid.base().name.clone(),
-        },
-    );
-    if !inversions.is_empty() && !crate::has_flag("--allow-disorder") {
-        for finding in &inversions {
-            eprintln!("{}", finding.render());
-        }
-        return Err(format!(
-            "refusing to record a baseline: {} recorded cell pair(s) invert a \
-             provable ordering (run `sweep_lint dominance` for the derived edges; \
-             pass --allow-disorder to record anyway)",
-            inversions.len()
-        ));
     }
     current
         .save(dir)
         .map_err(|e| format!("recording baseline: {e}"))
 }
 
-/// Diffs `current` against the baseline stored for `grid` under `dir`,
-/// honouring `--tol col=abs[:rel],…` on top of the near-exact default.
-/// Returns the rendered drift report (empty on a clean check) and
-/// whether any cell drifted.
+/// Prints the refusing findings to stderr and returns the refusal.
+fn refuse<T>(findings: &[Finding], why: String) -> Result<T, String> {
+    for finding in findings {
+        eprintln!("{}", finding.render());
+    }
+    Err(why)
+}
+
+/// The near-exact diff configuration plus any `--tol col=abs[:rel],…`
+/// entries from the process arguments.
 ///
 /// # Errors
 ///
-/// Returns a message when the stored baseline cannot be loaded or the
-/// tolerance spec is malformed.
+/// Returns a message naming a malformed tolerance entry.
+pub fn diff_config() -> Result<DiffConfig, String> {
+    let mut config = DiffConfig::near_exact();
+    if let Some(spec) = crate::arg_value("--tol") {
+        for (column, tolerance) in parse_tolerances(&spec).map_err(|e| format!("--tol: {e}"))? {
+            config = config.with_column(column, tolerance);
+        }
+    }
+    Ok(config)
+}
+
+/// Diffs `current` against the baseline stored for `grid` under `dir`,
+/// after verifying the stored file's content address, under
+/// [`diff_config`]. Returns the rendered drift report and whether any
+/// cell drifted.
+///
+/// # Errors
+///
+/// Returns a message when the stored baseline cannot be loaded, fails
+/// address verification, or the tolerance spec is malformed.
 pub fn check(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<(String, bool), String> {
     let stored =
         Baseline::load_for_grid(dir, grid).map_err(|e| format!("loading baseline: {e}"))?;
@@ -118,12 +115,6 @@ pub fn check(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<(String,
     stored
         .verify_address()
         .map_err(|e| format!("stored baseline failed address verification: {e}"))?;
-    let mut config = DiffConfig::near_exact();
-    if let Some(spec) = crate::arg_value("--tol") {
-        for (column, tolerance) in crate::cli::parse_tolerances(&spec)? {
-            config = config.with_column(column, tolerance);
-        }
-    }
-    let result = diff(&stored, current, &config);
+    let result = diff(&stored, current, &diff_config()?);
     Ok((result.render(), !result.is_empty()))
 }

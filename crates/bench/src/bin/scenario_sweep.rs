@@ -74,18 +74,17 @@
 //!   baseline directory, or diff it against the stored baseline and
 //!   exit 1 on drift; `check` honours `--tol col=abs[:rel],…` on top of
 //!   the near-exact default (see the `sweep_diff` binary for the
-//!   golden-grid workflow and the full tolerance semantics). `record`
-//!   refuses to freeze a grid that `arsf-analyze` flags with
-//!   error-severity findings — run `sweep_lint grid` with the same
-//!   flags to see them ahead of time — a grid containing cells with
-//!   no static width bound, unless `--allow-unbounded` is passed (run
-//!   `sweep_lint guarantees` for the per-cell verdicts), and a grid
-//!   whose every corruptible cell is provably invisible to its
-//!   detector, unless `--allow-invisible` is passed (run `sweep_lint
-//!   detectability` for the per-cell verdicts), and a freshly-run
-//!   report whose recorded cells invert a cross-cell ordering the
-//!   dominance pass proves, unless `--allow-disorder` is passed (run
-//!   `sweep_lint dominance` for the derived edges)
+//!   golden-grid workflow and the full tolerance semantics). Both go
+//!   through `arsf_bench::baseline_ops`, the path every baseline-writing
+//!   binary shares: `record` refuses a grid that `arsf-analyze` flags
+//!   with error-severity findings — run `sweep_lint grid` with the same
+//!   flags to see them ahead of time — and any grid a static verifier
+//!   vetoes: cells with no static width bound (`guarantee-unbounded`),
+//!   every corruptible cell provably invisible to its detector
+//!   (`detect-vacuous`), or recorded cells inverting a provable
+//!   cross-cell ordering (`order-violation`)
+//! * `--allow id[,id…]` — record anyway despite the named veto ids
+//!   (an unknown id exits 2 listing the accepted ones)
 //! * `--baseline-dir path` — the baseline directory (default
 //!   `baselines`)
 
@@ -291,8 +290,8 @@ fn main() {
     if let (Some(mode), Some(grid)) = (&baseline_mode, &baseline_grid) {
         // The recording vetoes and check tolerances live in
         // `arsf_bench::baseline_ops`, shared verbatim with `sweep_drive`
-        // so a driven run and an in-process run freeze or vet a grid
-        // under identical rules.
+        // and `sweep_diff` so every run freezes or vets a grid under
+        // identical rules.
         let dir = arg_value("--baseline-dir").unwrap_or_else(|| "baselines".to_string());
         let current = Baseline::from_report(grid, &report);
         match mode.as_str() {

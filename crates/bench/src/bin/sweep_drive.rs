@@ -34,8 +34,8 @@
 //! * `--baseline record|check` — rebuild a baseline from the merged
 //!   rows and persist it content-addressed, or diff it against the
 //!   stored baseline and exit 1 on drift: the same vetoes, tolerances
-//!   (`--tol`), `--baseline-dir` and `--allow-*` overrides as
-//!   `scenario_sweep --baseline`, via the shared
+//!   (`--tol`), `--baseline-dir` and `--allow id[,id…]` overrides as
+//!   `scenario_sweep --baseline` and `sweep_diff`, via the shared
 //!   `arsf_bench::baseline_ops`
 //! * `--fault-worker w:k[:attempts]` — test instrumentation: make
 //!   worker `w` crash after `k` rows on its first `attempts` attempts

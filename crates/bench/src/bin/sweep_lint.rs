@@ -20,24 +20,15 @@
 //!   orphaned files, missing recordings; with `--tol col=abs[:rel],…`
 //!   also flags tolerance entries that match no column in any stored
 //!   baseline.
-//! * `guarantees` — statically derive every golden-grid cell's
-//!   worst-case fusion guarantees (bound regime, Theorem-2 width bound,
-//!   truth-containment provability) without running a single simulation
-//!   round, then vet each stored baseline's width and truth-loss
-//!   columns against them — a soundness oracle: a recorded cell that
-//!   violates a theorem is a `guarantee-violation` error.
-//! * `detectability` — statically classify every golden-grid cell's
-//!   attacker × fault set × detector into a detection verdict (provably
-//!   invisible, provably flagged, or contingent), again without running
-//!   a round, then vet each stored baseline's `flagged_rounds` and
-//!   condemnation columns against the verdicts: a recorded cell that
-//!   contradicts one is a `detect-violation` error.
-//! * `dominance` — statically derive the partial order over each golden
-//!   grid's cells (Table II's schedule chain, containment/invisibility
-//!   certificates, the width-bound lattice — no simulation), then vet
-//!   each stored baseline's metrics against every provable edge: two
-//!   cells recorded in the wrong order is an `order-violation` error
-//!   even when both sit inside their per-cell tolerances.
+//! * one subcommand per `arsf_analyze::VERIFIERS` entry — `guarantees`
+//!   (worst-case fusion width bounds and truth containment),
+//!   `detectability` (provably invisible / provably flagged /
+//!   contingent verdicts) and `dominance` (provable cross-cell
+//!   orderings, Table II's schedule chain among them). Each derives its
+//!   facts for every golden-grid cell without simulating a round, then
+//!   vets the stored baseline against them: a recorded cell that
+//!   contradicts one is a `guarantee-violation`, `detect-violation` or
+//!   `order-violation` error.
 //! * `all` — run every pass above (except `grid`, which needs flags) in
 //!   one invocation: per-pass section headers in text mode, a `pass`
 //!   field in `--json`, and the max exit code across passes.
@@ -45,63 +36,73 @@
 //! Options:
 //! * `--json` — emit findings as a JSON array instead of text; every
 //!   object carries `"schema": 1` and its `"pass"` name
-//! * `--dir path` — the baseline directory (`baselines`, `guarantees`,
-//!   `detectability`, `dominance` and `all` subcommands; default
-//!   `baselines`)
+//! * `--dir path` — the baseline directory (every subcommand but
+//!   `presets` and `grid`; default `baselines`)
 //! * `--tol col=abs[:rel],…` — check-harness tolerances to vet
 //!   (`baselines` subcommand only)
 //!
 //! Exit codes: `0` clean (info findings allowed), `1` warnings, `2`
-//! errors. `scenario_sweep --baseline record` and `sweep_diff record`
-//! enforce the error tier automatically before freezing a baseline.
+//! errors. Every record path (`sweep_diff record`, `scenario_sweep` and
+//! `sweep_drive --baseline record`) enforces the error tier
+//! automatically before freezing a baseline.
 
 use std::path::Path;
 use std::process::exit;
 
 use arsf_analyze::{
-    analyze_baseline_dir, analyze_grid_detectability, analyze_grid_dominance,
-    analyze_grid_guarantees, analyze_scenario, exit_code, render, render_json_passes,
-    render_passes, tolerance_findings, vet_baseline_detectability, vet_baseline_dominance,
-    vet_baseline_guarantees, AnalyzeGrid, Finding, Location, Severity,
+    analyze_baseline_dir, analyze_grid, analyze_scenario, exit_code, render, render_json_passes,
+    render_passes, tolerance_findings, Finding, Location, Severity, Verifier, VERIFIERS,
 };
-use arsf_bench::cli::{grid_from_args, parse_tolerances};
-use arsf_bench::{arg_value, golden, has_flag};
+use arsf_bench::cli::grid_from_args;
+use arsf_bench::{arg_value, baseline_ops, golden, has_flag};
 use arsf_core::scenario::registry;
-use arsf_core::sweep::diff::DiffConfig;
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
 
-const USAGE: &str = "\
-usage: sweep_lint <presets|grid|baselines|guarantees|detectability|dominance|all>
-                  [--json]
-
-  presets     lint every registry preset
+/// The usage text; the verifier subcommands come from [`VERIFIERS`].
+fn usage() -> String {
+    let names: Vec<&str> = VERIFIERS.iter().map(|v| v.name).collect();
+    let mut out = format!(
+        "usage: sweep_lint <presets|grid|baselines|{}|all>\n                  [--json]\n\n",
+        names.join("|")
+    );
+    out.push_str(
+        "  presets     lint every registry preset
   grid        lint the sweep grid described by scenario_sweep's flags
               (--fusers, --detectors, --schedules, --seeds, --history,
                --suite, --fault, --strategy, --honest, --f, --rounds,
                --closed-loop, --target, --deltas, --platoon)
   baselines   lint the baseline directory against the golden grids
               [--dir path] [--tol col=abs[:rel],...]
-  guarantees  derive every golden-grid cell's static fusion guarantees
-              (no simulation) and vet the stored baselines against them
+",
+    );
+    for verifier in &VERIFIERS {
+        // Names too long for the column get a line of their own.
+        let name = match verifier.name.len() {
+            0..=11 => format!("{:<12}", verifier.name),
+            _ => format!("{}\n{:14}", verifier.name, ""),
+        };
+        out.push_str(&format!(
+            "  {name}derive the golden grids' static {} (no
+              simulation) and vet the stored baselines against them
               [--dir path]
-  detectability
-              derive every golden-grid cell's static detection verdict
-              (provably invisible / provably flagged / contingent, no
-              simulation) and vet the stored baselines' flagged_rounds
-              and condemnation columns against them [--dir path]
-  dominance   derive the provable cross-cell orderings of each golden
-              grid (schedule chain, certificates, width-bound lattice,
-              no simulation) and vet the stored baselines against every
-              provable edge [--dir path]
-  all         presets + baselines + guarantees + detectability +
-              dominance in one pass, with per-pass headers (text) or a
-              \"pass\" field (--json) and the max exit code [--dir path]
+",
+            verifier.noun
+        ));
+    }
+    out.push_str(&format!(
+        "  all         presets + baselines + {}
+              in one pass, with per-pass headers (text) or a \"pass\"
+              field (--json) and the max exit code [--dir path]
 
 exit codes:
   0  clean    - no findings above info severity
   1  warnings - degenerate but runnable definitions
   2  errors   - unsound or rejected definitions (record refuses these)
-";
+",
+        names.join(" + ")
+    ));
+    out
+}
 
 fn fail(message: &str) -> ! {
     eprintln!("sweep_lint: {message}");
@@ -132,7 +133,7 @@ fn presets() -> Vec<Finding> {
 
 fn grid() -> Vec<Finding> {
     let grid = grid_from_args().unwrap_or_else(|e| fail(&e));
-    grid.analyze()
+    analyze_grid(&grid)
 }
 
 fn baselines() -> Vec<Finding> {
@@ -142,13 +143,8 @@ fn baselines() -> Vec<Finding> {
         .map(|(name, grid)| (name.to_string(), grid_address(grid)))
         .collect();
     let mut findings = analyze_baseline_dir(Path::new(&dir), &known);
-    if let Some(spec) = arg_value("--tol") {
-        let mut config = DiffConfig::near_exact();
-        for (column, tolerance) in
-            parse_tolerances(&spec).unwrap_or_else(|e| fail(&format!("--tol: {e}")))
-        {
-            config = config.with_column(column, tolerance);
-        }
+    if arg_value("--tol").is_some() {
+        let config = baseline_ops::diff_config().unwrap_or_else(|e| fail(&e));
         // Vet the tolerances against every stored golden baseline at
         // once: one check-harness configuration applies to all grids, so
         // a family only present closed-loop is alive, not dead.
@@ -163,21 +159,17 @@ fn baselines() -> Vec<Finding> {
     findings
 }
 
-/// Shared shape of the golden-grid static passes: run a static analysis
-/// over each golden grid (prefixing messages with the grid name), then
-/// vet its stored baseline, warning when there is nothing to vet.
-fn golden_pass(
-    what: &str,
-    analyze: impl Fn(&arsf_core::sweep::SweepGrid) -> Vec<Finding>,
-    vet: impl Fn(&arsf_core::sweep::SweepGrid, &Baseline, &Location) -> Vec<Finding>,
-) -> Vec<Finding> {
+/// One verifier over the golden grids: its static pass over each grid
+/// (messages prefixed with the grid name), then its vet of the grid's
+/// stored baseline, warning when there is nothing to vet.
+fn golden_pass(verifier: &Verifier) -> Vec<Finding> {
     let dir = arg_value("--dir").unwrap_or_else(|| "baselines".to_string());
     let mut findings = Vec::new();
     for (name, grid) in golden::all() {
         // Static pass: no simulation rounds. The cell(-pair) location is
         // kept; the message is prefixed with the grid so two grids'
         // indices stay distinguishable.
-        for mut finding in analyze(&grid) {
+        for mut finding in (verifier.analyze_grid)(&grid) {
             finding.message = format!("golden grid `{name}`: {}", finding.message);
             findings.push(finding);
         }
@@ -185,7 +177,9 @@ fn golden_pass(
         let address = grid_address(&grid);
         let path = baseline_path(&dir, &address);
         match Baseline::load(&path) {
-            Ok(baseline) => findings.extend(vet(&grid, &baseline, &Location::File { path })),
+            Ok(baseline) => {
+                findings.extend((verifier.vet)(&grid, &baseline, &Location::File { path }))
+            }
             Err(_) => findings.push(Finding {
                 lint: "baseline-missing",
                 severity: Severity::Warn,
@@ -194,7 +188,8 @@ fn golden_pass(
                 },
                 message: format!(
                     "no stored baseline {address}.json in {dir} to vet against the static \
-                     {what}"
+                     {}",
+                    verifier.noun
                 ),
             }),
         }
@@ -203,38 +198,9 @@ fn golden_pass(
     findings
 }
 
-fn guarantees() -> Vec<Finding> {
-    golden_pass(
-        "guarantees",
-        analyze_grid_guarantees,
-        vet_baseline_guarantees,
-    )
-}
-
-fn detectability() -> Vec<Finding> {
-    golden_pass(
-        "detectability verdicts",
-        analyze_grid_detectability,
-        vet_baseline_detectability,
-    )
-}
-
-fn dominance() -> Vec<Finding> {
-    golden_pass(
-        "dominance orderings",
-        analyze_grid_dominance,
-        vet_baseline_dominance,
-    )
-}
-
 fn all() -> ! {
-    let passes = vec![
-        ("presets", presets()),
-        ("baselines", baselines()),
-        ("guarantees", guarantees()),
-        ("detectability", detectability()),
-        ("dominance", dominance()),
-    ];
+    let mut passes = vec![("presets", presets()), ("baselines", baselines())];
+    passes.extend(VERIFIERS.iter().map(|v| (v.name, golden_pass(v))));
     // Max-of exit codes == the lint convention over the merged set.
     let code = passes
         .iter()
@@ -251,20 +217,21 @@ fn all() -> ! {
 
 fn main() {
     if has_flag("--help") || has_flag("-h") {
-        print!("{USAGE}");
+        print!("{}", usage());
         exit(0);
     }
-    match std::env::args().nth(1).as_deref() {
-        Some("presets") => emit("presets", presets()),
-        Some("grid") => emit("grid", grid()),
-        Some("baselines") => emit("baselines", baselines()),
-        Some("guarantees") => emit("guarantees", guarantees()),
-        Some("detectability") => emit("detectability", detectability()),
-        Some("dominance") => emit("dominance", dominance()),
-        Some("all") => all(),
-        _ => {
-            eprint!("{USAGE}");
-            exit(2);
-        }
+    let subcommand = std::env::args().nth(1).unwrap_or_default();
+    match subcommand.as_str() {
+        "presets" => emit("presets", presets()),
+        "grid" => emit("grid", grid()),
+        "baselines" => emit("baselines", baselines()),
+        "all" => all(),
+        name => match VERIFIERS.iter().find(|v| v.name == name) {
+            Some(verifier) => emit(verifier.name, golden_pass(verifier)),
+            None => {
+                eprint!("{}", usage());
+                exit(2);
+            }
+        },
     }
 }

@@ -6,6 +6,7 @@
 //! offending token — never `Ok(vec![])`, which would trip the grid's
 //! non-empty-axis assertion downstream.
 
+use arsf_analyze::VERIFIERS;
 use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
@@ -264,6 +265,30 @@ pub fn parse_tolerances(spec: &str) -> Result<Vec<(String, Tolerance)>, String> 
         })
         .collect::<Result<Vec<_>, String>>()
         .and_then(|v| non_empty("tolerance", v))
+}
+
+/// Parses a record-time veto override list, e.g.
+/// `detect-vacuous,order-violation`: each entry must be the veto id of
+/// one of the [`VERIFIERS`] (`guarantee-unbounded`, `detect-vacuous`,
+/// `order-violation`).
+///
+/// # Errors
+///
+/// Returns a message naming the unknown id and listing the accepted ones.
+pub fn parse_allow(spec: &str) -> Result<Vec<&'static str>, String> {
+    let known: Vec<&'static str> = VERIFIERS.iter().map(|v| v.veto_id).collect();
+    spec.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|id| {
+            known.iter().copied().find(|k| *k == id).ok_or_else(|| {
+                format!(
+                    "--allow: unknown veto id `{id}` (accepted: {})",
+                    known.join(", ")
+                )
+            })
+        })
+        .collect()
 }
 
 /// Parses an attack strategy name (`phantom-optimal`, `greedy-high`,
@@ -744,6 +769,21 @@ mod tests {
         assert!(parse_tolerances("w=-1").is_err(), "negative tolerance");
         assert!(parse_tolerances("w=x").is_err());
         assert!(parse_tolerances(",").unwrap_err().contains("empty"));
+    }
+
+    #[test]
+    fn allow_lists_accept_only_veto_ids() {
+        assert_eq!(
+            parse_allow("detect-vacuous, order-violation").unwrap(),
+            vec!["detect-vacuous", "order-violation"]
+        );
+        assert_eq!(parse_allow("").unwrap(), Vec::<&str>::new());
+        let err = parse_allow("guarantee-unbounded,bogus").unwrap_err();
+        assert!(err.contains("unknown veto id `bogus`"), "{err}");
+        assert!(
+            err.contains("guarantee-unbounded, detect-vacuous, order-violation"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -232,6 +232,51 @@ fn sweep_drive_rejects_an_unknown_baseline_mode() {
     );
 }
 
+/// Records `table2-closed-loop` through `sweep_diff` into a scratch
+/// directory with extra arguments; returns `(exit code, stderr, wrote)`.
+fn record_table2(extra: &[&str]) -> (i32, String, bool) {
+    let dir = std::env::temp_dir().join(format!(
+        "arsf-cli-allow-{}-{}",
+        std::process::id(),
+        extra.join("_")
+    ));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut args = vec![
+        "record",
+        "--grid",
+        "table2-closed-loop",
+        "--dir",
+        dir.to_str().expect("utf-8 path"),
+    ];
+    args.extend_from_slice(extra);
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_sweep_diff"), &args);
+    let wrote = std::fs::read_dir(&dir).expect("scratch dir").count() > 0;
+    std::fs::remove_dir_all(&dir).ok();
+    (code, stderr, wrote)
+}
+
+#[test]
+fn unknown_allow_ids_list_the_accepted_ones() {
+    let (code, stderr, wrote) = record_table2(&["--allow", "bogus"]);
+    assert_eq!(code, 2, "an unknown veto id is a usage error: {stderr}");
+    assert!(
+        stderr.contains("unknown veto id `bogus`")
+            && stderr.contains("guarantee-unbounded, detect-vacuous, order-violation"),
+        "the diagnostic lists the accepted ids: {stderr}"
+    );
+    assert!(!wrote);
+}
+
+#[test]
+fn the_old_allow_flag_spellings_are_gone() {
+    // `--allow-invisible` no longer overrides anything: the veto it used
+    // to silence refuses the recording.
+    let (code, stderr, wrote) = record_table2(&["--allow-invisible"]);
+    assert_eq!(code, 2, "the old spelling is no override: {stderr}");
+    assert!(stderr.contains("error[detect-vacuous]"), "{stderr}");
+    assert!(!wrote);
+}
+
 #[test]
 fn sweep_lint_rejects_a_malformed_tolerance() {
     let (code, stderr) = run_sweep_lint(&["baselines", "--tol", "mean_width=abc"]);

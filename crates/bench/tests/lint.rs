@@ -31,9 +31,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use arsf_analyze::{
-    analyze_baseline_dir, analyze_baseline_file, analyze_grid_detectability,
+    analyze_baseline_dir, analyze_baseline_file, analyze_grid, analyze_grid_detectability,
     analyze_grid_guarantees, exit_code, vet_baseline_detectability, vet_baseline_dominance,
-    vet_baseline_guarantees, AnalyzeGrid, Location, Severity,
+    vet_baseline_guarantees, Location, Severity,
 };
 use arsf_bench::golden;
 use arsf_core::scenario::{FuserSpec, Scenario, SuiteSpec};
@@ -55,7 +55,7 @@ fn known_grids() -> Vec<(String, String)> {
 #[test]
 fn golden_grids_are_lint_clean() {
     for (name, grid) in golden::all() {
-        let findings = grid.analyze();
+        let findings = analyze_grid(&grid);
         assert!(
             findings.is_empty(),
             "golden grid {name} has findings: {findings:?}"
@@ -489,7 +489,7 @@ fn corrupted_baseline_is_flagged_with_its_path() {
 fn undersized_suite_for_f_is_an_error() {
     // The acceptance grid: n = 3 sensors with f = 2 violates n > 2f.
     let base = Scenario::new("lint", SuiteSpec::Widths(vec![5.0, 11.0, 17.0])).with_f(2);
-    let findings = SweepGrid::new(base).analyze();
+    let findings = analyze_grid(&SweepGrid::new(base));
     let soundness = findings
         .iter()
         .find(|f| f.lint == "fusion-soundness")
@@ -510,7 +510,7 @@ fn duplicated_fuser_axis_value_is_a_warning() {
         FuserSpec::BrooksIyengar,
         FuserSpec::Marzullo,
     ]);
-    let findings = grid.analyze();
+    let findings = analyze_grid(&grid);
     let duplicate = findings
         .iter()
         .find(|f| f.lint == "duplicate-axis-value")

@@ -6,7 +6,9 @@
 //! value.
 //!
 //! If an *intentional* fusion-algorithm change lands, re-record with
-//! `cargo run --release -p arsf-bench --bin sweep_diff -- record`.
+//! `cargo run --release -p arsf-bench --bin sweep_diff -- record
+//! --allow detect-vacuous` (the Table II grid's detection columns are
+//! provably vacuous, which the recording veto refuses by default).
 
 use std::path::PathBuf;
 
