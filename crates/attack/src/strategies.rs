@@ -26,7 +26,6 @@
 //! `n − f − 1` mutually-intersecting intervals, which places that point
 //! inside the fusion interval — the paper's Section III-A argument.
 
-use arsf_interval::ops::intersection_all;
 use arsf_interval::Interval;
 
 use crate::full_knowledge::optimal_attack;
@@ -186,13 +185,17 @@ fn constrain(proposal: Interval<f64>, ctx: &SlotContext<'_>, exact: bool) -> Int
     match ctx.mode {
         AttackMode::Active if exact => proposal,
         AttackMode::Active => {
-            let seen_correct: Vec<Interval<f64>> = ctx
+            // Intersect the seen correct intervals without collecting
+            // them, so a forge through here never allocates.
+            let mut seen_correct = ctx
                 .seen
                 .iter()
                 .filter(|(s, _)| !ctx.compromised.contains(s))
-                .map(|(_, iv)| *iv)
-                .collect();
-            let anchor = intersection_all(&seen_correct).unwrap_or(ctx.delta);
+                .map(|(_, iv)| *iv);
+            let anchor = seen_correct
+                .next()
+                .and_then(|first| seen_correct.try_fold(first, |acc, next| acc.intersection(&next)))
+                .unwrap_or(ctx.delta);
             shift_to_touch(proposal, &anchor, ctx)
         }
         AttackMode::Passive => shift_to_contain(proposal, &ctx.delta, ctx),

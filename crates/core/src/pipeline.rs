@@ -148,6 +148,9 @@ impl<F: Fuser<f64>> PipelineBuilder<F> {
             widths,
             readings: Vec::with_capacity(n),
             intervals: Vec::with_capacity(n),
+            static_order: None,
+            own: Vec::new(),
+            future_own_widths: Vec::new(),
             round: 0,
         }
     }
@@ -180,6 +183,13 @@ pub struct FusionPipeline<F: Fuser<f64> = MarzulloFuser> {
     readings: Vec<Measurement>,
     /// Scratch: this round's transmitted intervals, in slot order.
     intervals: Vec<Interval<f64>>,
+    /// The order of a round-invariant schedule, computed on the first
+    /// round (not at build, so building stays cheap).
+    static_order: Option<TransmissionOrder>,
+    /// Scratch: the attacker's correct readings (for `Δ`).
+    own: Vec<Interval<f64>>,
+    /// Scratch: widths of the attacker's sensors in later slots.
+    future_own_widths: Vec<f64>,
     round: u64,
 }
 
@@ -285,10 +295,15 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     }
 
     /// [`FusionPipeline::run_round`] writing into a reusable outcome
-    /// buffer: all result vectors are cleared and refilled in place. An
-    /// honest round performs no per-round allocation beyond the
-    /// schedule's order; attacked rounds additionally build small
-    /// per-slot context buffers for the strategy.
+    /// buffer: all result vectors are cleared and refilled in place.
+    ///
+    /// Once the first round has sized the buffers, the engine itself does
+    /// not allocate: the schedule order, the attacker's per-slot context,
+    /// fusion (with any stock fuser, for up to 32 sensors) and detection
+    /// all reuse outcome- or pipeline-owned storage. An attack strategy may
+    /// still allocate inside its `forge` (the exhaustive
+    /// [`PhantomOptimal`](arsf_attack::strategies::PhantomOptimal) solver
+    /// does).
     pub fn run_round_into<R: Rng + ?Sized>(
         &mut self,
         truth: f64,
@@ -322,94 +337,91 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         rng: &mut R,
         out: &mut RoundOutcome,
     ) {
-        let order = self.config.schedule().order(&self.widths, round, rng);
+        let schedule = self.config.schedule();
+        if schedule.is_round_invariant() {
+            let order = self
+                .static_order
+                .get_or_insert_with(|| schedule.order(&self.widths, round, rng));
+            out.order.clone_from(order);
+        } else {
+            schedule.order_into(&self.widths, round, rng, &mut out.order);
+        }
         self.round = round + 1;
 
         // Sample every sensor (compromised sensors still produce their
         // *correct* readings, which the attacker reads before forging).
         self.suite.sample_all_into(truth, rng, &mut self.readings);
         let readings = &self.readings;
-        let reading_of = |sensor: usize| {
-            readings
+        // Readings come in sensor-id order with silenced sensors left out,
+        // so a sensor's reading sits at its own index unless an earlier
+        // sensor was silenced.
+        let reading_of = |sensor: usize| match readings.get(sensor) {
+            Some(m) if m.sensor.index() == sensor => Some(m.interval),
+            _ => readings
                 .iter()
                 .find(|m| m.sensor.index() == sensor)
-                .map(|m| m.interval)
+                .map(|m| m.interval),
         };
 
         // The attacker's Δ across her sensors' correct readings.
-        let (attacker_cfg, attacker_delta) = match &self.attacker {
-            Some((cfg, _)) => {
-                let own: Vec<Interval<f64>> = cfg
-                    .compromised()
-                    .iter()
-                    .filter_map(|&s| reading_of(s))
-                    .collect();
-                (Some(cfg.clone()), delta(&own))
-            }
-            None => (None, None),
-        };
+        let attacker_delta = self.attacker.as_ref().and_then(|(cfg, _)| {
+            self.own.clear();
+            self.own
+                .extend(cfg.compromised().iter().filter_map(|&s| reading_of(s)));
+            delta(&self.own)
+        });
 
         let n = self.suite.len();
         let f = self.config.f();
         out.truth = truth;
         out.transmitted.clear();
+        // Size the reused buffers for a full round up front, so a later
+        // round with more transmissions or findings never reallocates.
+        out.transmitted.reserve(n);
 
-        for slot in 0..order.len() {
-            let sensor = order[slot];
+        for slot in 0..out.order.len() {
+            let sensor = out.order[slot];
             let Some(correct_reading) = reading_of(sensor) else {
                 continue; // silenced by a fault this round
             };
-            let is_compromised = attacker_cfg
-                .as_ref()
-                .is_some_and(|cfg| cfg.controls(sensor));
-            let interval = if is_compromised {
-                let cfg = attacker_cfg.as_ref().expect("checked above");
-                let unsent_attacked = order
-                    .as_slice()
-                    .iter()
-                    .skip(slot)
-                    .filter(|&&s| cfg.controls(s))
-                    .count();
-                let future_own_widths: Vec<f64> = order
-                    .as_slice()
-                    .iter()
-                    .skip(slot + 1)
-                    .filter(|&&s| cfg.controls(s))
-                    .map(|&s| self.widths[s])
-                    .collect();
-                let mode = AttackMode::for_slot(out.transmitted.len(), n, f, unsent_attacked);
-                let ctx = SlotContext {
-                    order: &order,
-                    slot,
-                    sensor,
-                    width: self.widths[sensor],
-                    seen: &out.transmitted,
-                    delta: attacker_delta.unwrap_or(correct_reading),
-                    own_correct: correct_reading,
-                    mode,
-                    n,
-                    f,
-                    future_own_widths: &future_own_widths,
-                    compromised: cfg.compromised(),
-                    all_widths: &self.widths,
-                };
-                let strategy = &mut self
-                    .attacker
-                    .as_mut()
-                    .expect("attacker present on compromised slot")
-                    .1;
-                let forged = strategy.forge(&ctx);
-                debug_assert!(
-                    (forged.width() - self.widths[sensor]).abs() < 1e-9,
-                    "strategies must preserve the public interval width"
-                );
-                forged
-            } else {
-                correct_reading
+            let interval = match &mut self.attacker {
+                Some((cfg, strategy)) if cfg.controls(sensor) => {
+                    let later = &out.order.as_slice()[slot..];
+                    let unsent_attacked = later.iter().filter(|&&s| cfg.controls(s)).count();
+                    self.future_own_widths.clear();
+                    self.future_own_widths.extend(
+                        later[1..]
+                            .iter()
+                            .filter(|&&s| cfg.controls(s))
+                            .map(|&s| self.widths[s]),
+                    );
+                    let mode = AttackMode::for_slot(out.transmitted.len(), n, f, unsent_attacked);
+                    let ctx = SlotContext {
+                        order: &out.order,
+                        slot,
+                        sensor,
+                        width: self.widths[sensor],
+                        seen: &out.transmitted,
+                        delta: attacker_delta.unwrap_or(correct_reading),
+                        own_correct: correct_reading,
+                        mode,
+                        n,
+                        f,
+                        future_own_widths: &self.future_own_widths,
+                        compromised: cfg.compromised(),
+                        all_widths: &self.widths,
+                    };
+                    let forged = strategy.forge(&ctx);
+                    debug_assert!(
+                        (forged.width() - self.widths[sensor]).abs() < 1e-9,
+                        "strategies must preserve the public interval width"
+                    );
+                    forged
+                }
+                _ => correct_reading,
             };
             out.transmitted.push((sensor, interval));
         }
-        out.order = order;
 
         // Fusion and detection, through the pluggable interfaces.
         self.intervals.clear();
@@ -428,6 +440,8 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
             condemned: core::mem::take(&mut out.condemned),
         };
         assessment.clear();
+        assessment.flagged.reserve(n);
+        assessment.condemned.reserve(n);
         if let Ok(fused) = &out.fusion {
             self.detector
                 .assess(&out.transmitted, fused, &mut assessment);
@@ -593,6 +607,35 @@ mod tests {
         let out = p.run_round(10.0, &mut rng);
         assert_eq!(out.transmitted.len(), 3);
         assert!(out.fusion.is_ok());
+    }
+
+    #[test]
+    fn silenced_sensor_shifts_readings_without_mixing_them_up() {
+        // With sensor 1 silent, the readings of sensors 2 and 3 sit below
+        // their ids; every slot must still carry its own sensor's reading,
+        // for honest and compromised sensors alike.
+        let mut rng = rng();
+        let mut suite = arsf_sensor::suite::landshark();
+        suite.sensors_mut()[1] = suite.sensors()[1]
+            .clone()
+            .with_fault(FaultModel::new(FaultKind::Silent, 1.0));
+        let widths = suite.widths();
+        let mut p = FusionPipeline::builder(suite)
+            .config(PipelineConfig::new(1, SchedulePolicy::Descending))
+            .attacker(AttackerConfig::new([3], 1), Box::new(Truthful))
+            .build();
+        for _ in 0..10 {
+            let out = p.run_round(10.0, &mut rng);
+            let sensors: Vec<usize> = out.transmitted.iter().map(|(s, _)| *s).collect();
+            assert_eq!(sensors, vec![3, 2, 0]);
+            for (sensor, iv) in &out.transmitted {
+                assert!(
+                    (iv.width() - widths[*sensor]).abs() < 1e-12,
+                    "sensor {sensor}"
+                );
+                assert!(iv.contains(10.0), "sensor {sensor} reads around the truth");
+            }
+        }
     }
 
     #[test]

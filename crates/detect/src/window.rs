@@ -9,8 +9,6 @@
 //! last `w` rounds and is only *condemned* when violations exceed the
 //! threshold.
 
-use std::collections::VecDeque;
-
 /// The standing of one sensor after recording a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowVerdict {
@@ -46,8 +44,22 @@ pub enum WindowVerdict {
 pub struct WindowedDetector {
     window: usize,
     tolerance: usize,
-    history: Vec<VecDeque<bool>>,
-    condemned: Vec<bool>,
+    /// Sensor `i`'s last `window` verdicts, as a ring in
+    /// `ring[i * window..(i + 1) * window]`.
+    ring: Vec<bool>,
+    sensors: Vec<SensorWindow>,
+}
+
+/// One sensor's position in its ring and its running counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct SensorWindow {
+    /// The ring slot the next verdict goes to.
+    next: usize,
+    /// How many slots hold verdicts recorded since the last reset.
+    filled: usize,
+    /// How many of those verdicts are violations.
+    violations: usize,
+    condemned: bool,
 }
 
 impl WindowedDetector {
@@ -57,14 +69,17 @@ impl WindowedDetector {
     /// # Panics
     ///
     /// Panics if `window == 0` — an empty window can never observe
-    /// anything.
+    /// anything — or if `n × window` overflows `usize`.
     pub fn new(n: usize, window: usize, tolerance: usize) -> Self {
         assert!(window > 0, "window length must be positive");
+        let slots = n
+            .checked_mul(window)
+            .unwrap_or_else(|| panic!("{n} sensors with a window of {window} overflow usize"));
         Self {
             window,
             tolerance,
-            history: vec![VecDeque::with_capacity(window); n],
-            condemned: vec![false; n],
+            ring: vec![false; slots],
+            sensors: vec![SensorWindow::default(); n],
         }
     }
 
@@ -80,7 +95,7 @@ impl WindowedDetector {
 
     /// The number of tracked sensors.
     pub fn sensor_count(&self) -> usize {
-        self.history.len()
+        self.sensors.len()
     }
 
     /// Records one round for `sensor` (`violated` = failed the overlap
@@ -90,14 +105,19 @@ impl WindowedDetector {
     ///
     /// Panics if `sensor` is out of range.
     pub fn record(&mut self, sensor: usize, violated: bool) -> WindowVerdict {
-        let hist = &mut self.history[sensor];
-        if hist.len() == self.window {
-            hist.pop_front();
+        let s = &mut self.sensors[sensor];
+        let slot = &mut self.ring[sensor * self.window + s.next];
+        if s.filled == self.window {
+            // The oldest verdict leaves the window.
+            s.violations -= usize::from(*slot);
+        } else {
+            s.filled += 1;
         }
-        hist.push_back(violated);
-        let violations = hist.iter().filter(|&&v| v).count();
-        if violations > self.tolerance {
-            self.condemned[sensor] = true;
+        *slot = violated;
+        s.violations += usize::from(violated);
+        s.next = (s.next + 1) % self.window;
+        if s.violations > self.tolerance {
+            s.condemned = true;
         }
         self.verdict(sensor)
     }
@@ -108,11 +128,10 @@ impl WindowedDetector {
     ///
     /// Panics if `sensor` is out of range.
     pub fn verdict(&self, sensor: usize) -> WindowVerdict {
-        if self.condemned[sensor] {
-            return WindowVerdict::Condemned;
-        }
-        let violations = self.history[sensor].iter().filter(|&&v| v).count();
-        if violations == 0 {
+        let s = &self.sensors[sensor];
+        if s.condemned {
+            WindowVerdict::Condemned
+        } else if s.violations == 0 {
             WindowVerdict::Healthy
         } else {
             WindowVerdict::Suspect
@@ -130,21 +149,19 @@ impl WindowedDetector {
     /// reusing the caller's allocation.
     pub fn condemned_into(&self, out: &mut Vec<usize>) {
         out.extend(
-            self.condemned
+            self.sensors
                 .iter()
                 .enumerate()
-                .filter(|(_, &c)| c)
+                .filter(|(_, s)| s.condemned)
                 .map(|(i, _)| i),
         );
     }
 
     /// Clears all history and condemnations (e.g. after replacing a
-    /// sensor).
+    /// sensor). Stale ring slots need no clearing: a slot is read only
+    /// once it has been rewritten since the reset.
     pub fn reset(&mut self) {
-        for h in &mut self.history {
-            h.clear();
-        }
-        self.condemned.fill(false);
+        self.sensors.fill(SensorWindow::default());
     }
 }
 

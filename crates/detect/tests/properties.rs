@@ -34,22 +34,47 @@ fn violation_seq() -> impl Strategy<Value = Vec<bool>> {
 proptest! {
     #[test]
     fn window_verdict_equals_naive_recount(
-        seq in violation_seq(),
+        events in prop::collection::vec((0_usize..3, 0_u8..7), 0..=120),
         window in 1_usize..=8,
         tolerance in 0_usize..=5,
     ) {
-        let mut det = WindowedDetector::new(1, window, tolerance);
-        let oracle = naive_verdicts(&seq, window, tolerance);
-        for (t, (&violated, expected)) in seq.iter().zip(&oracle).enumerate() {
-            let got = det.record(0, violated);
-            prop_assert_eq!(
-                got, *expected,
-                "round {} of {:?} (w = {}, tol = {})", t, seq, window, tolerance
-            );
-            prop_assert_eq!(det.verdict(0), *expected, "verdict() disagrees at round {}", t);
+        // Three sensors share the detector. Event kind 6 resets it,
+        // otherwise odd = violation for the event's sensor. Each sensor's
+        // running counts must match a recount of its rounds since the last
+        // reset, across window wrap-around and resets alike.
+        let mut det = WindowedDetector::new(3, window, tolerance);
+        let mut since_reset: Vec<Vec<bool>> = vec![Vec::new(); 3];
+        for (t, &(sensor, kind)) in events.iter().enumerate() {
+            if kind == 6 {
+                det.reset();
+                since_reset.iter_mut().for_each(Vec::clear);
+                prop_assert!(det.condemned().is_empty(), "after reset at {}", t);
+                continue;
+            }
+            let violated = kind % 2 == 1;
+            since_reset[sensor].push(violated);
+            let got = det.record(sensor, violated);
+            for (s, seq) in since_reset.iter().enumerate() {
+                let expected = naive_verdicts(seq, window, tolerance)
+                    .last()
+                    .copied()
+                    .unwrap_or(WindowVerdict::Healthy);
+                if s == sensor {
+                    prop_assert_eq!(
+                        got, expected,
+                        "event {} of {:?} (w = {}, tol = {})", t, events, window, tolerance
+                    );
+                }
+                prop_assert_eq!(det.verdict(s), expected, "sensor {} at event {}", s, t);
+            }
         }
-        let condemned_now = oracle.last() == Some(&WindowVerdict::Condemned);
-        prop_assert_eq!(det.condemned(), if condemned_now { vec![0] } else { vec![] });
+        let condemned_now: Vec<usize> = (0..3)
+            .filter(|&s| {
+                naive_verdicts(&since_reset[s], window, tolerance).last()
+                    == Some(&WindowVerdict::Condemned)
+            })
+            .collect();
+        prop_assert_eq!(det.condemned(), condemned_now);
     }
 
     #[test]

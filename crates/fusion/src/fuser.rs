@@ -13,7 +13,7 @@
 use arsf_interval::ops::{hull_all, intersection_all};
 use arsf_interval::{Interval, Scalar};
 
-use crate::{brooks_iyengar, marzullo, weighted, FusionError};
+use crate::{marzullo, weighted, FusionError};
 
 /// An interval-fusion algorithm: `n` sensor intervals in, one fused
 /// interval out.
@@ -125,8 +125,12 @@ impl<T: Scalar> Fuser<T> for MarzulloFuser {
 
 /// Brooks–Iyengar fusion with a fixed fault assumption `f`; exposes only
 /// the fused interval through the [`Fuser`] interface
-/// (see [`brooks_iyengar::fuse`] for the point estimate). The fault
-/// assumption is clamped exactly as for [`MarzulloFuser`].
+/// (see [`brooks_iyengar::fuse`] for the point estimate and regions). The
+/// fault assumption is clamped exactly as for [`MarzulloFuser`].
+///
+/// The Brooks–Iyengar interval spans every point of sufficient support,
+/// which is Marzullo's interval by construction, so this fuser computes it
+/// with the allocation-free Marzullo sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BrooksIyengarFuser {
     f: usize,
@@ -146,7 +150,7 @@ impl BrooksIyengarFuser {
 
 impl<T: Scalar> Fuser<T> for BrooksIyengarFuser {
     fn fuse(&mut self, intervals: &[Interval<T>]) -> Result<Interval<T>, FusionError> {
-        brooks_iyengar::fuse(intervals, clamp_f(self.f, intervals.len())).map(|out| out.interval)
+        marzullo::fuse(intervals, clamp_f(self.f, intervals.len()))
     }
 
     fn name(&self) -> &str {

@@ -61,13 +61,10 @@ pub fn inverse_variance<T: Scalar>(
     if intervals.is_empty() {
         return Err(FusionError::EmptyInput);
     }
-    let exact: Vec<f64> = intervals
-        .iter()
-        .filter(|s| s.width() == T::ZERO)
-        .map(|s| s.midpoint().to_f64())
-        .collect();
-    if !exact.is_empty() {
-        let value = exact.iter().sum::<f64>() / exact.len() as f64;
+    let exact = || intervals.iter().filter(|s| s.width() == T::ZERO);
+    let exact_count = exact().count();
+    if exact_count > 0 {
+        let value = exact().map(|s| s.midpoint().to_f64()).sum::<f64>() / exact_count as f64;
         return Ok(PointEstimate { value, radius: 0.0 });
     }
     let mut weight_sum = 0.0;
@@ -134,17 +131,31 @@ pub fn midpoint_median<T: Scalar>(intervals: &[Interval<T>]) -> Result<PointEsti
     if intervals.is_empty() {
         return Err(FusionError::EmptyInput);
     }
-    let mut mids: Vec<f64> = intervals.iter().map(|s| s.midpoint().to_f64()).collect();
-    let mut halves: Vec<f64> = intervals.iter().map(|s| s.width().to_f64() * 0.5).collect();
     Ok(PointEstimate {
-        value: median_in_place(&mut mids),
-        radius: median_in_place(&mut halves),
+        value: median_of(intervals.iter().map(|s| s.midpoint().to_f64())),
+        radius: median_of(intervals.iter().map(|s| s.width().to_f64() * 0.5)),
     })
 }
 
-fn median_in_place(xs: &mut [f64]) -> f64 {
+/// Values up to this count are sorted on the stack by [`median_of`].
+const MEDIAN_STACK: usize = 32;
+
+/// The median of a non-empty sequence of known length, sorted in a stack
+/// buffer when it fits (the heap otherwise).
+fn median_of(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len();
+    let mut stack = [0.0; MEDIAN_STACK];
+    let mut heap = Vec::new();
+    let xs = if n <= MEDIAN_STACK {
+        &mut stack[..n]
+    } else {
+        heap.resize(n, 0.0);
+        &mut heap[..]
+    };
+    for (slot, x) in xs.iter_mut().zip(values) {
+        *slot = x;
+    }
     xs.sort_unstable_by(f64::total_cmp);
-    let n = xs.len();
     if n % 2 == 1 {
         xs[n / 2]
     } else {

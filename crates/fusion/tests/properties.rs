@@ -14,6 +14,13 @@ fn grid_interval() -> impl Strategy<Value = Interval<i64>> {
         .prop_map(|(lo, w)| Interval::new(lo, lo + w).expect("ordered by construction"))
 }
 
+/// A coarse grid where touching, duplicated and zero-width intervals are
+/// common.
+fn crowded_interval() -> impl Strategy<Value = Interval<i64>> {
+    (-10_i64..10, 0_i64..4)
+        .prop_map(|(lo, w)| Interval::new(lo, lo + w).expect("ordered by construction"))
+}
+
 fn configs() -> impl Strategy<Value = (Vec<Interval<i64>>, usize)> {
     prop::collection::vec(grid_interval(), 1..=9).prop_flat_map(|xs| {
         let n = xs.len();
@@ -165,6 +172,40 @@ proptest! {
                 prop_assert!(w[0].0.hi() <= w[1].0.lo());
             }
         }
+    }
+
+    #[test]
+    fn brooks_iyengar_fuser_is_marzullo_errors_included(
+        (xs, f) in prop::collection::vec(crowded_interval(), 0..=12).prop_flat_map(|xs| {
+            let n = xs.len();
+            (Just(xs), 0..=n + 2)
+        }),
+    ) {
+        // The engine-facing Brooks–Iyengar fuser skips the region
+        // enumeration and runs the Marzullo sweep; it must agree with the
+        // full algorithm's interval on every round, failures included.
+        use arsf_fusion::{BrooksIyengarFuser, Fuser, MarzulloFuser};
+        let clamped = f.min(xs.len().saturating_sub(1));
+        let fuser = Fuser::fuse(&mut BrooksIyengarFuser::new(f), &xs);
+        let full = brooks_iyengar::fuse(&xs, clamped).map(|out| out.interval);
+        let marzullo = Fuser::fuse(&mut MarzulloFuser::new(f), &xs);
+        prop_assert_eq!(&fuser, &full, "n = {}, f = {}", xs.len(), f);
+        prop_assert_eq!(&fuser, &marzullo, "n = {}, f = {}", xs.len(), f);
+    }
+
+    #[test]
+    fn midpoint_median_matches_a_sorted_reference(
+        xs in prop::collection::vec(crowded_interval(), 1..=40),
+    ) {
+        // 1 to 40 intervals cross the median's 32-value stack buffer.
+        fn median(mut v: Vec<f64>) -> f64 {
+            v.sort_by(f64::total_cmp);
+            let n = v.len();
+            if n % 2 == 1 { v[n / 2] } else { 0.5 * (v[n / 2 - 1] + v[n / 2]) }
+        }
+        let est = arsf_fusion::weighted::midpoint_median(&xs).unwrap();
+        prop_assert_eq!(est.value, median(xs.iter().map(|s| s.midpoint() as f64).collect()));
+        prop_assert_eq!(est.radius, median(xs.iter().map(|s| s.width() as f64 * 0.5).collect()));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! This module provides two implementations:
 //!
 //! * [`k_covered_span`] — a single `O(n log n)` endpoint sweep that answers
-//!   the span question directly; this is what the fusion crate calls in
-//!   production,
+//!   the span question directly without allocating (for up to 32
+//!   intervals); this is what the fusion crate calls in production,
 //! * [`CoverageMap`] — a full piecewise-constant coverage profile, used by
 //!   the naive reference fuser, the attacker's optimisers and the test
 //!   suite to cross-validate the sweep.
@@ -45,39 +45,52 @@ use crate::{Interval, Scalar};
 /// # }
 /// ```
 pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<Interval<T>> {
-    if k == 0 || k > intervals.len() {
+    let n = intervals.len();
+    if k == 0 || k > n {
         return None;
     }
-    // Events: +1 at lo, -1 at hi. At equal coordinates the +1 events are
-    // processed first so that touching closed intervals count as
-    // overlapping at the shared point.
-    let mut events: Vec<(T, i8)> = Vec::with_capacity(intervals.len() * 2);
-    for s in intervals {
-        events.push((s.lo(), 1));
-        events.push((s.hi(), -1));
+    // The lower and upper endpoints are sorted separately — in stack
+    // arrays for up to `SWEEP_STACK` intervals — and merged by the sweep.
+    let mut lo_stack = [T::ZERO; SWEEP_STACK];
+    let mut hi_stack = [T::ZERO; SWEEP_STACK];
+    let mut heap = Vec::new();
+    let (los, his) = if n <= SWEEP_STACK {
+        (&mut lo_stack[..n], &mut hi_stack[..n])
+    } else {
+        heap.resize(2 * n, T::ZERO);
+        heap.split_at_mut(n)
+    };
+    for ((l, h), s) in los.iter_mut().zip(his.iter_mut()).zip(intervals) {
+        *l = s.lo();
+        *h = s.hi();
     }
-    events.sort_unstable_by(|a, b| {
-        a.0.partial_cmp(&b.0)
+    let by_value = |a: &T, b: &T| {
+        a.partial_cmp(b)
             .expect("interval endpoints are finite by construction")
-            .then(b.1.cmp(&a.1)) // +1 before -1 at equal coordinates
-    });
+    };
+    los.sort_unstable_by(by_value);
+    his.sort_unstable_by(by_value);
 
-    let mut count: usize = 0;
+    // Merge: at equal coordinates the lower endpoint is taken first, so
+    // touching closed intervals count as overlapping at the shared point.
+    let (mut i, mut j, mut count) = (0, 0, 0);
     let mut lo: Option<T> = None;
     let mut hi: Option<T> = None;
-    for (x, delta) in events {
-        if delta == 1 {
+    while j < n {
+        if i < n && los[i] <= his[j] {
             count += 1;
-            if count >= k && lo.is_none() {
-                lo = Some(x);
+            if count == k && lo.is_none() {
+                lo = Some(los[i]);
             }
+            i += 1;
         } else {
-            if count >= k && count - 1 < k {
-                // Coverage drops below k just after x; x itself is still
-                // covered by k intervals (closed upper endpoint).
-                hi = Some(x);
+            if count == k {
+                // Coverage drops below k just after this point; the point
+                // itself is still covered k times (closed upper endpoint).
+                hi = Some(his[j]);
             }
             count -= 1;
+            j += 1;
         }
     }
     match (lo, hi) {
@@ -87,6 +100,10 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
         _ => None,
     }
 }
+
+/// The interval count up to which [`k_covered_span`] sorts on the stack
+/// (covers every sensor suite the engines run; larger inputs use the heap).
+const SWEEP_STACK: usize = 32;
 
 /// A piecewise-constant profile of how many intervals cover each point.
 ///

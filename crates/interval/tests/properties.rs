@@ -52,6 +52,48 @@ fn k_span_brute(intervals: &[Interval<i64>], k: usize) -> Option<Interval<i64>> 
     }
 }
 
+/// Strategy: 0 to 40 intervals on a coarse grid — both sides of the sweep
+/// kernel's 32-interval stack buffer — where touching, duplicated and
+/// zero-width intervals are common, paired with a `k` from 0 to `n + 1`.
+fn crowded_intervals_and_k() -> impl Strategy<Value = (Vec<Interval<i64>>, usize)> {
+    let crowded = (-12_i64..12, 0_i64..5)
+        .prop_map(|(lo, w)| Interval::new(lo, lo + w).expect("constructed ordered"));
+    prop::collection::vec(crowded, 0..=40).prop_flat_map(|xs| {
+        let n = xs.len();
+        (Just(xs), 0..=n + 1)
+    })
+}
+
+/// Oracle: the k-coverage sweep as it was before the merge kernel — one
+/// sorted list of `+1`/`−1` endpoint events, openings first at ties.
+fn k_span_event_sort(intervals: &[Interval<i64>], k: usize) -> Option<Interval<i64>> {
+    if k == 0 || k > intervals.len() {
+        return None;
+    }
+    let mut events: Vec<(i64, i8)> = Vec::with_capacity(intervals.len() * 2);
+    for s in intervals {
+        events.push((s.lo(), 1));
+        events.push((s.hi(), -1));
+    }
+    events.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    let mut count = 0_usize;
+    let (mut lo, mut hi) = (None, None);
+    for (x, delta) in events {
+        if delta == 1 {
+            count += 1;
+            if count >= k && lo.is_none() {
+                lo = Some(x);
+            }
+        } else {
+            if count >= k && count - 1 < k {
+                hi = Some(x);
+            }
+            count -= 1;
+        }
+    }
+    Some(Interval::new(lo?, hi?).unwrap())
+}
+
 proptest! {
     #[test]
     fn intersection_is_commutative(a in grid_interval(), b in grid_interval()) {
@@ -134,8 +176,10 @@ proptest! {
     }
 
     #[test]
-    fn sweep_agrees_with_bruteforce(xs in grid_intervals(8), k in 1_usize..10) {
-        prop_assert_eq!(k_covered_span(&xs, k), k_span_brute(&xs, k));
+    fn sweep_agrees_with_bruteforce((xs, k) in crowded_intervals_and_k()) {
+        let span = k_covered_span(&xs, k);
+        prop_assert_eq!(span, k_span_brute(&xs, k), "n = {}, k = {}", xs.len(), k);
+        prop_assert_eq!(span, k_span_event_sort(&xs, k), "n = {}, k = {}", xs.len(), k);
     }
 
     #[test]
@@ -199,7 +243,7 @@ proptest! {
     }
 
     #[test]
-    fn float_and_integer_sweeps_agree(xs in grid_intervals(8), k in 1_usize..10) {
+    fn float_and_integer_sweeps_agree((xs, k) in crowded_intervals_and_k()) {
         let floats: Vec<Interval<f64>> = xs
             .iter()
             .map(|s| Interval::new(s.lo().to_f64(), s.hi().to_f64()).unwrap())

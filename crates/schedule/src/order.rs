@@ -18,9 +18,23 @@ use core::ops::Index;
 /// assert_eq!(order.slot_of(1), Some(2));
 /// assert!(TransmissionOrder::new(vec![0, 0, 1]).is_none()); // not a permutation
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct TransmissionOrder {
-    order: Vec<usize>,
+    pub(crate) order: Vec<usize>,
+}
+
+// By hand so `clone_from` reuses the destination's allocation (the
+// derived impl would clone a fresh Vec).
+impl Clone for TransmissionOrder {
+    fn clone(&self) -> Self {
+        Self {
+            order: self.order.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.order.clone_from(&source.order);
+    }
 }
 
 impl TransmissionOrder {
@@ -69,20 +83,6 @@ impl TransmissionOrder {
     /// The sensors transmitting strictly before `slot`, in order.
     pub fn before(&self, slot: usize) -> &[usize] {
         &self.order[..slot.min(self.order.len())]
-    }
-
-    /// A new order rotated left by `shift` slots (round-robin rotation).
-    #[must_use]
-    pub fn rotated(&self, shift: usize) -> Self {
-        let n = self.order.len();
-        if n == 0 {
-            return self.clone();
-        }
-        let shift = shift % n;
-        let mut order = Vec::with_capacity(n);
-        order.extend_from_slice(&self.order[shift..]);
-        order.extend_from_slice(&self.order[..shift]);
-        Self { order }
     }
 
     /// Iterates over the sensor indices in slot order.
@@ -143,20 +143,6 @@ mod tests {
         assert_eq!(order[1], 1);
         assert_eq!(order.before(2), &[3, 1]);
         assert_eq!(order.before(99), &[3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn rotation_wraps() {
-        let order = TransmissionOrder::new(vec![0, 1, 2]).unwrap();
-        assert_eq!(order.rotated(1).as_slice(), &[1, 2, 0]);
-        assert_eq!(order.rotated(3).as_slice(), &[0, 1, 2]);
-        assert_eq!(order.rotated(5).as_slice(), &[2, 0, 1]);
-    }
-
-    #[test]
-    fn rotation_of_empty_is_empty() {
-        let order = TransmissionOrder::new(vec![]).unwrap();
-        assert!(order.rotated(4).is_empty());
     }
 
     #[test]

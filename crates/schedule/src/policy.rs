@@ -57,19 +57,39 @@ impl SchedulePolicy {
         round: u64,
         rng: &mut R,
     ) -> TransmissionOrder {
+        let mut out = TransmissionOrder::identity(0);
+        self.order_into(widths, round, rng, &mut out);
+        out
+    }
+
+    /// [`SchedulePolicy::order`] writing into an existing order, reusing
+    /// its allocation: a round engine refills one buffer every round.
+    ///
+    /// Makes exactly the same RNG draws as [`SchedulePolicy::order`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SchedulePolicy::order`].
+    pub fn order_into<R: Rng + ?Sized>(
+        &self,
+        widths: &[f64],
+        round: u64,
+        rng: &mut R,
+        out: &mut TransmissionOrder,
+    ) {
         let n = widths.len();
+        let slots = &mut out.order;
         match self {
-            SchedulePolicy::Ascending => sort_by_width(widths, false),
-            SchedulePolicy::Descending => sort_by_width(widths, true),
+            SchedulePolicy::Ascending => sort_by_width(widths, false, slots),
+            SchedulePolicy::Descending => sort_by_width(widths, true, slots),
             SchedulePolicy::Random => {
-                let mut idx: Vec<usize> = (0..n).collect();
-                idx.shuffle(rng);
-                TransmissionOrder::new(idx)
-                    .unwrap_or_else(|| unreachable!("a shuffle of 0..n is a permutation"))
+                slots.clear();
+                slots.extend(0..n);
+                slots.shuffle(rng);
             }
             SchedulePolicy::Fixed(order) => {
                 assert_eq!(order.len(), n, "fixed order length must match sensor count");
-                order.clone()
+                out.clone_from(order);
             }
             SchedulePolicy::Rotating(base) => {
                 assert_eq!(
@@ -77,9 +97,22 @@ impl SchedulePolicy {
                     n,
                     "rotating order length must match sensor count"
                 );
-                base.rotated((round % n.max(1) as u64) as usize)
+                let shift = (round % n.max(1) as u64) as usize;
+                slots.clear();
+                slots.extend_from_slice(&base.order[shift..]);
+                slots.extend_from_slice(&base.order[..shift]);
             }
         }
+    }
+
+    /// Whether the policy yields the same order every round without
+    /// touching the RNG (Ascending, Descending and Fixed), so an engine
+    /// may compute it once and reuse it.
+    pub fn is_round_invariant(&self) -> bool {
+        matches!(
+            self,
+            SchedulePolicy::Ascending | SchedulePolicy::Descending | SchedulePolicy::Fixed(_)
+        )
     }
 
     /// The policy's rank in the paper's Table II exposure ordering, when
@@ -112,14 +145,16 @@ impl SchedulePolicy {
     }
 }
 
-fn sort_by_width(widths: &[f64], descending: bool) -> TransmissionOrder {
-    let mut idx: Vec<usize> = (0..widths.len()).collect();
-    idx.sort_by(|&a, &b| {
+fn sort_by_width(widths: &[f64], descending: bool, slots: &mut Vec<usize>) {
+    slots.clear();
+    slots.extend(0..widths.len());
+    // The index tie-break makes the order total, so an unstable sort is
+    // deterministic (and never allocates).
+    slots.sort_unstable_by(|&a, &b| {
         let cmp = widths[a].total_cmp(&widths[b]);
         let cmp = if descending { cmp.reverse() } else { cmp };
         cmp.then(a.cmp(&b))
     });
-    TransmissionOrder::new(idx).unwrap_or_else(|| unreachable!("a sort of 0..n is a permutation"))
 }
 
 #[cfg(test)]
@@ -191,6 +226,7 @@ mod tests {
         assert_eq!(policy.order(&widths, 1, &mut rng()).as_slice(), &[1, 2, 0]);
         assert_eq!(policy.order(&widths, 2, &mut rng()).as_slice(), &[2, 0, 1]);
         assert_eq!(policy.order(&widths, 3, &mut rng()).as_slice(), &[0, 1, 2]);
+        assert_eq!(policy.order(&widths, 5, &mut rng()).as_slice(), &[2, 0, 1]);
     }
 
     #[test]
@@ -211,8 +247,62 @@ mod tests {
     }
 
     #[test]
+    fn order_into_equals_order_and_draws_the_same_randomness() {
+        let widths = [3.0, 1.0, 2.0, 1.0, 5.0];
+        let base = TransmissionOrder::new(vec![4, 2, 0, 3, 1]).unwrap();
+        let policies = [
+            SchedulePolicy::Ascending,
+            SchedulePolicy::Descending,
+            SchedulePolicy::Random,
+            SchedulePolicy::Fixed(base.clone()),
+            SchedulePolicy::Rotating(base),
+        ];
+        for policy in &policies {
+            // A stale buffer of another length must be fully overwritten.
+            let mut reused = TransmissionOrder::identity(9);
+            for round in 0..7 {
+                let mut rng_a = StdRng::seed_from_u64(round);
+                let mut rng_b = StdRng::seed_from_u64(round);
+                let fresh = policy.order(&widths, round, &mut rng_a);
+                policy.order_into(&widths, round, &mut rng_b, &mut reused);
+                assert_eq!(fresh, reused, "{} round {round}", policy.name());
+                assert_eq!(rng_a, rng_b, "{} round {round}: RNG state", policy.name());
+            }
+        }
+    }
+
+    #[test]
+    fn round_invariant_policies_ignore_round_and_rng() {
+        let widths = [3.0, 1.0, 2.0];
+        let base = TransmissionOrder::new(vec![2, 0, 1]).unwrap();
+        for policy in [
+            SchedulePolicy::Ascending,
+            SchedulePolicy::Descending,
+            SchedulePolicy::Random,
+            SchedulePolicy::Fixed(base.clone()),
+            SchedulePolicy::Rotating(base.clone()),
+        ] {
+            if !policy.is_round_invariant() {
+                continue;
+            }
+            let mut a = StdRng::seed_from_u64(1);
+            let mut b = StdRng::seed_from_u64(2);
+            assert_eq!(
+                policy.order(&widths, 0, &mut a),
+                policy.order(&widths, 5, &mut b)
+            );
+            assert_eq!(a, StdRng::seed_from_u64(1), "{}", policy.name());
+        }
+        assert!(!SchedulePolicy::Random.is_round_invariant());
+        assert!(!SchedulePolicy::Rotating(base).is_round_invariant());
+    }
+
+    #[test]
     fn empty_widths_yield_empty_order() {
         let order = SchedulePolicy::Ascending.order(&[], 0, &mut rng());
+        assert!(order.is_empty());
+        let empty = TransmissionOrder::new(vec![]).unwrap();
+        let order = SchedulePolicy::Rotating(empty).order(&[], 4, &mut rng());
         assert!(order.is_empty());
     }
 }
