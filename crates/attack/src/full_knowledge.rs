@@ -21,7 +21,7 @@
 //! Exhaustively evaluating that lattice (with exact fusion and exact
 //! stealth verification per combination) yields the optimum in
 //! `O((c · 3^{fa})^{fa})` fusions — trivial for the paper's `fa ≤ 2` and
-//! fine up to `fa = 4`, which is asserted.
+//! fine up to [`MAX_ATTACKED`] forged intervals, which is asserted.
 //!
 //! [`brute_force_attack`] provides an independent dense-grid oracle used
 //! by the property-test suite to validate the lattice solver.
@@ -31,6 +31,11 @@ use arsf_interval::Interval;
 
 use crate::stealth::verify_stealth;
 use crate::AttackError;
+
+/// The most attacked intervals [`optimal_attack`] solves for: the
+/// lattice grows as `(c · 3^{fa})^{fa}`, and the paper's regime is
+/// `fa ≤ f < ⌈n/2⌉` with `n ≤ 5`.
+pub const MAX_ATTACKED: usize = 4;
 
 /// The result of an optimal full-knowledge attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,9 +76,9 @@ impl OptimalAttack {
 ///
 /// # Panics
 ///
-/// Panics if `attacked_widths.len() > 4` (the exhaustive lattice search
-/// is not meant for larger `fa`; the paper's regime is `fa ≤ f < ⌈n/2⌉`
-/// with `n ≤ 5`) or if any width is negative or non-finite.
+/// Panics if `attacked_widths` holds more than [`MAX_ATTACKED`] widths
+/// (the exhaustive lattice search is not meant for larger `fa`) or if
+/// any width is negative or non-finite.
 ///
 /// # Example
 ///
@@ -99,8 +104,8 @@ pub fn optimal_attack(
 ) -> Result<OptimalAttack, AttackError> {
     let fa = attacked_widths.len();
     assert!(
-        fa <= 4,
-        "lattice solver supports at most 4 attacked intervals"
+        fa <= MAX_ATTACKED,
+        "lattice solver supports at most {MAX_ATTACKED} attacked intervals"
     );
     assert!(
         attacked_widths.iter().all(|w| w.is_finite() && *w >= 0.0),

@@ -20,9 +20,9 @@
 //! `--threads <k>` sweep worker threads.
 
 use arsf_attack::expectimax::AttackerStyle;
+use arsf_bench::cli::sweeper_from_args;
 use arsf_bench::{arg_value, has_flag, TextTable};
 use arsf_core::scenario::{AttackerSpec, Scenario, StrategySpec, SuiteSpec, TruthSpec};
-use arsf_core::sweep::ParallelSweeper;
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sim::table1::{
@@ -66,14 +66,10 @@ fn main() {
     let mc_rounds: u64 = arg_value("--mc-rounds")
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 500 } else { 4000 });
-    let sweeper = match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => {
-            eprintln!("repro_table1: --threads wants a positive integer");
-            std::process::exit(2);
-        }
-    };
+    let sweeper = sweeper_from_args().unwrap_or_else(|e| {
+        eprintln!("repro_table1: {e}");
+        std::process::exit(2);
+    });
 
     println!("Table I: comparison of two sensor communication schedules");
     println!("(E|S_N,f| by exhaustive grid enumeration, step {step}; f = ⌈n/2⌉-1;");

@@ -17,12 +17,17 @@
 //! historical-fusion defence at this rate bound instead of the paper's
 //! memoryless Marzullo).
 
+use arsf_bench::cli::sweeper_from_args;
 use arsf_bench::{arg_value, TextTable};
 use arsf_sim::table2::{run_all, Table2Config};
 
 fn main() {
+    let sweeper = sweeper_from_args().unwrap_or_else(|e| {
+        eprintln!("repro_table2: {e}");
+        std::process::exit(2);
+    });
     let mut config = Table2Config {
-        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        threads: sweeper.threads(),
         ..Table2Config::default()
     };
     if let Some(rounds) = arg_value("--rounds").and_then(|s| s.parse().ok()) {
@@ -33,9 +38,6 @@ fn main() {
     }
     if let Some(replicates) = arg_value("--replicates").and_then(|s| s.parse().ok()) {
         config.replicates = replicates;
-    }
-    if let Some(threads) = arg_value("--threads").and_then(|s| s.parse().ok()) {
-        config.threads = threads;
     }
     if let Some(spec) = arg_value("--history") {
         // Unlike the other numeric flags, a swallowed parse error here

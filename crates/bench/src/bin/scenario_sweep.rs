@@ -91,12 +91,14 @@
 use std::io::Write;
 use std::process::exit;
 
-use arsf_bench::cli::{grid_from_args, grid_mode_requested, parse_cells};
+use arsf_bench::cli::{
+    grid_from_args, grid_mode_requested, parse_cells, rounds_from_args, sweeper_from_args,
+};
 use arsf_bench::drive::{Fnv64, Frame};
 use arsf_bench::{arg_value, baseline_ops, has_flag, TextTable};
 use arsf_core::scenario::registry;
 use arsf_core::sweep::store::{grid_address, Baseline};
-use arsf_core::sweep::{ParallelSweeper, StreamingSweeper, SweepGrid, SweepReport};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid, SweepReport};
 
 fn fail(message: &str) -> ! {
     eprintln!("scenario_sweep: {message}");
@@ -111,7 +113,7 @@ fn parsed<T>(result: Result<T, String>) -> T {
 /// Row frames stream as cells finish (stdout is line-buffered), so a
 /// `sweep_drive` coordinator sees live progress and the shard runs in
 /// constant memory whatever its size.
-fn stream_mode(threads: usize) -> ! {
+fn stream_mode(sweeper: StreamingSweeper) -> ! {
     if !grid_mode_requested() {
         fail("--stream needs grid mode (pass at least one axis flag or --golden)");
     }
@@ -157,7 +159,7 @@ fn stream_mode(threads: usize) -> ! {
     }
     let mut hash = Fnv64::default();
     let mut emitted = 0usize;
-    let result = StreamingSweeper::new(threads).try_stream_range(&grid, cells, |row| {
+    let result = sweeper.try_stream_range(&grid, cells, |row| {
         let csv = row.to_csv_line();
         hash.update(csv.as_bytes());
         hash.update(b"\n");
@@ -188,15 +190,10 @@ fn stream_mode(threads: usize) -> ! {
 }
 
 fn main() {
-    let rounds_override: Option<u64> = arg_value("--rounds").and_then(|s| s.parse().ok());
-    let sweeper = match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => fail("--threads wants a positive integer"),
-    };
+    let sweeper = parsed(sweeper_from_args());
 
     if has_flag("--stream") {
-        stream_mode(sweeper.threads());
+        stream_mode(sweeper);
     }
 
     // Any grid-shaping flag (including --honest and the closed-loop
@@ -266,7 +263,7 @@ fn main() {
         }
     } else {
         let mut presets = registry();
-        if let Some(rounds) = rounds_override {
+        if let Some(rounds) = parsed(rounds_from_args()) {
             for preset in &mut presets {
                 preset.rounds = rounds;
             }

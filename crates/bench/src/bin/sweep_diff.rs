@@ -44,6 +44,7 @@
 
 use std::process::exit;
 
+use arsf_bench::cli::sweeper_from_args;
 use arsf_bench::{arg_value, baseline_ops, golden, has_flag};
 use arsf_core::sweep::diff::diff;
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
@@ -55,11 +56,7 @@ fn fail(message: &str) -> ! {
 }
 
 fn sweeper() -> ParallelSweeper {
-    match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => fail("--threads wants a positive integer"),
-    }
+    sweeper_from_args().unwrap_or_else(|e| fail(&e))
 }
 
 fn grids() -> Vec<(&'static str, SweepGrid)> {

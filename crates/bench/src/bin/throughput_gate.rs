@@ -25,8 +25,8 @@
 use std::process::exit;
 use std::time::Instant;
 
+use arsf_bench::cli::sweeper_from_args;
 use arsf_bench::{arg_value, golden};
-use arsf_core::sweep::ParallelSweeper;
 
 fn fail(message: &str) -> ! {
     eprintln!("throughput_gate: {message}");
@@ -46,11 +46,7 @@ fn json_number_field(src: &str, field: &str) -> Option<f64> {
 }
 
 fn main() {
-    let sweeper = match arg_value("--threads").map(|s| s.parse::<usize>()) {
-        None => ParallelSweeper::auto(),
-        Some(Ok(threads)) if threads > 0 => ParallelSweeper::new(threads),
-        Some(_) => fail("--threads wants a positive integer"),
-    };
+    let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
     let max_drop = arg_value("--max-drop").map_or(0.2, |s| {
         s.parse()
             .ok()

@@ -11,7 +11,7 @@ use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
 use arsf_core::sweep::diff::Tolerance;
-use arsf_core::sweep::SweepGrid;
+use arsf_core::sweep::{ParallelSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
@@ -479,6 +479,39 @@ pub fn grid_args_for_forwarding() -> Vec<String> {
     args
 }
 
+/// The `--rounds <n>` override, if given: grid mode's base scenario and
+/// `scenario_sweep`'s preset mode both read it here.
+///
+/// # Errors
+///
+/// Returns a message naming the value when it is not a non-negative
+/// integer.
+pub fn rounds_from_args() -> Result<Option<u64>, String> {
+    crate::arg_value("--rounds")
+        .map(|spec| {
+            spec.parse()
+                .map_err(|_| format!("--rounds wants a non-negative integer, got `{spec}`"))
+        })
+        .transpose()
+}
+
+/// The sweeper `--threads <n>` asks for; without the flag, one sized to
+/// the machine's available parallelism.
+///
+/// # Errors
+///
+/// Returns a message naming the value when it is not a positive
+/// integer.
+pub fn sweeper_from_args() -> Result<ParallelSweeper, String> {
+    let Some(spec) = crate::arg_value("--threads") else {
+        return Ok(ParallelSweeper::auto());
+    };
+    match spec.parse::<usize>() {
+        Ok(threads) if threads > 0 => Ok(ParallelSweeper::new(threads)),
+        _ => Err(format!("--threads wants a positive integer, got `{spec}`")),
+    }
+}
+
 /// Builds the grid-mode [`SweepGrid`] described by the process's
 /// command-line flags — the one construction `scenario_sweep` executes,
 /// `sweep_lint grid` statically analyzes and `sweep_drive` distributes,
@@ -588,10 +621,7 @@ pub fn grid_from_args() -> Result<SweepGrid, String> {
         }
         base = base.with_closed_loop(spec);
     }
-    if let Some(rounds) = crate::arg_value("--rounds") {
-        let rounds: u64 = rounds
-            .parse()
-            .map_err(|_| format!("--rounds wants a non-negative integer, got `{rounds}`"))?;
+    if let Some(rounds) = rounds_from_args()? {
         base = base.with_rounds(rounds);
     }
 

@@ -122,6 +122,32 @@ fn scenario_sweep_rejects_an_unknown_strategy() {
 }
 
 #[test]
+fn preset_mode_rejects_a_malformed_round_count() {
+    let (code, stderr) = run_scenario_sweep(&["--rounds", "abc"]);
+    assert_eq!(
+        code, 2,
+        "a malformed round count is a usage error: {stderr}"
+    );
+    assert!(
+        stderr.contains("--rounds wants a non-negative integer, got `abc`"),
+        "the diagnostic names the value: {stderr}"
+    );
+}
+
+#[test]
+fn repro_table2_rejects_a_malformed_thread_count() {
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_repro_table2"), &["--threads", "abc"]);
+    assert_eq!(
+        code, 2,
+        "a malformed thread count is a usage error: {stderr}"
+    );
+    assert!(
+        stderr.contains("repro_table2: --threads wants a positive integer, got `abc`"),
+        "the diagnostic names the value: {stderr}"
+    );
+}
+
+#[test]
 fn scenario_sweep_rejects_stream_combined_with_report_flags() {
     let (code, stderr) = run_scenario_sweep(&["--fusers", "marzullo", "--stream", "--csv", "-"]);
     assert_eq!(code, 2, "--stream owns stdout: {stderr}");

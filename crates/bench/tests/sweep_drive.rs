@@ -405,7 +405,12 @@ proptest! {
         let expected = ParallelSweeper::new(2).run(&grid).to_csv();
 
         // In-process: the streaming path reorders back to grid order.
-        let streamed = StreamingSweeper::new(threads).with_window(window).run(&grid).to_csv();
+        let mut streamed = Vec::new();
+        StreamingSweeper::new(threads)
+            .with_window(window)
+            .write_csv(&grid, 0..grid.len(), true, &mut streamed)
+            .expect("vec write succeeds");
+        let streamed = String::from_utf8(streamed).expect("CSV is UTF-8");
         prop_assert_eq!(
             &streamed, &expected,
             "StreamingSweeper threads={} window={}", threads, window

@@ -24,7 +24,8 @@
 //! * [`ScenarioRunner`] — batch execution of scenarios into preallocated
 //!   outcome buffers, with [`BatchSummary`] aggregation,
 //! * [`sweep`] — cartesian scenario grids ([`SweepGrid`]) executed
-//!   serially or across scoped worker threads ([`ParallelSweeper`]) into
+//!   serially or across scoped worker threads (one engine,
+//!   [`sweep::StreamingSweeper`]) into
 //!   deterministic, grid-ordered [`SweepReport`]s with CSV/JSON emission;
 //!   [`sweep::store`] persists reports content-addressed by their grid
 //!   definition and [`sweep::diff`] compares two stored reports cell by

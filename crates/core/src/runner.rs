@@ -647,6 +647,19 @@ mod tests {
                 suite_len: 4
             })
         ));
+        let bad_solver = Scenario::new("bad-solver", SuiteSpec::Widths(vec![1.0; 12]))
+            .with_f(5)
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: (0..5).collect(),
+                strategy: StrategySpec::PhantomOptimal,
+            });
+        assert!(matches!(
+            ScenarioRunner::try_new(&bad_solver),
+            Err(ScenarioError::TooManyOptimalAttackers {
+                attacked: 5,
+                max: 4
+            })
+        ));
         let bad_platoon = Scenario::new("bad-platoon", SuiteSpec::Landshark)
             .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(0, 0.01));
         assert!(matches!(

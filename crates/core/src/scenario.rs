@@ -14,6 +14,7 @@
 //! and benches: the LandShark case study under each schedule, the
 //! detection ablations, and the algorithm-comparison sweeps.
 
+use arsf_attack::full_knowledge::MAX_ATTACKED;
 use arsf_attack::strategies::{GreedyExtreme, PhantomOptimal, Side};
 use arsf_attack::{AttackStrategy, AttackerConfig, Truthful};
 use arsf_fusion::historical::{DynamicsBound, HistoricalFuser};
@@ -34,8 +35,8 @@ use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 /// [`ScenarioRunner::try_new`](crate::ScenarioRunner::try_new)) so
 /// harnesses can reject an impossible cell with a typed error instead of
 /// a panic. Everything *not* listed here is a supported combination: any
-/// fuser, any attack strategy and any fault set run both open- and
-/// closed-loop.
+/// fuser, any attack strategy within the solver limit and any fault set
+/// run both open- and closed-loop.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ScenarioError {
@@ -53,6 +54,14 @@ pub enum ScenarioError {
         sensor: usize,
         /// The suite's sensor count.
         suite_len: usize,
+    },
+    /// A fixed phantom-optimal attacker compromises more sensors than the
+    /// exact forgery solver handles ([`MAX_ATTACKED`]).
+    TooManyOptimalAttackers {
+        /// The number of distinct compromised sensors.
+        attacked: usize,
+        /// The solver's limit.
+        max: usize,
     },
     /// Closed-loop execution drives a LandShark, whose physical sensors
     /// *are* the LandShark suite — other suites cannot be bolted onto the
@@ -92,6 +101,10 @@ impl core::fmt::Display for ScenarioError {
             ScenarioError::AttackedSensorOutOfRange { sensor, suite_len } => write!(
                 f,
                 "compromised sensor index {sensor} out of range for a {suite_len}-sensor suite"
+            ),
+            ScenarioError::TooManyOptimalAttackers { attacked, max } => write!(
+                f,
+                "a phantom-optimal attacker forges at most {max} sensors, got {attacked}"
             ),
             ScenarioError::ClosedLoopSuite { suite } => write!(
                 f,
@@ -804,11 +817,13 @@ impl Scenario {
     /// Checks the scenario for combinations the engines genuinely cannot
     /// execute.
     ///
-    /// A scenario passing `validate` is guaranteed to build and run: any
-    /// fuser × any attack strategy × any fault set, in both execution
-    /// modes. The only rejections are referential (a fault or compromised
-    /// index outside the suite) and physical (closed-loop execution on a
-    /// suite that is not the LandShark's, a degenerate platoon).
+    /// The rejections are referential (a fault or compromised index
+    /// outside the suite), a solver limit (a fixed phantom-optimal
+    /// attacker on more than [`MAX_ATTACKED`] sensors) and physical
+    /// (closed-loop execution on a suite that is not the LandShark's, a
+    /// degenerate envelope or platoon). A scenario that passes builds in
+    /// either execution mode, and every panic a run is known to raise
+    /// for its spec is one of these rejections.
     ///
     /// # Errors
     ///
@@ -823,11 +838,23 @@ impl Scenario {
                 });
             }
         }
-        if let AttackerSpec::Fixed { sensors, .. } = &self.attacker {
+        if let AttackerSpec::Fixed { sensors, strategy } = &self.attacker {
             for &sensor in sensors {
                 if sensor >= suite_len {
                     return Err(ScenarioError::AttackedSensorOutOfRange { sensor, suite_len });
                 }
+            }
+            // The strategy solves for every compromised sensor still to
+            // transmit, so the first one's forge sees them all. Counted
+            // without allocating: this runs before every cell.
+            let attacked = (0..sensors.len())
+                .filter(|&i| !sensors[..i].contains(&sensors[i]))
+                .count();
+            if *strategy == StrategySpec::PhantomOptimal && attacked > MAX_ATTACKED {
+                return Err(ScenarioError::TooManyOptimalAttackers {
+                    attacked,
+                    max: MAX_ATTACKED,
+                });
             }
         }
         if let Some(spec) = &self.closed_loop {
@@ -1387,6 +1414,27 @@ mod tests {
             .with_closed_loop(ClosedLoopSpec::new(10.0).with_deltas(0.0, 0.0))
             .validate()
             .is_ok());
+        // Five phantom-optimal sensors used to validate, then panic in
+        // the forgery solver's first round; other strategies and the
+        // solver's own limit stay valid.
+        let attacked = |sensors: Vec<usize>, strategy| {
+            Scenario::new("wide", SuiteSpec::Widths(vec![1.0; 12]))
+                .with_f(5)
+                .with_attacker(AttackerSpec::Fixed { sensors, strategy })
+                .validate()
+        };
+        assert_eq!(
+            attacked((0..5).collect(), StrategySpec::PhantomOptimal),
+            Err(ScenarioError::TooManyOptimalAttackers {
+                attacked: 5,
+                max: MAX_ATTACKED
+            })
+        );
+        assert_eq!(
+            attacked(vec![0, 1, 2, 3, 3], StrategySpec::PhantomOptimal),
+            Ok(())
+        );
+        assert_eq!(attacked((0..5).collect(), StrategySpec::GreedyHigh), Ok(()));
     }
 
     #[test]
