@@ -13,7 +13,15 @@ use arsf_core::sweep::diff::{diff, DiffConfig};
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::SweepGrid;
 
-use crate::cli::{parse_allow, parse_tolerances};
+/// Records `current` under `dir` with no veto overridden; see
+/// [`record_allowing`].
+///
+/// # Errors
+///
+/// Returns the refusal or I/O failure message.
+pub fn record(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<PathBuf, String> {
+    record_allowing(grid, current, dir, &[])
+}
 
 /// Records `current` under `dir`, unless a veto refuses it:
 ///
@@ -22,21 +30,21 @@ use crate::cli::{parse_allow, parse_tolerances};
 ///    width bound (`guarantee-unbounded`), a grid whose every corruptible
 ///    cell is provably invisible to its detector (`detect-vacuous`), and
 ///    recorded cell pairs inverting a provable ordering
-///    (`order-violation`). `--allow id[,id…]` overrides the named ids.
+///    (`order-violation`). The veto ids in `allowed` (a binary's
+///    `--allow`, see [`crate::cli::allowed`]) are overridden.
 ///
-/// The overrides are read from the process arguments, so every binary
-/// exposes `--allow` with identical semantics. Vetoing findings are
-/// printed to stderr before the error is returned.
+/// Vetoing findings are printed to stderr before the error is returned.
 ///
 /// # Errors
 ///
-/// Returns the refusal (or an unknown `--allow` id, or an I/O failure)
-/// message for the caller's `fail`-style diagnostic.
-pub fn record(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<PathBuf, String> {
-    let allowed = match crate::arg_value("--allow") {
-        Some(spec) => parse_allow(&spec)?,
-        None => Vec::new(),
-    };
+/// Returns the refusal or I/O failure message for the caller's
+/// diagnostic.
+pub fn record_allowing(
+    grid: &SweepGrid,
+    current: &Baseline,
+    dir: &str,
+    allowed: &[&str],
+) -> Result<PathBuf, String> {
     // Refuse to freeze a statically unsound grid: an error-severity
     // finding means the rows are meaningless (soundness violated) or
     // the engines got lucky.
@@ -81,32 +89,32 @@ fn refuse<T>(findings: &[Finding], why: String) -> Result<T, String> {
     Err(why)
 }
 
-/// The near-exact diff configuration plus any `--tol col=abs[:rel],…`
-/// entries from the process arguments.
+/// Diffs `current` against the baseline stored for `grid` under `dir`
+/// with the near-exact default tolerances; see [`check_with`].
 ///
 /// # Errors
 ///
-/// Returns a message naming a malformed tolerance entry.
-pub fn diff_config() -> Result<DiffConfig, String> {
-    let mut config = DiffConfig::near_exact();
-    if let Some(spec) = crate::arg_value("--tol") {
-        for (column, tolerance) in parse_tolerances(&spec).map_err(|e| format!("--tol: {e}"))? {
-            config = config.with_column(column, tolerance);
-        }
-    }
-    Ok(config)
+/// Returns a message when the stored baseline cannot be loaded or fails
+/// address verification.
+pub fn check(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<(String, bool), String> {
+    check_with(grid, current, dir, &DiffConfig::near_exact())
 }
 
 /// Diffs `current` against the baseline stored for `grid` under `dir`,
-/// after verifying the stored file's content address, under
-/// [`diff_config`]. Returns the rendered drift report and whether any
-/// cell drifted.
+/// after verifying the stored file's content address, under `config`
+/// (a binary's `--tol`, see [`crate::cli::diff_config`]). Returns the
+/// rendered drift report and whether any cell drifted.
 ///
 /// # Errors
 ///
-/// Returns a message when the stored baseline cannot be loaded, fails
-/// address verification, or the tolerance spec is malformed.
-pub fn check(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<(String, bool), String> {
+/// Returns a message when the stored baseline cannot be loaded or fails
+/// address verification.
+pub fn check_with(
+    grid: &SweepGrid,
+    current: &Baseline,
+    dir: &str,
+    config: &DiffConfig,
+) -> Result<(String, bool), String> {
     let stored =
         Baseline::load_for_grid(dir, grid).map_err(|e| format!("loading baseline: {e}"))?;
     // The content-addressing invariant must hold before the numbers
@@ -115,6 +123,6 @@ pub fn check(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<(String,
     stored
         .verify_address()
         .map_err(|e| format!("stored baseline failed address verification: {e}"))?;
-    let result = diff(&stored, current, &diff_config()?);
+    let result = diff(&stored, current, config);
     Ok((result.render(), !result.is_empty()))
 }

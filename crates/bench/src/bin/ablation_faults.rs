@@ -9,11 +9,13 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin ablation_faults`
 
+use arsf_bench::cli::{Args, Cli};
 use arsf_bench::TextTable;
 use arsf_schedule::SchedulePolicy;
 use arsf_sim::faults::{run, FaultAttackConfig};
 
 fn main() {
+    Args::from_env(&Cli::new("ablation_faults", &[]), "");
     let rounds = 5_000;
     println!("Ablation: transient GPS faults + stealthy encoder attacker");
     println!("(LandShark suite, f = 1, window = 20 rounds, {rounds} rounds each)\n");

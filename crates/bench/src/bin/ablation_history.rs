@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin ablation_history`
 
+use arsf_bench::cli::{Args, Cli};
 use arsf_bench::TextTable;
 use arsf_core::scenario::AttackerSpec;
 use arsf_fusion::historical::DynamicsBound;
@@ -41,6 +42,7 @@ fn violation_rates(bound: Option<DynamicsBound>, rounds: u64) -> (f64, f64, f64)
 }
 
 fn main() {
+    Args::from_env(&Cli::new("ablation_history", &[]), "");
     let rounds = 10_000;
     println!("Ablation: historical fusion vs the Descending-schedule attack");
     println!("(one random compromised sensor per round, {rounds} rounds each)\n");

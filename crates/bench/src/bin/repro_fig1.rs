@@ -4,11 +4,13 @@
 //!
 //! Run with: `cargo run -p arsf-bench --bin repro_fig1`
 
+use arsf_bench::cli::{Args, Cli};
 use arsf_fusion::marzullo::fuse;
 use arsf_interval::render::{Diagram, RowStyle};
 use arsf_interval::Interval;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    Args::from_env(&Cli::new("repro_fig1", &[]), "");
     // Five abstract sensors; every interval contains the (unknown) truth
     // near 5, mirroring the structure of the paper's illustration.
     let sensors = [

@@ -6,9 +6,11 @@
 //! Run with: `cargo run -p arsf-bench --bin repro_fig2`
 
 use arsf_attack::regret::{evaluate_commitment, fig2_demo};
+use arsf_bench::cli::{Args, Cli};
 use arsf_interval::render::{Diagram, RowStyle};
 
 fn main() {
+    Args::from_env(&Cli::new("repro_fig2", &[]), "");
     let demo = fig2_demo();
     println!("Figure 2: no optimal attack policy under partial information\n");
     println!(

@@ -6,6 +6,7 @@
 //! Run with: `cargo run -p arsf-bench --bin repro_fig3`
 
 use arsf_attack::full_knowledge::optimal_attack;
+use arsf_bench::cli::{Args, Cli};
 use arsf_fusion::marzullo::fuse;
 use arsf_interval::render::{Diagram, RowStyle};
 use arsf_interval::Interval;
@@ -54,6 +55,7 @@ fn verify_committed_is_optimal(
 }
 
 fn main() {
+    Args::from_env(&Cli::new("repro_fig3", &[]), "");
     println!("Figure 3: Theorem 1's sufficient conditions for an optimal");
     println!("attack policy under partial information (n = 5, f = 2, fa = 2)\n");
 

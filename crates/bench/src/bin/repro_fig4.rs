@@ -10,13 +10,18 @@
 //! (`--step <s>` to change the placement grid, default 1.0)
 
 use arsf_attack::worst_case::{attacked_worst_case, no_attack_worst_case, subsets};
-use arsf_bench::{arg_value, TextTable};
+use arsf_bench::cli::{Args, Cli, Flag};
+use arsf_bench::TextTable;
 use arsf_interval::render::{Diagram, RowStyle};
 
+#[rustfmt::skip]
+const REPRO_FIG4: Cli = Cli::new("repro_fig4", &[&[
+    Flag::value("--step", "s", "the placement grid step (default 1.0)"),
+]]);
+
 fn main() {
-    let step: f64 = arg_value("--step")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
+    let args = Args::from_env(&REPRO_FIG4, "");
+    let step = args.ok(args.get::<f64>("--step")).unwrap_or(1.0);
     // A five-sensor system with two clearly-smallest and two
     // clearly-largest intervals; f = 2 tolerates fa = 2.
     let widths = [2.0, 3.0, 4.0, 6.0, 8.0];

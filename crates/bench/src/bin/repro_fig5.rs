@@ -15,6 +15,7 @@
 
 use arsf_attack::strategies::PhantomOptimal;
 use arsf_attack::{AttackStrategy, AttackerConfig};
+use arsf_bench::cli::{Args, Cli};
 use arsf_core::transport::run_bus_round;
 use arsf_interval::render::{Diagram, RowStyle};
 use arsf_interval::Interval;
@@ -71,6 +72,7 @@ fn run_case(case: &Case) -> (f64, f64) {
 }
 
 fn main() {
+    Args::from_env(&Cli::new("repro_fig5", &[]), "");
     println!("Figure 5: neither schedule dominates\n");
 
     // (a) The attacked sensor is the most precise; truth = 0.

@@ -12,22 +12,26 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin repro_table1`
 //!
-//! Options: `--step <s>` grid step (default 1.0; the paper's integer
-//! lengths suggest an integer grid), `--quick` (step 2.0 and fewer
-//! simulated rounds, for smoke runs), `--one-sided` (model the weaker
-//! fixed-side attacker whose magnitudes track the paper's reported
-//! values), `--mc-rounds <n>` simulated rounds per cell,
-//! `--threads <k>` sweep worker threads.
+//! `--help` lists the flags.
 
 use arsf_attack::expectimax::AttackerStyle;
-use arsf_bench::cli::sweeper_from_args;
-use arsf_bench::{arg_value, has_flag, TextTable};
+use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
+use arsf_bench::TextTable;
 use arsf_core::scenario::{AttackerSpec, Scenario, StrategySpec, SuiteSpec, TruthSpec};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sim::table1::{
     evaluate_schedule_styled, evaluate_setup, most_precise_set, paper_setups, Table1Setup,
 };
+
+#[rustfmt::skip]
+const REPRO_TABLE1: Cli = Cli::new("repro_table1", &[&[
+    Flag::value("--step", "s", "grid step (default 1.0, as the paper's integer lengths suggest; 2.0 with --quick)"),
+    Flag::switch("--quick", "smoke-run defaults: step 2.0, 500 simulated rounds"),
+    Flag::switch("--one-sided", "the weaker fixed-side attacker tracking the paper's values"),
+    Flag::value("--mc-rounds", "n", "simulated rounds per cell (default 4000, or 500 with --quick)"),
+    THREADS,
+]]);
 
 /// Builds the Monte Carlo twin of one exact Table I evaluation: the
 /// setup's widths as a uniform suite, the `fa` most precise sensors
@@ -55,21 +59,15 @@ fn simulation_scenario(
 }
 
 fn main() {
-    let quick = has_flag("--quick");
-    let step: f64 = if quick {
-        2.0
-    } else {
-        arg_value("--step")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0)
+    let args = Args::from_env(&REPRO_TABLE1, "");
+    // --quick only changes the defaults; explicit values win.
+    let (step, mc_rounds) = match args.has("--quick") {
+        true => (2.0, 500),
+        false => (1.0, 4000),
     };
-    let mc_rounds: u64 = arg_value("--mc-rounds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 500 } else { 4000 });
-    let sweeper = sweeper_from_args().unwrap_or_else(|e| {
-        eprintln!("repro_table1: {e}");
-        std::process::exit(2);
-    });
+    let step = args.ok(args.get("--step")).unwrap_or(step);
+    let mc_rounds = args.ok(args.get("--mc-rounds")).unwrap_or(mc_rounds);
+    let sweeper = args.ok(sweeper_from(&args));
 
     println!("Table I: comparison of two sensor communication schedules");
     println!("(E|S_N,f| by exhaustive grid enumeration, step {step}; f = ⌈n/2⌉-1;");
@@ -96,7 +94,8 @@ fn main() {
     // The streaming analogue of the attacker style the exact columns use:
     // stealthy width-maximiser for Optimal, fixed-high-side greedy for
     // OneSidedHigh — so the sim columns cross-check the same adversary.
-    let sim_strategy = if has_flag("--one-sided") {
+    let one_sided = args.has("--one-sided");
+    let sim_strategy = if one_sided {
         StrategySpec::GreedyHigh
     } else {
         StrategySpec::PhantomOptimal
@@ -127,7 +126,7 @@ fn main() {
         "paper desc".into(),
     ]);
 
-    let style = if has_flag("--one-sided") {
+    let style = if one_sided {
         AttackerStyle::OneSidedHigh
     } else {
         AttackerStyle::Optimal

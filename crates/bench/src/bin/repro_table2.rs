@@ -11,53 +11,37 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin repro_table2`
 //!
-//! Options: `--rounds <n>` (default 20000), `--seed <s>`,
-//! `--replicates <k>` (default 1), `--threads <t>` (default: available
-//! parallelism), `--history <max_rate>` (run the dynamics-aware
-//! historical-fusion defence at this rate bound instead of the paper's
-//! memoryless Marzullo).
+//! `--help` lists the flags; `--history <max_rate>` runs the
+//! historical-fusion defence in place of the paper's memoryless Marzullo.
 
-use arsf_bench::cli::sweeper_from_args;
-use arsf_bench::{arg_value, TextTable};
+use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
+use arsf_bench::TextTable;
 use arsf_sim::table2::{run_all, Table2Config};
 
+#[rustfmt::skip]
+const REPRO_TABLE2: Cli = Cli::new("repro_table2", &[&[
+    Flag::value("--rounds", "n", "rounds per schedule (default 20000)"),
+    Flag::value("--seed", "s", "the Monte Carlo seed"),
+    Flag::value("--replicates", "k", "Monte Carlo seed replicates per schedule (default 1)"),
+    THREADS,
+    Flag::value("--history", "max_rate", "defend with historical fusion at this rate bound (mph/s)"),
+]]);
+
 fn main() {
-    let sweeper = sweeper_from_args().unwrap_or_else(|e| {
-        eprintln!("repro_table2: {e}");
-        std::process::exit(2);
-    });
-    let mut config = Table2Config {
-        threads: sweeper.threads(),
-        ..Table2Config::default()
+    let args = Args::from_env(&REPRO_TABLE2, "");
+    let defaults = Table2Config::default();
+    let config = Table2Config {
+        threads: args.ok(sweeper_from(&args)).threads(),
+        rounds: args.ok(args.get("--rounds")).unwrap_or(defaults.rounds),
+        seed: args.ok(args.get("--seed")).unwrap_or(defaults.seed),
+        replicates: args
+            .ok(args.get("--replicates"))
+            .unwrap_or(defaults.replicates),
+        // One positive rate bound in mph/s (scenario_sweep's --history
+        // takes a comma list, which this rejects).
+        history: args.ok(args.get("--history")),
+        ..defaults
     };
-    if let Some(rounds) = arg_value("--rounds").and_then(|s| s.parse().ok()) {
-        config.rounds = rounds;
-    }
-    if let Some(seed) = arg_value("--seed").and_then(|s| s.parse().ok()) {
-        config.seed = seed;
-    }
-    if let Some(replicates) = arg_value("--replicates").and_then(|s| s.parse().ok()) {
-        config.replicates = replicates;
-    }
-    if let Some(spec) = arg_value("--history") {
-        // Unlike the other numeric flags, a swallowed parse error here
-        // would silently run the *undefended* table (and scenario_sweep's
-        // --history takes a comma list, an easy syntax to carry over) —
-        // so an invalid value fails loudly.
-        match spec
-            .parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r > 0.0)
-        {
-            Some(rate) => config.history = Some(rate),
-            None => {
-                eprintln!(
-                    "repro_table2: --history wants one positive rate bound in mph/s, got `{spec}`"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
 
     println!("Table II: case study results for each of the three schedules");
     if let Some(rate) = config.history {

@@ -6,40 +6,19 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin sweep_drive`
 //!
-//! The grid is described by exactly the flags `scenario_sweep` takes
-//! (`--fusers`, `--detectors`, `--schedules`, `--seeds`, `--history`,
-//! `--suite`, `--fault`, `--strategy`, `--honest`, `--f`, `--rounds`,
-//! the closed-loop family, or `--golden name` for a committed golden
-//! grid) — the coordinator parses them once, forwards them verbatim to
-//! every worker, and the workers' `shard` header frames must echo the
-//! grid's content address back, so a coordinator/worker disagreement
-//! about the grid is caught before the first row.
+//! The grid is described by exactly the grid flags `scenario_sweep`
+//! takes (`arsf_bench::cli::GRID_FLAGS`, `--golden name` included) —
+//! the coordinator parses them once, forwards them verbatim to every
+//! worker, and the workers' `shard` header frames must echo the grid's
+//! content address back, so a coordinator/worker disagreement about
+//! the grid is caught before the first row.
 //!
-//! Options:
-//! * `--workers n` — number of shards (default 2); the grid is split
-//!   into `n` balanced contiguous ranges run by one child process each
-//! * `--shards a..b,b..c,…` — explicit shard plan instead of
-//!   `--workers`: a contiguous ascending partition of the grid; empty
-//!   ranges (`a..a`) model a worker with nothing to do
-//! * `--worker-exe path` — the worker binary (default: the
-//!   `scenario_sweep` sibling of this executable)
-//! * `--worker-threads k` — threads per worker (default 1)
-//! * `--csv path|-` — write the merged report as CSV (`-` = stdout);
-//!   byte-identical to a single-process `scenario_sweep --csv` of the
-//!   same grid
-//! * `--no-header` — omit the CSV header line
-//! * `--json-progress` — emit one `{"schema":1,…}` JSON line to stderr
-//!   per completed shard (worker id, cells, rows, attempt, elapsed
-//!   seconds, rows/s) instead of the text progress line
-//! * `--baseline record|check` — rebuild a baseline from the merged
-//!   rows and persist it content-addressed, or diff it against the
-//!   stored baseline and exit 1 on drift: the same vetoes, tolerances
-//!   (`--tol`), `--baseline-dir` and `--allow id[,id…]` overrides as
-//!   `scenario_sweep --baseline` and `sweep_diff`, via the shared
-//!   `arsf_bench::baseline_ops`
-//! * `--fault-worker w:k[:attempts]` — test instrumentation: make
-//!   worker `w` crash after `k` rows on its first `attempts` attempts
-//!   (default 1, so the retry succeeds; 2 exhausts the retry)
+//! `--help` lists every flag (the table is `arsf_bench::cli::SWEEP_DRIVE`);
+//! an unknown, repeated or malformed flag exits 2, and so do the worker
+//! flags `--cells` and `--threads`. The merged `--csv` is byte-identical
+//! to a single-process `scenario_sweep --csv` of the grid, and
+//! `--baseline` rebuilds the baseline from the merged rows through the
+//! same `arsf_bench::baseline_ops` as `scenario_sweep --baseline`.
 //!
 //! Failure semantics: a crashed worker (nonzero exit or a stream that
 //! ends without its `end` frame) is retried once with a fresh child;
@@ -52,24 +31,19 @@
 //! no partial shard ever reaches the output.
 
 use std::io::{BufRead, BufReader, Write};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::process::{exit, Child, Command, Stdio};
 use std::time::Instant;
 
-use arsf_bench::cli::{grid_args_for_forwarding, grid_from_args, grid_mode_requested};
+use arsf_bench::baseline_ops;
+use arsf_bench::cli::{
+    allowed, diff_config, forwarded_grid_args, grid_mode_requested, runnable_grid, Args,
+    SWEEP_DRIVE,
+};
 use arsf_bench::drive::{baseline_from_rows, parse_shards, plan_shards, DriveError, ShardStream};
-use arsf_bench::{arg_value, baseline_ops, has_flag};
 use arsf_core::sweep::store::grid_address;
 use arsf_core::sweep::{SweepGrid, SweepReport};
-
-fn fail(message: &str) -> ! {
-    eprintln!("sweep_drive: {message}");
-    exit(2);
-}
-
-fn parsed<T>(result: Result<T, String>) -> T {
-    result.unwrap_or_else(|e| fail(&e))
-}
 
 /// Test-only crash injection: worker index, rows before the crash, and
 /// how many attempts crash (1 = first only, so the retry recovers).
@@ -80,28 +54,23 @@ struct FaultInjection {
 }
 
 fn parse_fault_worker(spec: &str) -> Result<FaultInjection, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    if !(2..=3).contains(&parts.len()) {
-        return Err(format!("expected worker:rows[:attempts], got `{spec}`"));
-    }
-    let worker = parts[0]
-        .parse()
-        .map_err(|_| format!("bad worker index `{}`", parts[0]))?;
-    let after_rows = parts[1]
-        .parse()
-        .map_err(|_| format!("bad row count `{}`", parts[1]))?;
-    let attempts = match parts.get(2) {
-        None => 1,
-        Some(token) => token
+    let (worker, rows, attempts) = match spec.split(':').collect::<Vec<_>>()[..] {
+        [worker, rows] => (worker, rows, "1"),
+        [worker, rows, attempts] => (worker, rows, attempts),
+        _ => return Err(format!("expected worker:rows[:attempts], got `{spec}`")),
+    };
+    Ok(FaultInjection {
+        worker: worker
+            .parse()
+            .map_err(|_| format!("bad worker index `{worker}`"))?,
+        after_rows: rows
+            .parse()
+            .map_err(|_| format!("bad row count `{rows}`"))?,
+        attempts: attempts
             .parse()
             .ok()
             .filter(|a| (1..=2).contains(a))
-            .ok_or_else(|| format!("bad attempt count `{token}` (1 or 2)"))?,
-    };
-    Ok(FaultInjection {
-        worker,
-        after_rows,
-        attempts,
+            .ok_or_else(|| format!("bad attempt count `{attempts}` (1 or 2)"))?,
     })
 }
 
@@ -119,7 +88,7 @@ fn spawn_worker(
     worker_threads: usize,
     cells: &Range<usize>,
     fail_after: Option<usize>,
-) -> Child {
+) -> Result<Child, String> {
     let mut command = Command::new(exe);
     command
         .args(grid_args)
@@ -135,7 +104,7 @@ fn spawn_worker(
     }
     command
         .spawn()
-        .unwrap_or_else(|e| fail(&format!("cannot spawn worker `{exe}`: {e}")))
+        .map_err(|e| format!("cannot spawn worker `{exe}`: {e}"))
 }
 
 /// Consumes one worker's framed stdout to completion: every frame
@@ -190,7 +159,7 @@ fn consume(
     }
     let status = child
         .wait()
-        .unwrap_or_else(|e| fail(&format!("waiting for worker: {e}")));
+        .map_err(|e| AttemptError::Crash(format!("waiting for worker: {e}")))?;
     if let Err(error) = stream.finish() {
         // EOF without the end frame: crash-shaped, whatever the exit
         // status claims.
@@ -239,47 +208,45 @@ fn progress(
 }
 
 fn main() {
-    if !grid_mode_requested() {
-        fail("needs grid mode: pass at least one axis flag or --golden name");
+    let args = Args::from_env(&SWEEP_DRIVE, "");
+    // The coordinator assigns each worker its range and thread count.
+    for (flag, instead) in [("--cells", "--shards"), ("--threads", "--worker-threads")] {
+        if args.has(flag) {
+            args.fail(format!("{flag} is a worker flag; use {instead}"));
+        }
     }
-    let grid = parsed(grid_from_args());
-    if let Err(e) = grid.base().validate() {
-        fail(&format!("invalid scenario: {e}"));
+    if !grid_mode_requested(&args) {
+        args.fail("needs grid mode: pass at least one axis flag or --golden name");
     }
+    let grid = args.ok(runnable_grid(&args));
     let address = grid_address(&grid);
 
-    let shards = match arg_value("--shards") {
-        Some(spec) => parsed(parse_shards(&spec, grid.len())),
+    let shards = match args.value("--shards") {
+        Some(spec) => args.ok(parse_shards(spec, grid.len())),
         None => {
-            let workers = match arg_value("--workers").map(|s| s.parse::<usize>()) {
-                None => 2,
-                Some(Ok(workers)) if workers > 0 => workers,
-                Some(_) => fail("--workers wants a positive integer"),
-            };
-            plan_shards(grid.len(), workers)
+            let workers = args.ok(args.get::<NonZeroUsize>("--workers"));
+            plan_shards(grid.len(), workers.map_or(2, NonZeroUsize::get))
         }
     };
-    let worker_threads = match arg_value("--worker-threads").map(|s| s.parse::<usize>()) {
-        None => 1,
-        Some(Ok(threads)) if threads > 0 => threads,
-        Some(_) => fail("--worker-threads wants a positive integer"),
-    };
-    let worker_exe = arg_value("--worker-exe").unwrap_or_else(|| {
-        let mut path = std::env::current_exe()
-            .unwrap_or_else(|e| fail(&format!("cannot locate this executable: {e}")));
-        path.set_file_name(format!("scenario_sweep{}", std::env::consts::EXE_SUFFIX));
-        path.to_string_lossy().into_owned()
-    });
-    let fault = arg_value("--fault-worker")
-        .map(|spec| parsed(parse_fault_worker(&spec).map_err(|e| format!("--fault-worker: {e}"))));
-    let baseline_mode = arg_value("--baseline");
-    if let Some(mode) = &baseline_mode {
-        if !matches!(mode.as_str(), "record" | "check") {
-            fail("--baseline wants `record` or `check`");
-        }
+    let worker_threads = args
+        .ok(args.get::<NonZeroUsize>("--worker-threads"))
+        .map_or(1, NonZeroUsize::get);
+    let worker_exe = args.value("--worker-exe").map_or_else(
+        || {
+            let mut path = std::env::current_exe()
+                .unwrap_or_else(|e| args.fail(format!("cannot locate this executable: {e}")));
+            path.set_file_name(format!("scenario_sweep{}", std::env::consts::EXE_SUFFIX));
+            path.to_string_lossy().into_owned()
+        },
+        str::to_string,
+    );
+    let fault = args.ok(args.parse_with("--fault-worker", parse_fault_worker));
+    let baseline_mode = args.value("--baseline");
+    if baseline_mode.is_some_and(|mode| !matches!(mode, "record" | "check")) {
+        args.fail("--baseline wants `record` or `check`");
     }
-    let json_progress = has_flag("--json-progress");
-    let grid_args = grid_args_for_forwarding();
+    let json_progress = args.has("--json-progress");
+    let grid_args = forwarded_grid_args(&args);
 
     // Injected crash rows for one worker's attempt, per the test flag.
     let inject = |worker: usize, attempt: usize| -> Option<usize> {
@@ -299,13 +266,13 @@ fn main() {
             if cells.is_empty() {
                 return None;
             }
-            let child = spawn_worker(
+            let child = args.ok(spawn_worker(
                 &worker_exe,
                 &grid_args,
                 worker_threads,
                 cells,
                 inject(worker, 1),
-            );
+            ));
             Some((child, Instant::now()))
         })
         .collect();
@@ -321,7 +288,7 @@ fn main() {
         let mut attempt = 1;
         let rows = match consume(child, &address, cells, &grid) {
             Ok(rows) => rows,
-            Err(AttemptError::Protocol(message)) => fail(&format!(
+            Err(AttemptError::Protocol(message)) => args.fail(format!(
                 "worker {worker} (cells {}..{}): {message}",
                 cells.start, cells.end
             )),
@@ -332,20 +299,20 @@ fn main() {
                     cells.start, cells.end
                 );
                 attempt = 2;
-                let retry = spawn_worker(
+                let retry = args.ok(spawn_worker(
                     &worker_exe,
                     &grid_args,
                     worker_threads,
                     cells,
                     inject(worker, 2),
-                );
+                ));
                 match consume(retry, &address, cells, &grid) {
                     Ok(rows) => rows,
-                    Err(AttemptError::Protocol(message)) => fail(&format!(
+                    Err(AttemptError::Protocol(message)) => args.fail(format!(
                         "worker {worker} (cells {}..{}): {message}",
                         cells.start, cells.end
                     )),
-                    Err(AttemptError::Crash(message)) => fail(&format!(
+                    Err(AttemptError::Crash(message)) => args.fail(format!(
                         "worker {worker} (cells {}..{}) failed twice: {message}",
                         cells.start, cells.end
                     )),
@@ -363,9 +330,9 @@ fn main() {
         shards.len()
     );
 
-    if let Some(target) = arg_value("--csv") {
+    if let Some(target) = args.value("--csv") {
         let mut payload = String::new();
-        if !has_flag("--no-header") {
+        if !args.has("--no-header") {
             payload.push_str(SweepReport::csv_header());
         }
         for line in &merged {
@@ -376,30 +343,32 @@ fn main() {
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             out.write_all(payload.as_bytes())
-                .unwrap_or_else(|e| fail(&format!("writing stdout: {e}")));
-        } else if let Err(e) = std::fs::write(&target, &payload) {
-            fail(&format!("cannot write {target}: {e}"));
+                .unwrap_or_else(|e| args.fail(format!("writing stdout: {e}")));
+        } else if let Err(e) = std::fs::write(target, &payload) {
+            args.fail(format!("cannot write {target}: {e}"));
         } else {
             eprintln!("sweep_drive: wrote {target}");
         }
     }
 
-    if let Some(mode) = &baseline_mode {
-        let dir = arg_value("--baseline-dir").unwrap_or_else(|| "baselines".to_string());
-        let current = parsed(baseline_from_rows(&grid, &merged));
-        match mode.as_str() {
-            "record" => match baseline_ops::record(&grid, &current, &dir) {
-                Ok(path) => eprintln!("sweep_drive: recorded baseline {}", path.display()),
-                Err(e) => fail(&e),
-            },
-            _ => {
-                let (rendered, drifted) = parsed(baseline_ops::check(&grid, &current, &dir));
-                print!("{rendered}");
-                if drifted {
-                    exit(1);
-                }
-                eprintln!("sweep_drive: baseline check clean for grid {address}");
+    if let Some(mode) = baseline_mode {
+        let dir = args.value("--baseline-dir").unwrap_or("baselines");
+        let current = args.ok(baseline_from_rows(&grid, &merged));
+        if mode == "record" {
+            let allowed = args.ok(allowed(&args));
+            let path = args.ok(baseline_ops::record_allowing(
+                &grid, &current, dir, &allowed,
+            ));
+            eprintln!("sweep_drive: recorded baseline {}", path.display());
+        } else {
+            let config = args.ok(diff_config(&args));
+            let (rendered, drifted) =
+                args.ok(baseline_ops::check_with(&grid, &current, dir, &config));
+            print!("{rendered}");
+            if drifted {
+                exit(1);
             }
+            eprintln!("sweep_drive: baseline check clean for grid {address}");
         }
     }
 }

@@ -8,38 +8,28 @@
 //! * `presets` — lint every scenario in the registry. Clean on the
 //!   committed registry; a preset that violates `n > 2f`, exceeds the
 //!   corruption budget, or fails `Scenario::validate` fails the run.
-//! * `grid` — lint the sweep grid described by the same flags
-//!   `scenario_sweep` takes (`--fusers`, `--detectors`, `--schedules`,
-//!   `--seeds`, `--history`, `--suite`, `--fault`, `--strategy`,
-//!   `--honest`, `--f`, `--rounds`, and the closed-loop family
-//!   `--closed-loop`/`--target`/`--deltas`/`--platoon`). The grid is
-//!   built by the exact construction `scenario_sweep` runs, so a clean
-//!   lint here means the sweep is statically sound.
+//! * `grid` — lint the sweep grid described by the grid flags
+//!   `scenario_sweep` takes (`arsf_bench::cli::GRID_FLAGS`). The grid
+//!   is built by the exact construction `scenario_sweep` runs, so a
+//!   clean lint here means the sweep is statically sound.
 //! * `baselines` — lint the baseline directory against the golden
 //!   grids: recomputed content addresses, filename/address agreement,
 //!   orphaned files, missing recordings; with `--tol col=abs[:rel],…`
 //!   also flags tolerance entries that match no column in any stored
 //!   baseline.
-//! * one subcommand per `arsf_analyze::VERIFIERS` entry — `guarantees`
-//!   (worst-case fusion width bounds and truth containment),
-//!   `detectability` (provably invisible / provably flagged /
-//!   contingent verdicts) and `dominance` (provable cross-cell
-//!   orderings, Table II's schedule chain among them). Each derives its
-//!   facts for every golden-grid cell without simulating a round, then
-//!   vets the stored baseline against them: a recorded cell that
-//!   contradicts one is a `guarantee-violation`, `detect-violation` or
-//!   `order-violation` error.
+//! * one subcommand per `arsf_analyze::VERIFIERS` entry (`guarantees`,
+//!   `detectability`, `dominance`): derive that verifier's facts for
+//!   every golden-grid cell without simulating a round, then vet the
+//!   stored baseline against them; a contradicting recorded cell is a
+//!   `guarantee-violation`, `detect-violation` or `order-violation`.
 //! * `all` — run every pass above (except `grid`, which needs flags) in
 //!   one invocation: per-pass section headers in text mode, a `pass`
 //!   field in `--json`, and the max exit code across passes.
 //!
-//! Options:
-//! * `--json` — emit findings as a JSON array instead of text; every
-//!   object carries `"schema": 1` and its `"pass"` name
-//! * `--dir path` — the baseline directory (every subcommand but
-//!   `presets` and `grid`; default `baselines`)
-//! * `--tol col=abs[:rel],…` — check-harness tolerances to vet
-//!   (`baselines` subcommand only)
+//! `--help` lists the flags. `--dir` is read by every subcommand but
+//! `presets` and `grid` (which ignore it), `--tol` only by `baselines`
+//! and `all`, and the grid flags only by `grid`; any other use, and an
+//! unknown, repeated or malformed flag, exits 2.
 //!
 //! Exit codes: `0` clean (info findings allowed), `1` warnings, `2`
 //! errors. Every record path (`sweep_diff record`, `scenario_sweep` and
@@ -53,26 +43,29 @@ use arsf_analyze::{
     analyze_baseline_dir, analyze_grid, analyze_scenario, exit_code, render, render_json_passes,
     render_passes, tolerance_findings, Finding, Location, Severity, Verifier, VERIFIERS,
 };
-use arsf_bench::cli::grid_from_args;
-use arsf_bench::{arg_value, baseline_ops, golden, has_flag};
+use arsf_bench::cli::{diff_config, grid_from, Args, Cli, Flag, GRID_FLAGS};
+use arsf_bench::golden;
 use arsf_core::scenario::registry;
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
+
+#[rustfmt::skip]
+const SWEEP_LINT: Cli = Cli { positionals: 1, ..Cli::new("sweep_lint", &[&[
+    Flag::switch("--json", "emit a JSON array; every object carries \"schema\": 1 and its pass"),
+    Flag::value("--dir", "path", "the baseline directory (default baselines)"),
+    Flag::value("--tol", "col=abs[:rel],...", "check-harness tolerances to vet (baselines, all)"),
+], GRID_FLAGS]) };
 
 /// The usage text; the verifier subcommands come from [`VERIFIERS`].
 fn usage() -> String {
     let names: Vec<&str> = VERIFIERS.iter().map(|v| v.name).collect();
     let mut out = format!(
-        "usage: sweep_lint <presets|grid|baselines|{}|all>\n                  [--json]\n\n",
+        "usage: sweep_lint <presets|grid|baselines|{}|all> [flags]\n\n",
         names.join("|")
     );
     out.push_str(
         "  presets     lint every registry preset
-  grid        lint the sweep grid described by scenario_sweep's flags
-              (--fusers, --detectors, --schedules, --seeds, --history,
-               --suite, --fault, --strategy, --honest, --f, --rounds,
-               --closed-loop, --target, --deltas, --platoon)
+  grid        lint the sweep grid scenario_sweep's grid flags describe
   baselines   lint the baseline directory against the golden grids
-              [--dir path] [--tol col=abs[:rel],...]
 ",
     );
     for verifier in &VERIFIERS {
@@ -84,7 +77,6 @@ fn usage() -> String {
         out.push_str(&format!(
             "  {name}derive the golden grids' static {} (no
               simulation) and vet the stored baselines against them
-              [--dir path]
 ",
             verifier.noun
         ));
@@ -92,7 +84,7 @@ fn usage() -> String {
     out.push_str(&format!(
         "  all         presets + baselines + {}
               in one pass, with per-pass headers (text) or a \"pass\"
-              field (--json) and the max exit code [--dir path]
+              field (--json) and the max exit code
 
 exit codes:
   0  clean    - no findings above info severity
@@ -104,17 +96,12 @@ exit codes:
     out
 }
 
-fn fail(message: &str) -> ! {
-    eprintln!("sweep_lint: {message}");
-    exit(2);
-}
-
 /// Prints one pass's findings (text or `--json`; JSON objects carry
 /// `"schema": 1` and the pass name) and exits with the lint convention:
 /// 2 on errors, 1 on warnings, 0 otherwise.
-fn emit(pass: &str, findings: Vec<Finding>) -> ! {
+fn emit(args: &Args, pass: &str, findings: Vec<Finding>) -> ! {
     let code = exit_code(&findings);
-    if has_flag("--json") {
+    if args.has("--json") {
         print!("{}", render_json_passes(&[(pass, findings)]));
     } else {
         print!("{}", render(&findings));
@@ -131,26 +118,21 @@ fn presets() -> Vec<Finding> {
     findings
 }
 
-fn grid() -> Vec<Finding> {
-    let grid = grid_from_args().unwrap_or_else(|e| fail(&e));
-    analyze_grid(&grid)
-}
-
-fn baselines() -> Vec<Finding> {
-    let dir = arg_value("--dir").unwrap_or_else(|| "baselines".to_string());
+fn baselines(args: &Args) -> Vec<Finding> {
+    let dir = args.value("--dir").unwrap_or("baselines");
     let known: Vec<(String, String)> = golden::all()
         .iter()
         .map(|(name, grid)| (name.to_string(), grid_address(grid)))
         .collect();
-    let mut findings = analyze_baseline_dir(Path::new(&dir), &known);
-    if arg_value("--tol").is_some() {
-        let config = baseline_ops::diff_config().unwrap_or_else(|e| fail(&e));
+    let mut findings = analyze_baseline_dir(Path::new(dir), &known);
+    if args.has("--tol") {
+        let config = args.ok(diff_config(args));
         // Vet the tolerances against every stored golden baseline at
         // once: one check-harness configuration applies to all grids, so
         // a family only present closed-loop is alive, not dead.
         let stored: Vec<Baseline> = known
             .iter()
-            .filter_map(|(_, address)| Baseline::load(baseline_path(&dir, address)).ok())
+            .filter_map(|(_, address)| Baseline::load(baseline_path(dir, address)).ok())
             .collect();
         let refs: Vec<&Baseline> = stored.iter().collect();
         findings.extend(tolerance_findings(&config, &refs));
@@ -162,8 +144,8 @@ fn baselines() -> Vec<Finding> {
 /// One verifier over the golden grids: its static pass over each grid
 /// (messages prefixed with the grid name), then its vet of the grid's
 /// stored baseline, warning when there is nothing to vet.
-fn golden_pass(verifier: &Verifier) -> Vec<Finding> {
-    let dir = arg_value("--dir").unwrap_or_else(|| "baselines".to_string());
+fn golden_pass(args: &Args, verifier: &Verifier) -> Vec<Finding> {
+    let dir = args.value("--dir").unwrap_or("baselines");
     let mut findings = Vec::new();
     for (name, grid) in golden::all() {
         // Static pass: no simulation rounds. The cell(-pair) location is
@@ -175,7 +157,7 @@ fn golden_pass(verifier: &Verifier) -> Vec<Finding> {
         }
         // Vetting pass: every stored record must respect the statics.
         let address = grid_address(&grid);
-        let path = baseline_path(&dir, &address);
+        let path = baseline_path(dir, &address);
         match Baseline::load(&path) {
             Ok(baseline) => {
                 findings.extend((verifier.vet)(&grid, &baseline, &Location::File { path }))
@@ -198,16 +180,16 @@ fn golden_pass(verifier: &Verifier) -> Vec<Finding> {
     findings
 }
 
-fn all() -> ! {
-    let mut passes = vec![("presets", presets()), ("baselines", baselines())];
-    passes.extend(VERIFIERS.iter().map(|v| (v.name, golden_pass(v))));
+fn all(args: &Args) -> ! {
+    let mut passes = vec![("presets", presets()), ("baselines", baselines(args))];
+    passes.extend(VERIFIERS.iter().map(|v| (v.name, golden_pass(args, v))));
     // Max-of exit codes == the lint convention over the merged set.
     let code = passes
         .iter()
         .map(|(_, findings)| exit_code(findings))
         .max()
         .unwrap_or(0);
-    if has_flag("--json") {
+    if args.has("--json") {
         print!("{}", render_json_passes(&passes));
     } else {
         print!("{}", render_passes(&passes));
@@ -216,20 +198,26 @@ fn all() -> ! {
 }
 
 fn main() {
-    if has_flag("--help") || has_flag("-h") {
-        print!("{}", usage());
-        exit(0);
+    let usage = usage();
+    let args = Args::from_env(&SWEEP_LINT, &usage);
+    let subcommand = args.positionals().first().copied().unwrap_or_default();
+    if subcommand != "grid" {
+        if let Some(flag) = GRID_FLAGS.iter().find(|flag| args.has(flag.name)) {
+            args.fail(format!("{} applies to `sweep_lint grid` only", flag.name));
+        }
     }
-    let subcommand = std::env::args().nth(1).unwrap_or_default();
-    match subcommand.as_str() {
-        "presets" => emit("presets", presets()),
-        "grid" => emit("grid", grid()),
-        "baselines" => emit("baselines", baselines()),
-        "all" => all(),
+    if args.has("--tol") && !matches!(subcommand, "baselines" | "all") {
+        args.fail("--tol applies to `sweep_lint baselines` and `all` only");
+    }
+    match subcommand {
+        "presets" => emit(&args, "presets", presets()),
+        "grid" => emit(&args, "grid", analyze_grid(&args.ok(grid_from(&args)))),
+        "baselines" => emit(&args, "baselines", baselines(&args)),
+        "all" => all(&args),
         name => match VERIFIERS.iter().find(|v| v.name == name) {
-            Some(verifier) => emit(verifier.name, golden_pass(verifier)),
+            Some(verifier) => emit(&args, verifier.name, golden_pass(&args, verifier)),
             None => {
-                eprint!("{}", usage());
+                eprint!("{usage}");
                 exit(2);
             }
         },

@@ -7,15 +7,9 @@
 //!
 //! Run with: `cargo run --release -p arsf-bench --bin throughput_gate`
 //!
-//! Options:
-//! * `--threads k` — worker threads (default: available parallelism)
-//! * `--out path` — write `{"grid","cells","rounds","seconds",
-//!   "rounds_per_sec"}` to this file (the CI artifact)
-//! * `--reference path` — compare against a previously recorded
-//!   artifact; **skips gracefully** (exit 0, with a note) when the file
-//!   does not exist, so the gate is inert until a reference is committed
-//! * `--max-drop f` — tolerated fractional drop vs the reference
-//!   (default 0.2 = 20%)
+//! `--help` lists the flags. `--reference` **skips gracefully** (exit 0,
+//! with a note) when the file does not exist, so the gate is inert
+//! until a reference is committed.
 //!
 //! Record a reference on the machine class CI runs on:
 //! `throughput_gate --out baselines/throughput.json`, commit the file,
@@ -25,13 +19,16 @@
 use std::process::exit;
 use std::time::Instant;
 
-use arsf_bench::cli::sweeper_from_args;
-use arsf_bench::{arg_value, golden};
+use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
+use arsf_bench::golden;
 
-fn fail(message: &str) -> ! {
-    eprintln!("throughput_gate: {message}");
-    exit(2);
-}
+#[rustfmt::skip]
+const THROUGHPUT_GATE: Cli = Cli::new("throughput_gate", &[&[
+    THREADS,
+    Flag::value("--out", "path", "write the JSON artifact here"),
+    Flag::value("--reference", "path", "gate against this artifact (skipped when missing)"),
+    Flag::value("--max-drop", "f", "tolerated fractional drop vs the reference (default 0.2)"),
+]]);
 
 /// Extracts `"field": <number>` from a flat JSON artifact without a
 /// parser dependency.
@@ -46,13 +43,15 @@ fn json_number_field(src: &str, field: &str) -> Option<f64> {
 }
 
 fn main() {
-    let sweeper = sweeper_from_args().unwrap_or_else(|e| fail(&e));
-    let max_drop = arg_value("--max-drop").map_or(0.2, |s| {
-        s.parse()
-            .ok()
-            .filter(|d: &f64| (0.0..1.0).contains(d))
-            .unwrap_or_else(|| fail("--max-drop wants a fraction in [0, 1)"))
-    });
+    let args = Args::from_env(&THROUGHPUT_GATE, "");
+    let sweeper = args.ok(sweeper_from(&args));
+    let fraction = |s: &str| match s.parse() {
+        Ok(drop) if (0.0..1.0).contains(&drop) => Ok(drop),
+        _ => Err(format!("wants a fraction in [0, 1), got `{s}`")),
+    };
+    let max_drop = args
+        .ok(args.parse_with("--max-drop", fraction))
+        .unwrap_or(0.2);
 
     let grid = golden::open_loop_48();
     // One untimed warm-up pass touches every engine once; then repeated
@@ -87,15 +86,15 @@ fn main() {
          \"passes\":{passes},\"seconds\":{best_seconds},\
          \"rounds_per_sec\":{rounds_per_sec}}}\n"
     );
-    if let Some(path) = arg_value("--out") {
-        if let Err(e) = std::fs::write(&path, &artifact) {
-            fail(&format!("cannot write {path}: {e}"));
+    if let Some(path) = args.value("--out") {
+        if let Err(e) = std::fs::write(path, &artifact) {
+            args.fail(format!("cannot write {path}: {e}"));
         }
         println!("wrote {path}");
     }
 
-    if let Some(path) = arg_value("--reference") {
-        let src = match std::fs::read_to_string(&path) {
+    if let Some(path) = args.value("--reference") {
+        let src = match std::fs::read_to_string(path) {
             Ok(src) => src,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 println!(
@@ -104,11 +103,11 @@ fn main() {
                 );
                 return;
             }
-            Err(e) => fail(&format!("cannot read {path}: {e}")),
+            Err(e) => args.fail(format!("cannot read {path}: {e}")),
         };
         let reference = json_number_field(&src, "rounds_per_sec")
             .filter(|r| r.is_finite() && *r > 0.0)
-            .unwrap_or_else(|| fail(&format!("{path} has no usable rounds_per_sec field")));
+            .unwrap_or_else(|| args.fail(format!("{path} has no usable rounds_per_sec field")));
         let floor = reference * (1.0 - max_drop);
         if rounds_per_sec < floor {
             eprintln!(

@@ -1,28 +1,46 @@
-//! Parsers turning `--axis a,b,c` command-line values into sweep axes.
-//!
-//! Shared by the `scenario_sweep` binary (and usable from any harness):
-//! each parser accepts a comma-separated list and returns either the
-//! decoded non-empty axis or a human-readable error naming the
-//! offending token — never `Ok(vec![])`, which would trip the grid's
-//! non-empty-axis assertion downstream.
+//! The bench binaries' command line, decided in one module: the
+//! [`Args`] parser and its flag tables, the grid flags every
+//! grid-taking binary shares ([`GRID_FLAGS`]), the one construction
+//! turning them into a [`SweepGrid`] ([`grid_from`]), and the value
+//! parsers for `--axis a,b,c` style values. Each value parser returns
+//! either the decoded non-empty axis or a human-readable error naming
+//! the offending token — never `Ok(vec![])`, which would trip the
+//! grid's non-empty-axis assertion downstream.
+
+mod args;
+
+use args::number;
+pub use args::{Args, Cli, Flag, FlagNumber};
 
 use arsf_analyze::VERIFIERS;
 use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
-use arsf_core::sweep::diff::Tolerance;
+use arsf_core::sweep::diff::{DiffConfig, Tolerance};
 use arsf_core::sweep::{ParallelSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
+use std::num::NonZeroUsize;
 use std::ops::Range;
 
-fn non_empty<T>(axis: &str, values: Vec<T>) -> Result<Vec<T>, String> {
+/// Parses a comma-separated list entry by entry; an empty list is an
+/// error naming `axis`.
+pub(crate) fn list<T>(
+    axis: &str,
+    spec: &str,
+    entry: impl FnMut(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let values = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(entry)
+        .collect::<Result<Vec<_>, _>>()?;
     if values.is_empty() {
-        Err(format!("{axis} axis is empty"))
-    } else {
-        Ok(values)
+        return Err(format!("{axis} axis is empty"));
     }
+    Ok(values)
 }
 
 /// Parses a fuser axis, e.g. `marzullo,hull,historical:3.5:0.1`.
@@ -35,36 +53,31 @@ fn non_empty<T>(axis: &str, values: Vec<T>) -> Result<Vec<T>, String> {
 ///
 /// Returns a message naming the first unrecognised token.
 pub fn parse_fusers(spec: &str) -> Result<Vec<FuserSpec>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|token| match token {
-            "marzullo" => Ok(FuserSpec::Marzullo),
-            "brooks-iyengar" => Ok(FuserSpec::BrooksIyengar),
-            "intersection" => Ok(FuserSpec::Intersection),
-            "hull" => Ok(FuserSpec::Hull),
-            "inverse-variance" => Ok(FuserSpec::InverseVariance),
-            "midpoint-median" => Ok(FuserSpec::MidpointMedian),
-            "historical" => Ok(FuserSpec::Historical {
-                max_rate: 3.5,
-                dt: 0.1,
-            }),
-            other => match other.strip_prefix("historical:") {
-                Some(params) => {
-                    let (rate, dt) = params
-                        .split_once(':')
-                        .ok_or_else(|| format!("expected historical:max_rate:dt, got `{other}`"))?;
-                    let max_rate: f64 = rate
-                        .parse()
-                        .map_err(|_| format!("bad max_rate in `{other}`"))?;
-                    let dt: f64 = dt.parse().map_err(|_| format!("bad dt in `{other}`"))?;
-                    Ok(FuserSpec::Historical { max_rate, dt })
-                }
-                None => Err(format!("unknown fuser `{other}`")),
-            },
-        })
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("fusers", v))
+    list("fusers", spec, |token| match token {
+        "marzullo" => Ok(FuserSpec::Marzullo),
+        "brooks-iyengar" => Ok(FuserSpec::BrooksIyengar),
+        "intersection" => Ok(FuserSpec::Intersection),
+        "hull" => Ok(FuserSpec::Hull),
+        "inverse-variance" => Ok(FuserSpec::InverseVariance),
+        "midpoint-median" => Ok(FuserSpec::MidpointMedian),
+        "historical" => Ok(FuserSpec::Historical {
+            max_rate: 3.5,
+            dt: 0.1,
+        }),
+        other => match other.strip_prefix("historical:") {
+            Some(params) => {
+                let (rate, dt) = params
+                    .split_once(':')
+                    .ok_or_else(|| format!("expected historical:max_rate:dt, got `{other}`"))?;
+                let max_rate: f64 = rate
+                    .parse()
+                    .map_err(|_| format!("bad max_rate in `{other}`"))?;
+                let dt: f64 = dt.parse().map_err(|_| format!("bad dt in `{other}`"))?;
+                Ok(FuserSpec::Historical { max_rate, dt })
+            }
+            None => Err(format!("unknown fuser `{other}`")),
+        },
+    })
 }
 
 /// Parses a detector axis, e.g. `off,immediate,windowed:20:6`.
@@ -73,33 +86,23 @@ pub fn parse_fusers(spec: &str) -> Result<Vec<FuserSpec>, String> {
 ///
 /// Returns a message naming the first unrecognised token.
 pub fn parse_detectors(spec: &str) -> Result<Vec<DetectionMode>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|token| match token {
-            "off" => Ok(DetectionMode::Off),
-            "immediate" => Ok(DetectionMode::Immediate),
-            other => match other.strip_prefix("windowed:") {
-                Some(params) => {
-                    let (window, tolerance) = params.split_once(':').ok_or_else(|| {
-                        format!("expected windowed:window:tolerance, got `{other}`")
-                    })?;
-                    let window: usize = window
-                        .parse()
-                        .map_err(|_| format!("bad window in `{other}`"))?;
-                    let tolerance: usize = tolerance
-                        .parse()
-                        .map_err(|_| format!("bad tolerance in `{other}`"))?;
-                    if window == 0 {
-                        return Err(format!("window must be positive in `{other}`"));
-                    }
-                    Ok(DetectionMode::Windowed { window, tolerance })
-                }
-                None => Err(format!("unknown detector `{other}`")),
-            },
-        })
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("detectors", v))
+    list("detectors", spec, |token| match token {
+        "off" => Ok(DetectionMode::Off),
+        "immediate" => Ok(DetectionMode::Immediate),
+        other => match other.strip_prefix("windowed:") {
+            Some(params) => {
+                let (window, tolerance) = params
+                    .split_once(':')
+                    .ok_or_else(|| format!("expected windowed:window:tolerance, got `{other}`"))?;
+                let in_spec = |e: String| format!("{e} in `{other}`");
+                Ok(DetectionMode::Windowed {
+                    window: number::<NonZeroUsize>(window).map_err(in_spec)?.get(),
+                    tolerance: number(tolerance).map_err(in_spec)?,
+                })
+            }
+            None => Err(format!("unknown detector `{other}`")),
+        },
+    })
 }
 
 /// Parses a schedule axis, e.g. `ascending,descending,random`.
@@ -108,53 +111,34 @@ pub fn parse_detectors(spec: &str) -> Result<Vec<DetectionMode>, String> {
 ///
 /// Returns a message naming the first unrecognised token.
 pub fn parse_schedules(spec: &str) -> Result<Vec<SchedulePolicy>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|token| match token {
-            "ascending" => Ok(SchedulePolicy::Ascending),
-            "descending" => Ok(SchedulePolicy::Descending),
-            "random" => Ok(SchedulePolicy::Random),
-            other => Err(format!("unknown schedule `{other}`")),
-        })
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("schedules", v))
+    list("schedules", spec, |token| match token {
+        "ascending" => Ok(SchedulePolicy::Ascending),
+        "descending" => Ok(SchedulePolicy::Descending),
+        "random" => Ok(SchedulePolicy::Random),
+        other => Err(format!("unknown schedule `{other}`")),
+    })
 }
 
-/// Parses an integer list, e.g. a seed axis `1,2,3`.
+/// Parses a number list, e.g. a seed axis `1,2,3` (`u64`) or a
+/// `--history` rate axis `2.5,3.5,5` (positive `f64`).
 ///
 /// # Errors
 ///
-/// Returns a message naming the first non-integer token.
-pub fn parse_u64_list(spec: &str) -> Result<Vec<u64>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|token| token.parse().map_err(|_| format!("bad integer `{token}`")))
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("integer", v))
+/// Returns a message naming the first token out of `T`'s range.
+pub fn parse_numbers<T: FlagNumber>(spec: &str) -> Result<Vec<T>, String> {
+    list("number", spec, number)
 }
 
-/// Parses a positive-float list, e.g. a `--history` rate axis
-/// `2.5,3.5,5`.
-///
-/// # Errors
-///
-/// Returns a message naming the first token that is not a positive
-/// finite number.
-pub fn parse_f64_list(spec: &str) -> Result<Vec<f64>, String> {
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|token| {
-            token
-                .parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| format!("bad positive number `{token}`"))
-        })
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("number", v))
+/// The two cell indices of `a..b`, in either order.
+pub(crate) fn parse_range(spec: &str) -> Result<(usize, usize), String> {
+    let (start, end) = spec
+        .split_once("..")
+        .ok_or_else(|| format!("expected a half-open range `a..b`, got `{spec}`"))?;
+    let index = |t: &str| {
+        let t = t.trim();
+        t.parse().map_err(|_| format!("bad cell index `{t}`"))
+    };
+    Ok((index(start)?, index(end)?))
 }
 
 /// Parses a half-open cell range `a..b` (grid-order indices, `a < b`),
@@ -165,16 +149,7 @@ pub fn parse_f64_list(spec: &str) -> Result<Vec<f64>, String> {
 /// Returns a message when the separator is missing, an endpoint is not
 /// an integer, or the range is empty.
 pub fn parse_cells(spec: &str) -> Result<Range<usize>, String> {
-    let (start, end) = spec
-        .split_once("..")
-        .ok_or_else(|| format!("expected a half-open range `a..b`, got `{spec}`"))?;
-    let parse_one = |token: &str| {
-        token
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| format!("bad cell index `{}`", token.trim()))
-    };
-    let (start, end) = (parse_one(start)?, parse_one(end)?);
+    let (start, end) = parse_range(spec)?;
     if start >= end {
         return Err(format!("cell range {start}..{end} is empty"));
     }
@@ -246,25 +221,18 @@ pub fn parse_tolerances(spec: &str) -> Result<Vec<(String, Tolerance)>, String> 
             .filter(|v| v.is_finite() && *v >= 0.0)
             .ok_or_else(|| format!("bad tolerance `{}` in `{entry}`", token.trim()))
     };
-    spec.split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(|entry| {
-            let (column, tols) = entry
-                .split_once('=')
-                .ok_or_else(|| format!("expected column=abs[:rel], got `{entry}`"))?;
-            let column = column.trim();
-            if column.is_empty() {
-                return Err(format!("empty column name in `{entry}`"));
-            }
-            let (abs, rel) = match tols.split_once(':') {
-                Some((abs, rel)) => (parse_component(abs, entry)?, parse_component(rel, entry)?),
-                None => (parse_component(tols, entry)?, 0.0),
-            };
-            Ok((column.to_string(), Tolerance::new(abs, rel)))
-        })
-        .collect::<Result<Vec<_>, String>>()
-        .and_then(|v| non_empty("tolerance", v))
+    list("tolerance", spec, |entry| {
+        let (column, tols) = entry
+            .split_once('=')
+            .ok_or_else(|| format!("expected column=abs[:rel], got `{entry}`"))?;
+        let column = column.trim();
+        if column.is_empty() {
+            return Err(format!("empty column name in `{entry}`"));
+        }
+        let (abs, rel) = tols.split_once(':').unwrap_or((tols, "0"));
+        let (abs, rel) = (parse_component(abs, entry)?, parse_component(rel, entry)?);
+        Ok((column.to_string(), Tolerance::new(abs, rel)))
+    })
 }
 
 /// Parses a record-time veto override list, e.g.
@@ -281,12 +249,11 @@ pub fn parse_allow(spec: &str) -> Result<Vec<&'static str>, String> {
         .map(str::trim)
         .filter(|t| !t.is_empty())
         .map(|id| {
-            known.iter().copied().find(|k| *k == id).ok_or_else(|| {
-                format!(
-                    "--allow: unknown veto id `{id}` (accepted: {})",
-                    known.join(", ")
-                )
-            })
+            known
+                .iter()
+                .copied()
+                .find(|k| *k == id)
+                .ok_or_else(|| format!("unknown veto id `{id}` (accepted: {})", known.join(", ")))
         })
         .collect()
 }
@@ -317,23 +284,7 @@ pub fn parse_suite(spec: &str) -> Result<SuiteSpec, String> {
     match spec.trim() {
         "landshark" => Ok(SuiteSpec::Landshark),
         other => match other.strip_prefix("widths:") {
-            Some(list) => {
-                let widths: Vec<f64> = list
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|t| !t.is_empty())
-                    .map(|t| {
-                        t.parse::<f64>()
-                            .ok()
-                            .filter(|w| w.is_finite() && *w > 0.0)
-                            .ok_or_else(|| format!("bad width `{t}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if widths.is_empty() {
-                    return Err("widths suite needs at least one width".to_string());
-                }
-                Ok(SuiteSpec::Widths(widths))
-            }
+            Some(widths) => list("widths", widths, number).map(SuiteSpec::Widths),
             None => Err(format!("unknown suite `{other}` (landshark | widths:…)")),
         },
     }
@@ -347,7 +298,7 @@ pub fn parse_suite(spec: &str) -> Result<SuiteSpec, String> {
 /// Returns a message when a half-width is not a finite non-negative
 /// number.
 pub fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
-    let parse_one = |token: &str| {
+    let half_width = |token: &str| {
         token
             .trim()
             .parse::<f64>()
@@ -355,13 +306,8 @@ pub fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
             .filter(|d| d.is_finite() && *d >= 0.0)
             .ok_or_else(|| format!("bad envelope half-width `{token}`"))
     };
-    match spec.split_once(':') {
-        Some((up, down)) => Ok((parse_one(up)?, parse_one(down)?)),
-        None => {
-            let both = parse_one(spec)?;
-            Ok((both, both))
-        }
-    }
+    let (up, down) = spec.split_once(':').unwrap_or((spec, spec));
+    Ok((half_width(up)?, half_width(down)?))
 }
 
 /// Parses a platoon spec `size[:gap_miles]` (default gap 0.01 miles),
@@ -369,188 +315,180 @@ pub fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
 ///
 /// # Errors
 ///
-/// Returns a message when the size is zero or the gap is not a positive
-/// number.
+/// Returns a message when the size is not a positive integer or the gap
+/// not a positive number.
 pub fn parse_platoon(spec: &str) -> Result<(usize, f64), String> {
-    let (size, gap) = match spec.split_once(':') {
-        Some((size, gap)) => (size, Some(gap)),
-        None => (spec, None),
-    };
-    let size: usize = size
-        .trim()
-        .parse()
-        .ok()
-        .filter(|s| *s > 0)
-        .ok_or_else(|| format!("bad platoon size `{}`", size.trim()))?;
-    let gap = match gap {
-        None => 0.01,
-        Some(token) => token
-            .trim()
-            .parse::<f64>()
-            .ok()
-            .filter(|g| g.is_finite() && *g > 0.0)
-            .ok_or_else(|| format!("bad platoon gap `{}`", token.trim()))?,
-    };
-    Ok((size, gap))
+    let (size, gap) = spec.split_once(':').unwrap_or((spec, "0.01"));
+    Ok((number::<NonZeroUsize>(size)?.get(), number(gap)?))
 }
 
-/// The grid-shaping flags that switch `scenario_sweep` (and feed
-/// `sweep_lint grid`) into grid mode, plus the boolean `--honest` and
-/// the closed-loop family handled separately.
-const AXIS_FLAGS: [&str; 10] = [
-    "--fusers",
-    "--detectors",
-    "--schedules",
-    "--history",
-    "--seeds",
-    "--suite",
-    "--fault",
-    "--strategy",
-    "--cells",
-    "--f",
+/// The flags that define a sweep grid, shared by `scenario_sweep`,
+/// `sweep_drive` and `sweep_lint grid`: [`grid_from`] builds the grid
+/// from them and a `sweep_drive` coordinator forwards them verbatim to
+/// its workers ([`forwarded_grid_args`]). The value parsers above say
+/// what each accepts.
+#[rustfmt::skip]
+pub const GRID_FLAGS: &[Flag] = &[
+    Flag::value("--golden", "name", "a committed golden grid; excludes every other grid flag"),
+    Flag::value("--fusers", "list", "fuser axis, e.g. marzullo,brooks-iyengar,hull,historical:3.5:0.1"),
+    Flag::value("--detectors", "list", "detector axis: off, immediate, windowed:window:tolerance"),
+    Flag::value("--schedules", "list", "schedule axis: ascending, descending, random"),
+    Flag::value("--history", "rates", "append one historical:<rate>:0.1 fuser per rate"),
+    Flag::value("--seeds", "list", "seed axis (replicates; per-cell seeds are derived)"),
+    Flag::value("--suite", "spec", "sensor suite: landshark (default) or widths:5,11,17"),
+    Flag::value("--fault", "sensor:kind[:param]:prob", "one fault (bias, stuck, scale, silent) in every cell"),
+    Flag::value("--strategy", "name", "fixed attacker on sensor 0: phantom-optimal, greedy-high, ..."),
+    Flag::value("--f", "n", "the fusion fault assumption (default 1)"),
+    Flag::value("--rounds", "n", "rounds per cell (per preset, without grid flags)"),
+    Flag::switch("--honest", "drop the base scenario's attacker"),
+    Flag::switch("--closed-loop", "run every cell in the LandShark control loop (Table II)"),
+    Flag::value("--target", "mph", "closed-loop target speed (default 10)"),
+    Flag::value("--deltas", "d|up:down", "closed-loop envelope half-widths (default 0.5)"),
+    Flag::value("--platoon", "size[:gap]", "closed-loop platoon, gap in miles (default 0.01)"),
 ];
 
-/// The value flags that imply closed-loop execution.
-const CLOSED_LOOP_FLAGS: [&str; 3] = ["--target", "--deltas", "--platoon"];
+/// `--threads`, read by [`sweeper_from`].
+pub const THREADS: Flag = Flag::value("--threads", "k", "worker threads (default: all cores)");
 
-/// Whether the process arguments imply closed-loop execution
-/// (`--closed-loop` itself, or any flag that only makes sense there).
-pub fn closed_loop_requested() -> bool {
-    crate::has_flag("--closed-loop")
-        || CLOSED_LOOP_FLAGS
-            .iter()
-            .any(|flag| crate::arg_value(flag).is_some())
-}
+/// The flags that write a sweep's report — as CSV, or as a baseline
+/// recorded or checked through [`crate::baseline_ops`] — shared by
+/// `scenario_sweep` and `sweep_drive`.
+#[rustfmt::skip]
+const REPORT_FLAGS: &[Flag] = &[
+    Flag::value("--csv", "path|-", "write the report as CSV (- = stdout)"),
+    Flag::switch("--no-header", "omit the CSV header line"),
+    Flag::value("--baseline", "record|check", "record the grid's baseline, or diff against it (exit 1 on drift)"),
+    Flag::value("--baseline-dir", "path", "the baseline directory (default baselines)"),
+    Flag::value("--allow", "id,...", "record despite these veto ids"),
+    Flag::value("--tol", "col=abs[:rel],...", "per-column check tolerances"),
+];
 
-/// Whether the process arguments select grid mode (any axis flag,
-/// `--honest`, `--golden`, or the closed-loop family).
-pub fn grid_mode_requested() -> bool {
-    AXIS_FLAGS
+/// `scenario_sweep`'s command line: the worker a `sweep_drive`
+/// coordinator forwards [`GRID_FLAGS`] to.
+#[rustfmt::skip]
+pub const SCENARIO_SWEEP: Cli = Cli::new("scenario_sweep", &[GRID_FLAGS, REPORT_FLAGS, &[
+    Flag::value("--cells", "a..b", "run only this half-open cell range (grid order, grid seeds)"),
+    THREADS,
+    Flag::value("--json", "path|-", "write the report as JSON (- = stdout)"),
+    Flag::switch("--stream", "write sweep_drive's framed worker protocol to stdout"),
+    Flag::value("--stream-fail-after", "rows", "test only: exit 7 after this many row frames"),
+]]);
+
+/// `sweep_drive`'s command line. `--cells` and `--threads` are declared
+/// only so the coordinator can point at `--shards`/`--worker-threads`.
+#[rustfmt::skip]
+pub const SWEEP_DRIVE: Cli = Cli::new("sweep_drive", &[GRID_FLAGS, REPORT_FLAGS, &[
+    Flag::value("--workers", "n", "balanced contiguous shards, one worker each (default 2)"),
+    Flag::value("--shards", "a..b,...", "an explicit contiguous shard plan instead of --workers"),
+    Flag::value("--worker-exe", "path", "the worker binary (default: the sibling scenario_sweep)"),
+    Flag::value("--worker-threads", "k", "threads per worker (default 1)"),
+    Flag::switch("--json-progress", "one {\"schema\":1,...} stderr line per finished shard"),
+    Flag::value("--fault-worker", "w:k[:attempts]", "test only: crash worker w after k rows, attempts times (default 1)"),
+    Flag::value("--cells", "a..b", "rejected: a worker flag (see --shards)"),
+    Flag::value("--threads", "k", "rejected: a worker flag (see --worker-threads)"),
+]]);
+
+/// Whether `args` select grid mode: any of [`GRID_FLAGS`] but
+/// `--rounds`, which also sets the rounds of `scenario_sweep`'s presets.
+pub fn grid_mode_requested(args: &Args) -> bool {
+    GRID_FLAGS
         .iter()
-        .any(|flag| crate::arg_value(flag).is_some())
-        || crate::has_flag("--honest")
-        || crate::arg_value("--golden").is_some()
-        || closed_loop_requested()
+        .any(|flag| flag.name != "--rounds" && args.has(flag.name))
 }
 
-/// The value flags that shape the grid (base scenario or axes) and must
-/// therefore be forwarded verbatim from a `sweep_drive` coordinator to
-/// its `scenario_sweep --stream` workers. `--cells` is deliberately
-/// absent: the coordinator assigns each worker its own range.
-const FORWARDED_VALUE_FLAGS: [&str; 14] = [
-    "--golden",
-    "--fusers",
-    "--detectors",
-    "--schedules",
-    "--history",
-    "--seeds",
-    "--suite",
-    "--fault",
-    "--strategy",
-    "--f",
-    "--rounds",
-    "--target",
-    "--deltas",
-    "--platoon",
-];
-
-/// The boolean flags that shape the grid.
-const FORWARDED_BOOL_FLAGS: [&str; 2] = ["--honest", "--closed-loop"];
-
-/// Re-serialises the process's grid-defining flags, so a coordinator
-/// can hand its workers exactly the grid it parsed: a worker running
-/// `scenario_sweep` with these arguments calls [`grid_from_args`] on
-/// the same flag set and reconstructs the identical [`SweepGrid`] (the
-/// shared construction makes disagreement impossible; the protocol's
-/// grid-address header makes it detectable anyway).
-pub fn grid_args_for_forwarding() -> Vec<String> {
-    let mut args = Vec::new();
-    for flag in FORWARDED_VALUE_FLAGS {
-        if let Some(value) = crate::arg_value(flag) {
-            args.push(flag.to_string());
-            args.push(value);
-        }
+/// Re-serialises the [`GRID_FLAGS`] in `args`, so a coordinator hands
+/// its workers exactly the grid it parsed: a worker parsing these
+/// arguments builds the identical [`SweepGrid`] through [`grid_from`]
+/// (and the protocol's grid-address header catches any disagreement).
+pub fn forwarded_grid_args(args: &Args) -> Vec<String> {
+    let mut forwarded = Vec::new();
+    for flag in GRID_FLAGS.iter().filter(|flag| args.has(flag.name)) {
+        forwarded.push(flag.name.to_string());
+        forwarded.extend(args.value(flag.name).map(str::to_string));
     }
-    for flag in FORWARDED_BOOL_FLAGS {
-        if crate::has_flag(flag) {
-            args.push(flag.to_string());
-        }
-    }
-    args
+    forwarded
 }
 
-/// The `--rounds <n>` override, if given: grid mode's base scenario and
-/// `scenario_sweep`'s preset mode both read it here.
-///
-/// # Errors
-///
-/// Returns a message naming the value when it is not a non-negative
-/// integer.
-pub fn rounds_from_args() -> Result<Option<u64>, String> {
-    crate::arg_value("--rounds")
-        .map(|spec| {
-            spec.parse()
-                .map_err(|_| format!("--rounds wants a non-negative integer, got `{spec}`"))
-        })
-        .transpose()
-}
-
-/// The sweeper `--threads <n>` asks for; without the flag, one sized to
-/// the machine's available parallelism.
+/// The sweeper [`THREADS`] asks for; without the flag, one sized to the
+/// machine's available parallelism.
 ///
 /// # Errors
 ///
 /// Returns a message naming the value when it is not a positive
 /// integer.
-pub fn sweeper_from_args() -> Result<ParallelSweeper, String> {
-    let Some(spec) = crate::arg_value("--threads") else {
-        return Ok(ParallelSweeper::auto());
-    };
-    match spec.parse::<usize>() {
-        Ok(threads) if threads > 0 => Ok(ParallelSweeper::new(threads)),
-        _ => Err(format!("--threads wants a positive integer, got `{spec}`")),
-    }
+pub fn sweeper_from(args: &Args) -> Result<ParallelSweeper, String> {
+    Ok(args
+        .get::<NonZeroUsize>(THREADS.name)?
+        .map_or_else(ParallelSweeper::auto, |k| ParallelSweeper::new(k.get())))
 }
 
-/// Builds the grid-mode [`SweepGrid`] described by the process's
-/// command-line flags — the one construction `scenario_sweep` executes,
+/// The veto ids `--allow` overrides (none without the flag).
+///
+/// # Errors
+///
+/// Returns a message naming an unknown id.
+pub fn allowed(args: &Args) -> Result<Vec<&'static str>, String> {
+    Ok(args.parse_with("--allow", parse_allow)?.unwrap_or_default())
+}
+
+/// The near-exact diff configuration plus any `--tol col=abs[:rel],…`
+/// entries.
+///
+/// # Errors
+///
+/// Returns a message naming a malformed tolerance entry.
+pub fn diff_config(args: &Args) -> Result<DiffConfig, String> {
+    let tolerances = args.parse_with("--tol", parse_tolerances)?;
+    Ok(tolerances
+        .into_iter()
+        .flatten()
+        .fold(DiffConfig::near_exact(), |config, (column, tolerance)| {
+            config.with_column(column, tolerance)
+        }))
+}
+
+/// [`grid_from`] with its base scenario validated (the axes are always
+/// valid), so an impossible combination is a CLI error rather than a
+/// panic inside a sweep worker.
+///
+/// # Errors
+///
+/// Returns the flag-parsing error or the validation failure.
+pub fn runnable_grid(args: &Args) -> Result<SweepGrid, String> {
+    let grid = grid_from(args)?;
+    grid.base()
+        .validate()
+        .map_err(|e| format!("invalid scenario: {e}"))?;
+    Ok(grid)
+}
+
+/// Builds the grid-mode [`SweepGrid`] that `args`' [`GRID_FLAGS`]
+/// describe — the one construction `scenario_sweep` executes,
 /// `sweep_lint grid` statically analyzes and `sweep_drive` distributes,
 /// so the binaries can never disagree about what a flag set means.
 ///
 /// `--golden <name>` short-circuits to the named committed golden grid
-/// (see [`crate::golden`]) and rejects every other grid-shaping flag:
-/// the point of naming a golden grid is hitting its exact content
-/// address.
+/// (see [`crate::golden`]) and rejects every other grid flag: the point
+/// of naming a golden grid is hitting its exact content address.
 ///
 /// The base scenario defaults to a LandShark with the stealthy fixed
 /// attacker on sensor 0 (open-loop) or Table II's random-each-round
-/// attacker (closed-loop), then applies `--suite`, `--strategy`,
-/// `--honest`, `--fault`, `--f`, the closed-loop family and `--rounds`;
-/// the axis flags (`--fusers`, `--history`, `--detectors`,
-/// `--schedules`, `--seeds`) widen the grid.
+/// attacker (closed-loop: `--closed-loop`, or any of `--target`,
+/// `--deltas`, `--platoon`); the axis flags widen the grid.
 ///
-/// The grid is deliberately **not** validated: `scenario_sweep` rejects
-/// an invalid base scenario as a CLI error, while `sweep_lint` reports
-/// lint findings about it instead — so the decision stays with the
-/// caller.
+/// The grid is deliberately **not** validated: `sweep_lint` reports an
+/// invalid base scenario as lint findings, the sweeping binaries go
+/// through [`runnable_grid`].
 ///
 /// # Errors
 ///
-/// Returns the first flag-parsing error, naming the offending token.
-pub fn grid_from_args() -> Result<SweepGrid, String> {
-    if let Some(name) = crate::arg_value("--golden") {
-        // A golden grid is a complete, committed definition: mixing it
-        // with grid-shaping flags would silently produce a grid with a
-        // different content address than the name promises.
-        let shaping: Vec<&str> = FORWARDED_VALUE_FLAGS
+/// Returns the first flag-parsing error, naming the offending flag.
+pub fn grid_from(args: &Args) -> Result<SweepGrid, String> {
+    if let Some(name) = args.value("--golden") {
+        let shaping: Vec<&str> = GRID_FLAGS
             .iter()
-            .filter(|&&flag| flag != "--golden" && crate::arg_value(flag).is_some())
-            .chain(
-                FORWARDED_BOOL_FLAGS
-                    .iter()
-                    .filter(|&&flag| crate::has_flag(flag)),
-            )
-            .copied()
+            .map(|flag| flag.name)
+            .filter(|&flag| flag != "--golden" && args.has(flag))
             .collect();
         if !shaping.is_empty() {
             return Err(format!(
@@ -558,19 +496,16 @@ pub fn grid_from_args() -> Result<SweepGrid, String> {
                 shaping.join(", ")
             ));
         }
-        let names: Vec<&str> = crate::golden::all().iter().map(|(n, _)| *n).collect();
-        return crate::golden::find(&name).ok_or_else(|| {
-            format!(
-                "unknown golden grid `{name}` (one of: {})",
-                names.join(", ")
-            )
-        });
+        return crate::golden::find(name);
     }
-    let closed_loop = closed_loop_requested();
-    let suite = match crate::arg_value("--suite") {
-        Some(spec) => parse_suite(&spec)?,
-        None => SuiteSpec::Landshark,
-    };
+    let target = args.get::<f64>("--target")?;
+    let deltas = args.parse_with("--deltas", parse_deltas)?;
+    let platoon = args.parse_with("--platoon", parse_platoon)?;
+    let closed_loop =
+        args.has("--closed-loop") || target.is_some() || deltas.is_some() || platoon.is_some();
+    let suite = args
+        .parse_with("--suite", parse_suite)?
+        .unwrap_or(SuiteSpec::Landshark);
     // Open-loop grids default to the stealthy fixed attacker on the
     // most precise sensor; closed-loop grids default to Table II's
     // "any sensor can be attacked" model.
@@ -582,58 +517,41 @@ pub fn grid_from_args() -> Result<SweepGrid, String> {
             strategy: StrategySpec::PhantomOptimal,
         })
     };
-    if let Some(spec) = crate::arg_value("--strategy") {
+    if let Some(strategy) = args.parse_with("--strategy", parse_strategy)? {
         base = base.with_attacker(AttackerSpec::Fixed {
             sensors: vec![0],
-            strategy: parse_strategy(&spec)?,
+            strategy,
         });
     }
-    if crate::has_flag("--honest") {
+    if args.has("--honest") {
         base = base.with_attacker(AttackerSpec::None);
     }
-    if let Some(spec) = crate::arg_value("--fault") {
-        let (sensor, fault) = parse_fault(&spec)?;
+    if let Some((sensor, fault)) = args.parse_with("--fault", parse_fault)? {
         base = base.with_fault(sensor, fault);
     }
-    if let Some(spec) = crate::arg_value("--f") {
-        let f: usize = spec
-            .parse()
-            .map_err(|_| format!("--f wants a non-negative integer, got `{spec}`"))?;
+    if let Some(f) = args.get::<usize>("--f")? {
         base = base.with_f(f);
     }
     if closed_loop {
-        let target = match crate::arg_value("--target") {
-            None => 10.0,
-            Some(spec) => spec
-                .parse()
-                .ok()
-                .filter(|t: &f64| t.is_finite() && *t > 0.0)
-                .ok_or("--target wants a positive speed in mph")?,
-        };
-        let mut spec = ClosedLoopSpec::new(target);
-        if let Some(deltas) = crate::arg_value("--deltas") {
-            let (up, down) = parse_deltas(&deltas)?;
+        let mut spec = ClosedLoopSpec::new(target.unwrap_or(10.0));
+        if let Some((up, down)) = deltas {
             spec = spec.with_deltas(up, down);
         }
-        if let Some(platoon) = crate::arg_value("--platoon") {
-            let (size, gap) = parse_platoon(&platoon)?;
+        if let Some((size, gap)) = platoon {
             spec = spec.with_platoon(size, gap);
         }
         base = base.with_closed_loop(spec);
     }
-    if let Some(rounds) = rounds_from_args()? {
+    if let Some(rounds) = args.get::<u64>("--rounds")? {
         base = base.with_rounds(rounds);
     }
 
     let mut grid = SweepGrid::new(base);
     // --fusers and --history feed one axis: explicit fusers first, then
     // one historical entry per swept rate bound.
-    let mut fusers = match crate::arg_value("--fusers") {
-        Some(spec) => Some(parse_fusers(&spec)?),
-        None => None,
-    };
-    if let Some(spec) = crate::arg_value("--history") {
-        let historical = parse_f64_list(&spec)?
+    let mut fusers = args.parse_with("--fusers", parse_fusers)?;
+    if let Some(rates) = args.parse_with("--history", parse_numbers)? {
+        let historical = rates
             .into_iter()
             .map(|max_rate| FuserSpec::Historical { max_rate, dt: 0.1 });
         fusers.get_or_insert_with(Vec::new).extend(historical);
@@ -641,14 +559,14 @@ pub fn grid_from_args() -> Result<SweepGrid, String> {
     if let Some(fusers) = fusers {
         grid = grid.fusers(fusers);
     }
-    if let Some(spec) = crate::arg_value("--detectors") {
-        grid = grid.detectors(parse_detectors(&spec)?);
+    if let Some(detectors) = args.parse_with("--detectors", parse_detectors)? {
+        grid = grid.detectors(detectors);
     }
-    if let Some(spec) = crate::arg_value("--schedules") {
-        grid = grid.schedules(parse_schedules(&spec)?);
+    if let Some(schedules) = args.parse_with("--schedules", parse_schedules)? {
+        grid = grid.schedules(schedules);
     }
-    if let Some(spec) = crate::arg_value("--seeds") {
-        grid = grid.seeds(parse_u64_list(&spec)?);
+    if let Some(seeds) = args.parse_with("--seeds", parse_numbers)? {
+        grid = grid.seeds(seeds);
     }
     Ok(grid)
 }
@@ -713,8 +631,8 @@ mod tests {
             ]
         );
         assert!(parse_schedules("rotating").is_err());
-        assert_eq!(parse_u64_list("1, 2,3").unwrap(), vec![1, 2, 3]);
-        assert!(parse_u64_list("1,x").is_err());
+        assert_eq!(parse_numbers::<u64>("1, 2,3").unwrap(), vec![1, 2, 3]);
+        assert!(parse_numbers::<u64>("1,x").is_err());
     }
 
     #[test]
@@ -725,7 +643,7 @@ mod tests {
             assert!(parse_fusers(spec).unwrap_err().contains("empty"));
             assert!(parse_detectors(spec).unwrap_err().contains("empty"));
             assert!(parse_schedules(spec).unwrap_err().contains("empty"));
-            assert!(parse_u64_list(spec).unwrap_err().contains("empty"));
+            assert!(parse_numbers::<u64>(spec).unwrap_err().contains("empty"));
         }
     }
 
@@ -749,11 +667,14 @@ mod tests {
 
     #[test]
     fn f64_list_rejects_non_positive_entries() {
-        assert_eq!(parse_f64_list("2.5, 3.5,5").unwrap(), vec![2.5, 3.5, 5.0]);
-        assert!(parse_f64_list("-1").is_err());
-        assert!(parse_f64_list("0").is_err());
-        assert!(parse_f64_list("x").is_err());
-        assert!(parse_f64_list(",").unwrap_err().contains("empty"));
+        assert_eq!(
+            parse_numbers::<f64>("2.5, 3.5,5").unwrap(),
+            vec![2.5, 3.5, 5.0]
+        );
+        assert!(parse_numbers::<f64>("-1").is_err());
+        assert!(parse_numbers::<f64>("0").is_err());
+        assert!(parse_numbers::<f64>("x").is_err());
+        assert!(parse_numbers::<f64>(",").unwrap_err().contains("empty"));
     }
 
     #[test]

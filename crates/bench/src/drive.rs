@@ -28,6 +28,8 @@ use std::ops::Range;
 use arsf_core::sweep::store::{canonical_definition, content_address, Baseline, CellRecord};
 use arsf_core::sweep::SweepGrid;
 
+use crate::cli::{list, parse_range};
+
 /// The protocol version tag every shard header carries. Bump it when a
 /// frame's shape changes; a coordinator refuses a worker with any other
 /// tag.
@@ -123,15 +125,7 @@ impl Frame {
                     } else if let Some(value) = token.strip_prefix("grid=") {
                         grid = Some(value.to_string());
                     } else if let Some(value) = token.strip_prefix("cells=") {
-                        let (a, b) = value
-                            .split_once("..")
-                            .ok_or_else(|| format!("bad cells range `{value}`"))?;
-                        let start: usize = a
-                            .parse()
-                            .map_err(|_| format!("bad cells range `{value}`"))?;
-                        let end: usize = b
-                            .parse()
-                            .map_err(|_| format!("bad cells range `{value}`"))?;
+                        let (start, end) = parse_range(value)?;
                         cells = Some(start..end);
                     } else {
                         return Err(format!("unknown header token `{token}`"));
@@ -464,11 +458,6 @@ impl ShardStream {
             })
         }
     }
-
-    /// Whether the end frame has been accepted.
-    pub fn ended(&self) -> bool {
-        self.ended
-    }
 }
 
 /// Splits `0..len` into `workers` balanced contiguous shards (the first
@@ -501,20 +490,9 @@ pub fn plan_shards(len: usize, workers: usize) -> Vec<Range<usize>> {
 ///
 /// Returns a message naming the offending range.
 pub fn parse_shards(spec: &str, len: usize) -> Result<Vec<Range<usize>>, String> {
-    let mut shards = Vec::new();
     let mut cursor = 0usize;
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let (a, b) = token
-            .split_once("..")
-            .ok_or_else(|| format!("expected a half-open range `a..b`, got `{token}`"))?;
-        let start: usize = a
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad cell index `{}`", a.trim()))?;
-        let end: usize = b
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad cell index `{}`", b.trim()))?;
+    let shards = list("shard plan", spec, |token| {
+        let (start, end) = parse_range(token)?;
         if start > end {
             return Err(format!("cell range {start}..{end} is reversed"));
         }
@@ -529,12 +507,9 @@ pub fn parse_shards(spec: &str, len: usize) -> Result<Vec<Range<usize>>, String>
                 "cell range {start}..{end} exceeds the {len}-cell grid"
             ));
         }
-        shards.push(start..end);
         cursor = end;
-    }
-    if shards.is_empty() {
-        return Err("shard plan is empty".to_string());
-    }
+        Ok(start..end)
+    })?;
     if cursor != len {
         return Err(format!(
             "shard plan covers 0..{cursor} of the {len}-cell grid"
@@ -594,6 +569,36 @@ fn req_f64(field: &str, column: &str) -> Result<Option<f64>, String> {
         .ok_or_else(|| format!("missing {column}"))
 }
 
+/// The label columns of [`arsf_core::sweep::SweepReport::csv_header`]
+/// a [`CellRecord`] keeps, with their CSV positions.
+const LABEL_COLUMNS: [(&str, usize); 9] = [
+    ("suite", 2),
+    ("faults", 3),
+    ("attacker", 4),
+    ("schedule", 5),
+    ("fuser", 6),
+    ("detector", 7),
+    ("rounds", 8),
+    ("seed", 9),
+    ("condemned", 17),
+];
+
+/// The scalar metric columns, with their CSV positions and whether
+/// every row carries a value.
+const METRIC_COLUMNS: [(&str, usize, bool); 11] = [
+    ("mean_width", 10, true),
+    ("min_width", 11, false),
+    ("max_width", 12, false),
+    ("truth_lost", 13, true),
+    ("truth_loss_rate", 14, true),
+    ("fusion_failures", 15, true),
+    ("flagged_rounds", 16, true),
+    ("above_rate", 18, false),
+    ("below_rate", 19, false),
+    ("preemptions", 20, false),
+    ("min_gap", 21, false),
+];
+
 /// Reconstructs the flattened comparison record from one report CSV
 /// line — the inverse of [`arsf_core::sweep::SweepRow::to_csv_line`]
 /// as far as [`CellRecord`] is concerned. Floats round-trip exactly
@@ -615,57 +620,17 @@ pub fn cell_record_from_csv(line: &str) -> Result<CellRecord, String> {
     let cell: u64 = fields[0]
         .parse()
         .map_err(|_| format!("bad cell index `{}`", fields[0]))?;
-    // Column order mirrors SweepReport::csv_header: cell, scenario,
-    // suite, faults, attacker, schedule, fuser, detector, rounds, seed,
-    // then the metric columns, then the pipe-joined vehicle vectors.
-    let labels = vec![
-        ("suite".to_string(), fields[2].clone()),
-        ("faults".to_string(), fields[3].clone()),
-        ("attacker".to_string(), fields[4].clone()),
-        ("schedule".to_string(), fields[5].clone()),
-        ("fuser".to_string(), fields[6].clone()),
-        ("detector".to_string(), fields[7].clone()),
-        ("rounds".to_string(), fields[8].clone()),
-        ("seed".to_string(), fields[9].clone()),
-        ("condemned".to_string(), fields[17].clone()),
-    ];
-    let mut metrics = vec![
-        (
-            "mean_width".to_string(),
-            req_f64(&fields[10], "mean_width")?,
-        ),
-        ("min_width".to_string(), opt_f64(&fields[11], "min_width")?),
-        ("max_width".to_string(), opt_f64(&fields[12], "max_width")?),
-        (
-            "truth_lost".to_string(),
-            req_f64(&fields[13], "truth_lost")?,
-        ),
-        (
-            "truth_loss_rate".to_string(),
-            req_f64(&fields[14], "truth_loss_rate")?,
-        ),
-        (
-            "fusion_failures".to_string(),
-            req_f64(&fields[15], "fusion_failures")?,
-        ),
-        (
-            "flagged_rounds".to_string(),
-            req_f64(&fields[16], "flagged_rounds")?,
-        ),
-        (
-            "above_rate".to_string(),
-            opt_f64(&fields[18], "above_rate")?,
-        ),
-        (
-            "below_rate".to_string(),
-            opt_f64(&fields[19], "below_rate")?,
-        ),
-        (
-            "preemptions".to_string(),
-            opt_f64(&fields[20], "preemptions")?,
-        ),
-        ("min_gap".to_string(), opt_f64(&fields[21], "min_gap")?),
-    ];
+    let labels = LABEL_COLUMNS
+        .iter()
+        .map(|&(column, i)| (column.to_string(), fields[i].clone()))
+        .collect();
+    let mut metrics = METRIC_COLUMNS
+        .iter()
+        .map(|&(column, i, required)| {
+            let parse = if required { req_f64 } else { opt_f64 };
+            Ok((column.to_string(), parse(&fields[i], column)?))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     // The vehicle vectors are pipe-joined, leader first, and empty for
     // non-platoon rows. `vehicle_truth_lost` entries are always
     // rendered (integers), so its split length is the vehicle count;

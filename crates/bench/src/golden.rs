@@ -73,11 +73,21 @@ pub fn all() -> Vec<(&'static str, SweepGrid)> {
 }
 
 /// Looks a golden grid up by name.
-pub fn find(name: &str) -> Option<SweepGrid> {
-    all()
-        .into_iter()
+///
+/// # Errors
+///
+/// Returns a message listing the golden grids when none has that name.
+pub fn find(name: &str) -> Result<SweepGrid, String> {
+    let all = all();
+    let names: Vec<&str> = all.iter().map(|(n, _)| *n).collect();
+    let unknown = format!(
+        "unknown golden grid `{name}` (one of: {})",
+        names.join(", ")
+    );
+    all.into_iter()
         .find(|(n, _)| *n == name)
         .map(|(_, grid)| grid)
+        .ok_or(unknown)
 }
 
 #[cfg(test)]
@@ -101,8 +111,9 @@ mod tests {
     fn golden_grids_resolve_by_name_with_distinct_addresses() {
         let names: Vec<&str> = all().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["open-loop-48", "table2-closed-loop"]);
-        assert!(find("open-loop-48").is_some());
-        assert!(find("nope").is_none());
+        assert!(find("open-loop-48").is_ok());
+        let err = find("nope").unwrap_err();
+        assert!(err.contains("unknown golden grid `nope`"), "{err}");
         assert_ne!(
             grid_address(&open_loop_48()),
             grid_address(&table2_closed_loop())

@@ -2,10 +2,11 @@
 //!
 //! Each `repro_*` binary regenerates one table or figure from the paper's
 //! evaluation; this crate holds the small shared pieces (table rendering,
-//! argument parsing) so the binaries stay readable.
+//! the command-line parser) so the binaries stay readable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline_ops;
 pub mod cli;
@@ -86,20 +87,6 @@ impl TextTable {
         }
         out
     }
-}
-
-/// Returns `true` when `flag` (e.g. `--full`) is present in the process
-/// arguments.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Parses `--key value` style options from the process arguments.
-pub fn arg_value(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 #[cfg(test)]

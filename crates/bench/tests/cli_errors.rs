@@ -3,17 +3,21 @@
 //! must produce a diagnostic naming the bad token and exit code 2 —
 //! never a panic, never a silent default.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 use arsf_bench::cli::{parse_cells, parse_fault, parse_strategy, parse_tolerances};
 
 /// Runs a compiled binary and returns `(exit code, stderr)`.
 fn run(exe: &str, args: &[&str]) -> (i32, String) {
-    let output = Command::new(exe).args(args).output().expect("binary runs");
+    let output = output(exe, args);
     (
         output.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+fn output(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe).args(args).output().expect("binary runs")
 }
 
 fn run_scenario_sweep(args: &[&str]) -> (i32, String) {
@@ -295,11 +299,14 @@ fn unknown_allow_ids_list_the_accepted_ones() {
 
 #[test]
 fn the_old_allow_flag_spellings_are_gone() {
-    // `--allow-invisible` no longer overrides anything: the veto it used
-    // to silence refuses the recording.
+    // `--allow-invisible` no longer overrides anything: it is an unknown
+    // flag, rejected before a grid runs.
     let (code, stderr, wrote) = record_table2(&["--allow-invisible"]);
     assert_eq!(code, 2, "the old spelling is no override: {stderr}");
-    assert!(stderr.contains("error[detect-vacuous]"), "{stderr}");
+    assert!(
+        stderr.contains("sweep_diff: unknown flag `--allow-invisible`"),
+        "{stderr}"
+    );
     assert!(!wrote);
 }
 
@@ -332,4 +339,303 @@ fn sweep_lint_without_a_subcommand_prints_usage() {
         stderr.contains("dominance") && stderr.contains("all"),
         "the usage lists the new subcommands: {stderr}"
     );
+}
+
+/// One row per binary: its name, executable, the arguments that must
+/// precede a flag (a subcommand), a misspelt flag, the hint it must
+/// earn (if any), and one of its value flags (if any).
+struct Bin {
+    name: &'static str,
+    exe: &'static str,
+    prefix: &'static [&'static str],
+    typo: &'static str,
+    hint: Option<&'static str>,
+    value_flag: Option<&'static str>,
+}
+
+const BINS: [Bin; 14] = [
+    Bin {
+        name: "scenario_sweep",
+        exe: env!("CARGO_BIN_EXE_scenario_sweep"),
+        prefix: &[],
+        typo: "--fuserz",
+        hint: Some("--fusers"),
+        value_flag: Some("--rounds"),
+    },
+    Bin {
+        name: "sweep_drive",
+        exe: env!("CARGO_BIN_EXE_sweep_drive"),
+        prefix: &[],
+        typo: "--workerz",
+        hint: Some("--workers"),
+        value_flag: Some("--workers"),
+    },
+    Bin {
+        name: "sweep_lint",
+        exe: env!("CARGO_BIN_EXE_sweep_lint"),
+        prefix: &["all"],
+        typo: "--jsno",
+        hint: Some("--json"),
+        value_flag: Some("--dir"),
+    },
+    Bin {
+        name: "sweep_diff",
+        exe: env!("CARGO_BIN_EXE_sweep_diff"),
+        prefix: &["check"],
+        typo: "--grdi",
+        hint: Some("--grid"),
+        value_flag: Some("--grid"),
+    },
+    Bin {
+        name: "repro_table1",
+        exe: env!("CARGO_BIN_EXE_repro_table1"),
+        prefix: &[],
+        typo: "--mc-round",
+        hint: Some("--mc-rounds"),
+        value_flag: Some("--step"),
+    },
+    Bin {
+        name: "repro_table2",
+        exe: env!("CARGO_BIN_EXE_repro_table2"),
+        prefix: &[],
+        typo: "--threds",
+        hint: Some("--threads"),
+        value_flag: Some("--seed"),
+    },
+    Bin {
+        name: "repro_fig4",
+        exe: env!("CARGO_BIN_EXE_repro_fig4"),
+        prefix: &[],
+        typo: "--stpe",
+        hint: Some("--step"),
+        value_flag: Some("--step"),
+    },
+    Bin {
+        name: "throughput_gate",
+        exe: env!("CARGO_BIN_EXE_throughput_gate"),
+        prefix: &[],
+        typo: "--max-dorp",
+        hint: Some("--max-drop"),
+        value_flag: Some("--max-drop"),
+    },
+    Bin {
+        name: "repro_fig1",
+        exe: env!("CARGO_BIN_EXE_repro_fig1"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+    Bin {
+        name: "repro_fig2",
+        exe: env!("CARGO_BIN_EXE_repro_fig2"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+    Bin {
+        name: "repro_fig3",
+        exe: env!("CARGO_BIN_EXE_repro_fig3"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+    Bin {
+        name: "repro_fig5",
+        exe: env!("CARGO_BIN_EXE_repro_fig5"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+    Bin {
+        name: "ablation_faults",
+        exe: env!("CARGO_BIN_EXE_ablation_faults"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+    Bin {
+        name: "ablation_history",
+        exe: env!("CARGO_BIN_EXE_ablation_history"),
+        prefix: &[],
+        typo: "--bogus",
+        hint: None,
+        value_flag: None,
+    },
+];
+
+fn bin(name: &str) -> &'static Bin {
+    BINS.iter()
+        .find(|b| b.name == name)
+        .expect("a listed binary")
+}
+
+/// Runs `bin` with its prefix, then `args`; expects exit 2 and a
+/// `<bin>: <diagnostic>` line.
+fn expect_usage_error(bin: &Bin, args: &[&str], diagnostic: &str) {
+    let mut argv = bin.prefix.to_vec();
+    argv.extend_from_slice(args);
+    let (code, stderr) = run(bin.exe, &argv);
+    assert_eq!(code, 2, "{} {argv:?} is a usage error: {stderr}", bin.name);
+    let expected = format!("{}: {diagnostic}", bin.name);
+    assert!(
+        stderr.contains(&expected),
+        "want `{expected}`, got: {stderr}"
+    );
+}
+
+#[test]
+fn every_binary_rejects_unknown_missing_and_repeated_flags() {
+    for bin in &BINS {
+        let unknown = match bin.hint {
+            Some(hint) => format!("unknown flag `{}` (did you mean `{hint}`?)", bin.typo),
+            None => format!("unknown flag `{}`", bin.typo),
+        };
+        expect_usage_error(bin, &[bin.typo], &unknown);
+        // `sweep_diff diff a b` takes positionals past its subcommand.
+        if bin.name != "sweep_diff" {
+            expect_usage_error(bin, &["stray"], "unexpected argument `stray`");
+        }
+        if let Some(flag) = bin.value_flag {
+            expect_usage_error(bin, &[flag], &format!("{flag} wants a value"));
+            expect_usage_error(bin, &[flag, "1", flag, "1"], &format!("{flag} given twice"));
+        }
+    }
+}
+
+#[test]
+fn every_binary_prints_its_flags_for_help() {
+    for bin in &BINS {
+        for help in ["--help", "-h"] {
+            let out = output(bin.exe, &[help]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{} {help}: {stdout}", bin.name);
+            assert!(stdout.contains("flags:\n"), "{} {help}: {stdout}", bin.name);
+            if let Some(flag) = bin.value_flag {
+                assert!(stdout.contains(flag), "{} {help}: {stdout}", bin.name);
+            }
+        }
+    }
+    // A binary's own usage text comes first.
+    let out = output(env!("CARGO_BIN_EXE_sweep_lint"), &["--help"]);
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: sweep_lint"));
+}
+
+#[test]
+fn degenerate_numbers_exit_2_instead_of_panicking_or_defaulting() {
+    let table1 = bin("repro_table1");
+    let table2 = bin("repro_table2");
+    let fig4 = bin("repro_fig4");
+    let positive = "wants a positive finite number";
+    let integer = "wants a non-negative integer";
+    for (bin, args, diagnostic) in [
+        (
+            fig4,
+            &["--step", "0"][..],
+            format!("--step {positive}, got `0`"),
+        ),
+        (
+            fig4,
+            &["--step", "-1"],
+            format!("--step {positive}, got `-1`"),
+        ),
+        (
+            fig4,
+            &["--step", "inf"],
+            format!("--step {positive}, got `inf`"),
+        ),
+        (
+            table1,
+            &["--step", "0"],
+            format!("--step {positive}, got `0`"),
+        ),
+        (
+            table1,
+            &["--step", "nan"],
+            format!("--step {positive}, got `nan`"),
+        ),
+        // --quick sets defaults only: an explicit --step is still read.
+        (
+            table1,
+            &["--quick", "--step", "0"],
+            format!("--step {positive}, got `0`"),
+        ),
+        (
+            table1,
+            &["--mc-rounds", "abc"],
+            format!("--mc-rounds {integer}, got `abc`"),
+        ),
+        (
+            table2,
+            &["--seed", "abc"],
+            format!("--seed {integer}, got `abc`"),
+        ),
+        (
+            table2,
+            &["--replicates", "x"],
+            format!("--replicates {integer}, got `x`"),
+        ),
+        (
+            table2,
+            &["--rounds", "abc"],
+            format!("--rounds {integer}, got `abc`"),
+        ),
+        (
+            table2,
+            &["--history", "2.5,3.5"],
+            format!("--history {positive}, got `2.5,3.5`"),
+        ),
+    ] {
+        expect_usage_error(bin, args, &diagnostic);
+    }
+}
+
+#[test]
+fn scenario_sweep_rejects_a_repeated_round_count_before_reading_it() {
+    expect_usage_error(
+        bin("scenario_sweep"),
+        &["--rounds", "5", "--rounds", "abc", "--honest"],
+        "--rounds given twice",
+    );
+    expect_usage_error(
+        bin("scenario_sweep"),
+        &["--attacked", "0,1"],
+        "unknown flag `--attacked`",
+    );
+    expect_usage_error(
+        bin("scenario_sweep"),
+        &["--golden", "--honest"],
+        "--golden wants a value <name>, got `--honest`",
+    );
+}
+
+#[test]
+fn flags_that_would_do_nothing_are_rejected() {
+    let drive = bin("sweep_drive");
+    expect_usage_error(
+        drive,
+        &["--golden", "open-loop-48", "--cells", "0..4"],
+        "--cells is a worker flag; use --shards",
+    );
+    expect_usage_error(
+        drive,
+        &["--fusers", "marzullo", "--threads", "2"],
+        "--threads is a worker flag; use --worker-threads",
+    );
+    let lint = bin("sweep_lint").exe;
+    for subcommand in ["presets", "baselines", "all", "guarantees"] {
+        let (code, stderr) = run(lint, &[subcommand, "--fusers", "hull"]);
+        assert_eq!(code, 2, "{subcommand}: {stderr}");
+        assert!(
+            stderr.contains("sweep_lint: --fusers applies to `sweep_lint grid` only"),
+            "{subcommand}: {stderr}"
+        );
+    }
+    let (code, stderr) = run(lint, &["presets", "--tol", "mean_width=1"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("--tol applies to"), "{stderr}");
 }
