@@ -71,8 +71,8 @@ pub fn analyze_baseline_file(path: &Path) -> Vec<Finding> {
 /// cannot depend on the grids themselves). Every `*.json` file whose
 /// stem looks like a content address (16 lowercase hex digits) is
 /// linted with [`analyze_baseline_file`] and checked for orphanhood;
-/// other JSON files (e.g. a throughput report living in the same
-/// directory) are not baselines and are skipped with an info-level
+/// other JSON files (e.g. a report saved in the same directory) are
+/// not baselines and are skipped with an info-level
 /// `baseline-skipped` finding each, so a typo'd baseline name stays
 /// visible.
 pub fn analyze_baseline_dir(dir: &Path, known: &[(String, String)]) -> Vec<Finding> {
@@ -102,8 +102,8 @@ pub fn analyze_baseline_dir(dir: &Path, known: &[(String, String)]) -> Vec<Findi
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
         if !is_content_address(&stem) {
-            // Not a baseline (e.g. a throughput report sharing the
-            // directory) — but say so, because a typo'd baseline name
+            // Not a baseline (e.g. a report sharing the directory) —
+            // but say so, because a typo'd baseline name
             // would otherwise silently escape every check.
             findings.push(Finding {
                 lint: "baseline-skipped",
@@ -274,8 +274,9 @@ mod tests {
         let dir = temp_dir("dir");
         let baseline = tiny_baseline();
         baseline.save(&dir).unwrap();
-        // A non-address JSON file (like the committed throughput report)
-        // is not linted as a baseline, but its skip is made visible.
+        // A non-address JSON file (a report saved next to the
+        // baselines) is not linted as a baseline, but its skip is made
+        // visible.
         std::fs::write(dir.join("throughput.json"), "{}").unwrap();
 
         // Known set: one grid matching the saved file, one unrecorded.

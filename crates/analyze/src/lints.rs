@@ -222,22 +222,14 @@ impl Lint for DetectorWindow {
         Severity::Warn
     }
     fn description(&self) -> &'static str {
-        "a windowed detector's window is empty, exceeds the run length, tracks no \
-         sensors, or its tolerance its window"
+        "a windowed detector's window exceeds the run length, tracks no sensors, or \
+         its tolerance its window"
     }
     fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
         if let DetectionMode::Windowed { window, tolerance } = scenario.detector {
             if window == 0 {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: scenario_location(scenario),
-                    message: "windowed detector window is 0: an empty window can never \
-                              observe anything, and the engines refuse to build it"
-                        .to_string(),
-                });
-                // The unfillable / uncondemnable diagnoses below are just
-                // restatements of the same degenerate value.
+                // `scenario-validate` rejects it; the unfillable /
+                // uncondemnable diagnoses below would only restate that.
                 return;
             }
             if scenario.suite.is_empty() {
@@ -629,18 +621,17 @@ mod tests {
 
     #[test]
     fn detector_window_flags_degenerate_configurations() {
-        // window = 0: the engines panic building it; exactly one finding
-        // (the redundant unfillable/uncondemnable restatements are
-        // suppressed).
+        // window = 0: `Scenario::validate` rejects it, so exactly the
+        // error-tier finding (the redundant unfillable/uncondemnable
+        // restatements are suppressed).
         let empty_window =
             Scenario::new("z", SuiteSpec::Landshark).with_detector(DetectionMode::Windowed {
                 window: 0,
                 tolerance: 0,
             });
         let findings = analyze_scenario(&empty_window);
-        assert_eq!(ids(&findings), vec!["detector-window"]);
-        assert!(findings[0].message.contains("window is 0"));
-        assert!(findings[0].message.contains("refuse"));
+        assert_eq!(ids(&findings), vec!["scenario-validate"]);
+        assert!(findings[0].message.contains("detector window"));
 
         // An empty suite builds but tracks nothing: the windowed detector
         // is inert. (The empty suite itself also trips the structural

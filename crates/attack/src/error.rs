@@ -22,6 +22,19 @@ pub enum AttackError {
     /// truth-containing correct intervals this cannot happen; it indicates
     /// an inconsistent configuration.
     NoFeasiblePlacement,
+    /// More attacked intervals than the exhaustive lattice solver takes
+    /// ([`crate::full_knowledge::MAX_ATTACKED`]).
+    TooManyAttacked {
+        /// Number of attacked intervals.
+        fa: usize,
+        /// The most the solver takes.
+        max: usize,
+    },
+    /// An attacked interval's width is negative or non-finite.
+    InvalidWidth {
+        /// Position of the offending width in the attacked-width list.
+        index: usize,
+    },
 }
 
 impl fmt::Display for AttackError {
@@ -35,6 +48,14 @@ impl fmt::Display for AttackError {
             AttackError::NoFeasiblePlacement => {
                 write!(f, "correct intervals never reach the residual coverage; no stealthy placement exists")
             }
+            AttackError::TooManyAttacked { fa, max } => write!(
+                f,
+                "{fa} attacked intervals exceed the lattice solver's limit of {max}"
+            ),
+            AttackError::InvalidWidth { index } => write!(
+                f,
+                "attacked width #{index} is negative or non-finite"
+            ),
         }
     }
 }
@@ -51,6 +72,11 @@ mod tests {
         assert!(e.to_string().contains("unbounded"));
         assert!(!AttackError::NoCorrectIntervals.to_string().is_empty());
         assert!(!AttackError::NoFeasiblePlacement.to_string().is_empty());
+        let e = AttackError::TooManyAttacked { fa: 5, max: 4 };
+        assert!(e.to_string().contains("limit of 4"));
+        assert!(AttackError::InvalidWidth { index: 1 }
+            .to_string()
+            .contains("#1"));
     }
 
     #[test]

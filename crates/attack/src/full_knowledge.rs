@@ -21,7 +21,7 @@
 //! Exhaustively evaluating that lattice (with exact fusion and exact
 //! stealth verification per combination) yields the optimum in
 //! `O((c · 3^{fa})^{fa})` fusions — trivial for the paper's `fa ≤ 2` and
-//! fine up to [`MAX_ATTACKED`] forged intervals, which is asserted.
+//! fine up to [`MAX_ATTACKED`] forged intervals; more is a typed error.
 //!
 //! [`brute_force_attack`] provides an independent dense-grid oracle used
 //! by the property-test suite to validate the lattice solver.
@@ -72,13 +72,10 @@ impl OptimalAttack {
 ///   regime, excluded by `fa ≤ f < ⌈n/2⌉`),
 /// * [`AttackError::NoFeasiblePlacement`] — no stealthy placement reaches
 ///   coverage `k` anywhere (impossible when the correct intervals share
-///   the true value).
-///
-/// # Panics
-///
-/// Panics if `attacked_widths` holds more than [`MAX_ATTACKED`] widths
-/// (the exhaustive lattice search is not meant for larger `fa`) or if
-/// any width is negative or non-finite.
+///   the true value),
+/// * [`AttackError::TooManyAttacked`] — more than [`MAX_ATTACKED`] widths
+///   (the exhaustive lattice search is not meant for larger `fa`),
+/// * [`AttackError::InvalidWidth`] — a width is negative or non-finite.
 ///
 /// # Example
 ///
@@ -103,14 +100,18 @@ pub fn optimal_attack(
     f: usize,
 ) -> Result<OptimalAttack, AttackError> {
     let fa = attacked_widths.len();
-    assert!(
-        fa <= MAX_ATTACKED,
-        "lattice solver supports at most {MAX_ATTACKED} attacked intervals"
-    );
-    assert!(
-        attacked_widths.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "attacked widths must be finite and non-negative"
-    );
+    if fa > MAX_ATTACKED {
+        return Err(AttackError::TooManyAttacked {
+            fa,
+            max: MAX_ATTACKED,
+        });
+    }
+    if let Some(index) = attacked_widths
+        .iter()
+        .position(|w| !(w.is_finite() && *w >= 0.0))
+    {
+        return Err(AttackError::InvalidWidth { index });
+    }
     if correct.is_empty() {
         return Err(AttackError::NoCorrectIntervals);
     }
@@ -428,9 +429,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 4 attacked")]
-    fn too_many_attacked_intervals_panic() {
+    fn too_many_attacked_intervals_are_a_typed_error() {
         let correct = [iv(0.0, 1.0); 12];
-        let _ = optimal_attack(&correct, &[1.0; 5], 5);
+        assert_eq!(
+            optimal_attack(&correct, &[1.0; 5], 5),
+            Err(AttackError::TooManyAttacked { fa: 5, max: 4 })
+        );
+    }
+
+    #[test]
+    fn negative_or_non_finite_widths_are_a_typed_error() {
+        let correct = [iv(0.0, 1.0); 4];
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                optimal_attack(&correct, &[1.0, bad], 1),
+                Err(AttackError::InvalidWidth { index: 1 })
+            );
+        }
     }
 }

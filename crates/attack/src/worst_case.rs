@@ -90,7 +90,9 @@ pub fn no_attack_worst_case(widths: &[f64], f: usize, step: f64) -> Result<Worst
 ///
 /// * [`AttackError::NoCorrectIntervals`] — all sensors attacked or empty
 ///   input,
-/// * [`AttackError::UnboundedAttack`] — `fa ≥ n − f`.
+/// * [`AttackError::UnboundedAttack`] — `fa ≥ n − f`,
+/// * [`AttackError::TooManyAttacked`] — more attacked sensors than the
+///   exact solver takes.
 ///
 /// # Panics
 ///
@@ -127,20 +129,27 @@ pub fn attacked_worst_case(
     }
 
     let mut best: Option<WorstCase> = None;
+    let mut error = AttackError::NoFeasiblePlacement;
     let mut placement: Vec<Interval<f64>> = Vec::with_capacity(correct_widths.len());
-    enumerate_correct(&correct_widths, step, &mut placement, &mut |config| {
-        if let Ok(attack) = optimal_attack(config, &attacked_widths, f) {
-            let width = attack.width();
-            if best.as_ref().is_none_or(|b| width > b.width) {
-                best = Some(WorstCase {
-                    width,
-                    correct: config.to_vec(),
-                    attacked: attack.placements,
-                });
+    enumerate_correct(
+        &correct_widths,
+        step,
+        &mut placement,
+        &mut |config| match optimal_attack(config, &attacked_widths, f) {
+            Ok(attack) => {
+                let width = attack.width();
+                if best.as_ref().is_none_or(|b| width > b.width) {
+                    best = Some(WorstCase {
+                        width,
+                        correct: config.to_vec(),
+                        attacked: attack.placements,
+                    });
+                }
             }
-        }
-    });
-    best.ok_or(AttackError::NoFeasiblePlacement)
+            Err(e) => error = e,
+        },
+    );
+    best.ok_or(error)
 }
 
 /// The worst case over **all** choices of `fa` attacked sensors
@@ -298,6 +307,14 @@ mod tests {
         // n = 3, f = 1, k = 2: fa = 2 >= k.
         let err = attacked_worst_case(&[1.0, 2.0, 3.0], &[0, 1], 1, 1.0).unwrap_err();
         assert!(matches!(err, AttackError::UnboundedAttack { .. }));
+    }
+
+    #[test]
+    fn too_many_attacked_sensors_are_the_solver_error() {
+        // n = 12, f = 5: fa = 5 < k = 7 is bounded but past the solver.
+        let widths = [&[0.0; 7][..], &[1.0; 5]].concat();
+        let err = attacked_worst_case(&widths, &[7, 8, 9, 10, 11], 5, 1.0).unwrap_err();
+        assert_eq!(err, AttackError::TooManyAttacked { fa: 5, max: 4 });
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! verification first, then every drifted cell's grid index, column,
 //! baseline value and new value.
 //!
-//! An unknown, repeated or malformed flag exits 2. `--tol` entries may
+//! An unknown, repeated or malformed flag exits 2, and so does a flag
+//! its subcommand would ignore ([`APPLIES_TO`]). `--tol` entries may
 //! name a column family without its index (`vehicle_mean_widths=1e-9`);
 //! columns without one use the near-exact default (abs/rel `1e-12`,
 //! absorbing last-ulp libm variation across platforms while failing
@@ -38,6 +39,16 @@ const SWEEP_DIFF: Cli = Cli { positionals: 3, ..Cli::new("sweep_diff", &[&[
     Flag::value("--tol", "col=abs[:rel],...", "per-column tolerances over the near-exact default"),
     Flag::value("--allow", "id,...", "record despite these veto ids"),
 ]]) };
+
+/// The subcommands each flag applies to; any other use exits 2 rather
+/// than being silently ignored.
+const APPLIES_TO: [(&str, &[&str]); 5] = [
+    ("--grid", &["record", "check"]),
+    ("--dir", &["record", "check"]),
+    ("--threads", &["record", "check"]),
+    ("--tol", &["check", "diff"]),
+    ("--allow", &["record"]),
+];
 
 fn grids(args: &Args) -> Vec<(&str, SweepGrid)> {
     match args.value("--grid") {
@@ -130,6 +141,14 @@ exit codes:
 fn main() {
     let args = Args::from_env(&SWEEP_DIFF, USAGE);
     let dir = args.value("--dir").unwrap_or("baselines");
+    let subcommand = args.positionals().first().copied().unwrap_or_default();
+    let known = matches!(subcommand, "record" | "check" | "diff");
+    for (flag, subcommands) in APPLIES_TO {
+        if known && args.has(flag) && !subcommands.contains(&subcommand) {
+            let names = subcommands.join("` and `");
+            args.fail(format!("{flag} applies to `sweep_diff {names}` only"));
+        }
+    }
     match args.positionals()[..] {
         ["record"] => record(&args, dir),
         ["check"] => check(&args, dir),

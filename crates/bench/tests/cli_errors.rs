@@ -353,7 +353,7 @@ struct Bin {
     value_flag: Option<&'static str>,
 }
 
-const BINS: [Bin; 14] = [
+const BINS: [Bin; 13] = [
     Bin {
         name: "scenario_sweep",
         exe: env!("CARGO_BIN_EXE_scenario_sweep"),
@@ -409,14 +409,6 @@ const BINS: [Bin; 14] = [
         typo: "--stpe",
         hint: Some("--step"),
         value_flag: Some("--step"),
-    },
-    Bin {
-        name: "throughput_gate",
-        exe: env!("CARGO_BIN_EXE_throughput_gate"),
-        prefix: &[],
-        typo: "--max-dorp",
-        hint: Some("--max-drop"),
-        value_flag: Some("--max-drop"),
     },
     Bin {
         name: "repro_fig1",
@@ -638,4 +630,47 @@ fn flags_that_would_do_nothing_are_rejected() {
     let (code, stderr) = run(lint, &["presets", "--tol", "mean_width=1"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("--tol applies to"), "{stderr}");
+
+    // Each subcommand of `sweep_diff` rejects the flags it would ignore,
+    // before running a grid or reading a file.
+    let diff = Bin {
+        prefix: &[],
+        ..*bin("sweep_diff")
+    };
+    let record = &["record", "--grid", "table2-closed-loop", "--dir", "unused"];
+    let files = &["diff", "a.json", "b.json"];
+    for (args, extra, diagnostic) in [
+        (
+            &record[..],
+            &["--tol", "mean_width=1"][..],
+            "--tol applies to `sweep_diff check` and `diff` only",
+        ),
+        (
+            &["check"],
+            &["--allow", "detect-vacuous"],
+            "--allow applies to `sweep_diff record` only",
+        ),
+        (
+            files,
+            &["--grid", "open-loop-48"],
+            "--grid applies to `sweep_diff record` and `check` only",
+        ),
+        (
+            files,
+            &["--dir", "baselines"],
+            "--dir applies to `sweep_diff record` and `check` only",
+        ),
+        (
+            files,
+            &["--threads", "3"],
+            "--threads applies to `sweep_diff record` and `check` only",
+        ),
+        (
+            files,
+            &["--allow", "detect-vacuous"],
+            "--allow applies to `sweep_diff record` only",
+        ),
+    ] {
+        expect_usage_error(&diff, &[args, extra].concat(), diagnostic);
+    }
 }

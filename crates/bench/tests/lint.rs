@@ -65,32 +65,8 @@ fn golden_grids_are_lint_clean() {
 
 #[test]
 fn committed_baseline_directory_is_lint_clean() {
-    // The directory also holds `throughput.json` (a perf budget, not a
-    // baseline), so exactly the info-tier skip notes are allowed.
     let findings = analyze_baseline_dir(&baselines_dir(), &known_grids());
-    for finding in &findings {
-        assert_eq!(
-            (finding.lint, finding.severity),
-            ("baseline-skipped", Severity::Info),
-            "unexpected baseline finding: {finding:?}"
-        );
-    }
-    assert_eq!(exit_code(&findings), 0);
-}
-
-#[test]
-fn non_baseline_files_are_reported_as_skipped() {
-    let findings = analyze_baseline_dir(&baselines_dir(), &known_grids());
-    let skipped = findings
-        .iter()
-        .find(|f| f.lint == "baseline-skipped")
-        .expect("throughput.json draws a skip note");
-    assert_eq!(skipped.severity, Severity::Info);
-    assert!(
-        skipped.message.contains("throughput.json"),
-        "the note names the file: {}",
-        skipped.message
-    );
+    assert!(findings.is_empty(), "baseline findings: {findings:?}");
 }
 
 #[test]

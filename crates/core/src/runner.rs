@@ -211,8 +211,10 @@ impl ScenarioRunner {
     pub fn step_into(&mut self, out: &mut RoundOutcome) {
         match &mut self.engine {
             Engine::Open(pipeline) => {
-                if self.scenario.attacker == AttackerSpec::RandomEachRound {
-                    let sensor = self.rng.gen_range(0..pipeline.suite().len());
+                let n = pipeline.suite().len();
+                // An empty suite leaves the attacker no sensor to draw.
+                if self.scenario.attacker == AttackerSpec::RandomEachRound && n > 0 {
+                    let sensor = self.rng.gen_range(0..n);
                     pipeline.set_attacker_config(AttackerConfig::new([sensor], self.scenario.f));
                 }
                 let truth = self.scenario.truth.at(self.round);
@@ -352,9 +354,9 @@ pub fn run_all(scenarios: &[Scenario]) -> Vec<BatchSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{self, AttackerSpec, FuserSpec, StrategySpec, SuiteSpec};
+    use crate::scenario::{self, AttackerSpec, FuserSpec, StrategySpec, SuiteSpec, TruthSpec};
     use crate::DetectionMode;
-    use arsf_schedule::SchedulePolicy;
+    use arsf_schedule::{SchedulePolicy, TransmissionOrder};
 
     fn quick(name: &str) -> Scenario {
         Scenario::new(name, SuiteSpec::Landshark).with_rounds(200)
@@ -662,15 +664,75 @@ mod tests {
         ));
         let bad_platoon = Scenario::new("bad-platoon", SuiteSpec::Landshark)
             .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(0, 0.01));
-        assert!(matches!(
-            ScenarioRunner::try_new(&bad_platoon),
-            Err(ScenarioError::EmptyPlatoon)
-        ));
+        assert_eq!(
+            ScenarioRunner::try_new(&bad_platoon)
+                .unwrap_err()
+                .to_string(),
+            "platoon size is out of range: 0"
+        );
+        let bad_order =
+            quick("bad-order").with_schedule(SchedulePolicy::Fixed(TransmissionOrder::identity(3)));
+        assert_eq!(
+            ScenarioRunner::try_new(&bad_order).unwrap_err().to_string(),
+            "schedule order length for a 4-sensor suite is out of range: 3"
+        );
+        let bad_window = quick("bad-window").with_detector(DetectionMode::Windowed {
+            window: 0,
+            tolerance: 0,
+        });
+        assert_eq!(
+            ScenarioRunner::try_new(&bad_window)
+                .unwrap_err()
+                .to_string(),
+            "detector window over 4 sensors is out of range: 0"
+        );
+        for (bad, parameter) in [
+            (
+                Scenario::new("w", SuiteSpec::Widths(vec![1.0, f64::NAN])),
+                "sensor 1 width",
+            ),
+            (
+                quick("t").with_truth(TruthSpec::Constant(f64::INFINITY)),
+                "truth",
+            ),
+            (
+                quick("s").with_fault(
+                    0,
+                    FaultModel::new(FaultKind::Scale { factor: f64::NAN }, 1.0),
+                ),
+                "sensor 0 fault value",
+            ),
+            (
+                quick("h").with_fuser(FuserSpec::Historical {
+                    max_rate: 3.5,
+                    dt: 0.0,
+                }),
+                "historical dt",
+            ),
+        ] {
+            assert!(
+                matches!(
+                    ScenarioRunner::try_new(&bad),
+                    Err(ScenarioError::InvalidParameter { parameter: p, .. }) if p == parameter
+                ),
+                "{parameter}"
+            );
+        }
         // Errors render as readable messages.
         let err = ScenarioRunner::try_new(&bad_fault).unwrap_err();
         assert!(err.to_string().contains("fault sensor index 9"));
         // And everything validate accepts builds.
         assert!(ScenarioRunner::try_new(&quick("fine")).is_ok());
+    }
+
+    #[test]
+    fn random_attacker_on_an_empty_suite_runs() {
+        // Regression: the per-round redraw panicked on an empty range.
+        let empty = Scenario::new("empty", SuiteSpec::Widths(vec![]))
+            .with_attacker(AttackerSpec::RandomEachRound)
+            .with_rounds(5);
+        let summary = ScenarioRunner::new(&empty).run();
+        assert_eq!((summary.rounds, summary.fusion_failures), (5, 5));
     }
 
     #[test]

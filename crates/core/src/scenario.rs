@@ -25,7 +25,7 @@ use arsf_fusion::{
     MidpointMedianFuser,
 };
 use arsf_schedule::SchedulePolicy;
-use arsf_sensor::{FaultModel, SensorSuite};
+use arsf_sensor::{FaultKind, FaultModel, SensorSuite};
 
 use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 
@@ -40,6 +40,19 @@ use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ScenarioError {
+    /// A parameter no engine can run with: a negative or non-finite
+    /// width, a non-finite truth or fault value, a historical fuser's
+    /// negative rate bound or non-positive period, a fixed or rotating
+    /// order without one slot per sensor, an empty (or `usize`-overflowing)
+    /// detector window, a negative or non-finite target speed or
+    /// envelope half-width, an empty platoon or a non-positive
+    /// or non-finite platoon gap.
+    InvalidParameter {
+        /// What the value parameterises, e.g. `sensor 2 width`.
+        parameter: String,
+        /// The rejected value.
+        value: f64,
+    },
     /// A fault model references a sensor index the suite does not have.
     FaultSensorOutOfRange {
         /// The offending sensor index.
@@ -70,30 +83,14 @@ pub enum ScenarioError {
         /// The rejected suite's label.
         suite: String,
     },
-    /// A closed-loop envelope must have a finite target speed and
-    /// finite, non-negative half-widths — the supervisor cannot encode
-    /// anything else.
-    InvalidEnvelope {
-        /// The rejected target speed.
-        target_speed: f64,
-        /// The rejected upper half-width `δ1`.
-        delta_up: f64,
-        /// The rejected lower half-width `δ2`.
-        delta_down: f64,
-    },
-    /// A closed-loop platoon needs at least one vehicle.
-    EmptyPlatoon,
-    /// A closed-loop platoon's initial gap must be a positive finite
-    /// number of miles.
-    InvalidPlatoonGap {
-        /// The rejected gap.
-        gap_miles: f64,
-    },
 }
 
 impl core::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
+            ScenarioError::InvalidParameter { parameter, value } => {
+                write!(f, "{parameter} is out of range: {value}")
+            }
             ScenarioError::FaultSensorOutOfRange { sensor, suite_len } => write!(
                 f,
                 "fault sensor index {sensor} out of range for a {suite_len}-sensor suite"
@@ -109,20 +106,6 @@ impl core::fmt::Display for ScenarioError {
             ScenarioError::ClosedLoopSuite { suite } => write!(
                 f,
                 "closed-loop scenarios run the LandShark suite, not `{suite}`"
-            ),
-            ScenarioError::InvalidEnvelope {
-                target_speed,
-                delta_up,
-                delta_down,
-            } => write!(
-                f,
-                "closed-loop envelope must have a finite target and finite non-negative \
-                 half-widths, got target {target_speed}, \u{3b4}1 {delta_up}, \u{3b4}2 {delta_down}"
-            ),
-            ScenarioError::EmptyPlatoon => write!(f, "a platoon needs at least one vehicle"),
-            ScenarioError::InvalidPlatoonGap { gap_miles } => write!(
-                f,
-                "platoon initial gap must be positive and finite, got {gap_miles}"
             ),
         }
     }
@@ -817,26 +800,54 @@ impl Scenario {
     /// Checks the scenario for combinations the engines genuinely cannot
     /// execute.
     ///
-    /// The rejections are referential (a fault or compromised index
-    /// outside the suite), a solver limit (a fixed phantom-optimal
-    /// attacker on more than [`MAX_ATTACKED`] sensors) and physical
-    /// (closed-loop execution on a suite that is not the LandShark's, a
-    /// degenerate envelope or platoon). A scenario that passes builds in
-    /// either execution mode, and every panic a run is known to raise
-    /// for its spec is one of these rejections.
+    /// The rejections are a parameter out of range (see
+    /// [`ScenarioError::InvalidParameter`]), referential (a fault or
+    /// compromised index outside the suite), a solver limit (a fixed
+    /// phantom-optimal attacker on more than [`MAX_ATTACKED`] sensors)
+    /// and physical (closed-loop execution on a suite that is not the
+    /// LandShark's). A scenario that passes builds in either execution
+    /// mode and runs without a panic; `crates/core/tests/validated_runs.rs`
+    /// checks this over the spec space.
     ///
     /// # Errors
     ///
     /// Returns the first [`ScenarioError`] found.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let suite_len = self.suite.len();
-        for (sensor, _) in &self.faults {
+        if let SuiteSpec::Widths(widths) = &self.suite {
+            for (sensor, &width) in widths.iter().enumerate() {
+                check_parameter(width >= 0.0, width, || format!("sensor {sensor} width"))?;
+            }
+        }
+        let (start, rate) = match self.truth {
+            TruthSpec::Constant(value) => (value, 0.0),
+            TruthSpec::Ramp {
+                start,
+                rate_per_round,
+            } => (start, rate_per_round),
+        };
+        check_parameter(true, start, || "truth".to_string())?;
+        check_parameter(true, rate, || "truth rate".to_string())?;
+        for (sensor, fault) in &self.faults {
             if *sensor >= suite_len {
                 return Err(ScenarioError::FaultSensorOutOfRange {
                     sensor: *sensor,
                     suite_len,
                 });
             }
+            let value = match fault.kind() {
+                FaultKind::StuckAt { value } => value,
+                FaultKind::Bias { offset } => offset,
+                FaultKind::Scale { factor } => factor,
+                _ => 0.0,
+            };
+            check_parameter(true, value, || format!("sensor {sensor} fault value"))?;
+        }
+        if let FuserSpec::Historical { max_rate, dt } = self.fuser {
+            check_parameter(max_rate >= 0.0, max_rate, || {
+                "historical max_rate".to_string()
+            })?;
+            check_parameter(dt > 0.0, dt, || "historical dt".to_string())?;
         }
         if let AttackerSpec::Fixed { sensors, strategy } = &self.attacker {
             for &sensor in sensors {
@@ -857,33 +868,34 @@ impl Scenario {
                 });
             }
         }
+        if let SchedulePolicy::Fixed(order) | SchedulePolicy::Rotating(order) = &self.schedule {
+            check_parameter(order.len() == suite_len, order.len() as f64, || {
+                format!("schedule order length for a {suite_len}-sensor suite")
+            })?;
+        }
+        if let DetectionMode::Windowed { window, .. } = self.detector {
+            let fits = window > 0 && window.checked_mul(suite_len).is_some();
+            check_parameter(fits, window as f64, || {
+                format!("detector window over {suite_len} sensors")
+            })?;
+        }
         if let Some(spec) = &self.closed_loop {
             if self.suite != SuiteSpec::Landshark {
                 return Err(ScenarioError::ClosedLoopSuite {
                     suite: self.suite.label(),
                 });
             }
-            let envelope_ok = spec.target_speed.is_finite()
-                && spec.delta_up.is_finite()
-                && spec.delta_up >= 0.0
-                && spec.delta_down.is_finite()
-                && spec.delta_down >= 0.0;
-            if !envelope_ok {
-                return Err(ScenarioError::InvalidEnvelope {
-                    target_speed: spec.target_speed,
-                    delta_up: spec.delta_up,
-                    delta_down: spec.delta_down,
-                });
-            }
+            let target = spec.target_speed;
+            check_parameter(target >= 0.0, target, || {
+                "closed-loop target speed".to_string()
+            })?;
+            let (up, down) = (spec.delta_up, spec.delta_down);
+            check_parameter(up >= 0.0, up, || "closed-loop delta_up".to_string())?;
+            check_parameter(down >= 0.0, down, || "closed-loop delta_down".to_string())?;
             if let Some(platoon) = spec.platoon {
-                if platoon.size == 0 {
-                    return Err(ScenarioError::EmptyPlatoon);
-                }
-                if !(platoon.gap_miles > 0.0 && platoon.gap_miles.is_finite()) {
-                    return Err(ScenarioError::InvalidPlatoonGap {
-                        gap_miles: platoon.gap_miles,
-                    });
-                }
+                let (size, gap) = (platoon.size, platoon.gap_miles);
+                check_parameter(size > 0, size as f64, || "platoon size".to_string())?;
+                check_parameter(gap > 0.0, gap, || "platoon gap_miles".to_string())?;
             }
         }
         Ok(())
@@ -944,6 +956,23 @@ impl Scenario {
         config.detection = self.detector;
         config.fuser = self.fuser.clone();
         config
+    }
+}
+
+/// `Ok` when `value` is finite and `in_range`; else the
+/// [`ScenarioError::InvalidParameter`] naming it.
+fn check_parameter(
+    in_range: bool,
+    value: f64,
+    parameter: impl FnOnce() -> String,
+) -> Result<(), ScenarioError> {
+    if value.is_finite() && in_range {
+        Ok(())
+    } else {
+        Err(ScenarioError::InvalidParameter {
+            parameter: parameter(),
+            value,
+        })
     }
 }
 
@@ -1395,7 +1424,7 @@ mod tests {
             .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(2, f64::NAN));
         assert!(matches!(
             bad_gap.validate(),
-            Err(ScenarioError::InvalidPlatoonGap { .. })
+            Err(ScenarioError::InvalidParameter { parameter, .. }) if parameter == "platoon gap_miles"
         ));
         // Degenerate envelopes are typed errors instead of supervisor
         // panics deep inside a sweep worker.
@@ -1406,7 +1435,11 @@ mod tests {
         ] {
             let bad = Scenario::new("bad", SuiteSpec::Landshark).with_closed_loop(spec);
             assert!(
-                matches!(bad.validate(), Err(ScenarioError::InvalidEnvelope { .. })),
+                matches!(
+                    bad.validate(),
+                    Err(ScenarioError::InvalidParameter { parameter, .. })
+                        if parameter.starts_with("closed-loop")
+                ),
                 "{spec:?} must be rejected"
             );
         }

@@ -46,11 +46,15 @@ impl DynamicsBound {
     }
 
     /// Propagates an interval forward by `dt` seconds: every point the
-    /// variable could reach starting anywhere inside `interval`.
+    /// variable could reach starting anywhere inside `interval`, saturated
+    /// at the finite `f64` range.
     pub fn propagate(&self, interval: &Interval<f64>, dt: f64) -> Interval<f64> {
         let slack = self.max_rate * dt.abs();
-        Interval::new(interval.lo() - slack, interval.hi() + slack)
-            .unwrap_or_else(|_| unreachable!("inflation preserves endpoint ordering"))
+        Interval::new(
+            (interval.lo() - slack).max(f64::MIN),
+            (interval.hi() + slack).min(f64::MAX),
+        )
+        .unwrap_or_else(|_| unreachable!("inflation preserves endpoint ordering"))
     }
 }
 
@@ -317,6 +321,12 @@ mod tests {
             DynamicsBound::new(0.0).propagate(&iv(0.0, 1.0), 9.0),
             iv(0.0, 1.0)
         );
+    }
+
+    #[test]
+    fn propagate_saturates_instead_of_overflowing() {
+        let p = DynamicsBound::new(1e300).propagate(&iv(0.0, 1.0), 1e300);
+        assert_eq!(p, iv(f64::MIN, f64::MAX));
     }
 
     #[test]

@@ -67,17 +67,27 @@ pub fn inverse_variance<T: Scalar>(
         let value = exact().map(|s| s.midpoint().to_f64()).sum::<f64>() / exact_count as f64;
         return Ok(PointEstimate { value, radius: 0.0 });
     }
-    let mut weight_sum = 0.0;
-    let mut weighted = 0.0;
-    for s in intervals {
-        let sigma = s.width().to_f64() * 0.5;
-        let w = 1.0 / (sigma * sigma);
-        weight_sum += w;
-        weighted += w * s.midpoint().to_f64();
+    // Weights `1 / (σ / scale)²`: at unit scale unless a `σ²` overflows
+    // or underflows, then relative to the tightest sensor, in `(0, 1]`.
+    let weigh = |scale: f64| {
+        intervals.iter().fold((0.0, 0.0), |(sum, weighted), s| {
+            let sigma = s.width().to_f64() * 0.5 / scale;
+            let w = 1.0 / (sigma * sigma);
+            (sum + w, weighted + w * s.midpoint().to_f64())
+        })
+    };
+    let mut scale = 1.0;
+    let (mut weight_sum, mut weighted) = weigh(scale);
+    if !(weight_sum > 0.0 && weight_sum < f64::INFINITY) {
+        scale = intervals
+            .iter()
+            .map(|s| s.width().to_f64() * 0.5)
+            .fold(f64::INFINITY, f64::min);
+        (weight_sum, weighted) = weigh(scale);
     }
     Ok(PointEstimate {
         value: weighted / weight_sum,
-        radius: (1.0 / weight_sum).sqrt(),
+        radius: (1.0 / weight_sum).sqrt() * scale,
     })
 }
 
@@ -169,6 +179,21 @@ mod tests {
 
     fn ci(center: f64, radius: f64) -> Interval<f64> {
         Interval::centered(center, radius).unwrap()
+    }
+
+    #[test]
+    fn inverse_variance_survives_overflowing_variances() {
+        // σ² overflows for both: the weights are taken relative to the
+        // tighter sensor instead, 1 and 1/4 as for radii 1 and 2.
+        let est = inverse_variance(&[ci(1e200, 1e200), ci(2e200, 2e200)]).unwrap();
+        assert!((est.value / 1e200 - 1.2).abs() < 1e-9, "{est:?}");
+        assert!(
+            (est.radius / 1e200 - (0.8f64).sqrt()).abs() < 1e-9,
+            "{est:?}"
+        );
+        // σ² underflows for both.
+        let est = inverse_variance(&[ci(1e-200, 1e-200), ci(2e-200, 2e-200)]).unwrap();
+        assert!((est.value / 1e-200 - 1.2).abs() < 1e-9, "{est:?}");
     }
 
     #[test]

@@ -113,18 +113,21 @@ impl Sensor {
         self.fault
     }
 
-    /// Samples the sensor at the given ground truth.
+    /// Samples the sensor at the given ground truth: the measurement
+    /// (possibly corrupted by a firing fault) and its abstract interval.
     ///
-    /// Returns `None` only when a firing fault silences the sensor
-    /// ([`crate::FaultKind::Silent`]); otherwise the measurement (possibly
-    /// corrupted by a firing fault) and its abstract interval.
+    /// # Panics
+    ///
+    /// Panics when [`Sensor::try_sample`] would return `None`.
     pub fn sample<R: Rng + ?Sized>(&mut self, truth: f64, rng: &mut R) -> Measurement {
         self.try_sample(truth, rng)
-            .expect("sensor without a Silent fault always produces a measurement")
+            .expect("a sensor without a Silent fault and with a finite reading produces one")
     }
 
     /// Samples the sensor, returning `None` when a firing
-    /// [`crate::FaultKind::Silent`] fault drops the reading.
+    /// [`crate::FaultKind::Silent`] fault drops the reading, or when the
+    /// reading's interval is not representable (a truth or fault value
+    /// whose arithmetic overflows `f64`).
     pub fn try_sample<R: Rng + ?Sized>(&mut self, truth: f64, rng: &mut R) -> Option<Measurement> {
         let radius = self.spec.radius();
         let honest = truth + self.noise.sample_offset(radius, rng);
@@ -132,8 +135,7 @@ impl Sensor {
             Some(fault) if fault.fires(rng) => fault.kind().corrupt(honest, radius)?,
             _ => honest,
         };
-        let interval = Interval::centered(value, radius)
-            .expect("finite truth, bounded noise and finite radius yield finite endpoints");
+        let interval = Interval::centered(value, radius).ok()?;
         Some(Measurement::new(self.id, value, interval))
     }
 }
@@ -159,6 +161,15 @@ mod tests {
             assert_eq!(m.interval.width(), 1.0);
             assert_eq!(m.interval.midpoint(), m.value);
         }
+    }
+
+    #[test]
+    fn an_overflowing_reading_is_dropped() {
+        let fault = FaultModel::new(FaultKind::Scale { factor: 1e300 }, 1.0);
+        let mut s =
+            Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform).with_fault(fault);
+        assert!(s.try_sample(1e10, &mut rng()).is_none());
+        assert!(s.try_sample(10.0, &mut rng()).is_some());
     }
 
     #[test]

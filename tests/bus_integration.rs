@@ -1,11 +1,15 @@
 //! Cross-crate integration: fusion rounds over the CAN-like broadcast
 //! bus, checking transport faithfulness and the attacker's
-//! information model.
+//! information model, and that the bus and the direct pipeline forge the
+//! same intervals for every strategy and schedule.
 
 use arsf::bus::Payload;
 use arsf::core::transport::run_bus_round;
 use arsf::fusion::marzullo;
 use arsf::prelude::*;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn iv(lo: f64, hi: f64) -> Interval<f64> {
     Interval::new(lo, hi).unwrap()
@@ -108,5 +112,82 @@ fn multi_sensor_attacker_coordinates_across_slots() {
             "order {order}: flagged {:?}",
             round.flagged
         );
+    }
+}
+
+/// One attack strategy of the differential test, built fresh for each
+/// engine so both start from the same strategy state.
+fn strategy(kind: usize) -> Box<dyn AttackStrategy> {
+    match kind {
+        0 => Box::new(PhantomOptimal::new()),
+        1 => Box::new(GreedyExtreme::new(Side::High)),
+        2 => Box::new(GreedyExtreme::new(Side::Low)),
+        _ => Box::new(Truthful),
+    }
+}
+
+/// `(suite, f)`: LandShark under `f = 1`, or a 5-sensor suite under
+/// `f = 2`.
+fn differential_suite(five: bool) -> (SensorSuite, usize) {
+    if five {
+        (
+            arsf::sensor::suite::from_widths(&[0.2, 0.4, 1.0, 2.0, 3.0]),
+            2,
+        )
+    } else {
+        (arsf::sensor::suite::landshark(), 1)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The bus is an independent model of what the attacker has seen: a
+    /// round replayed over it from the pipeline's sampled readings must
+    /// put exactly the pipeline's forged intervals on the wire.
+    #[test]
+    fn bus_and_pipeline_forge_the_same_intervals(
+        (five, first, second, two) in (0usize..2, 0usize..5, 0usize..5, 0usize..2),
+        (kind, schedule, rotate) in (0usize..4, 0usize..3, 0usize..5),
+        (seed, truth) in (0u64..1_000_000, 5.0..15.0),
+    ) {
+        let (suite, f) = differential_suite(five == 1);
+        let n = suite.len();
+        let first = first % n;
+        let mut compromised = vec![first];
+        if two == 1 {
+            compromised.push((first + 1 + second % (n - 1)) % n);
+        }
+        let schedule = match schedule {
+            0 => SchedulePolicy::Ascending,
+            1 => SchedulePolicy::Descending,
+            _ => {
+                let order: Vec<usize> = (0..n).map(|slot| (slot * 3 + rotate) % n).collect();
+                SchedulePolicy::Fixed(TransmissionOrder::new(order).unwrap())
+            }
+        };
+        let attacker = AttackerConfig::new(compromised, f);
+        let mut pipeline = FusionPipeline::builder(suite.clone())
+            .config(PipelineConfig::new(f, schedule.clone()))
+            .attacker(attacker.clone(), strategy(kind))
+            .build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut replay = rng.clone();
+        let out = pipeline.run_round(truth, &mut rng);
+
+        // Replay the round's draws: the slot order, then every reading.
+        let widths = suite.widths();
+        let order = schedule.order(&widths, 0, &mut replay);
+        let readings: Vec<Interval<f64>> = suite
+            .clone()
+            .sample_all(truth, &mut replay)
+            .iter()
+            .map(|m| m.interval)
+            .collect();
+        prop_assert_eq!(&order, &out.order);
+        prop_assert_eq!(readings.len(), n);
+
+        let bus = run_bus_round(&readings, &widths, &order, f, Some((attacker, strategy(kind))));
+        prop_assert_eq!(bus.transmitted, out.transmitted);
     }
 }
