@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use arsf_bench::table1::{evaluate_setup, Table1Setup};
 use arsf_schedule::SchedulePolicy;
-use arsf_sim::table1::{evaluate_setup, Table1Setup};
 
 fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("schedule_policies");

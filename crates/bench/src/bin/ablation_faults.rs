@@ -11,8 +11,13 @@
 
 use arsf_bench::cli::{Args, Cli};
 use arsf_bench::TextTable;
+use arsf_core::scenario::{AttackerSpec, Scenario, StrategySpec, SuiteSpec};
+use arsf_core::{DetectionMode, ScenarioRunner};
 use arsf_schedule::SchedulePolicy;
-use arsf_sim::faults::{run, FaultAttackConfig};
+use arsf_sensor::{FaultKind, FaultModel};
+
+/// The transiently faulty sensor (the GPS).
+const FAULTY: usize = 2;
 
 fn main() {
     Args::from_env(&Cli::new("ablation_faults", &[]), "");
@@ -30,29 +35,51 @@ fn main() {
         "fusion fail".into(),
     ]);
 
+    let mut outcomes = Vec::new();
+    let mut shape_holds = true;
     for &fault_probability in &[0.05, 0.15, 0.3, 0.6] {
         for &tolerance in &[2usize, 6] {
-            let report = run(&FaultAttackConfig {
-                rounds,
-                fault_probability,
-                tolerance,
-                schedule: SchedulePolicy::Descending,
-                ..FaultAttackConfig::default()
-            });
+            let fault = FaultModel::new(FaultKind::Bias { offset: 3.0 }, fault_probability);
+            let scenario = Scenario::new("ablation-faults", SuiteSpec::Landshark)
+                .with_schedule(SchedulePolicy::Descending)
+                .with_fault(FAULTY, fault)
+                .with_attacker(AttackerSpec::Fixed {
+                    sensors: vec![0],
+                    strategy: StrategySpec::PhantomOptimal,
+                })
+                .with_detector(DetectionMode::Windowed {
+                    window: 20,
+                    tolerance,
+                })
+                .with_seed(7);
+            let summary = ScenarioRunner::new(&scenario).run_batch(rounds, &mut outcomes);
+            let condemned_at = outcomes
+                .iter()
+                .position(|out| out.condemned.contains(&FAULTY));
+            let mut falsely: Vec<usize> = outcomes
+                .iter()
+                .flat_map(|out| out.condemned.iter().copied())
+                .filter(|&sensor| sensor != FAULTY)
+                .collect();
+            falsely.sort_unstable();
+            falsely.dedup();
+            shape_holds &= falsely.is_empty() && summary.truth_lost < rounds as u64 / 20;
             table.row(vec![
                 format!("{:.0}%", fault_probability * 100.0),
                 format!("{tolerance} / 20"),
-                format!("{}", report.transient_flags),
-                report
-                    .faulty_condemned_at
-                    .map_or("never".into(), |r| format!("round {r}")),
-                format!("{}", report.false_condemnations),
-                format!("{}", report.truth_lost),
-                format!("{}", report.fusion_failures),
+                format!("{}", summary.flagged_rounds),
+                condemned_at.map_or("never".into(), |r| format!("round {r}")),
+                format!("{}", falsely.len()),
+                format!("{}", summary.truth_lost),
+                format!("{}", summary.fusion_failures),
             ]);
         }
     }
     println!("{}", table.render());
+    assert!(
+        shape_holds,
+        "the stealthy attacker must never be condemned and truth loss must stay rare"
+    );
     println!("Reading the table:");
     println!("* a tolerant window (6/20) lets low-rate transients live while");
     println!("  still condemning persistent misbehaviour — footnote 1's goal;");

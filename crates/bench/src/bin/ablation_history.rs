@@ -11,33 +11,30 @@
 
 use arsf_bench::cli::{Args, Cli};
 use arsf_bench::TextTable;
-use arsf_core::scenario::AttackerSpec;
-use arsf_fusion::historical::DynamicsBound;
+use arsf_core::scenario::{AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, SuiteSpec};
+use arsf_core::ScenarioRunner;
 use arsf_schedule::SchedulePolicy;
-use arsf_sim::landshark::{LandShark, LandSharkConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn violation_rates(bound: Option<DynamicsBound>, rounds: u64) -> (f64, f64, f64) {
-    let mut rng = StdRng::seed_from_u64(0xAB1A);
-    let mut config = LandSharkConfig::new(10.0, SchedulePolicy::Descending)
-        .with_attacker(AttackerSpec::RandomEachRound);
-    if let Some(b) = bound {
-        config = config.with_history(b);
+/// Above-envelope rate, below-envelope rate and mean fused width of one
+/// closed-loop run, fusing with history under `max_rate` when given.
+fn violation_rates(max_rate: Option<f64>, rounds: u64) -> (f64, f64, f64) {
+    let mut scenario = Scenario::new("ablation-history", SuiteSpec::Landshark)
+        .with_schedule(SchedulePolicy::Descending)
+        .with_attacker(AttackerSpec::RandomEachRound)
+        .with_closed_loop(ClosedLoopSpec::new(10.0))
+        .with_rounds(rounds)
+        .with_seed(0xAB1A);
+    if let Some(max_rate) = max_rate {
+        scenario = scenario.with_fuser(FuserSpec::Historical { max_rate, dt: 0.1 });
     }
-    let mut shark = LandShark::new(config);
-    let mut width_sum = 0.0;
-    let mut width_count = 0u64;
-    for _ in 0..rounds {
-        if let Some(fused) = shark.step(&mut rng).fusion {
-            width_sum += fused.width();
-            width_count += 1;
-        }
-    }
+    let summary = ScenarioRunner::new(&scenario).run();
+    let supervisor = summary
+        .supervisor
+        .expect("closed-loop runs report a supervisor");
     (
-        shark.supervisor().upper_rate(),
-        shark.supervisor().lower_rate(),
-        width_sum / width_count as f64,
+        supervisor.above_rate,
+        supervisor.below_rate,
+        summary.widths.mean(),
     )
 }
 
@@ -62,7 +59,7 @@ fn main() {
     ]);
     let mut improved = true;
     for rate in [6.0, 3.5] {
-        let (above, below, width) = violation_rates(Some(DynamicsBound::new(rate)), rounds);
+        let (above, below, width) = violation_rates(Some(rate), rounds);
         improved &= above + below < above0 + below0;
         table.row(vec![
             format!("history, rate <= {rate} mph/s"),

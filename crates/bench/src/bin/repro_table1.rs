@@ -14,15 +14,17 @@
 //!
 //! `--help` lists the flags.
 
+use std::num::NonZeroU64;
+
 use arsf_attack::expectimax::AttackerStyle;
 use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
+use arsf_bench::table1::{
+    evaluate_schedule_styled, evaluate_setup, most_precise_set, paper_setups, Table1Setup,
+};
 use arsf_bench::TextTable;
 use arsf_core::scenario::{AttackerSpec, Scenario, StrategySpec, SuiteSpec, TruthSpec};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
-use arsf_sim::table1::{
-    evaluate_schedule_styled, evaluate_setup, most_precise_set, paper_setups, Table1Setup,
-};
 
 #[rustfmt::skip]
 const REPRO_TABLE1: Cli = Cli::new("repro_table1", &[&[
@@ -66,7 +68,9 @@ fn main() {
         false => (1.0, 4000),
     };
     let step = args.ok(args.get("--step")).unwrap_or(step);
-    let mc_rounds = args.ok(args.get("--mc-rounds")).unwrap_or(mc_rounds);
+    let mc_rounds = args
+        .ok(args.get("--mc-rounds"))
+        .map_or(mc_rounds, NonZeroU64::get);
     let sweeper = args.ok(sweeper_from(&args));
 
     println!("Table I: comparison of two sensor communication schedules");

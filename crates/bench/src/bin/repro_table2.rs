@@ -14,9 +14,11 @@
 //! `--help` lists the flags; `--history <max_rate>` runs the
 //! historical-fusion defence in place of the paper's memoryless Marzullo.
 
+use std::num::{NonZeroU64, NonZeroUsize};
+
 use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
+use arsf_bench::table2::{run_all, Table2Config};
 use arsf_bench::TextTable;
-use arsf_sim::table2::{run_all, Table2Config};
 
 #[rustfmt::skip]
 const REPRO_TABLE2: Cli = Cli::new("repro_table2", &[&[
@@ -29,18 +31,19 @@ const REPRO_TABLE2: Cli = Cli::new("repro_table2", &[&[
 
 fn main() {
     let args = Args::from_env(&REPRO_TABLE2, "");
+    let sweeper = args.ok(sweeper_from(&args));
     let defaults = Table2Config::default();
     let config = Table2Config {
-        threads: args.ok(sweeper_from(&args)).threads(),
-        rounds: args.ok(args.get("--rounds")).unwrap_or(defaults.rounds),
+        rounds: args
+            .ok(args.get("--rounds"))
+            .map_or(defaults.rounds, NonZeroU64::get),
         seed: args.ok(args.get("--seed")).unwrap_or(defaults.seed),
         replicates: args
             .ok(args.get("--replicates"))
-            .unwrap_or(defaults.replicates),
+            .map_or(defaults.replicates, NonZeroUsize::get),
         // One positive rate bound in mph/s (scenario_sweep's --history
         // takes a comma list, which this rejects).
         history: args.ok(args.get("--history")),
-        ..defaults
     };
 
     println!("Table II: case study results for each of the three schedules");
@@ -48,22 +51,19 @@ fn main() {
         println!("(historical-fusion defence, |dv/dt| <= {rate} mph/s)");
     }
     println!(
-        "(v = {} mph, envelope [{}, {}] mph, {} rounds per schedule,",
-        config.target,
-        config.target - config.delta_down,
-        config.target + config.delta_up,
+        "(v = 10 mph, envelope [9.5, 10.5] mph, {} rounds per schedule,",
         config.rounds
     );
     println!(
         "one uniformly-random compromised sensor per round; {} replicate(s)",
-        config.replicates.max(1)
+        config.replicates
     );
     println!(
         "swept through the scenario grid on {} worker thread(s))\n",
-        config.threads.max(1)
+        sweeper.threads()
     );
 
-    let rows = run_all(&config);
+    let rows = run_all(&config, &sweeper);
 
     // Paper's reported values.
     let paper = [(0.0, 0.0), (17.42, 17.65), (5.72, 5.97)];

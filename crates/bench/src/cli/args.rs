@@ -8,7 +8,7 @@
 //! [`Args::parse_with`]) names the flag and the bad value.
 
 use std::fmt::Display;
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::exit;
 use std::str::FromStr;
 
@@ -138,6 +138,10 @@ impl FlagNumber for usize {
 }
 
 impl FlagNumber for NonZeroUsize {
+    const WANTS: &'static str = "a positive integer";
+}
+
+impl FlagNumber for NonZeroU64 {
     const WANTS: &'static str = "a positive integer";
 }
 

@@ -2,7 +2,10 @@
 //!
 //! Each `repro_*` binary regenerates one table or figure from the paper's
 //! evaluation; this crate holds the small shared pieces (table rendering,
-//! the command-line parser) so the binaries stay readable.
+//! the command-line parser) so the binaries stay readable, and the two
+//! experiment engines behind the paper's tables: [`table1`] (exact
+//! expected widths by grid enumeration) and [`table2`] (the LandShark
+//! case study's envelope violations through the sweep grid).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +15,8 @@ pub mod baseline_ops;
 pub mod cli;
 pub mod drive;
 pub mod golden;
+pub mod table1;
+pub mod table2;
 
 /// A minimal fixed-width text table writer for experiment output.
 ///

@@ -524,6 +524,7 @@ fn degenerate_numbers_exit_2_instead_of_panicking_or_defaulting() {
     let fig4 = bin("repro_fig4");
     let positive = "wants a positive finite number";
     let integer = "wants a non-negative integer";
+    let count = "wants a positive integer";
     for (bin, args, diagnostic) in [
         (
             fig4,
@@ -559,7 +560,12 @@ fn degenerate_numbers_exit_2_instead_of_panicking_or_defaulting() {
         (
             table1,
             &["--mc-rounds", "abc"],
-            format!("--mc-rounds {integer}, got `abc`"),
+            format!("--mc-rounds {count}, got `abc`"),
+        ),
+        (
+            table1,
+            &["--mc-rounds", "0"],
+            format!("--mc-rounds {count}, got `0`"),
         ),
         (
             table2,
@@ -569,12 +575,22 @@ fn degenerate_numbers_exit_2_instead_of_panicking_or_defaulting() {
         (
             table2,
             &["--replicates", "x"],
-            format!("--replicates {integer}, got `x`"),
+            format!("--replicates {count}, got `x`"),
+        ),
+        (
+            table2,
+            &["--replicates", "0"],
+            format!("--replicates {count}, got `0`"),
         ),
         (
             table2,
             &["--rounds", "abc"],
-            format!("--rounds {integer}, got `abc`"),
+            format!("--rounds {count}, got `abc`"),
+        ),
+        (
+            table2,
+            &["--rounds", "0"],
+            format!("--rounds {count}, got `0`"),
         ),
         (
             table2,

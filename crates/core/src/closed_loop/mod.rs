@@ -19,10 +19,6 @@
 //! * [`landshark`] — one vehicle: suite + persistent fusion engine +
 //!   controller + supervisor,
 //! * [`platoon`] — the three-LandShark platoon with gap tracking.
-//!
-//! `arsf-sim` re-exports these modules under their original paths, so
-//! `arsf_sim::landshark::LandShark` remains the canonical spelling in
-//! simulation-facing code.
 
 pub mod controller;
 pub mod landshark;

@@ -89,6 +89,6 @@ pub mod transport;
 
 pub use config::{DetectionMode, PipelineConfig};
 pub use pipeline::{FusionPipeline, PipelineBuilder, RoundOutcome};
-pub use runner::{run_all, BatchSummary, ScenarioRunner};
+pub use runner::{BatchSummary, ScenarioRunner};
 pub use scenario::Scenario;
 pub use sweep::{ParallelSweeper, SweepGrid, SweepReport};

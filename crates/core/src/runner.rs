@@ -342,19 +342,10 @@ impl ScenarioRunner {
     }
 }
 
-/// Runs every scenario to completion and returns their summaries — the
-/// one-call entry point for cross-algorithm comparison sweeps.
-pub fn run_all(scenarios: &[Scenario]) -> Vec<BatchSummary> {
-    scenarios
-        .iter()
-        .map(|s| ScenarioRunner::new(s).run())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{self, AttackerSpec, FuserSpec, StrategySpec, SuiteSpec, TruthSpec};
+    use crate::scenario::{AttackerSpec, FuserSpec, StrategySpec, SuiteSpec, TruthSpec};
     use crate::DetectionMode;
     use arsf_schedule::{SchedulePolicy, TransmissionOrder};
 
@@ -489,20 +480,6 @@ mod tests {
                     summary.fuser, summary.detector
                 );
             }
-        }
-    }
-
-    #[test]
-    fn run_all_covers_the_registry() {
-        let mut presets = scenario::registry();
-        for p in &mut presets {
-            p.rounds = 30; // keep the sweep fast in debug builds
-        }
-        let summaries = run_all(&presets);
-        assert_eq!(summaries.len(), presets.len());
-        for (preset, summary) in presets.iter().zip(&summaries) {
-            assert_eq!(summary.scenario, preset.name);
-            assert_eq!(summary.rounds, 30);
         }
     }
 

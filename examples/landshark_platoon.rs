@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --release --example landshark_platoon`
 
+use arsf::core::closed_loop::landshark::LandSharkConfig;
+use arsf::core::closed_loop::platoon::Platoon;
+use arsf::core::closed_loop::supervisor::SupervisorAction;
 use arsf::prelude::*;
-use arsf::sim::landshark::LandSharkConfig;
-use arsf::sim::platoon::Platoon;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,7 +32,7 @@ fn main() {
         let mut preempts = 0u64;
         for _ in 0..rounds {
             for record in platoon.step(&mut rng) {
-                if record.action != arsf::sim::supervisor::SupervisorAction::Nominal {
+                if record.action != SupervisorAction::Nominal {
                     preempts += 1;
                 }
             }

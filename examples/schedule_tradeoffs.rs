@@ -6,7 +6,7 @@
 //! e.g. `cargo run --release --example schedule_tradeoffs -- 5 11 17`
 
 use arsf::schedule::analysis::recommend_order;
-use arsf::sim::table1::{evaluate_setup, Table1Setup};
+use arsf_bench::table1::{evaluate_setup, Table1Setup};
 
 fn main() {
     let args: Vec<f64> = std::env::args()

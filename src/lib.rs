@@ -21,9 +21,8 @@
 //! | [`schedule`] | `arsf-schedule` | Ascending/Descending/Random schedules, exposure analysis |
 //! | [`attack`] | `arsf-attack` | optimal/expectimax/streaming attackers, worst cases (Thms 3–4) |
 //! | [`bus`] | `arsf-bus` | CAN-like broadcast bus substrate |
-//! | [`core`] | `arsf-core` | the generic fusion engine, scenarios + registry, batch runner, metrics, bus transport |
+//! | [`core`] | `arsf-core` | the generic fusion engine, scenarios + registry, batch runner, closed-loop vehicle/platoon simulation, metrics, bus transport |
 //! | [`analyze`] | `arsf-analyze` | static lints over scenarios, sweep grids and golden baselines |
-//! | [`sim`] | `arsf-sim` | vehicle/platoon simulation, Table I & II engines |
 //!
 //! # Quickstart
 //!
@@ -78,7 +77,6 @@ pub use arsf_fusion as fusion;
 pub use arsf_interval as interval;
 pub use arsf_schedule as schedule;
 pub use arsf_sensor as sensor;
-pub use arsf_sim as sim;
 
 /// The most commonly used items in one import.
 pub mod prelude {

@@ -1,44 +1,27 @@
 //! Cross-crate integration: a short Table II case-study run (the full
 //! 20k-round version is the `repro_table2` release binary).
 
+use arsf::core::closed_loop::landshark::{LandShark, LandSharkConfig};
+use arsf::core::closed_loop::platoon::Platoon;
 use arsf::core::scenario::AttackerSpec;
+use arsf::core::sweep::StreamingSweeper;
 use arsf::schedule::SchedulePolicy;
-use arsf::sim::landshark::{LandShark, LandSharkConfig};
-use arsf::sim::platoon::Platoon;
-use arsf::sim::table2::{run_schedule, Table2Config};
+use arsf_bench::table2::{run_all, Table2Config};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn quick() -> Table2Config {
-    Table2Config {
-        rounds: 1200,
-        ..Table2Config::default()
-    }
-}
-
-#[test]
-fn table2_shape_ascending_zero_descending_worst() {
-    let asc = run_schedule(SchedulePolicy::Ascending, &quick());
-    let desc = run_schedule(SchedulePolicy::Descending, &quick());
-    let rand = run_schedule(SchedulePolicy::Random, &quick());
-    assert_eq!(asc.above, 0.0);
-    assert_eq!(asc.below, 0.0);
-    let total = |r: &arsf::sim::table2::Table2Row| r.above + r.below;
-    assert!(total(&desc) > total(&rand));
-    assert!(total(&rand) > 0.0);
-}
 
 #[test]
 fn descending_rates_are_roughly_symmetric() {
     // The paper reports 17.42% above vs 17.65% below: the attacker has no
     // systematic preference for a side.
-    let desc = run_schedule(
-        SchedulePolicy::Descending,
+    let rows = run_all(
         &Table2Config {
             rounds: 4000,
             ..Table2Config::default()
         },
+        &StreamingSweeper::new(1),
     );
+    let desc = &rows[1];
     let ratio = desc.above / desc.below;
     assert!(
         (0.5..2.0).contains(&ratio),

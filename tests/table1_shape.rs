@@ -2,8 +2,9 @@
 //! grid is exercised by the `repro_table1` release binary; these tests
 //! keep debug-build times reasonable).
 
+use arsf::attack::expectimax::AttackerStyle;
 use arsf::schedule::SchedulePolicy;
-use arsf::sim::table1::{evaluate_schedule_fixed, evaluate_setup, most_precise_set, Table1Setup};
+use arsf_bench::table1::{evaluate_schedule_styled, evaluate_setup, most_precise_set, Table1Setup};
 
 #[test]
 fn descending_dominates_ascending_on_paper_like_setups() {
@@ -53,13 +54,15 @@ fn precise_attacked_set_is_blind_under_ascending() {
     let setup = Table1Setup::new([3.0, 5.0, 9.0], 1);
     let row = evaluate_setup(&setup, 1.0);
     let precise = most_precise_set(&setup);
-    let asc_fixed = evaluate_schedule_fixed(&setup, &SchedulePolicy::Ascending, &precise, 1.0);
+    let fixed =
+        |policy| evaluate_schedule_styled(&setup, &policy, &precise, 1.0, AttackerStyle::Optimal);
+    let asc_fixed = fixed(SchedulePolicy::Ascending);
     assert!(
         (asc_fixed - row.honest).abs() < 1e-9,
         "blind precise attacker must match honest: {asc_fixed} vs {}",
         row.honest
     );
     // While Descending hands the same attacker full knowledge.
-    let desc_fixed = evaluate_schedule_fixed(&setup, &SchedulePolicy::Descending, &precise, 1.0);
+    let desc_fixed = fixed(SchedulePolicy::Descending);
     assert!(desc_fixed > asc_fixed);
 }

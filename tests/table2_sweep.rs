@@ -1,25 +1,24 @@
 //! Workspace acceptance test for the closed-loop sweep redesign:
-//! `arsf_sim::table2` results are reproduced *through the scenario
+//! `arsf_bench::table2` results are reproduced *through the scenario
 //! grid* — Table II's schedule ordering holds (ascending violation-free,
 //! random strictly between, descending worst), and the parallel report
 //! is byte-identical to the serial one, supervisor columns included.
 
 use arsf::core::sweep::ParallelSweeper;
 use arsf::schedule::SchedulePolicy;
-use arsf::sim::table2::{run_all, sweep_grid, Table2Config, Table2Row};
+use arsf_bench::table2::{run_all, sweep_grid, Table2Config, Table2Row};
 
 fn quick() -> Table2Config {
     Table2Config {
         rounds: 1200,
         replicates: 2,
-        threads: 1,
         ..Table2Config::default()
     }
 }
 
 #[test]
 fn table2_through_the_grid_reproduces_the_paper_ordering() {
-    let rows = run_all(&quick());
+    let rows = run_all(&quick(), &ParallelSweeper::new(1));
     let by_name = |name: &str| -> &Table2Row {
         rows.iter()
             .find(|r| r.schedule == name)
