@@ -1,5 +1,5 @@
-//! Criterion bench: Marzullo sweep-line fusion vs the naive O(n²)
-//! reference across sensor counts, plus Brooks–Iyengar for comparison.
+//! Criterion bench: Marzullo fusion vs the naive O(n²) reference across
+//! sensor counts, plus Brooks–Iyengar for comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -21,7 +21,9 @@ fn random_intervals(n: usize, seed: u64) -> Vec<Interval<f64>> {
 
 fn bench_fusion_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fusion_scaling");
-    for &n in &[4usize, 16, 64, 256, 1024, 4096] {
+    // 9 is the honest-wide suite; 32 and 33 straddle the cut between
+    // `k_covered_span`'s counting kernel and its sort sweep.
+    for &n in &[4usize, 9, 16, 32, 33, 64, 256, 1024, 4096] {
         let intervals = random_intervals(n, 42);
         let f = n / 3;
         group.throughput(Throughput::Elements(n as u64));

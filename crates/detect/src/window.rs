@@ -115,7 +115,10 @@ impl WindowedDetector {
         }
         *slot = violated;
         s.violations += usize::from(violated);
-        s.next = (s.next + 1) % self.window;
+        s.next += 1;
+        if s.next == self.window {
+            s.next = 0;
+        }
         if s.violations > self.tolerance {
             s.condemned = true;
         }

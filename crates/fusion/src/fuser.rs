@@ -130,7 +130,7 @@ impl<T: Scalar> Fuser<T> for MarzulloFuser {
 ///
 /// The Brooks–Iyengar interval spans every point of sufficient support,
 /// which is Marzullo's interval by construction, so this fuser computes it
-/// with the allocation-free Marzullo sweep.
+/// with the allocation-free Marzullo kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BrooksIyengarFuser {
     f: usize,

@@ -26,7 +26,9 @@ use crate::FusionError;
 /// Computes Marzullo's fusion interval for `intervals` under the assumption
 /// that at most `f` of them are faulty.
 ///
-/// Runs in `O(n log n)`.
+/// Runs the counting kernel of [`k_covered_span`] up to 32 intervals
+/// (`O(n²)` compares, no sort, no allocation) and its `O(n log n)` sort
+/// sweep above.
 ///
 /// # Errors
 ///

@@ -5,7 +5,7 @@
 //! endpoint by brute force and take the span of those with coverage at
 //! least `n − f`. This implementation is deliberately simple — no sweep, no
 //! sorting tricks — and serves as the oracle against which the production
-//! sweep ([`crate::marzullo::fuse`]) is validated in tests, property tests
+//! kernel ([`crate::marzullo::fuse`]) is validated in tests, property tests
 //! and the `fusion_scaling` benchmark.
 
 use arsf_interval::{Interval, Scalar};

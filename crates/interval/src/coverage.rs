@@ -1,4 +1,4 @@
-//! Sweep-line *k*-coverage kernel.
+//! *k*-coverage kernel.
 //!
 //! The heart of Marzullo's fusion algorithm is a purely geometric question:
 //! *which points of the real line are covered by at least `k` of the `n`
@@ -8,12 +8,13 @@
 //!
 //! This module provides two implementations:
 //!
-//! * [`k_covered_span`] — a single `O(n log n)` endpoint sweep that answers
-//!   the span question directly without allocating (for up to 32
-//!   intervals); this is what the fusion crate calls in production,
+//! * [`k_covered_span`] — answers the span question directly: a counting
+//!   kernel on the stack up to 32 intervals (no sort, no branches in its
+//!   inner loop, no allocation), an `O(n log n)` sort sweep above; this is
+//!   what the fusion crate calls in production,
 //! * [`CoverageMap`] — a full piecewise-constant coverage profile, used by
 //!   the naive reference fuser, the attacker's optimisers and the test
-//!   suite to cross-validate the sweep.
+//!   suite to cross-validate the kernel.
 
 use crate::{Interval, Scalar};
 
@@ -49,24 +50,70 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
     if k == 0 || k > n {
         return None;
     }
-    // The lower and upper endpoints are sorted separately — in stack
-    // arrays for up to `SWEEP_STACK` intervals — and merged by the sweep.
-    let mut lo_stack = [T::ZERO; SWEEP_STACK];
-    let mut hi_stack = [T::ZERO; SWEEP_STACK];
-    let mut heap = Vec::new();
-    let (los, his) = if n <= SWEEP_STACK {
-        (&mut lo_stack[..n], &mut hi_stack[..n])
-    } else {
-        heap.resize(2 * n, T::ZERO);
-        heap.split_at_mut(n)
-    };
+    if n > COUNTING_MAX {
+        return sort_sweep_span(intervals, k);
+    }
+    let mut lo_stack = [T::ZERO; COUNTING_MAX];
+    let mut hi_stack = [T::ZERO; COUNTING_MAX];
+    let (los, his) = (&mut lo_stack[..n], &mut hi_stack[..n]);
+    // Start the searches from bounds every answer lies within: the least
+    // covered point is at most the greatest upper endpoint, the greatest
+    // covered point at least the least lower endpoint.
+    let (mut lo, mut hi) = (intervals[0].hi(), intervals[0].lo());
     for ((l, h), s) in los.iter_mut().zip(his.iter_mut()).zip(intervals) {
         *l = s.lo();
         *h = s.hi();
+        lo = lo.max_scalar(s.hi());
+        hi = hi.min_scalar(s.lo());
     }
+
+    // The closed coverage at `x` is #{lo_j <= x} - #{hi_j < x}, which is
+    // #{lo_j <= x} + #{x <= hi_j} - n. Coverage only rises at a lower
+    // endpoint and only falls just after an upper one, so the least point
+    // covered `k` times is some lo_i and the greatest is some hi_i. Every
+    // candidate is counted against every interval, so the inner loop has no
+    // data-dependent branch; `<=` at both ends counts an interval that only
+    // touches the candidate, as closed-interval semantics require.
+    let need = n + k;
+    let mut found = false;
+    for (&a, &b) in los.iter().zip(his.iter()) {
+        let (mut at_a, mut at_b) = (0, 0);
+        for (&l, &h) in los.iter().zip(his.iter()) {
+            at_a += usize::from(l <= a) + usize::from(a <= h);
+            at_b += usize::from(l <= b) + usize::from(b <= h);
+        }
+        let (a_covered, b_covered) = (at_a >= need, at_b >= need);
+        found |= a_covered;
+        // Indexing by the condition keeps the selects branch-free too: an
+        // `if` compiles to a jump that mispredicts on overlapping inputs.
+        lo = [lo, a][usize::from(a_covered & (a <= lo))];
+        hi = [hi, b][usize::from(b_covered & (b >= hi))];
+    }
+    found.then(|| {
+        Interval::new(lo, hi).unwrap_or_else(|_| unreachable!("the least covered point is first"))
+    })
+}
+
+/// The interval count up to which [`k_covered_span`] runs the `O(n²)`
+/// counting kernel on the stack; larger inputs take the `O(n log n)` sort
+/// sweep. On 1024 distinct random inputs per size, counting is ~1.8×
+/// faster at 9 intervals, even with the sort sweep around 24 and ~15%
+/// slower at 32. The `fusion_scaling` bench repeats one input per size,
+/// which lets the branch predictor learn the sort sweep, so it favours the
+/// sort.
+const COUNTING_MAX: usize = 32;
+
+/// [`k_covered_span`] by sorting the lower and upper endpoints separately
+/// and merging them in one sweep, for inputs above [`COUNTING_MAX`].
+fn sort_sweep_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<Interval<T>> {
+    let n = intervals.len();
+    let mut endpoints = Vec::with_capacity(2 * n);
+    endpoints.extend(intervals.iter().map(|s| s.lo()));
+    endpoints.extend(intervals.iter().map(|s| s.hi()));
+    let (los, his) = endpoints.split_at_mut(n);
     let by_value = |a: &T, b: &T| {
         a.partial_cmp(b)
-            .expect("interval endpoints are finite by construction")
+            .unwrap_or_else(|| unreachable!("interval endpoints are finite by construction"))
     };
     los.sort_unstable_by(by_value);
     his.sort_unstable_by(by_value);
@@ -94,16 +141,13 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
         }
     }
     match (lo, hi) {
-        (Some(lo), Some(hi)) => {
-            Some(Interval::new(lo, hi).expect("sweep produces ordered endpoints"))
-        }
+        (Some(lo), Some(hi)) => Some(
+            Interval::new(lo, hi)
+                .unwrap_or_else(|_| unreachable!("sweep produces ordered endpoints")),
+        ),
         _ => None,
     }
 }
-
-/// The interval count up to which [`k_covered_span`] sorts on the stack
-/// (covers every sensor suite the engines run; larger inputs use the heap).
-const SWEEP_STACK: usize = 32;
 
 /// A piecewise-constant profile of how many intervals cover each point.
 ///
@@ -149,7 +193,7 @@ impl<T: Scalar> CoverageMap<T> {
         }
         points.sort_unstable_by(|a, b| {
             a.partial_cmp(b)
-                .expect("interval endpoints are finite by construction")
+                .unwrap_or_else(|| unreachable!("interval endpoints are finite by construction"))
         });
         points.dedup_by(|a, b| a == b);
 
@@ -200,8 +244,8 @@ impl<T: Scalar> CoverageMap<T> {
     /// The span from the first to the last point with coverage at least
     /// `k`, or `None` when coverage never reaches `k` (or `k == 0`).
     ///
-    /// Agrees with [`k_covered_span`]; the sweep version is cheaper when
-    /// only the span is needed.
+    /// Agrees with [`k_covered_span`], which is cheaper when only the span
+    /// is needed: a counting kernel up to 32 intervals, a sort sweep above.
     pub fn span_at_least(&self, k: usize) -> Option<Interval<T>> {
         if k == 0 {
             return None;
@@ -210,7 +254,7 @@ impl<T: Scalar> CoverageMap<T> {
         let last = self.point_cov.iter().rposition(|&c| c >= k)?;
         Some(
             Interval::new(self.points[first], self.points[last])
-                .expect("points are sorted, so first <= last"),
+                .unwrap_or_else(|_| unreachable!("points are sorted, so first <= last")),
         )
     }
 
@@ -284,7 +328,7 @@ impl<T: Scalar> CoverageMap<T> {
                     if point_ok {
                         regions.push(
                             Interval::new(start, self.points[i])
-                                .expect("run endpoints are ordered"),
+                                .unwrap_or_else(|_| unreachable!("run endpoints are ordered")),
                         );
                     }
                     open = None;
@@ -321,6 +365,55 @@ mod tests {
 
     fn iv(lo: f64, hi: f64) -> Interval<f64> {
         Interval::new(lo, hi).unwrap()
+    }
+
+    /// Endpoints on a coarse grid that holds both zeros, so intervals share
+    /// and touch endpoints and about one in six is degenerate.
+    fn grid_intervals(n: usize, state: &mut u64) -> Vec<Interval<f64>> {
+        const GRID: [f64; 8] = [-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5];
+        let mut draw = || {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            GRID[(*state >> 32) as usize % GRID.len()]
+        };
+        (0..n)
+            .map(|_| {
+                let (a, b) = (draw(), draw());
+                if b < a {
+                    iv(b, a)
+                } else {
+                    iv(a, b)
+                }
+            })
+            .collect()
+    }
+
+    /// Same endpoint values, and same bits wherever the value is nonzero
+    /// (a `-0.0` and a `0.0` endpoint are equal and either may be reported).
+    fn same_endpoints(a: Option<Interval<f64>>, b: Option<Interval<f64>>) -> bool {
+        let bits = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
+        a.map(|s| (bits(s.lo()), bits(s.hi()))) == b.map(|s| (bits(s.lo()), bits(s.hi())))
+    }
+
+    #[test]
+    fn counting_kernel_matches_sort_sweep_and_coverage_map() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        for n in 1..=40 {
+            for _ in 0..60 {
+                let xs = grid_intervals(n, &mut state);
+                let map = CoverageMap::build(&xs);
+                for k in 0..=n + 1 {
+                    let kernel = k_covered_span(&xs, k);
+                    let sweep = sort_sweep_span(&xs, k);
+                    assert_eq!(kernel, sweep, "n = {n}, k = {k}, {xs:?}");
+                    assert!(same_endpoints(kernel, sweep), "n = {n}, k = {k}, {xs:?}");
+                    let profile = map.span_at_least(k);
+                    assert_eq!(kernel, profile, "n = {n}, k = {k}, {xs:?}");
+                    assert!(same_endpoints(kernel, profile), "n = {n}, k = {k}, {xs:?}");
+                }
+            }
+        }
     }
 
     #[test]

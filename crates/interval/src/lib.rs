@@ -13,7 +13,7 @@
 //!   [`Scalar`] coordinate type (`f64`, `f32`, `i64`, `i32`),
 //! * slice-level operations ([`ops`]) — common intersection, convex hull,
 //!   pairwise-overlap checks,
-//! * the sweep-line *k*-coverage kernel ([`coverage`]) — the smallest and
+//! * the *k*-coverage kernel ([`coverage`]) — the smallest and
 //!   largest points contained in at least `k` of `n` intervals, which is
 //!   exactly the primitive behind Marzullo's fusion algorithm,
 //! * ASCII diagram rendering ([`render`]) used to regenerate the paper's
@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coverage;
 mod error;

@@ -88,8 +88,13 @@ impl Diagram {
     }
 
     /// Appends a marked point (rendered as a one-character row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN or infinite.
     pub fn point(&mut self, label: impl Into<String>, x: f64) -> &mut Self {
-        let interval = Interval::degenerate(x).expect("marker coordinate must be finite");
+        let interval = Interval::degenerate(x)
+            .unwrap_or_else(|_| panic!("marker coordinate {x} must be finite"));
         self.items.push(Item::Row(Row {
             label: label.into(),
             interval,

@@ -2,7 +2,7 @@
 //!
 //! These pin down the algebraic laws the fusion and attack layers rely on:
 //! intersection/hull lattice laws, closed-interval overlap semantics, and
-//! agreement between the sweep-line kernel and the full coverage map.
+//! agreement between the *k*-coverage kernel and the full coverage map.
 
 use arsf_interval::coverage::{k_covered_span, CoverageMap};
 use arsf_interval::ops::{all_pairwise_intersect, hull_all, intersection_all, two_widest_sum};

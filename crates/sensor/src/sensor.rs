@@ -119,6 +119,10 @@ impl Sensor {
     /// # Panics
     ///
     /// Panics when [`Sensor::try_sample`] would return `None`.
+    #[allow(
+        clippy::expect_used,
+        reason = "the documented panic; `try_sample` is the fallible form"
+    )]
     pub fn sample<R: Rng + ?Sized>(&mut self, truth: f64, rng: &mut R) -> Measurement {
         self.try_sample(truth, rng)
             .expect("a sensor without a Silent fault and with a finite reading produces one")
