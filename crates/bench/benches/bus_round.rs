@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use arsf_attack::strategies::PhantomOptimal;
-use arsf_attack::{AttackStrategy, AttackerConfig};
+use arsf_attack::AttackerConfig;
 use arsf_core::transport::run_bus_round;
+use arsf_core::{FusionPipeline, PipelineConfig};
 use arsf_interval::Interval;
-use arsf_schedule::TransmissionOrder;
+use arsf_schedule::{SchedulePolicy, TransmissionOrder};
 
 fn readings(n: usize) -> (Vec<Interval<f64>>, Vec<f64>) {
     let readings: Vec<Interval<f64>> = (0..n)
@@ -25,17 +26,21 @@ fn bench_bus_round(c: &mut Criterion) {
     for &n in &[4usize, 8, 16, 32] {
         let (r, w) = readings(n);
         let order = TransmissionOrder::identity(n);
+        let mut pipeline = FusionPipeline::builder(arsf_sensor::suite::from_widths(&w))
+            .config(PipelineConfig::new(n / 3, SchedulePolicy::Ascending))
+            .build();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("honest", n), &n, |b, _| {
-            b.iter(|| run_bus_round(std::hint::black_box(&r), &w, &order, n / 3, None))
+            b.iter(|| run_bus_round(&mut pipeline, std::hint::black_box(&r), &order))
         });
         group.bench_with_input(BenchmarkId::new("attacked", n), &n, |b, _| {
             b.iter(|| {
-                let attacker = Some((
+                // A fresh strategy per round, as a one-shot bus round has.
+                pipeline.set_attacker(Some((
                     AttackerConfig::new([0], n / 3),
-                    Box::new(PhantomOptimal::new()) as Box<dyn AttackStrategy>,
-                ));
-                run_bus_round(std::hint::black_box(&r), &w, &order, n / 3, attacker)
+                    Box::new(PhantomOptimal::new()),
+                )));
+                run_bus_round(&mut pipeline, std::hint::black_box(&r), &order)
             })
         });
     }

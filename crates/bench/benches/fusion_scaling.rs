@@ -1,5 +1,10 @@
 //! Criterion bench: Marzullo fusion vs the naive O(n²) reference across
 //! sensor counts, plus Brooks–Iyengar for comparison.
+//!
+//! Each iteration fuses the next of [`INPUTS`] distinct random inputs of
+//! its size: with one repeated input the branch predictor learns the
+//! sort sweep's comparisons, which flatters it against the branch-free
+//! counting kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -7,6 +12,9 @@ use rand::{Rng, SeedableRng};
 
 use arsf_fusion::{brooks_iyengar, marzullo, naive};
 use arsf_interval::Interval;
+
+/// Distinct inputs cycled through per size.
+const INPUTS: usize = 1024;
 
 fn random_intervals(n: usize, seed: u64) -> Vec<Interval<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -19,26 +27,38 @@ fn random_intervals(n: usize, seed: u64) -> Vec<Interval<f64>> {
         .collect()
 }
 
+/// The next of `inputs` on each call, round and round.
+fn cycle<'a>(inputs: &'a [Vec<Interval<f64>>]) -> impl FnMut() -> &'a [Interval<f64>] {
+    let mut next = 0;
+    move || {
+        next = (next + 1) % inputs.len();
+        std::hint::black_box(&inputs[next])
+    }
+}
+
 fn bench_fusion_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fusion_scaling");
-    // 9 is the honest-wide suite; 32 and 33 straddle the cut between
+    // 9 is the honest-wide suite; 16 to 33 bracket the cut between
     // `k_covered_span`'s counting kernel and its sort sweep.
-    for &n in &[4usize, 9, 16, 32, 33, 64, 256, 1024, 4096] {
-        let intervals = random_intervals(n, 42);
+    for &n in &[4usize, 9, 16, 20, 24, 32, 33, 64, 256, 1024, 4096] {
+        let inputs: Vec<Vec<Interval<f64>>> = (0..INPUTS as u64)
+            .map(|seed| random_intervals(n, seed))
+            .collect();
         let f = n / 3;
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("marzullo_sweep", n), &intervals, |b, s| {
-            b.iter(|| marzullo::fuse(std::hint::black_box(s), f))
+        group.bench_function(BenchmarkId::new("marzullo_sweep", n), |b| {
+            let mut input = cycle(&inputs);
+            b.iter(|| marzullo::fuse(input(), f))
         });
         if n <= 256 {
-            group.bench_with_input(
-                BenchmarkId::new("naive_reference", n),
-                &intervals,
-                |b, s| b.iter(|| naive::fuse(std::hint::black_box(s), f)),
-            );
+            group.bench_function(BenchmarkId::new("naive_reference", n), |b| {
+                let mut input = cycle(&inputs);
+                b.iter(|| naive::fuse(input(), f))
+            });
         }
-        group.bench_with_input(BenchmarkId::new("brooks_iyengar", n), &intervals, |b, s| {
-            b.iter(|| brooks_iyengar::fuse(std::hint::black_box(s), f))
+        group.bench_function(BenchmarkId::new("brooks_iyengar", n), |b| {
+            let mut input = cycle(&inputs);
+            b.iter(|| brooks_iyengar::fuse(input(), f))
         });
     }
     group.finish();

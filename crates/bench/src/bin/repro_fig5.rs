@@ -14,12 +14,13 @@
 //! Run with: `cargo run -p arsf-bench --bin repro_fig5`
 
 use arsf_attack::strategies::PhantomOptimal;
-use arsf_attack::{AttackStrategy, AttackerConfig};
+use arsf_attack::AttackerConfig;
 use arsf_bench::cli::{Args, Cli};
 use arsf_core::transport::run_bus_round;
+use arsf_core::{FusionPipeline, PipelineConfig};
 use arsf_interval::render::{Diagram, RowStyle};
 use arsf_interval::Interval;
-use arsf_schedule::TransmissionOrder;
+use arsf_schedule::{SchedulePolicy, TransmissionOrder};
 
 fn iv(lo: f64, hi: f64) -> Interval<f64> {
     Interval::new(lo, hi).expect("static figure coordinates")
@@ -38,11 +39,15 @@ struct Case {
 fn run_case(case: &Case) -> (f64, f64) {
     let mut widths_out = Vec::new();
     for order in [&case.ascending, &case.descending] {
-        let attacker = Some((
-            AttackerConfig::new([case.attacked], case.f),
-            Box::new(PhantomOptimal::new()) as Box<dyn AttackStrategy>,
-        ));
-        let round = run_bus_round(&case.readings, &case.widths, order, case.f, attacker);
+        let schedule = SchedulePolicy::Fixed(order.clone());
+        let mut pipeline = FusionPipeline::builder(arsf_sensor::suite::from_widths(&case.widths))
+            .config(PipelineConfig::new(case.f, schedule))
+            .attacker(
+                AttackerConfig::new([case.attacked], case.f),
+                Box::new(PhantomOptimal::new()),
+            )
+            .build();
+        let round = run_bus_round(&mut pipeline, &case.readings, order);
         let fused = round.fusion.expect("round fuses");
         assert!(round.flagged.is_empty(), "attacker must stay stealthy");
 

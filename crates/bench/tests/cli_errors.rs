@@ -320,6 +320,63 @@ fn sweep_lint_rejects_a_malformed_tolerance() {
     );
 }
 
+/// A fresh directory holding a 200000-deep `[` file named as the
+/// `open-loop-48` golden grid's baseline; returns `(dir, file)`.
+fn hostile_baseline(tag: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("arsf-cli-deep-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let grid = arsf_bench::golden::find("open-loop-48").expect("golden grid");
+    let path = arsf_core::sweep::store::baseline_path(
+        dir.to_str().expect("utf-8 path"),
+        &arsf_core::sweep::store::grid_address(&grid),
+    );
+    std::fs::write(&path, "[".repeat(200_000)).expect("hostile file");
+    (dir, path.to_str().expect("utf-8 path").to_string())
+}
+
+#[test]
+fn a_deeply_nested_baseline_exits_2_from_sweep_diff() {
+    let (dir, file) = hostile_baseline("diff");
+    let sweep_diff = env!("CARGO_BIN_EXE_sweep_diff");
+    let diffed = run(sweep_diff, &["diff", &file, &file]);
+    let dir_arg = dir.to_str().expect("utf-8 path");
+    let checked = run(
+        sweep_diff,
+        &[
+            "check",
+            "--grid",
+            "open-loop-48",
+            "--dir",
+            dir_arg,
+            "--threads",
+            "1",
+        ],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    for (code, stderr) in [diffed, checked] {
+        assert_eq!(code, 2, "a hostile baseline is broken input: {stderr}");
+        assert!(stderr.contains("nesting deeper than 64 levels"), "{stderr}");
+    }
+}
+
+#[test]
+fn a_deeply_nested_baseline_is_a_named_sweep_lint_finding() {
+    let (dir, _) = hostile_baseline("lint");
+    let linted = output(
+        env!("CARGO_BIN_EXE_sweep_lint"),
+        &["baselines", "--dir", dir.to_str().expect("utf-8 path")],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&linted.stdout);
+    // Exit 2 is the lint convention for an error finding, not an abort.
+    assert_eq!(linted.status.code(), Some(2), "{stdout}");
+    assert!(
+        stdout.contains("error[baseline-parse]")
+            && stdout.contains("nesting deeper than 64 levels"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn sweep_lint_grid_propagates_cli_errors() {
     let (code, stderr) = run_sweep_lint(&["grid", "--strategy", "nope"]);

@@ -15,16 +15,17 @@ use crate::{Frame, Node, NodeContext, NodeId, Ticks};
 ///    queue further frames, which transmit in the *next* slot.
 ///
 /// The loop is single-threaded and deterministic: same nodes, same
-/// slots, same frames.
+/// slots, same frames. Nodes may borrow for `'a` (a `&mut` node is read
+/// back once the bus is dropped).
 #[derive(Default)]
-pub struct BroadcastBus {
-    nodes: Vec<Box<dyn Node>>,
+pub struct BroadcastBus<'a> {
+    nodes: Vec<Box<dyn Node + 'a>>,
     pending: Vec<(crate::FrameId, crate::Payload, NodeId)>,
     log: Vec<Frame>,
     now: Ticks,
 }
 
-impl BroadcastBus {
+impl<'a> BroadcastBus<'a> {
     /// Creates an empty bus.
     pub fn new() -> Self {
         Self::default()
@@ -35,7 +36,7 @@ impl BroadcastBus {
     /// # Panics
     ///
     /// Panics if a node with the same id is already connected.
-    pub fn add_node(&mut self, node: Box<dyn Node>) {
+    pub fn add_node(&mut self, node: Box<dyn Node + 'a>) {
         assert!(
             self.nodes.iter().all(|n| n.id() != node.id()),
             "duplicate node id {}",
@@ -57,12 +58,6 @@ impl BroadcastBus {
     /// The current bus time.
     pub fn now(&self) -> Ticks {
         self.now
-    }
-
-    /// Mutable access to a node by id (for reading results out of
-    /// controller nodes after a round).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Box<dyn Node>> {
-        self.nodes.iter_mut().find(|n| n.id() == id)
     }
 
     /// Runs one slot for each listed owner, in order, returning the frames
@@ -123,7 +118,7 @@ impl BroadcastBus {
     }
 }
 
-impl core::fmt::Debug for BroadcastBus {
+impl core::fmt::Debug for BroadcastBus<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("BroadcastBus")
             .field("nodes", &self.nodes.len())
@@ -168,22 +163,17 @@ mod tests {
 
     #[test]
     fn recorder_sees_every_frame() {
+        let mut recorder = RecorderNode::new(NodeId::new(7));
         let mut bus = BroadcastBus::new();
         for i in 0..3 {
             let mut s = FixedSensorNode::new(NodeId::new(i), FrameId::new(0x100 + i as u32), i);
             s.set_reading(iv(i as f64, i as f64 + 1.0));
             bus.add_node(Box::new(s));
         }
-        bus.add_node(Box::new(RecorderNode::new(NodeId::new(7))));
+        bus.add_node(Box::new(&mut recorder));
         bus.run_slots(&[NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        let recorder = bus.node_mut(NodeId::new(7)).unwrap();
-        let seen = recorder
-            .as_any()
-            .downcast_ref::<RecorderNode>()
-            .unwrap()
-            .frames()
-            .len();
-        assert_eq!(seen, 3);
+        drop(bus);
+        assert_eq!(recorder.frames().len(), 3);
     }
 
     #[test]

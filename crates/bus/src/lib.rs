@@ -9,7 +9,8 @@
 //! * [`Frame`]/[`FrameId`]/[`Payload`] — CAN-flavoured frames where a
 //!   numerically lower id wins arbitration,
 //! * [`Node`] — the component interface: react to every broadcast frame,
-//!   transmit in your TDMA slot,
+//!   transmit in your TDMA slot; nodes may borrow, and connecting
+//!   `&mut node` leaves it readable once the bus is dropped,
 //! * [`BroadcastBus`] — the deterministic event loop: per slot, the owner
 //!   transmits, pending frames are arbitrated by id, and every frame is
 //!   delivered to every node (including its sender),

@@ -62,13 +62,22 @@ pub trait Node {
 
     /// Called when this node's TDMA slot opens.
     fn on_slot(&mut self, ctx: &mut NodeContext);
+}
 
-    /// Upcast for downcasting concrete node types back out of the bus
-    /// (implement as `self`).
-    fn as_any(&self) -> &dyn core::any::Any;
+/// A borrowed node: connect `&mut node` to read its state back once the
+/// bus is dropped.
+impl<N: Node + ?Sized> Node for &mut N {
+    fn id(&self) -> NodeId {
+        (**self).id()
+    }
 
-    /// Mutable upcast (implement as `self`).
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any;
+    fn on_frame(&mut self, frame: &Frame, ctx: &mut NodeContext) {
+        (**self).on_frame(frame, ctx);
+    }
+
+    fn on_slot(&mut self, ctx: &mut NodeContext) {
+        (**self).on_slot(ctx);
+    }
 }
 
 #[cfg(test)]

@@ -58,14 +58,6 @@ impl Node for FixedSensorNode {
             );
         }
     }
-
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
 }
 
 /// A passive node recording every frame it observes — the bus-level
@@ -114,14 +106,6 @@ impl Node for RecorderNode {
     }
 
     fn on_slot(&mut self, _ctx: &mut NodeContext) {}
-
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
-    }
 }
 
 /// A babbling-idiot node: the classic CAN failure mode where a broken
@@ -174,14 +158,6 @@ impl Node for BabblingNode {
     fn on_slot(&mut self, ctx: &mut NodeContext) {
         ctx.transmit(self.frame_id, Payload::Custom(self.sent));
         self.sent += 1;
-    }
-
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
     }
 }
 

@@ -32,9 +32,11 @@
 //!   cell under per-column tolerances (the regression-baseline harness),
 //! * [`metrics`] — violation counters and width statistics used by the
 //!   experiment harnesses,
-//! * [`transport`] — the same round executed over the `arsf-bus`
-//!   broadcast substrate with sensor, attacker and controller *nodes*
-//!   (used to show transport equivalence and in the bus demos).
+//! * [`transport`] — a [`FusionPipeline`] round executed over the
+//!   `arsf-bus` broadcast substrate: sensor, attacker and controller
+//!   *nodes* run the pipeline's own slot step, fuser and detector, with
+//!   the attacker's view built from the frames on the wire (used to show
+//!   transport equivalence and in the bus demos).
 //!
 //! # Example
 //!
@@ -77,6 +79,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod closed_loop;
 mod config;

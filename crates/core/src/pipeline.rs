@@ -6,7 +6,7 @@ use arsf_detect::{Detector, RoundAssessment};
 use arsf_fusion::{Fuser, FusionError, MarzulloFuser};
 use arsf_interval::Interval;
 use arsf_schedule::TransmissionOrder;
-use arsf_sensor::{Measurement, SensorSuite};
+use arsf_sensor::{Measurement, SensorId, SensorSuite};
 use rand::Rng;
 
 use crate::PipelineConfig;
@@ -274,10 +274,9 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
             config.compromised().iter().all(|&i| i < self.suite.len()),
             "compromised sensor index out of range"
         );
-        let (cfg, _) = self
-            .attacker
-            .as_mut()
-            .expect("set_attacker_config needs an installed attacker");
+        let Some((cfg, _)) = self.attacker.as_mut() else {
+            panic!("set_attacker_config needs an installed attacker");
+        };
         *cfg = config;
     }
 
@@ -310,121 +309,188 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         rng: &mut R,
         out: &mut RoundOutcome,
     ) {
-        let round = self.round;
         let schedule = self.config.schedule();
         if schedule.is_round_invariant() {
             let order = self
                 .static_order
-                .get_or_insert_with(|| schedule.order(&self.widths, round, rng));
+                .get_or_insert_with(|| schedule.order(&self.widths, self.round, rng));
             out.order.clone_from(order);
         } else {
-            schedule.order_into(&self.widths, round, rng, &mut out.order);
+            schedule.order_into(&self.widths, self.round, rng, &mut out.order);
         }
-        self.round += 1;
-
-        // Sample every sensor (compromised sensors still produce their
-        // *correct* readings, which the attacker reads before forging).
+        // Compromised sensors still produce their *correct* readings,
+        // which the attacker reads before forging.
         self.suite.sample_all_into(truth, rng, &mut self.readings);
-        let readings = &self.readings;
-        // Readings come in sensor-id order with silenced sensors left out,
-        // so a sensor's reading sits at its own index unless an earlier
-        // sensor was silenced.
-        let reading_of = |sensor: usize| match readings.get(sensor) {
-            Some(m) if m.sensor.index() == sensor => Some(m.interval),
-            _ => readings
-                .iter()
-                .find(|m| m.sensor.index() == sensor)
-                .map(|m| m.interval),
-        };
 
-        // The attacker's Δ across her sensors' correct readings.
-        let attacker_delta = self.attacker.as_ref().and_then(|(cfg, _)| {
-            self.own.clear();
-            self.own
-                .extend(cfg.compromised().iter().filter_map(|&s| reading_of(s)));
-            delta(&self.own)
-        });
-
-        let n = self.suite.len();
-        let f = self.config.f();
         out.truth = truth;
         out.transmitted.clear();
         // Size the reused buffers for a full round up front, so a later
         // round with more transmissions or findings never reallocates.
-        out.transmitted.reserve(n);
-
+        out.transmitted.reserve(self.suite.len());
+        let mut step = self.begin_round(&out.order);
         for slot in 0..out.order.len() {
-            let sensor = out.order[slot];
-            let Some(correct_reading) = reading_of(sensor) else {
-                continue; // silenced by a fault this round
-            };
-            let interval = match &mut self.attacker {
-                Some((cfg, strategy)) if cfg.controls(sensor) => {
-                    let later = &out.order.as_slice()[slot..];
-                    let unsent_attacked = later.iter().filter(|&&s| cfg.controls(s)).count();
-                    self.future_own_widths.clear();
-                    self.future_own_widths.extend(
-                        later[1..]
-                            .iter()
-                            .filter(|&&s| cfg.controls(s))
-                            .map(|&s| self.widths[s]),
-                    );
-                    let mode = AttackMode::for_slot(out.transmitted.len(), n, f, unsent_attacked);
-                    let ctx = SlotContext {
-                        order: &out.order,
-                        slot,
-                        sensor,
-                        width: self.widths[sensor],
-                        seen: &out.transmitted,
-                        delta: attacker_delta.unwrap_or(correct_reading),
-                        own_correct: correct_reading,
-                        mode,
-                        n,
-                        f,
-                        future_own_widths: &self.future_own_widths,
-                        compromised: cfg.compromised(),
-                        all_widths: &self.widths,
-                    };
-                    let forged = strategy.forge(&ctx);
-                    // Endpoint rounding scales with the interval's magnitude.
-                    let magnitude = forged.lo().abs().max(forged.hi().abs());
-                    debug_assert!(
-                        (forged.width() - self.widths[sensor]).abs()
-                            < 1e-9 + 4.0 * f64::EPSILON * magnitude,
-                        "strategies must preserve the public interval width"
-                    );
-                    forged
-                }
-                _ => correct_reading,
-            };
-            out.transmitted.push((sensor, interval));
+            if let Some(sent) = step.transmit(slot, &out.transmitted) {
+                out.transmitted.push(sent);
+            }
         }
 
-        // Fusion and detection, through the pluggable interfaces.
-        self.intervals.clear();
-        self.intervals
-            .extend(out.transmitted.iter().map(|(_, iv)| *iv));
-        out.fusion = self.fuser.fuse(&self.intervals);
-        out.estimate = out.fusion.as_ref().ok().map(|s| s.midpoint());
-
         // Hand the outcome's vectors to the detector as an assessment so
-        // findings land in place without allocating. The clear is
-        // unconditional: a reused buffer must not carry a previous round's
-        // flags/condemnations through a round whose fusion failed (the
-        // detector only runs on fused rounds).
+        // findings land in place without allocating.
         let mut assessment = RoundAssessment {
             flagged: core::mem::take(&mut out.flagged),
             condemned: core::mem::take(&mut out.condemned),
         };
+        out.fusion = step.finish(&out.transmitted, &mut assessment);
+        out.estimate = out.fusion.as_ref().ok().map(|s| s.midpoint());
+        out.flagged = assessment.flagged;
+        out.condemned = assessment.condemned;
+    }
+
+    /// Slot step, begin, for a round whose readings are given (one per
+    /// sensor, in sensor order) rather than sampled.
+    pub(crate) fn begin_given_round<'a>(
+        &'a mut self,
+        readings: &[Interval<f64>],
+        order: &'a TransmissionOrder,
+    ) -> SlotStep<'a, F> {
+        self.readings.clear();
+        self.readings.extend(
+            readings
+                .iter()
+                .enumerate()
+                .map(|(i, &iv)| Measurement::new(SensorId::new(i), iv.midpoint(), iv)),
+        );
+        self.begin_round(order)
+    }
+
+    /// Slot step, begin: opens a round over this round's readings (already
+    /// in `self.readings`) in the slot order `order`, and computes the
+    /// attacker's `Δ` across her sensors' correct readings.
+    fn begin_round<'a>(&'a mut self, order: &'a TransmissionOrder) -> SlotStep<'a, F> {
+        self.round += 1;
+        let delta = match &self.attacker {
+            Some((cfg, _)) => {
+                self.own.clear();
+                for &s in cfg.compromised() {
+                    self.own.extend(reading_of(&self.readings, s));
+                }
+                delta(&self.own)
+            }
+            None => None,
+        };
+        SlotStep {
+            pipeline: self,
+            order,
+            delta,
+        }
+    }
+}
+
+/// Readings come in sensor-id order with silenced sensors left out, so a
+/// sensor's reading sits at its own index unless an earlier sensor was
+/// silenced.
+fn reading_of(readings: &[Measurement], sensor: usize) -> Option<Interval<f64>> {
+    match readings.get(sensor) {
+        Some(m) if m.sensor.index() == sensor => Some(m.interval),
+        _ => readings
+            .iter()
+            .find(|m| m.sensor.index() == sensor)
+            .map(|m| m.interval),
+    }
+}
+
+/// One round in progress: the slot step that both
+/// [`FusionPipeline::run_round_into`] and the bus
+/// [`transport`](crate::transport) run a round through. Begun by the
+/// pipeline, it answers each slot with [`SlotStep::transmit`] and closes
+/// with [`SlotStep::finish`].
+pub(crate) struct SlotStep<'a, F: Fuser<f64>> {
+    pipeline: &'a mut FusionPipeline<F>,
+    order: &'a TransmissionOrder,
+    delta: Option<Interval<f64>>,
+}
+
+impl<F: Fuser<f64>> SlotStep<'_, F> {
+    /// Whether the attacker controls `sensor`.
+    pub(crate) fn attacks(&self, sensor: usize) -> bool {
+        self.pipeline
+            .attacker
+            .as_ref()
+            .is_some_and(|(cfg, _)| cfg.controls(sensor))
+    }
+
+    /// The `(sensor, interval)` that slot `slot` broadcasts, given the
+    /// frames `seen` on the wire before it: the correct reading, or what
+    /// the attack strategy forges from `seen` for a compromised sensor.
+    /// `None` when the slot's sensor is silenced this round.
+    pub(crate) fn transmit(
+        &mut self,
+        slot: usize,
+        seen: &[(usize, Interval<f64>)],
+    ) -> Option<(usize, Interval<f64>)> {
+        let p = &mut *self.pipeline;
+        let sensor = self.order[slot];
+        let correct = reading_of(&p.readings, sensor)?;
+        let Some((cfg, strategy)) = p.attacker.as_mut().filter(|(cfg, _)| cfg.controls(sensor))
+        else {
+            return Some((sensor, correct));
+        };
+        let (n, f) = (p.suite.len(), p.config.f());
+        let later = &self.order.as_slice()[slot..];
+        let unsent_attacked = later.iter().filter(|&&s| cfg.controls(s)).count();
+        p.future_own_widths.clear();
+        p.future_own_widths.extend(
+            later[1..]
+                .iter()
+                .filter(|&&s| cfg.controls(s))
+                .map(|&s| p.widths[s]),
+        );
+        let ctx = SlotContext {
+            order: self.order,
+            slot,
+            sensor,
+            width: p.widths[sensor],
+            seen,
+            delta: self.delta.unwrap_or(correct),
+            own_correct: correct,
+            mode: AttackMode::for_slot(seen.len(), n, f, unsent_attacked),
+            n,
+            f,
+            future_own_widths: &p.future_own_widths,
+            compromised: cfg.compromised(),
+            all_widths: &p.widths,
+        };
+        let forged = strategy.forge(&ctx);
+        // Endpoint rounding scales with the interval's magnitude.
+        let magnitude = forged.lo().abs().max(forged.hi().abs());
+        debug_assert!(
+            (forged.width() - p.widths[sensor]).abs() < 1e-9 + 4.0 * f64::EPSILON * magnitude,
+            "strategies must preserve the public interval width"
+        );
+        Some((sensor, forged))
+    }
+
+    /// Fuses `transmitted` through the pipeline's fuser and, when fusion
+    /// succeeds, assesses it with the pipeline's detector. `assessment`
+    /// is cleared first, so a reused buffer never carries a previous
+    /// round's findings through a round whose fusion failed.
+    pub(crate) fn finish(
+        &mut self,
+        transmitted: &[(usize, Interval<f64>)],
+        assessment: &mut RoundAssessment,
+    ) -> Result<Interval<f64>, FusionError> {
+        let p = &mut *self.pipeline;
+        p.intervals.clear();
+        p.intervals.extend(transmitted.iter().map(|(_, iv)| *iv));
+        let fusion = p.fuser.fuse(&p.intervals);
+        let n = p.suite.len();
         assessment.clear();
         assessment.flagged.reserve(n);
         assessment.condemned.reserve(n);
-        if let Ok(fused) = &out.fusion {
-            self.detector
-                .assess(&out.transmitted, fused, &mut assessment);
+        if let Ok(fused) = &fusion {
+            p.detector.assess(transmitted, fused, assessment);
         }
-        out.flagged = assessment.flagged;
-        out.condemned = assessment.condemned;
+        fusion
     }
 }
 

@@ -940,10 +940,9 @@ impl Scenario {
     pub fn landshark_config(&self) -> LandSharkConfig {
         self.validate()
             .unwrap_or_else(|e| panic!("invalid scenario `{}`: {e}", self.name));
-        let spec = self
-            .closed_loop
-            .as_ref()
-            .expect("landshark_config needs a closed-loop scenario");
+        let Some(spec) = &self.closed_loop else {
+            panic!("landshark_config needs a closed-loop scenario");
+        };
         let mut config = LandSharkConfig::new(spec.target_speed, self.schedule.clone());
         config.delta_up = spec.delta_up;
         config.delta_down = spec.delta_down;

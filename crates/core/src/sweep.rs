@@ -329,7 +329,7 @@ impl SweepGrid {
         ]
         .iter()
         .try_fold(1_usize, |acc, &n| acc.checked_mul(n))
-        .expect("grid size overflows usize")
+        .unwrap_or_else(|| panic!("grid size overflows usize"))
     }
 
     /// Materialises the scenario for cell `index`.

@@ -575,11 +575,17 @@ mod json {
         super::StoreError::Parse(format!("{what}: expected {expected}, got {kind}"))
     }
 
+    /// The deepest array/object nesting the reader accepts. Baselines nest
+    /// 4 deep; the bound keeps a hostile file from overflowing the stack
+    /// of this recursive reader.
+    pub const MAX_DEPTH: usize = 64;
+
     /// Parses one complete JSON document.
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut parser = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -593,6 +599,8 @@ mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects open around the current position.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -626,8 +634,22 @@ mod json {
 
         fn value(&mut self) -> Result<Json, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(format!(
+                            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                            self.pos
+                        ));
+                    }
+                    self.depth += 1;
+                    let value = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    value
+                }
                 Some(b'"') => self.string().map(Json::Str),
                 Some(b'n') => self.literal("null", Json::Null),
                 Some(b't') => self.literal("true", Json::Bool(true)),
@@ -759,8 +781,8 @@ mod json {
                     break;
                 }
             }
-            let raw =
-                core::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+            let raw = core::str::from_utf8(&self.bytes[start..self.pos])
+                .unwrap_or_else(|_| unreachable!("number bytes are ASCII"));
             if raw.is_empty() || raw == "-" || raw.parse::<f64>().is_err() {
                 return Err(format!("invalid number `{raw}` at byte {start}"));
             }
@@ -965,6 +987,21 @@ mod tests {
             r#"{"format":"arsf-baseline-v1","address":"x","definition":"d","rows":[]}"#
         );
         assert!(Baseline::from_json(&trailing).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_named_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
+        // A hostile file fails cleanly instead of overflowing the stack.
+        match Baseline::from_json(&"[".repeat(200_000)) {
+            Err(StoreError::Parse(msg)) => assert!(msg.contains("deeper than 64"), "{msg}"),
+            other => panic!("expected a depth error, got {other:?}"),
+        }
+        let objects = "{\"a\":".repeat(100) + "0" + &"}".repeat(100);
+        assert!(json::parse(&objects).is_err());
     }
 
     #[test]

@@ -302,7 +302,11 @@ impl StreamingSweeper {
                             }
                             let index = start + offset;
                             let row = run_cell(index, cell_at(index), &mut buffer);
-                            tx.send(row).expect("the receiver outlives every worker");
+                            // `rx` lives outside the scope, which joins
+                            // every worker before it returns.
+                            tx.send(row).unwrap_or_else(|_| {
+                                unreachable!("the receiver outlives every worker")
+                            });
                         }
                     })
                 })

@@ -1,25 +1,26 @@
 //! Executing a fusion round over the `arsf-bus` broadcast substrate.
 //!
-//! [`FusionPipeline`](crate::FusionPipeline) drives rounds directly for
-//! experiment throughput; this module runs the *same* round through real
-//! bus machinery — sensor nodes, an eavesdropping attacker node per
-//! compromised sensor (sharing one brain), and a fusion controller node —
-//! demonstrating that the paper's information model (the attacker sees
-//! exactly the frames broadcast before her slot) is faithfully realised
-//! by a CAN-style broadcast transport.
+//! [`FusionPipeline::run_round_into`] drives rounds directly for
+//! experiment throughput; this module runs a round of the *same* pipeline
+//! through real bus machinery — sensor nodes, an eavesdropping attacker
+//! tap per compromised sensor, and a fusion controller node. Each tap
+//! builds its view from the frames it observed on the wire and hands it
+//! to the pipeline's own slot step; the controller fuses and detects
+//! through the pipeline's own fuser and detector. This demonstrates that
+//! the paper's information model (the attacker sees exactly the frames
+//! broadcast before her slot) is faithfully realised by a CAN-style
+//! broadcast transport.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
-use arsf_attack::model::{AttackMode, AttackStrategy, SlotContext};
-use arsf_attack::{delta, AttackerConfig};
-use arsf_bus::{
-    BroadcastBus, FixedSensorNode, Frame, FrameId, Node, NodeContext, NodeId, Payload, Ticks,
-};
-use arsf_detect::OverlapDetector;
-use arsf_fusion::{marzullo, FusionError};
+use arsf_bus::{BroadcastBus, FixedSensorNode, Frame, FrameId, Node, NodeContext, NodeId, Payload};
+use arsf_detect::RoundAssessment;
+use arsf_fusion::{Fuser, FusionError};
 use arsf_interval::Interval;
 use arsf_schedule::TransmissionOrder;
+
+use crate::pipeline::SlotStep;
+use crate::FusionPipeline;
 
 /// The observable outcome of one bus round.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,22 +35,25 @@ pub struct BusRound {
     pub flagged: Vec<usize>,
 }
 
-/// Runs one fusion round over a freshly-built broadcast bus.
+/// Runs one round of `pipeline` over a freshly-built broadcast bus.
 ///
 /// `readings[i]` is sensor `i`'s **correct** reading for this round (the
 /// attacker reads hers before forging); `order` fixes the TDMA slots; the
 /// controller transmits last and broadcasts its fusion interval plus one
-/// alert frame per flagged sensor.
+/// alert frame per flagged sensor. The pipeline's attacker, fault
+/// assumption, fuser and detector run the round, and it counts as one of
+/// the pipeline's rounds (a stateful fuser or detector carries on).
 ///
 /// # Panics
 ///
-/// Panics if `readings`, `widths` and `order` disagree on the sensor
-/// count, or if a compromised index is out of range.
+/// Panics if `readings` and `order` do not both cover the pipeline's
+/// suite.
 ///
 /// # Example
 ///
 /// ```
 /// use arsf_core::transport::run_bus_round;
+/// use arsf_core::FusionPipeline;
 /// use arsf_interval::Interval;
 /// use arsf_schedule::TransmissionOrder;
 ///
@@ -59,223 +63,117 @@ pub struct BusRound {
 ///     Interval::new(9.5, 10.5)?,
 ///     Interval::new(9.0, 11.0)?,
 /// ];
-/// let widths = vec![0.2, 1.0, 2.0];
+/// let suite = arsf_sensor::suite::from_widths(&[0.2, 1.0, 2.0]);
+/// let mut pipeline = FusionPipeline::builder(suite).build();
 /// let order = TransmissionOrder::identity(3);
-/// let round = run_bus_round(&readings, &widths, &order, 1, None);
+/// let round = run_bus_round(&mut pipeline, &readings, &order);
 /// assert!(round.fusion.clone()?.contains(10.0));
 /// assert_eq!(round.transmitted.len(), 3);
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_bus_round(
+pub fn run_bus_round<F: Fuser<f64>>(
+    pipeline: &mut FusionPipeline<F>,
     readings: &[Interval<f64>],
-    widths: &[f64],
     order: &TransmissionOrder,
-    f: usize,
-    attacker: Option<(AttackerConfig, Box<dyn AttackStrategy>)>,
 ) -> BusRound {
-    let n = readings.len();
-    assert_eq!(widths.len(), n, "one width per sensor");
+    let n = pipeline.suite().len();
+    assert_eq!(readings.len(), n, "one reading per sensor");
     assert_eq!(order.len(), n, "one slot per sensor");
 
-    let mut bus = BroadcastBus::new();
+    let step = RefCell::new(pipeline.begin_given_round(readings, order));
     let controller_id = NodeId::new(n);
-
-    let brain = attacker.map(|(cfg, strategy)| {
-        assert!(
-            cfg.compromised().iter().all(|&i| i < n),
-            "compromised sensor index out of range"
-        );
-        let own: Vec<Interval<f64>> = cfg.compromised().iter().map(|&s| readings[s]).collect();
-        let own_delta = delta(&own).expect("attacker controls at least one sensor");
-        Rc::new(RefCell::new(AttackerBrain {
-            cfg,
-            strategy,
-            seen: Vec::new(),
-            last_tick: Ticks::new(0),
-            delta: own_delta,
-            widths: widths.to_vec(),
-            order: order.clone(),
-            n,
-            f,
-        }))
-    });
-
-    // Sensor nodes: honest ones broadcast their reading; compromised ones
-    // are attacker taps sharing the brain.
-    for (sensor, &reading) in readings.iter().enumerate() {
-        let node_id = NodeId::new(sensor);
-        let frame_id = FrameId::new(0x100 + sensor as u32);
-        let compromised = brain
-            .as_ref()
-            .is_some_and(|b| b.borrow().cfg.controls(sensor));
-        if compromised {
-            bus.add_node(Box::new(AttackerSensorNode {
-                id: node_id,
-                sensor,
-                frame_id,
-                own_correct: reading,
-                brain: Rc::clone(brain.as_ref().expect("checked compromised")),
-            }));
-        } else {
-            let mut node = FixedSensorNode::new(node_id, frame_id, sensor);
-            node.set_reading(reading);
-            bus.add_node(Box::new(node));
-        }
-    }
-    bus.add_node(Box::new(ControllerNode {
+    let mut controller = ControllerNode {
         id: controller_id,
-        expected: n,
-        f,
-        collected: Vec::new(),
-        fusion: None,
-        flagged: Vec::new(),
-    }));
+        step: &step,
+        collected: Vec::with_capacity(n),
+        fusion: Err(FusionError::EmptyInput),
+        assessment: RoundAssessment::default(),
+    };
+    let frames = {
+        let mut bus = BroadcastBus::new();
+        // Honest sensors broadcast their reading; compromised ones are
+        // attacker taps.
+        for (slot, &sensor) in order.iter().enumerate() {
+            let (id, frame_id) = (NodeId::new(sensor), FrameId::new(0x100 + sensor as u32));
+            if step.borrow().attacks(sensor) {
+                bus.add_node(Box::new(AttackerTap {
+                    id,
+                    frame_id,
+                    slot,
+                    seen: Vec::with_capacity(n),
+                    step: &step,
+                }));
+            } else {
+                let mut node = FixedSensorNode::new(id, frame_id, sensor);
+                node.set_reading(readings[sensor]);
+                bus.add_node(Box::new(node));
+            }
+        }
+        bus.add_node(Box::new(&mut controller));
+        // TDMA: sensor slots in schedule order, controller last.
+        let mut owners: Vec<NodeId> = order.iter().map(|&s| NodeId::new(s)).collect();
+        owners.push(controller_id);
+        bus.run_slots(&owners)
+    };
 
-    // TDMA: sensor slots in schedule order, controller last.
-    let mut owners: Vec<NodeId> = order.iter().map(|&s| NodeId::new(s)).collect();
-    owners.push(controller_id);
-    let frames = bus.run_slots(&owners);
-
-    let transmitted: Vec<(usize, Interval<f64>)> = frames
+    let transmitted = frames
         .iter()
         .filter_map(|fr| match fr.payload {
             Payload::Measurement { sensor, interval } => Some((sensor, interval)),
             _ => None,
         })
         .collect();
-
-    let controller = bus
-        .node_mut(controller_id)
-        .expect("controller connected above");
-    let controller = controller
-        .as_any()
-        .downcast_ref::<ControllerNode>()
-        .expect("controller node type");
     BusRound {
-        fusion: controller.fusion.unwrap_or(Err(FusionError::EmptyInput)),
-        flagged: controller.flagged.clone(),
+        fusion: controller.fusion,
+        flagged: controller.assessment.flagged,
         transmitted,
         frames,
     }
 }
 
-struct AttackerBrain {
-    cfg: AttackerConfig,
-    strategy: Box<dyn AttackStrategy>,
-    seen: Vec<(usize, Interval<f64>)>,
-    last_tick: Ticks,
-    delta: Interval<f64>,
-    widths: Vec<f64>,
-    order: TransmissionOrder,
-    n: usize,
-    f: usize,
-}
-
-impl AttackerBrain {
-    /// Records a measurement frame once, even though every attacker tap
-    /// observes it (frames carry strictly increasing ticks).
-    fn observe(&mut self, frame: &Frame) {
-        if frame.tick <= self.last_tick {
-            return;
-        }
-        if let Payload::Measurement { sensor, interval } = frame.payload {
-            self.seen.push((sensor, interval));
-            self.last_tick = frame.tick;
-        }
-    }
-
-    fn forge(&mut self, sensor: usize, own_correct: Interval<f64>) -> Interval<f64> {
-        let slot = self
-            .order
-            .slot_of(sensor)
-            .expect("compromised sensor is scheduled");
-        let unsent_attacked = self
-            .order
-            .as_slice()
-            .iter()
-            .skip(slot)
-            .filter(|&&s| self.cfg.controls(s))
-            .count();
-        let future_own_widths: Vec<f64> = self
-            .order
-            .as_slice()
-            .iter()
-            .skip(slot + 1)
-            .filter(|&&s| self.cfg.controls(s))
-            .map(|&s| self.widths[s])
-            .collect();
-        let mode = AttackMode::for_slot(self.seen.len(), self.n, self.f, unsent_attacked);
-        let ctx = SlotContext {
-            order: &self.order,
-            slot,
-            sensor,
-            width: self.widths[sensor],
-            seen: &self.seen,
-            delta: self.delta,
-            own_correct,
-            mode,
-            n: self.n,
-            f: self.f,
-            future_own_widths: &future_own_widths,
-            compromised: self.cfg.compromised(),
-            all_widths: &self.widths,
-        };
-        self.strategy.forge(&ctx)
-    }
-}
-
-/// One compromised sensor's bus presence: eavesdrops on everything via
-/// the shared brain and forges in its own slot.
-struct AttackerSensorNode {
+/// One compromised sensor's bus presence: records every measurement on
+/// the wire and, in its own slot, broadcasts what the pipeline's slot
+/// step forges from them.
+struct AttackerTap<'r, 'p, F: Fuser<f64>> {
     id: NodeId,
-    sensor: usize,
     frame_id: FrameId,
-    own_correct: Interval<f64>,
-    brain: Rc<RefCell<AttackerBrain>>,
+    slot: usize,
+    seen: Vec<(usize, Interval<f64>)>,
+    step: &'r RefCell<SlotStep<'p, F>>,
 }
 
-impl Node for AttackerSensorNode {
+impl<F: Fuser<f64>> Node for AttackerTap<'_, '_, F> {
     fn id(&self) -> NodeId {
         self.id
     }
 
     fn on_frame(&mut self, frame: &Frame, _ctx: &mut NodeContext) {
-        self.brain.borrow_mut().observe(frame);
+        if let Payload::Measurement { sensor, interval } = frame.payload {
+            self.seen.push((sensor, interval));
+        }
     }
 
     fn on_slot(&mut self, ctx: &mut NodeContext) {
-        let forged = self.brain.borrow_mut().forge(self.sensor, self.own_correct);
-        ctx.transmit(
-            self.frame_id,
-            Payload::Measurement {
-                sensor: self.sensor,
-                interval: forged,
-            },
-        );
-    }
-
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
+        let sent = self.step.borrow_mut().transmit(self.slot, &self.seen);
+        if let Some((sensor, interval)) = sent {
+            ctx.transmit(self.frame_id, Payload::Measurement { sensor, interval });
+        }
     }
 }
 
-/// The fusion controller: collects measurement frames, fuses in its slot,
-/// broadcasts the fusion interval and alert frames for flagged sensors.
-struct ControllerNode {
+/// The fusion controller: collects measurement frames, fuses and detects
+/// through the pipeline in its slot, and broadcasts the fusion interval
+/// and one alert frame per flagged sensor.
+struct ControllerNode<'r, 'p, F: Fuser<f64>> {
     id: NodeId,
-    expected: usize,
-    f: usize,
+    step: &'r RefCell<SlotStep<'p, F>>,
     collected: Vec<(usize, Interval<f64>)>,
-    fusion: Option<Result<Interval<f64>, FusionError>>,
-    flagged: Vec<usize>,
+    fusion: Result<Interval<f64>, FusionError>,
+    assessment: RoundAssessment,
 }
 
-impl Node for ControllerNode {
+impl<F: Fuser<f64>> Node for ControllerNode<'_, '_, F> {
     fn id(&self) -> NodeId {
         self.id
     }
@@ -287,38 +185,28 @@ impl Node for ControllerNode {
     }
 
     fn on_slot(&mut self, ctx: &mut NodeContext) {
-        let intervals: Vec<Interval<f64>> = self.collected.iter().map(|(_, iv)| *iv).collect();
-        debug_assert_eq!(intervals.len(), self.expected, "missing measurements");
-        let fusion = marzullo::fuse(&intervals, self.f);
-        if let Ok(fused) = &fusion {
-            ctx.transmit(FrameId::new(0x050), Payload::Fusion { interval: *fused });
-            let report = OverlapDetector.detect(&intervals, fused);
-            self.flagged = report
-                .flagged
-                .iter()
-                .map(|&i| self.collected[i].0)
-                .collect();
-            for &sensor in &self.flagged {
+        self.fusion = self
+            .step
+            .borrow_mut()
+            .finish(&self.collected, &mut self.assessment);
+        if let Ok(fused) = self.fusion {
+            ctx.transmit(FrameId::new(0x050), Payload::Fusion { interval: fused });
+            for &sensor in &self.assessment.flagged {
                 ctx.transmit(FrameId::new(0x040), Payload::Alert { sensor });
             }
         }
-        self.fusion = Some(fusion);
-    }
-
-    fn as_any(&self) -> &dyn core::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PipelineConfig;
+    use arsf_attack::model::SlotContext;
     use arsf_attack::strategies::PhantomOptimal;
-    use arsf_attack::Truthful;
+    use arsf_attack::{AttackStrategy, AttackerConfig, Truthful};
+    use arsf_fusion::marzullo;
+    use arsf_schedule::SchedulePolicy;
 
     fn iv(lo: f64, hi: f64) -> Interval<f64> {
         Interval::new(lo, hi).unwrap()
@@ -328,12 +216,27 @@ mod tests {
         vec![iv(9.9, 10.1), iv(9.6, 10.6), iv(9.2, 11.2)]
     }
 
+    /// A bus round of a pipeline over a `from_widths` suite.
+    fn bus_round(
+        readings: &[Interval<f64>],
+        widths: &[f64],
+        order: &TransmissionOrder,
+        f: usize,
+        attacker: Option<(AttackerConfig, Box<dyn AttackStrategy>)>,
+    ) -> BusRound {
+        let mut pipeline = FusionPipeline::builder(arsf_sensor::suite::from_widths(widths))
+            .config(PipelineConfig::new(f, SchedulePolicy::Ascending))
+            .build();
+        pipeline.set_attacker(attacker);
+        run_bus_round(&mut pipeline, readings, order)
+    }
+
     #[test]
     fn honest_bus_round_matches_direct_fusion() {
         let r = readings();
         let widths = vec![0.2, 1.0, 2.0];
         let order = TransmissionOrder::identity(3);
-        let round = run_bus_round(&r, &widths, &order, 1, None);
+        let round = bus_round(&r, &widths, &order, 1, None);
         let direct = marzullo::fuse(&r, 1);
         assert_eq!(round.fusion, direct);
         assert!(round.flagged.is_empty());
@@ -346,7 +249,7 @@ mod tests {
         let r = readings();
         let widths = vec![0.2, 1.0, 2.0];
         let order = TransmissionOrder::new(vec![2, 0, 1]).unwrap();
-        let round = run_bus_round(&r, &widths, &order, 1, None);
+        let round = bus_round(&r, &widths, &order, 1, None);
         let sensors: Vec<usize> = round.transmitted.iter().map(|(s, _)| *s).collect();
         assert_eq!(sensors, vec![2, 0, 1]);
     }
@@ -357,7 +260,7 @@ mod tests {
         let widths = vec![0.2, 1.0, 2.0];
         let order = TransmissionOrder::identity(3);
         let attacked = Some((AttackerConfig::new([0], 1), Box::new(Truthful) as _));
-        let round = run_bus_round(&r, &widths, &order, 1, attacked);
+        let round = bus_round(&r, &widths, &order, 1, attacked);
         assert_eq!(round.fusion, marzullo::fuse(&r, 1));
     }
 
@@ -371,7 +274,7 @@ mod tests {
             AttackerConfig::new([0], 1),
             Box::new(PhantomOptimal::new()) as _,
         ));
-        let round = run_bus_round(&r, &widths, &order, 1, attacked);
+        let round = bus_round(&r, &widths, &order, 1, attacked);
         let attacked_width = round.fusion.unwrap().width();
         let honest_width = marzullo::fuse(&r, 1).unwrap().width();
         assert!(
@@ -401,7 +304,7 @@ mod tests {
         let widths = vec![0.2, 1.0, 2.0];
         let order = TransmissionOrder::identity(3);
         let attacked = Some((AttackerConfig::new([0], 1), Box::new(Blatant) as _));
-        let round = run_bus_round(&r, &widths, &order, 1, attacked);
+        let round = bus_round(&r, &widths, &order, 1, attacked);
         assert_eq!(round.flagged, vec![0]);
         let alerts = round
             .frames
@@ -412,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_sensor_attacker_shares_one_brain() {
+    fn multi_sensor_attacker_shares_one_strategy() {
         // n = 5, f = 2, attacker controls sensors 0 and 1.
         let r = vec![
             iv(9.9, 10.1),
@@ -427,7 +330,7 @@ mod tests {
             AttackerConfig::new([0, 1], 2),
             Box::new(PhantomOptimal::new()) as _,
         ));
-        let round = run_bus_round(&r, &widths, &order, 2, attacked);
+        let round = bus_round(&r, &widths, &order, 2, attacked);
         assert!(round.fusion.is_ok());
         assert!(round.flagged.is_empty());
         assert_eq!(round.transmitted.len(), 5);

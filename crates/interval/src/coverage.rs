@@ -96,11 +96,11 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
 
 /// The interval count up to which [`k_covered_span`] runs the `O(n²)`
 /// counting kernel on the stack; larger inputs take the `O(n log n)` sort
-/// sweep. On 1024 distinct random inputs per size, counting is ~1.8×
-/// faster at 9 intervals, even with the sort sweep around 24 and ~15%
-/// slower at 32. The `fusion_scaling` bench repeats one input per size,
-/// which lets the branch predictor learn the sort sweep, so it favours the
-/// sort.
+/// sweep. In the `fusion_scaling` bench, which cycles through 1024
+/// distinct random inputs per size, counting is ~1.9× faster from 9 to 20
+/// intervals and ~1.1× at 24, even at 28 and 32, and ~8% slower at 40.
+/// The cut sits at the last size where counting is not slower, which also
+/// keeps fusion of up to 32 sensors allocation-free.
 const COUNTING_MAX: usize = 32;
 
 /// [`k_covered_span`] by sorting the lower and upper endpoints separately

@@ -29,11 +29,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         println!("=== {name} schedule: order {order} ===");
-        let attacker = Some((
-            AttackerConfig::new([0], 1),
-            Box::new(PhantomOptimal::new()) as Box<dyn AttackStrategy>,
-        ));
-        let round = run_bus_round(&readings, &widths, &order, 1, attacker);
+        let mut pipeline = FusionPipeline::builder(arsf::sensor::suite::from_widths(&widths))
+            .config(PipelineConfig::new(1, SchedulePolicy::Fixed(order.clone())))
+            .attacker(AttackerConfig::new([0], 1), Box::new(PhantomOptimal::new()))
+            .build();
+        let round = run_bus_round(&mut pipeline, &readings, &order);
         for frame in &round.frames {
             match &frame.payload {
                 Payload::Measurement { sensor, interval } => {

@@ -1,10 +1,10 @@
 //! Cross-crate integration: fusion rounds over the CAN-like broadcast
 //! bus, checking transport faithfulness and the attacker's
-//! information model, and that the bus and the direct pipeline forge the
-//! same intervals for every strategy and schedule.
+//! information model, and that a bus round and the direct pipeline play
+//! the same round for every strategy, schedule, fuser and detector.
 
 use arsf::bus::Payload;
-use arsf::core::transport::run_bus_round;
+use arsf::core::transport::{run_bus_round, BusRound};
 use arsf::fusion::marzullo;
 use arsf::prelude::*;
 use proptest::prelude::*;
@@ -27,6 +27,26 @@ fn landshark_readings() -> (Vec<Interval<f64>>, Vec<f64>) {
     )
 }
 
+/// One bus round of a fresh Marzullo pipeline over a `from_widths` suite.
+fn bus_round(
+    readings: &[Interval<f64>],
+    widths: &[f64],
+    order: &TransmissionOrder,
+    f: usize,
+    attacked: &[usize],
+) -> BusRound {
+    let mut pipeline = FusionPipeline::builder(arsf::sensor::suite::from_widths(widths))
+        .config(PipelineConfig::new(f, SchedulePolicy::Fixed(order.clone())))
+        .build();
+    if !attacked.is_empty() {
+        pipeline.set_attacker(Some((
+            AttackerConfig::new(attacked.iter().copied(), f),
+            Box::new(PhantomOptimal::new()),
+        )));
+    }
+    run_bus_round(&mut pipeline, readings, order)
+}
+
 #[test]
 fn bus_round_equals_direct_fusion_for_any_order() {
     let (readings, widths) = landshark_readings();
@@ -35,7 +55,7 @@ fn bus_round_equals_direct_fusion_for_any_order() {
         TransmissionOrder::new(vec![3, 2, 1, 0]).unwrap(),
         TransmissionOrder::new(vec![2, 0, 3, 1]).unwrap(),
     ] {
-        let round = run_bus_round(&readings, &widths, &order, 1, None);
+        let round = bus_round(&readings, &widths, &order, 1, &[]);
         assert_eq!(round.fusion, marzullo::fuse(&readings, 1));
         assert_eq!(round.transmitted.len(), 4);
         // Slot order on the wire matches the schedule.
@@ -48,7 +68,7 @@ fn bus_round_equals_direct_fusion_for_any_order() {
 fn frames_carry_monotone_ticks_and_a_fusion_broadcast() {
     let (readings, widths) = landshark_readings();
     let order = TransmissionOrder::identity(4);
-    let round = run_bus_round(&readings, &widths, &order, 1, None);
+    let round = bus_round(&readings, &widths, &order, 1, &[]);
     for pair in round.frames.windows(2) {
         assert!(pair[0].tick < pair[1].tick, "bus time must advance");
     }
@@ -69,11 +89,7 @@ fn attacker_on_bus_profits_from_later_slots() {
         TransmissionOrder::new(vec![1, 2, 0, 3]).unwrap(), // attacked third
         TransmissionOrder::new(vec![3, 2, 1, 0]).unwrap(), // attacked last
     ] {
-        let attacker = Some((
-            AttackerConfig::new([0], 1),
-            Box::new(PhantomOptimal::new()) as Box<dyn AttackStrategy>,
-        ));
-        let round = run_bus_round(&readings, &widths, &order, 1, attacker);
+        let round = bus_round(&readings, &widths, &order, 1, &[0]);
         assert!(round.flagged.is_empty());
         widths_by_slot_position.push(round.fusion.unwrap().width());
     }
@@ -85,8 +101,8 @@ fn attacker_on_bus_profits_from_later_slots() {
 
 #[test]
 fn multi_sensor_attacker_coordinates_across_slots() {
-    // Five sensors, two compromised, f = 2: the shared-brain attacker
-    // must keep both forged intervals stealthy.
+    // Five sensors, two compromised, f = 2: the attacker's taps share one
+    // strategy and must keep both forged intervals stealthy.
     let readings = vec![
         iv(9.9, 10.1),
         iv(9.85, 10.25),
@@ -100,11 +116,7 @@ fn multi_sensor_attacker_coordinates_across_slots() {
         TransmissionOrder::new(vec![0, 1, 2, 3, 4]).unwrap(),
         TransmissionOrder::new(vec![2, 0, 4, 1, 3]).unwrap(),
     ] {
-        let attacker = Some((
-            AttackerConfig::new([0, 1], 2),
-            Box::new(PhantomOptimal::new()) as Box<dyn AttackStrategy>,
-        ));
-        let round = run_bus_round(&readings, &widths, &order, 2, attacker);
+        let round = bus_round(&readings, &widths, &order, 2, &[0, 1]);
         let fused = round.fusion.unwrap();
         assert!(fused.contains(10.0), "fa <= f keeps the truth");
         assert!(
@@ -139,17 +151,48 @@ fn differential_suite(five: bool) -> (SensorSuite, usize) {
     }
 }
 
+/// Every stock fuser, at the suite's `f` where it takes one.
+const FUSERS: [FuserSpec; 7] = [
+    FuserSpec::Marzullo,
+    FuserSpec::BrooksIyengar,
+    FuserSpec::Intersection,
+    FuserSpec::Hull,
+    FuserSpec::InverseVariance,
+    FuserSpec::MidpointMedian,
+    FuserSpec::Historical {
+        max_rate: 1.0,
+        dt: 0.1,
+    },
+];
+
+/// Every detection mode; the window condemns on a second violation.
+const DETECTIONS: [DetectionMode; 3] = [
+    DetectionMode::Off,
+    DetectionMode::Immediate,
+    DetectionMode::Windowed {
+        window: 3,
+        tolerance: 1,
+    },
+];
+
+/// Rounds each differential case plays, so stateful fusers, detectors and
+/// strategies carry state from one round into the next.
+const ROUNDS: u64 = 3;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
     /// The bus is an independent model of what the attacker has seen: a
     /// round replayed over it from the pipeline's sampled readings must
-    /// put exactly the pipeline's forged intervals on the wire.
+    /// put exactly the pipeline's intervals on the wire, and its
+    /// controller must fuse and flag exactly as the pipeline does. Each
+    /// case draws one of the 21 fuser × detection pairs; the seeded cases
+    /// draw every pair 31 to 59 times.
     #[test]
     fn bus_and_pipeline_forge_the_same_intervals(
         (five, first, second, two) in (0usize..2, 0usize..5, 0usize..5, 0usize..2),
         (kind, schedule, rotate) in (0usize..4, 0usize..3, 0usize..5),
-        (seed, truth) in (0u64..1_000_000, 5.0..15.0),
+        (seed, truth, pair) in (0u64..1_000_000, 5.0..15.0, 0usize..21),
     ) {
         let (suite, f) = differential_suite(five == 1);
         let n = suite.len();
@@ -167,27 +210,59 @@ proptest! {
             }
         };
         let attacker = AttackerConfig::new(compromised, f);
-        let mut pipeline = FusionPipeline::builder(suite.clone())
-            .config(PipelineConfig::new(f, schedule.clone()))
-            .attacker(attacker.clone(), strategy(kind))
-            .build();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut replay = rng.clone();
-        let out = pipeline.run_round(truth, &mut rng);
-
-        // Replay the round's draws: the slot order, then every reading.
         let widths = suite.widths();
-        let order = schedule.order(&widths, 0, &mut replay);
-        let readings: Vec<Interval<f64>> = suite
-            .clone()
-            .sample_all(truth, &mut replay)
-            .iter()
-            .map(|m| m.interval)
-            .collect();
-        prop_assert_eq!(&order, &out.order);
-        prop_assert_eq!(readings.len(), n);
+        let (fuser, detection) = (&FUSERS[pair / 3], DETECTIONS[pair % 3]);
+        let build = || {
+            FusionPipeline::builder(suite.clone())
+                .config(PipelineConfig::new(f, schedule.clone()).with_detection(detection))
+                .fuser(fuser.build(f))
+                .attacker(attacker.clone(), strategy(kind))
+                .build()
+        };
+        let (mut pipeline, mut bus_pipeline) = (build(), build());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for round in 0..ROUNDS {
+            // Replay the round's draws: the slot order (drawn once for
+            // these round-invariant schedules), then every reading.
+            let mut replay = rng.clone();
+            let out = pipeline.run_round(truth, &mut rng);
+            if round == 0 {
+                prop_assert_eq!(&schedule.order(&widths, 0, &mut replay), &out.order);
+            }
+            let readings: Vec<Interval<f64>> = suite
+                .clone()
+                .sample_all(truth, &mut replay)
+                .iter()
+                .map(|m| m.interval)
+                .collect();
+            prop_assert_eq!(readings.len(), n);
 
-        let bus = run_bus_round(&readings, &widths, &order, f, Some((attacker, strategy(kind))));
-        prop_assert_eq!(bus.transmitted, out.transmitted);
+            let bus = run_bus_round(&mut bus_pipeline, &readings, &out.order);
+            let case = format!("{} / {detection:?}, round {round}", fuser.name());
+            prop_assert_eq!(
+                (&case, &bus.transmitted, bus.fusion, &bus.flagged),
+                (&case, &out.transmitted, out.fusion, &out.flagged)
+            );
+
+            // The controller's tail: one alert per flagged sensor in
+            // slot order (alert frames outrank the fusion frame in
+            // arbitration), then the fusion frame; nothing when fusion
+            // fails.
+            let tail: Vec<Payload> = bus.frames[n..].iter().map(|fr| fr.payload.clone()).collect();
+            let mut expected: Vec<Payload> = out
+                .flagged
+                .iter()
+                .map(|&sensor| Payload::Alert { sensor })
+                .collect();
+            expected.extend(out.fusion.iter().map(|&interval| Payload::Fusion { interval }));
+            prop_assert_eq!((&case, tail), (&case, expected));
+            let slot_of = |s: usize| out.order.slot_of(s);
+            prop_assert!(
+                out.flagged.windows(2).all(|w| slot_of(w[0]) < slot_of(w[1])),
+                "{case}: flags {:?} out of slot order",
+                out.flagged
+            );
+        }
+        prop_assert_eq!(bus_pipeline.rounds(), ROUNDS);
     }
 }
