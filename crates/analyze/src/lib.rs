@@ -87,6 +87,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 use arsf_core::scenario::Scenario;
+use arsf_core::sweep::row::json_string;
 
 pub use baseline::{
     analyze_baseline_dir, analyze_baseline_file, tolerance_findings, BaselineContext,
@@ -384,26 +385,6 @@ pub fn render_json_passes(passes: &[(&str, Vec<Finding>)]) -> String {
         }
     }
     out.push_str("]\n");
-    out
-}
-
-/// Minimal JSON string escaping (the same subset the baseline store
-/// emits: quotes, backslashes and control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -29,10 +29,10 @@ use arsf_bench::cli::{
     allowed, diff_config, grid_mode_requested, parse_cells, runnable_grid, sweeper_from, Args,
     SCENARIO_SWEEP,
 };
-use arsf_bench::drive::{Fnv64, Frame};
+use arsf_bench::drive::Frame;
 use arsf_bench::{baseline_ops, TextTable};
 use arsf_core::scenario::registry;
-use arsf_core::sweep::store::{grid_address, Baseline};
+use arsf_core::sweep::store::{grid_address, Baseline, Fnv64};
 use arsf_core::sweep::{StreamingSweeper, SweepGrid, SweepReport};
 
 /// The [`runnable_grid`] `args` describe and the `--cells` range of it

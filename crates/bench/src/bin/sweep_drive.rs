@@ -333,7 +333,7 @@ fn main() {
     if let Some(target) = args.value("--csv") {
         let mut payload = String::new();
         if !args.has("--no-header") {
-            payload.push_str(SweepReport::csv_header());
+            payload.push_str(&SweepReport::csv_header());
         }
         for line in &merged {
             payload.push_str(line);

@@ -1,6 +1,7 @@
 //! The coordinator/worker protocol behind distributed sweeps: framed
 //! line-delimited row streams, shard planning, stream validation, and
-//! CSV-to-baseline reconstruction.
+//! CSV-to-baseline reconstruction. A row frame carries one CSV line in
+//! the row format of [`arsf_core::sweep::row::COLUMNS`].
 //!
 //! A `sweep_drive` coordinator splits a grid into contiguous `--cells`
 //! ranges and fans them out across child `scenario_sweep --stream`
@@ -25,7 +26,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use arsf_core::sweep::store::{canonical_definition, content_address, Baseline, CellRecord};
+use arsf_core::sweep::store::{Baseline, CellRecord, Fnv64};
 use arsf_core::sweep::SweepGrid;
 
 use crate::cli::{list, parse_range};
@@ -34,34 +35,6 @@ use crate::cli::{list, parse_range};
 /// frame's shape changes; a coordinator refuses a worker with any other
 /// tag.
 pub const PROTOCOL_VERSION: &str = "arsf-sweep-stream-v1";
-
-/// Incremental FNV-1a 64 — the same function
-/// [`content_address`] applies to whole strings, usable over a stream
-/// of chunks. `Fnv64::default().update(x).finish()` equals
-/// `content_address(x)`'s underlying hash for any byte split.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv64 {
-    /// Feeds bytes into the hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The current digest as 16 lowercase hex digits.
-    pub fn finish(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
 
 /// One protocol frame (one stdout line).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -518,157 +491,6 @@ pub fn parse_shards(spec: &str, len: usize) -> Result<Vec<Range<usize>>, String>
     Ok(shards)
 }
 
-/// Splits one CSV line into fields, honouring the report writer's
-/// quoting (fields containing `,`, `"` or newlines are wrapped in `"`
-/// with inner quotes doubled).
-pub fn split_csv(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        if quoted {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    quoted = false;
-                }
-            } else {
-                field.push(c);
-            }
-        } else {
-            match c {
-                '"' => quoted = true,
-                ',' => fields.push(std::mem::take(&mut field)),
-                _ => field.push(c),
-            }
-        }
-    }
-    fields.push(field);
-    fields
-}
-
-/// The column count of [`arsf_core::sweep::SweepReport::csv_header`].
-const CSV_COLUMNS: usize = 25;
-
-fn opt_f64(field: &str, column: &str) -> Result<Option<f64>, String> {
-    if field.is_empty() {
-        return Ok(None);
-    }
-    field
-        .parse()
-        .map(Some)
-        .map_err(|_| format!("bad {column} `{field}`"))
-}
-
-fn req_f64(field: &str, column: &str) -> Result<Option<f64>, String> {
-    opt_f64(field, column)?
-        .map(Some)
-        .ok_or_else(|| format!("missing {column}"))
-}
-
-/// The label columns of [`arsf_core::sweep::SweepReport::csv_header`]
-/// a [`CellRecord`] keeps, with their CSV positions.
-const LABEL_COLUMNS: [(&str, usize); 9] = [
-    ("suite", 2),
-    ("faults", 3),
-    ("attacker", 4),
-    ("schedule", 5),
-    ("fuser", 6),
-    ("detector", 7),
-    ("rounds", 8),
-    ("seed", 9),
-    ("condemned", 17),
-];
-
-/// The scalar metric columns, with their CSV positions and whether
-/// every row carries a value.
-const METRIC_COLUMNS: [(&str, usize, bool); 11] = [
-    ("mean_width", 10, true),
-    ("min_width", 11, false),
-    ("max_width", 12, false),
-    ("truth_lost", 13, true),
-    ("truth_loss_rate", 14, true),
-    ("fusion_failures", 15, true),
-    ("flagged_rounds", 16, true),
-    ("above_rate", 18, false),
-    ("below_rate", 19, false),
-    ("preemptions", 20, false),
-    ("min_gap", 21, false),
-];
-
-/// Reconstructs the flattened comparison record from one report CSV
-/// line — the inverse of [`arsf_core::sweep::SweepRow::to_csv_line`]
-/// as far as [`CellRecord`] is concerned. Floats round-trip exactly
-/// because the writer uses Rust's shortest round-trip formatting, so a
-/// baseline rebuilt from CSV equals one built from the in-memory
-/// report.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed column.
-pub fn cell_record_from_csv(line: &str) -> Result<CellRecord, String> {
-    let fields = split_csv(line);
-    if fields.len() != CSV_COLUMNS {
-        return Err(format!(
-            "expected {CSV_COLUMNS} CSV columns, got {}",
-            fields.len()
-        ));
-    }
-    let cell: u64 = fields[0]
-        .parse()
-        .map_err(|_| format!("bad cell index `{}`", fields[0]))?;
-    let labels = LABEL_COLUMNS
-        .iter()
-        .map(|&(column, i)| (column.to_string(), fields[i].clone()))
-        .collect();
-    let mut metrics = METRIC_COLUMNS
-        .iter()
-        .map(|&(column, i, required)| {
-            let parse = if required { req_f64 } else { opt_f64 };
-            Ok((column.to_string(), parse(&fields[i], column)?))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    // The vehicle vectors are pipe-joined, leader first, and empty for
-    // non-platoon rows. `vehicle_truth_lost` entries are always
-    // rendered (integers), so its split length is the vehicle count;
-    // `vehicle_max_widths` entries may individually be empty (→ None).
-    if !fields[24].is_empty() {
-        let means: Vec<&str> = fields[22].split('|').collect();
-        let maxes: Vec<&str> = fields[23].split('|').collect();
-        let lost: Vec<&str> = fields[24].split('|').collect();
-        if means.len() != lost.len() || maxes.len() != lost.len() {
-            return Err(format!(
-                "vehicle column lengths disagree: {} means, {} maxes, {} truth_lost",
-                means.len(),
-                maxes.len(),
-                lost.len()
-            ));
-        }
-        for (i, ((mean, max), lost)) in means.iter().zip(&maxes).zip(&lost).enumerate() {
-            metrics.push((
-                format!("vehicle_mean_widths[{i}]"),
-                req_f64(mean, "vehicle_mean_widths")?,
-            ));
-            metrics.push((
-                format!("vehicle_max_widths[{i}]"),
-                opt_f64(max, "vehicle_max_widths")?,
-            ));
-            metrics.push((
-                format!("vehicle_truth_lost[{i}]"),
-                req_f64(lost, "vehicle_truth_lost")?,
-            ));
-        }
-    }
-    Ok(CellRecord {
-        cell,
-        labels,
-        metrics,
-    })
-}
-
 /// Rebuilds a [`Baseline`] from a driven run's merged CSV lines — the
 /// bridge that lets `sweep_drive --baseline record|check` work without
 /// ever materialising a [`arsf_core::sweep::SweepReport`].
@@ -677,22 +499,17 @@ pub fn cell_record_from_csv(line: &str) -> Result<CellRecord, String> {
 ///
 /// Returns a message naming the malformed line.
 pub fn baseline_from_rows(grid: &SweepGrid, lines: &[String]) -> Result<Baseline, String> {
-    let definition = canonical_definition(grid);
-    let mut rows = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        rows.push(cell_record_from_csv(line).map_err(|e| format!("merged CSV row {i}: {e}"))?);
-    }
-    Ok(Baseline {
-        address: content_address(&definition),
-        definition,
-        rows,
-    })
+    let rows = lines.iter().enumerate().map(|(i, line)| {
+        CellRecord::from_csv_line(line).map_err(|e| format!("merged CSV row {i}: {e}"))
+    });
+    Ok(Baseline::new(grid, rows.collect::<Result<_, _>>()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::golden;
+    use arsf_core::sweep::store::content_address;
     use arsf_core::sweep::ParallelSweeper;
 
     #[test]
@@ -912,18 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn split_csv_honours_quoting() {
-        assert_eq!(split_csv("a,b,c"), ["a", "b", "c"]);
-        assert_eq!(split_csv("a,\"b,c\",d"), ["a", "b,c", "d"]);
-        assert_eq!(
-            split_csv("a,\"say \"\"hi\"\"\",c"),
-            ["a", "say \"hi\"", "c"]
-        );
-        assert_eq!(split_csv("a,,c"), ["a", "", "c"]);
-        assert_eq!(split_csv(""), [""]);
-    }
-
-    #[test]
     fn baseline_from_csv_rows_equals_baseline_from_report() {
         for (name, grid) in golden::all() {
             // Shrink the grids so the test stays fast; the shape (open-
@@ -932,7 +737,7 @@ mod tests {
             let lines: Vec<String> = report.rows().iter().map(|r| r.to_csv_line()).collect();
             let mut rebuilt_rows = Vec::new();
             for line in &lines {
-                rebuilt_rows.push(cell_record_from_csv(line).unwrap());
+                rebuilt_rows.push(CellRecord::from_csv_line(line).unwrap());
             }
             let from_report = Baseline::from_report(&grid, &report);
             for (rebuilt, direct) in rebuilt_rows.iter().zip(&from_report.rows) {
@@ -942,14 +747,5 @@ mod tests {
             assert_eq!(rebuilt.address, from_report.address);
             assert_eq!(rebuilt.definition, from_report.definition);
         }
-    }
-
-    #[test]
-    fn csv_reconstruction_names_malformed_columns() {
-        assert!(cell_record_from_csv("1,2,3").unwrap_err().contains("25"));
-        let row = format!("x{}", ",f".repeat(24));
-        assert!(cell_record_from_csv(&row)
-            .unwrap_err()
-            .contains("bad cell index `x`"));
     }
 }

@@ -2,7 +2,7 @@
 //! suite, fusion pipeline, PI speed controller and safety supervisor.
 //!
 //! The vehicle owns **one persistent** [`FusionPipeline`] over a boxed
-//! [`Fuser`](arsf_fusion::Fuser) built from the configured
+//! [`Fuser`] built from the configured
 //! [`FuserSpec`] — plain Marzullo by default, the dynamics-aware
 //! historical defence, or any other stock fuser — so defences run
 //! *through* the engine rather than as bolt-on refinements and detection

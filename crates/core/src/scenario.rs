@@ -4,7 +4,7 @@
 //! suite, fault injection, attacker, transmission schedule, fusion
 //! algorithm, detector, ground-truth trajectory, round count and RNG
 //! seed — as plain data. The [`ScenarioRunner`](crate::ScenarioRunner)
-//! materialises it into a [`FusionPipeline`](crate::FusionPipeline) over
+//! materialises it into a [`FusionPipeline`] over
 //! boxed [`Fuser`]/[`Detector`](arsf_detect::Detector) trait objects, so
 //! any combination of the stock algorithms (and any user-supplied
 //! implementation, via [`Scenario::build_pipeline`] plus the builder)
@@ -510,7 +510,7 @@ pub struct PlatoonSpec {
 
 /// Closed-loop execution: drive a LandShark (or a platoon of them)
 /// through the vehicle control loop instead of an open-loop
-/// [`FusionPipeline`](crate::FusionPipeline).
+/// [`FusionPipeline`].
 ///
 /// The scenario's schedule, fault assumption `f`, fuser, detector,
 /// attacker, rounds and seed all carry over; the ground truth is the

@@ -15,14 +15,15 @@
 //!   sweep engine (see [`stream`]). It shards cells across scoped
 //!   worker threads, each owning one reusable
 //!   [`RoundOutcome`] buffer and building its own engines from the
-//!   cell's specs (the [`FuserSpec`](crate::scenario::FuserSpec) /
-//!   [`DetectionMode`](crate::DetectionMode) factories make per-thread
-//!   cloning trivial), so no synchronisation happens inside a cell. Rows
-//!   come back in **grid order**, streamed to a sink or collected into a
-//!   report, byte-identical whatever the thread count;
+//!   cell's specs (the [`FuserSpec`] / [`DetectionMode`] factories make
+//!   per-thread cloning trivial), so no synchronisation happens inside a
+//!   cell. Rows come back in **grid order**, streamed to a sink or
+//!   collected into a report, byte-identical whatever the thread count;
 //!   [`SweepGrid::run_serial`] is its one-thread case.
 //! * [`SweepReport`] — the ordered rows with CSV ([`SweepReport::to_csv`])
 //!   and JSON ([`SweepReport::to_json`]) emission for downstream tooling.
+//!   Both follow one column table, [`row::COLUMNS`], which also drives
+//!   the baseline [`store::CellRecord`] and the CSV reader.
 //!
 //! # Example
 //!
@@ -54,6 +55,7 @@
 //! ```
 
 pub mod diff;
+pub mod row;
 pub mod store;
 pub mod stream;
 
@@ -487,64 +489,6 @@ pub struct SweepRow {
     pub summary: BatchSummary,
 }
 
-impl SweepRow {
-    /// Renders the row as one CSV data line (no trailing newline) in the
-    /// [`SweepReport::csv_header`] column order — the unit both
-    /// [`SweepReport::to_csv_body`] and the streaming writers emit, so a
-    /// row rendered in isolation is byte-identical to the same row inside
-    /// a full report.
-    pub fn to_csv_line(&self) -> String {
-        let s = &self.summary;
-        let condemned: Vec<String> = s.condemned.iter().map(|c| format!("{c}")).collect();
-        let sup = s.supervisor.as_ref();
-        let join = |parts: Vec<String>| parts.join("|");
-        let cells = [
-            format!("{}", self.cell),
-            csv_field(&s.scenario),
-            csv_field(&self.suite),
-            csv_field(&self.faults),
-            csv_field(&self.attacker),
-            csv_field(&self.schedule),
-            csv_field(&s.fuser),
-            csv_field(&s.detector),
-            format!("{}", self.rounds),
-            format!("{}", self.seed),
-            format!("{}", s.widths.mean()),
-            s.widths.min().map_or(String::new(), |w| format!("{w}")),
-            s.widths.max().map_or(String::new(), |w| format!("{w}")),
-            format!("{}", s.truth_lost),
-            format!("{}", s.truth_loss_rate()),
-            format!("{}", s.fusion_failures),
-            format!("{}", s.flagged_rounds),
-            csv_field(&condemned.join("|")),
-            sup.map_or(String::new(), |v| format!("{}", v.above_rate)),
-            sup.map_or(String::new(), |v| format!("{}", v.below_rate)),
-            sup.map_or(String::new(), |v| format!("{}", v.preemptions)),
-            sup.and_then(|v| v.min_gap)
-                .map_or(String::new(), |g| format!("{g}")),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| format!("{}", v.widths.mean()))
-                    .collect(),
-            ),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| v.widths.max().map_or(String::new(), |w| format!("{w}")))
-                    .collect(),
-            ),
-            join(
-                s.vehicles
-                    .iter()
-                    .map(|v| format!("{}", v.truth_lost))
-                    .collect(),
-            ),
-        ];
-        cells.join(",")
-    }
-}
-
 /// An ordered sweep result: rows are always in grid order, whatever
 /// thread interleaving produced them.
 #[derive(Debug, Clone, PartialEq)]
@@ -568,148 +512,40 @@ impl SweepReport {
         self.rows.is_empty()
     }
 
-    /// The CSV header line [`SweepReport::to_csv`] emits (trailing
-    /// newline included).
-    pub fn csv_header() -> &'static str {
-        "cell,scenario,suite,faults,attacker,schedule,fuser,detector,rounds,seed,\
-         mean_width,min_width,max_width,truth_lost,truth_loss_rate,\
-         fusion_failures,flagged_rounds,condemned,\
-         above_rate,below_rate,preemptions,min_gap,\
-         vehicle_mean_widths,vehicle_max_widths,vehicle_truth_lost\n"
-    }
-
-    /// Renders the report as CSV (header + one line per cell). Fields
-    /// containing separators are quoted; floats use Rust's shortest
-    /// round-trip formatting, so equal reports render byte-identically.
-    /// The supervisor columns (`above_rate`, `below_rate`, `preemptions`,
-    /// `min_gap`) are empty for open-loop rows, and the per-vehicle
-    /// columns (`vehicle_mean_widths`, `vehicle_max_widths`,
-    /// `vehicle_truth_lost` — pipe-joined, leader first) are empty for
-    /// everything but closed-loop platoon rows.
+    /// Renders the report as CSV: the header, then one
+    /// [`SweepRow::to_csv_line`] per cell. The columns, their null rule
+    /// and list encoding are documented on [`COLUMNS`](row::COLUMNS).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::csv_header());
-        out.push_str(&self.to_csv_body());
-        out
+        Self::csv_header() + &self.to_csv_body()
     }
 
     /// [`SweepReport::to_csv`] without the header line — the shape
     /// `--cells` shard outputs use so they concatenate into the full
     /// sweep's CSV without manual header stripping.
     pub fn to_csv_body(&self) -> String {
-        let mut out = String::new();
-        for row in &self.rows {
-            out.push_str(&row.to_csv_line());
-            out.push('\n');
-        }
-        out
+        self.rows
+            .iter()
+            .map(|row| row.to_csv_line() + "\n")
+            .collect()
     }
 
-    /// Renders the report as a JSON array of row objects (no external
-    /// dependencies; strings are escaped, absent min/max and the
-    /// supervisor columns of open-loop rows become `null`, and the
-    /// per-vehicle columns are arrays — empty for everything but
-    /// closed-loop platoon rows).
+    /// Renders the report as a JSON array with one object per row,
+    /// keyed by the [`COLUMNS`](row::COLUMNS) names (nulls are `null`,
+    /// lists are arrays).
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &row.summary;
-            let condemned: Vec<String> = s.condemned.iter().map(|c| format!("{c}")).collect();
-            let sup = s.supervisor.as_ref();
-            let vehicle_means: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| format!("{}", v.widths.mean()))
-                .collect();
-            let vehicle_maxes: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| {
-                    v.widths
-                        .max()
-                        .map_or("null".to_string(), |w| format!("{w}"))
-                })
-                .collect();
-            let vehicle_lost: Vec<String> = s
-                .vehicles
-                .iter()
-                .map(|v| format!("{}", v.truth_lost))
-                .collect();
-            out.push_str(&format!(
-                "\n  {{\"cell\":{},\"scenario\":{},\"suite\":{},\"faults\":{},\"attacker\":{},\
-                 \"schedule\":{},\"fuser\":{},\"detector\":{},\"rounds\":{},\"seed\":{},\
-                 \"mean_width\":{},\"min_width\":{},\"max_width\":{},\"truth_lost\":{},\
-                 \"truth_loss_rate\":{},\"fusion_failures\":{},\"flagged_rounds\":{},\
-                 \"condemned\":[{}],\"above_rate\":{},\"below_rate\":{},\
-                 \"preemptions\":{},\"min_gap\":{},\"vehicle_mean_widths\":[{}],\
-                 \"vehicle_max_widths\":[{}],\"vehicle_truth_lost\":[{}]}}",
-                row.cell,
-                json_string(&s.scenario),
-                json_string(&row.suite),
-                json_string(&row.faults),
-                json_string(&row.attacker),
-                json_string(&row.schedule),
-                json_string(&s.fuser),
-                json_string(&s.detector),
-                row.rounds,
-                row.seed,
-                s.widths.mean(),
-                s.widths
-                    .min()
-                    .map_or("null".to_string(), |w| format!("{w}")),
-                s.widths
-                    .max()
-                    .map_or("null".to_string(), |w| format!("{w}")),
-                s.truth_lost,
-                s.truth_loss_rate(),
-                s.fusion_failures,
-                s.flagged_rounds,
-                condemned.join(","),
-                sup.map_or("null".to_string(), |v| format!("{}", v.above_rate)),
-                sup.map_or("null".to_string(), |v| format!("{}", v.below_rate)),
-                sup.map_or("null".to_string(), |v| format!("{}", v.preemptions)),
-                sup.and_then(|v| v.min_gap)
-                    .map_or("null".to_string(), |g| format!("{g}")),
-                vehicle_means.join(","),
-                vehicle_maxes.join(","),
-                vehicle_lost.join(","),
-            ));
+            out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+            row.write_json(&mut out);
         }
         out.push_str("\n]\n");
         out
     }
 }
 
-fn csv_field(raw: &str) -> String {
-    if raw.contains([',', '"', '\n']) {
-        format!("\"{}\"", raw.replace('"', "\"\""))
-    } else {
-        raw.to_string()
-    }
-}
-
-fn json_string(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use super::row::{csv_field, json_string};
     use super::*;
     use crate::scenario::StrategySpec;
     use arsf_sensor::{FaultKind, FaultModel};

@@ -18,7 +18,8 @@
 //!   touching any axis produces a new address and therefore a *new*
 //!   baseline file instead of silently overwriting the old one.
 //! * [`Baseline`] — the address, the definition and one flattened
-//!   [`CellRecord`] per grid cell, saved as `baselines/<address>.json`
+//!   [`CellRecord`] per grid cell (its columns are the row format's,
+//!   [`COLUMNS`](super::row::COLUMNS)), saved as `baselines/<address>.json`
 //!   ([`Baseline::save`]) and loaded back without any external JSON
 //!   dependency ([`Baseline::load`]).
 //!
@@ -48,7 +49,8 @@ use std::path::{Path, PathBuf};
 use crate::scenario::{ClosedLoopSpec, FuserSpec, TruthSpec};
 use crate::DetectionMode;
 
-use super::{json_string, SweepGrid, SweepReport, SweepRow};
+use super::row::json_string;
+use super::{SweepGrid, SweepReport};
 
 /// The format tag written into every baseline file; bumped whenever the
 /// stored shape changes incompatibly.
@@ -164,12 +166,35 @@ pub fn canonical_definition(grid: &SweepGrid) -> String {
 /// Hashes a canonical definition into its content address (FNV-1a 64,
 /// 16 lowercase hex digits).
 pub fn content_address(definition: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in definition.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv64::default();
+    hash.update(definition.as_bytes());
+    hash.finish()
+}
+
+/// Incremental FNV-1a 64 — [`content_address`]'s hash over a stream of
+/// chunks: the digest does not depend on how the bytes are split.
+#[derive(Debug, Clone)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    format!("{hash:016x}")
+}
+
+impl Fnv64 {
+    /// Feeds bytes into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The current digest as 16 lowercase hex digits.
+    pub fn finish(&self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
 /// The content address of a grid: `content_address(canonical_definition(grid))`.
@@ -183,77 +208,25 @@ pub fn baseline_path(dir: impl AsRef<Path>, address: &str) -> PathBuf {
     dir.as_ref().join(format!("{address}.json"))
 }
 
-/// One sweep row, flattened for comparison: exact textual *labels*
-/// (axis coordinates plus the integer columns, compared verbatim) and
-/// numeric *metrics* (compared under [`diff`](super::diff) tolerances).
-///
-/// Per-vehicle platoon vectors are expanded into indexed columns
-/// (`vehicle_mean_widths[0]`, …) so every scalar has its own name in a
-/// drift report.
-#[derive(Debug, Clone, PartialEq)]
+/// One sweep row, flattened for comparison: exact textual *labels* and
+/// numeric *metrics* (compared under [`diff`](super::diff) tolerances),
+/// as the [`COLUMNS`](super::row::COLUMNS) roles assign them — built
+/// from a row by [`CellRecord::from_row`] or from its CSV line by
+/// [`CellRecord::from_csv_line`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellRecord {
     /// The cell's position in grid order — the alignment key for diffs.
     pub cell: u64,
-    /// Exact-match columns: suite, faults, attacker, schedule, fuser,
-    /// detector, rounds, seed, condemned.
+    /// The label columns, in table order, as unquoted CSV text.
     pub labels: Vec<(String, String)>,
-    /// Numeric columns under tolerance: widths, counters, rates, the
-    /// supervisor columns (absent open-loop → `None`) and the expanded
-    /// per-vehicle vectors.
+    /// The metric columns (a null is `None`), then the per-vehicle lists
+    /// expanded vehicle-major into indexed columns
+    /// (`vehicle_mean_widths[0]`, …) so every scalar has its own name in
+    /// a drift report.
     pub metrics: Vec<(String, Option<f64>)>,
 }
 
 impl CellRecord {
-    /// Flattens one report row.
-    pub fn from_row(row: &SweepRow) -> Self {
-        let s = &row.summary;
-        let condemned: Vec<String> = s.condemned.iter().map(|c| c.to_string()).collect();
-        let labels = vec![
-            ("suite".to_string(), row.suite.clone()),
-            ("faults".to_string(), row.faults.clone()),
-            ("attacker".to_string(), row.attacker.clone()),
-            ("schedule".to_string(), row.schedule.clone()),
-            ("fuser".to_string(), s.fuser.clone()),
-            ("detector".to_string(), s.detector.clone()),
-            ("rounds".to_string(), row.rounds.to_string()),
-            ("seed".to_string(), row.seed.to_string()),
-            ("condemned".to_string(), condemned.join("|")),
-        ];
-        let sup = s.supervisor.as_ref();
-        let mut metrics = vec![
-            ("mean_width".to_string(), Some(s.widths.mean())),
-            ("min_width".to_string(), s.widths.min()),
-            ("max_width".to_string(), s.widths.max()),
-            ("truth_lost".to_string(), Some(s.truth_lost as f64)),
-            ("truth_loss_rate".to_string(), Some(s.truth_loss_rate())),
-            (
-                "fusion_failures".to_string(),
-                Some(s.fusion_failures as f64),
-            ),
-            ("flagged_rounds".to_string(), Some(s.flagged_rounds as f64)),
-            ("above_rate".to_string(), sup.map(|v| v.above_rate)),
-            ("below_rate".to_string(), sup.map(|v| v.below_rate)),
-            ("preemptions".to_string(), sup.map(|v| v.preemptions as f64)),
-            ("min_gap".to_string(), sup.and_then(|v| v.min_gap)),
-        ];
-        for (i, vehicle) in s.vehicles.iter().enumerate() {
-            metrics.push((
-                format!("vehicle_mean_widths[{i}]"),
-                Some(vehicle.widths.mean()),
-            ));
-            metrics.push((format!("vehicle_max_widths[{i}]"), vehicle.widths.max()));
-            metrics.push((
-                format!("vehicle_truth_lost[{i}]"),
-                Some(vehicle.truth_lost as f64),
-            ));
-        }
-        Self {
-            cell: row.cell as u64,
-            labels,
-            metrics,
-        }
-    }
-
     /// Looks a label up by column name.
     pub fn label(&self, column: &str) -> Option<&str> {
         self.labels
@@ -287,14 +260,23 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Flattens a report produced by `grid` into a baseline.
-    pub fn from_report(grid: &SweepGrid, report: &SweepReport) -> Self {
+    /// The baseline of `grid` holding `rows`, addressed by the grid's
+    /// canonical definition.
+    pub fn new(grid: &SweepGrid, rows: Vec<CellRecord>) -> Self {
         let definition = canonical_definition(grid);
         Self {
             address: content_address(&definition),
             definition,
-            rows: report.rows().iter().map(CellRecord::from_row).collect(),
+            rows,
         }
+    }
+
+    /// Flattens a report produced by `grid` into a baseline.
+    pub fn from_report(grid: &SweepGrid, report: &SweepReport) -> Self {
+        Self::new(
+            grid,
+            report.rows().iter().map(CellRecord::from_row).collect(),
+        )
     }
 
     /// Renders the baseline as JSON (dependency-free, one row per line;

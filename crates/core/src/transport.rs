@@ -33,14 +33,19 @@ pub struct BusRound {
     pub fusion: Result<Interval<f64>, FusionError>,
     /// Sensors the controller flagged (broadcast as alert frames too).
     pub flagged: Vec<usize>,
+    /// Sensors a temporal detector has condemned so far (ascending;
+    /// empty for memoryless detectors).
+    pub condemned: Vec<usize>,
 }
 
 /// Runs one round of `pipeline` over a freshly-built broadcast bus.
 ///
 /// `readings[i]` is sensor `i`'s **correct** reading for this round (the
 /// attacker reads hers before forging); `order` fixes the TDMA slots; the
-/// controller transmits last and broadcasts its fusion interval plus one
-/// alert frame per flagged sensor. The pipeline's attacker, fault
+/// controller transmits last and broadcasts its fusion interval, then one
+/// alert frame per flagged sensor in slot order: the fusion frame (id
+/// `0x040`) wins arbitration over the alerts (`0x050`), so a listener has
+/// the interval before the alerts about it. The pipeline's attacker, fault
 /// assumption, fuser and detector run the round, and it counts as one of
 /// the pipeline's rounds (a stateful fuser or detector carries on).
 ///
@@ -127,6 +132,7 @@ pub fn run_bus_round<F: Fuser<f64>>(
     BusRound {
         fusion: controller.fusion,
         flagged: controller.assessment.flagged,
+        condemned: controller.assessment.condemned,
         transmitted,
         frames,
     }
@@ -164,7 +170,7 @@ impl<F: Fuser<f64>> Node for AttackerTap<'_, '_, F> {
 
 /// The fusion controller: collects measurement frames, fuses and detects
 /// through the pipeline in its slot, and broadcasts the fusion interval
-/// and one alert frame per flagged sensor.
+/// and then one alert frame per flagged sensor.
 struct ControllerNode<'r, 'p, F: Fuser<f64>> {
     id: NodeId,
     step: &'r RefCell<SlotStep<'p, F>>,
@@ -190,9 +196,9 @@ impl<F: Fuser<f64>> Node for ControllerNode<'_, '_, F> {
             .borrow_mut()
             .finish(&self.collected, &mut self.assessment);
         if let Ok(fused) = self.fusion {
-            ctx.transmit(FrameId::new(0x050), Payload::Fusion { interval: fused });
+            ctx.transmit(FrameId::new(0x040), Payload::Fusion { interval: fused });
             for &sensor in &self.assessment.flagged {
-                ctx.transmit(FrameId::new(0x040), Payload::Alert { sensor });
+                ctx.transmit(FrameId::new(0x050), Payload::Alert { sensor });
             }
         }
     }

@@ -2,37 +2,20 @@
 //! cell index, suite, fault-set, attacker, schedule, rounds, seed and the
 //! closed-loop supervisor columns — into both the CSV line and the JSON
 //! object, byte-for-byte, for randomly-built grids in both execution
-//! modes.
+//! modes, and the CSV reader rebuilds exactly the row's `CellRecord`.
+//! The reader is also total: any line, including truncated, spliced and
+//! field-dropped real rows, gives `Ok` or an error naming a column.
 
 use arsf_core::scenario::{
     faults_label, AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
+use arsf_core::sweep::row::{split_csv, COLUMNS};
+use arsf_core::sweep::store::CellRecord;
 use arsf_core::sweep::{SweepGrid, SweepRow};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
 use proptest::prelude::*;
-
-/// Splits one CSV line into fields, honouring the report's quoting rules.
-fn split_csv(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut quoted = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted && chars.peek() == Some(&'"') => {
-                chars.next();
-                field.push('"');
-            }
-            '"' => quoted = !quoted,
-            ',' if !quoted => fields.push(std::mem::take(&mut field)),
-            c => field.push(c),
-        }
-    }
-    fields.push(field);
-    fields
-}
 
 fn schedule_pool(i: usize) -> SchedulePolicy {
     match i % 3 {
@@ -188,6 +171,10 @@ fn assert_report_round_trips(grid: &SweepGrid) -> Result<(), TestCaseError> {
     for (row, (line, object)) in report.rows().iter().zip(lines.iter().zip(&objects)) {
         let object = format!("{{\"cell\":{object}}}");
         assert_row_round_trips(row, line, &object)?;
+        prop_assert_eq!(
+            CellRecord::from_csv_line(&row.to_csv_line()),
+            Ok(CellRecord::from_row(row))
+        );
     }
     Ok(())
 }
@@ -261,5 +248,74 @@ proptest! {
         let lb = faults_label(&fault_set_pool(b));
         prop_assert_eq!(a % 3 == b % 3, la == lb, "labels {} vs {}", la, lb);
         prop_assert!(!la.contains(','), "labels stay CSV-safe: {}", la);
+    }
+}
+
+/// Real rows: the pinned report, open- and closed-loop, platoon included.
+fn real_rows() -> Vec<&'static str> {
+    include_str!("fixtures/report_bytes.csv")
+        .lines()
+        .skip(1)
+        .collect()
+}
+
+/// The characters arbitrary lines are drawn from: CSV and list
+/// separators, quotes, number syntax, and a multi-byte character.
+const ALPHABET: &[char] = &[
+    ',', ',', '"', '|', '0', '1', '7', '.', '-', 'e', 'E', 'n', 'i', 'f', 'a', 'N', ' ', '\\',
+    '\u{3bc}',
+];
+
+/// Builds one reader input: an arbitrary line (mode 0), or a real row
+/// truncated (1), spliced with another (2) or missing one field (3).
+fn reader_input(mode: usize, a: usize, b: usize, cut: usize, junk: &[usize]) -> String {
+    let rows = real_rows();
+    let (a, b) = (rows[a % rows.len()], rows[b % rows.len()]);
+    let chars = |row: &str| row.chars().collect::<Vec<_>>();
+    match mode {
+        0 => junk.iter().map(|&i| ALPHABET[i % ALPHABET.len()]).collect(),
+        1 => {
+            let a = chars(a);
+            a[..cut % (a.len() + 1)].iter().collect()
+        }
+        2 => {
+            let (a, b) = (chars(a), chars(b));
+            let head = &a[..cut % (a.len() + 1)];
+            let tail = &b[junk.len() % (b.len() + 1)..];
+            head.iter().chain(tail).collect()
+        }
+        _ => {
+            let mut fields: Vec<&str> = a.split(',').collect();
+            fields.remove(cut % fields.len());
+            fields.join(",")
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn csv_reader_is_total(
+        mode in 0usize..4,
+        a in 0usize..64,
+        b in 0usize..64,
+        cut in 0usize..512,
+        junk in prop::collection::vec(0usize..64, 0..120),
+    ) {
+        let line = reader_input(mode, a, b, cut, &junk);
+        match CellRecord::from_csv_line(&line) {
+            Ok(record) => {
+                prop_assert_eq!(record.labels.len(), 9, "{}", line);
+                prop_assert!(record.metrics.len() >= 11 && (record.metrics.len() - 11) % 3 == 0);
+            }
+            Err(message) => prop_assert!(
+                message.contains("CSV columns")
+                    || COLUMNS.iter().any(|(name, _)| message.contains(name)),
+                "error names no column: {} (line {})",
+                message,
+                line
+            ),
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! * [`NoDetector`] — detection disabled (ablation baseline),
 //! * [`ImmediateDetector`] — the paper's rule: flag every interval
 //!   disjoint from the fusion interval, every round,
-//! * [`WindowedDetector`](crate::WindowedDetector) — footnote 1's
+//! * [`WindowedDetector`] — footnote 1's
 //!   temporal model: immediate flags feed a sliding window; a sensor is
 //!   *condemned* only when its violations exceed the tolerance.
 
@@ -109,8 +109,8 @@ impl Detector for NoDetector {
 }
 
 /// The paper's rule as a [`Detector`]: every interval disjoint from the
-/// fusion interval is flagged immediately (see [`OverlapDetector`] for
-/// the index-based one-shot API).
+/// fusion interval is flagged immediately (see [`OverlapDetector`](crate::OverlapDetector)
+/// for the index-based one-shot API).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ImmediateDetector;
 

@@ -124,9 +124,10 @@ impl<T: Scalar> Fuser<T> for MarzulloFuser {
 }
 
 /// Brooks–Iyengar fusion with a fixed fault assumption `f`; exposes only
-/// the fused interval through the [`Fuser`] interface
-/// (see [`brooks_iyengar::fuse`] for the point estimate and regions). The
-/// fault assumption is clamped exactly as for [`MarzulloFuser`].
+/// the fused interval through the [`Fuser`] interface (see
+/// [`brooks_iyengar::fuse`](crate::brooks_iyengar::fuse) for the point
+/// estimate and regions). The fault assumption is clamped exactly as for
+/// [`MarzulloFuser`].
 ///
 /// The Brooks–Iyengar interval spans every point of sufficient support,
 /// which is Marzullo's interval by construction, so this fuser computes it

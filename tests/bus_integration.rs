@@ -185,7 +185,8 @@ proptest! {
     /// The bus is an independent model of what the attacker has seen: a
     /// round replayed over it from the pipeline's sampled readings must
     /// put exactly the pipeline's intervals on the wire, and its
-    /// controller must fuse and flag exactly as the pipeline does. Each
+    /// controller must fuse, flag and condemn exactly as the pipeline
+    /// does. Each
     /// case draws one of the 21 fuser × detection pairs; the seeded cases
     /// draw every pair 31 to 59 times.
     #[test]
@@ -240,21 +241,17 @@ proptest! {
             let bus = run_bus_round(&mut bus_pipeline, &readings, &out.order);
             let case = format!("{} / {detection:?}, round {round}", fuser.name());
             prop_assert_eq!(
-                (&case, &bus.transmitted, bus.fusion, &bus.flagged),
-                (&case, &out.transmitted, out.fusion, &out.flagged)
+                (&case, &bus.transmitted, bus.fusion, &bus.flagged, &bus.condemned),
+                (&case, &out.transmitted, out.fusion, &out.flagged, &out.condemned)
             );
 
-            // The controller's tail: one alert per flagged sensor in
-            // slot order (alert frames outrank the fusion frame in
-            // arbitration), then the fusion frame; nothing when fusion
-            // fails.
+            // The controller's tail: the fusion frame (it outranks the
+            // alert frames in arbitration), then one alert per flagged
+            // sensor in slot order; nothing when fusion fails.
             let tail: Vec<Payload> = bus.frames[n..].iter().map(|fr| fr.payload.clone()).collect();
-            let mut expected: Vec<Payload> = out
-                .flagged
-                .iter()
-                .map(|&sensor| Payload::Alert { sensor })
-                .collect();
-            expected.extend(out.fusion.iter().map(|&interval| Payload::Fusion { interval }));
+            let mut expected: Vec<Payload> =
+                out.fusion.iter().map(|&interval| Payload::Fusion { interval }).collect();
+            expected.extend(out.flagged.iter().map(|&sensor| Payload::Alert { sensor }));
             prop_assert_eq!((&case, tail), (&case, expected));
             let slot_of = |s: usize| out.order.slot_of(s);
             prop_assert!(
