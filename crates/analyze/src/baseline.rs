@@ -1,10 +1,10 @@
 //! The baseline pass: lint persisted sweep baselines and the baseline
 //! directory as a whole.
 //!
-//! Per-file checks (address integrity, filename/address agreement) run
-//! through the [`Lint`] registry against a [`BaselineContext`]. The
-//! directory driver adds findings the trait cannot express because they
-//! concern unreadable files or cross-file context:
+//! Each readable file gets the per-file checks (address integrity,
+//! filename/address agreement) and, when a golden grid addresses it, a
+//! check that its rows are that grid's cells. The directory driver adds
+//! the findings that concern unreadable files or cross-file context:
 //!
 //! * `baseline-parse` (error) — the file is not a readable baseline;
 //! * `baseline-io` (error) — the directory itself cannot be listed;
@@ -20,74 +20,73 @@
 use std::path::Path;
 
 use arsf_core::sweep::diff::DiffConfig;
-use arsf_core::sweep::store::{baseline_path, Baseline};
+use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
+use arsf_core::sweep::SweepGrid;
 
-use crate::{registry, sort_findings, Finding, Location, Severity};
+use crate::lints::check_baseline;
+use crate::rules::{
+    BASELINE_CELLS, BASELINE_IO, BASELINE_MISSING, BASELINE_ORPHAN, BASELINE_PARSE,
+    BASELINE_SKIPPED, TOLERANCE_DEAD,
+};
+use crate::{sort_findings, Finding, Location};
 
-/// One parsed baseline file, as seen by [`Lint::check_baseline`](crate::Lint::check_baseline).
-#[derive(Debug)]
-pub struct BaselineContext<'a> {
-    /// The file the baseline was loaded from.
-    pub path: &'a Path,
-    /// The parsed baseline.
-    pub baseline: &'a Baseline,
-}
-
-/// Lints one baseline file: parses it, then runs every registered lint.
+/// Lints one baseline file: parses it, then runs the baseline checks.
 ///
 /// An unreadable or unparsable file yields a single `baseline-parse`
 /// error finding rather than a panic or an `Err` — malformed input is
 /// exactly what the analyzer exists to report.
 pub fn analyze_baseline_file(path: &Path) -> Vec<Finding> {
-    let baseline = match Baseline::load(path) {
-        Ok(baseline) => baseline,
-        Err(err) => {
-            return vec![Finding {
-                lint: "baseline-parse",
-                severity: Severity::Error,
-                location: Location::File {
-                    path: path.to_path_buf(),
-                },
-                message: err.to_string(),
-            }]
-        }
-    };
-    let ctx = BaselineContext {
-        path,
-        baseline: &baseline,
-    };
     let mut findings = Vec::new();
-    for lint in registry() {
-        lint.check_baseline(&ctx, &mut findings);
-    }
-    sort_findings(&mut findings);
+    lint_file(path, None, &mut findings);
     findings
 }
 
-/// Lints a baseline directory against the set of known golden grids.
+/// Parses one baseline file and runs the baseline checks over it; when
+/// `grid` addresses the file, also checks that its rows are the grid's
+/// cells (`baseline-cells`).
+fn lint_file(path: &Path, grid: Option<(&str, &SweepGrid)>, out: &mut Vec<Finding>) {
+    let location = || Location::File {
+        path: path.to_path_buf(),
+    };
+    let baseline = match Baseline::load(path) {
+        Ok(baseline) => baseline,
+        Err(err) => {
+            out.push(BASELINE_PARSE.finding(location(), err.to_string()));
+            return;
+        }
+    };
+    check_baseline(path, &baseline, out);
+    if let Some((name, grid)) = grid {
+        if let Err(err) = baseline.verify_cells(grid) {
+            out.push(BASELINE_CELLS.finding(
+                location(),
+                format!("the rows are not the cells of golden grid `{name}`: {err}"),
+            ));
+        }
+    }
+}
+
+/// Lints a baseline directory against the known golden grids.
 ///
-/// `known` pairs each golden grid's name with its expected content
-/// address (`arsf-bench`'s `golden::all()` provides it; this crate
-/// cannot depend on the grids themselves). Every `*.json` file whose
-/// stem looks like a content address (16 lowercase hex digits) is
-/// linted with [`analyze_baseline_file`] and checked for orphanhood;
-/// other JSON files (e.g. a report saved in the same directory) are
-/// not baselines and are skipped with an info-level
-/// `baseline-skipped` finding each, so a typo'd baseline name stays
-/// visible.
-pub fn analyze_baseline_dir(dir: &Path, known: &[(String, String)]) -> Vec<Finding> {
-    let mut findings = Vec::new();
+/// `grids` pairs each golden grid's name with the grid (`arsf-bench`'s
+/// `golden::all()` provides them; this crate cannot depend on the grids
+/// themselves). Every `*.json` file whose stem looks like a content
+/// address (16 lowercase hex digits) is linted like
+/// [`analyze_baseline_file`], checked against the golden grid with that
+/// address (`baseline-cells`) or reported as an orphan; other JSON files
+/// (e.g. a report saved in the same directory) are not baselines and
+/// are skipped with an info-level `baseline-skipped` finding each, so a
+/// typo'd baseline name stays visible.
+pub fn analyze_baseline_dir(dir: &Path, grids: &[(&str, SweepGrid)]) -> Vec<Finding> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(err) => {
-            return vec![Finding {
-                lint: "baseline-io",
-                severity: Severity::Error,
-                location: Location::File {
+            return vec![BASELINE_IO.finding(
+                Location::File {
                     path: dir.to_path_buf(),
                 },
-                message: format!("cannot list baseline directory: {err}"),
-            }]
+                format!("cannot list baseline directory: {err}"),
+            )]
         }
     };
     let mut paths: Vec<std::path::PathBuf> = entries
@@ -95,7 +94,12 @@ pub fn analyze_baseline_dir(dir: &Path, known: &[(String, String)]) -> Vec<Findi
         .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
+    let known: Vec<(&str, &SweepGrid, String)> = grids
+        .iter()
+        .map(|(name, grid)| (*name, grid, grid_address(grid)))
+        .collect();
 
+    let mut findings = Vec::new();
     for path in &paths {
         let stem = path
             .file_stem()
@@ -105,44 +109,43 @@ pub fn analyze_baseline_dir(dir: &Path, known: &[(String, String)]) -> Vec<Findi
             // Not a baseline (e.g. a report sharing the directory) —
             // but say so, because a typo'd baseline name
             // would otherwise silently escape every check.
-            findings.push(Finding {
-                lint: "baseline-skipped",
-                severity: Severity::Info,
-                location: Location::File { path: path.clone() },
-                message: format!(
+            findings.push(BASELINE_SKIPPED.finding(
+                Location::File { path: path.clone() },
+                format!(
                     "`{stem}.json` is not a content-addressed baseline (expected a 16-hex \
                      stem): skipped by every baseline check"
                 ),
-            });
+            ));
             continue;
         }
-        findings.extend(analyze_baseline_file(path));
-        if !known.iter().any(|(_, address)| *address == stem) {
-            findings.push(Finding {
-                lint: "baseline-orphan",
-                severity: Severity::Warn,
-                location: Location::File { path: path.clone() },
-                message: format!(
+        let grid = known
+            .iter()
+            .find(|(_, _, address)| *address == stem)
+            .map(|&(name, grid, _)| (name, grid));
+        lint_file(path, grid, &mut findings);
+        if grid.is_none() {
+            findings.push(BASELINE_ORPHAN.finding(
+                Location::File { path: path.clone() },
+                format!(
                     "no golden grid references address {stem}: the file is never checked and \
                      likely predates a grid change (delete it or re-record)"
                 ),
-            });
+            ));
         }
     }
 
-    for (name, address) in known {
-        let expected = baseline_path(dir, address);
-        if !expected.exists() {
-            findings.push(Finding {
-                lint: "baseline-missing",
-                severity: Severity::Warn,
-                location: Location::Grid { name: name.clone() },
-                message: format!(
+    for (name, _, address) in &known {
+        if !baseline_path(dir, address).exists() {
+            findings.push(BASELINE_MISSING.finding(
+                Location::Grid {
+                    name: name.to_string(),
+                },
+                format!(
                     "no recorded baseline {address}.json in {}: record one with \
                      `scenario_sweep --baseline record`",
                     dir.display()
                 ),
-            });
+            ));
         }
     }
 
@@ -180,18 +183,16 @@ pub fn tolerance_findings(config: &DiffConfig, baselines: &[&Baseline]) -> Vec<F
             })
         });
         if !matched {
-            findings.push(Finding {
-                lint: "tolerance-dead",
-                severity: Severity::Warn,
-                location: Location::Column {
+            findings.push(TOLERANCE_DEAD.finding(
+                Location::Column {
                     column: column.clone(),
                 },
-                message: format!(
+                format!(
                     "tolerance for `{column}` matches no column in any of the {} baseline(s) \
                      checked: it guards nothing (typo, or the column was renamed)",
                     baselines.len()
                 ),
-            });
+            ));
         }
     }
     sort_findings(&mut findings);
@@ -215,13 +216,17 @@ mod tests {
 
     use arsf_core::scenario::{Scenario, SuiteSpec};
     use arsf_core::sweep::diff::{DiffConfig, Tolerance};
-    use arsf_core::sweep::store::Baseline;
+    use arsf_core::sweep::store::{grid_address, Baseline};
     use arsf_core::sweep::SweepGrid;
 
     use super::{analyze_baseline_dir, analyze_baseline_file, tolerance_findings};
 
+    fn tiny_grid(rounds: u64) -> SweepGrid {
+        SweepGrid::new(Scenario::new("tiny", SuiteSpec::Landshark).with_rounds(rounds))
+    }
+
     fn tiny_baseline() -> Baseline {
-        let grid = SweepGrid::new(Scenario::new("tiny", SuiteSpec::Landshark).with_rounds(5));
+        let grid = tiny_grid(5);
         Baseline::from_report(&grid, &grid.run_serial())
     }
 
@@ -280,14 +285,13 @@ mod tests {
         std::fs::write(dir.join("throughput.json"), "{}").unwrap();
 
         // Known set: one grid matching the saved file, one unrecorded.
-        let known = vec![
-            ("tiny".to_string(), baseline.address.clone()),
-            ("unrecorded".to_string(), "00000000deadbeef".to_string()),
-        ];
+        let unrecorded = tiny_grid(6);
+        let unrecorded_address = grid_address(&unrecorded);
+        let known = vec![("tiny", tiny_grid(5)), ("unrecorded", unrecorded)];
         let findings = analyze_baseline_dir(&dir, &known);
         assert_eq!(findings.len(), 2);
         assert_eq!(findings[0].lint, "baseline-missing");
-        assert!(findings[0].message.contains("00000000deadbeef"));
+        assert!(findings[0].message.contains(&unrecorded_address));
         assert_eq!(findings[1].lint, "baseline-skipped");
         assert_eq!(findings[1].severity, crate::Severity::Info);
         assert!(findings[1].message.contains("throughput"));

@@ -29,24 +29,28 @@
 //! sensors ([`DetectReport::suspects`]) can ever be flagged or
 //! condemned.
 //!
-//! Four lints surface the layer ([`detect_lints`], a dedicated pass like
-//! the guarantee lints): `detect-verdict` (info, one per cell),
-//! `detect-invisible` (warn: the detector is on but geometrically can
-//! never fire), `detect-coverage` (info, grid-level attack × detector
-//! matrix), and `detect-violation` (error, the pass-driver rule
-//! [`vet_baseline_detectability`] uses when a stored `flagged_rounds` or
-//! condemnation set contradicts its cell's verdict). A fifth id,
-//! `detect-vacuous`, is raised only by the record-time veto, for a grid
-//! whose every corruptible cell is provably invisible.
+//! [`analyze_grid_detectability`] derives the report once per cell and
+//! surfaces it as three rules (a dedicated pass like the guarantee
+//! pass): `detect-verdict` (info, one per cell), `detect-invisible`
+//! (warn: the detector is on but geometrically can never fire), and
+//! `detect-coverage` (info, grid-level attack × detector matrix).
+//! [`vet_baseline_detectability`] raises `detect-violation` (error) when
+//! a stored `flagged_rounds` or condemnation set contradicts its cell's
+//! verdict, and `detect-vacuous` is raised only by the record-time veto,
+//! for a grid whose every corruptible cell is provably invisible.
 
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategyVisibility};
-use arsf_core::sweep::store::Baseline;
+use arsf_core::sweep::row::decode_condemned;
+use arsf_core::sweep::store::{detector_label, Baseline};
 use arsf_core::sweep::SweepGrid;
 use arsf_detect::DetectorModel;
 use arsf_sensor::FaultKind;
 
-use crate::guarantees::guarantee_report;
-use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
+use crate::guarantees::{guarantee_report, GuaranteeReport};
+use crate::rules::{
+    DETECT_COVERAGE, DETECT_INVISIBLE, DETECT_VACUOUS, DETECT_VERDICT, DETECT_VIOLATION,
+};
+use crate::{sort_findings, Finding, Location};
 
 /// Absolute slack when comparing recorded round counts against derived
 /// bounds: the counts are exact integers round-tripped through `f64`, so
@@ -234,11 +238,14 @@ fn fault_margin(kind: FaultKind, truth: (f64, f64)) -> Option<f64> {
 /// nothing may override the transmission (the sensor is not attacked,
 /// carries exactly one fault, and the run is open-loop with a known
 /// truth range).
-fn certain_violators(scenario: &Scenario, widths: &[f64]) -> Vec<usize> {
+fn certain_violators(
+    scenario: &Scenario,
+    widths: &[f64],
+    guarantees: &GuaranteeReport,
+) -> Vec<usize> {
     if fuser_geometry_vacuous(&scenario.fuser) {
         return Vec::new(); // the check can never fire at all
     }
-    let guarantees = guarantee_report(scenario);
     let (Some(bound), true) = (guarantees.width_bound, guarantees.truth_containment) else {
         return Vec::new(); // no static frame to prove disjointness in
     };
@@ -287,7 +294,7 @@ fn certain_violators(scenario: &Scenario, widths: &[f64]) -> Vec<usize> {
 /// the corruption budget within `f` in every silent configuration (so
 /// the clamp's maximal-coverage touch point provably lies inside the
 /// fused interval).
-fn stealth_invisible(scenario: &Scenario, n: usize) -> bool {
+fn stealth_invisible(scenario: &Scenario, n: usize, guarantees: &GuaranteeReport) -> bool {
     if !matches!(
         scenario.fuser,
         FuserSpec::Marzullo | FuserSpec::BrooksIyengar
@@ -299,7 +306,7 @@ fn stealth_invisible(scenario: &Scenario, n: usize) -> bool {
     }
     scenario.attacker.visibility() != StrategyVisibility::Opportunistic
         && scenario.attacker.max_attacked_per_round() <= 1
-        && guarantee_report(scenario).truth_containment
+        && guarantees.truth_containment
 }
 
 /// Statically derives the [`DetectReport`] of one scenario.
@@ -329,8 +336,9 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
     let n = model.widths.len();
     let detector = scenario.detector.model();
     let geometry = fuser_geometry_vacuous(&scenario.fuser);
-    let false_alarm_free = geometry || guarantee_report(scenario).truth_containment;
-    let certain = certain_violators(scenario, &model.widths);
+    let guarantees = guarantee_report(scenario);
+    let false_alarm_free = geometry || guarantees.truth_containment;
+    let certain = certain_violators(scenario, &model.widths, &guarantees);
 
     let verdict = if !detector.flags {
         DetectVerdict::ProvablyInvisible {
@@ -348,7 +356,7 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::HonestSuite,
         }
-    } else if stealth_invisible(scenario, n) {
+    } else if stealth_invisible(scenario, n, &guarantees) {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::StealthClamp,
         }
@@ -388,45 +396,33 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
     }
 }
 
-/// The detector label finding messages use (the configuration, not just
-/// the stock name, so two windowed cells stay distinguishable).
-fn detector_label(scenario: &Scenario) -> String {
-    match scenario.detector {
-        arsf_core::DetectionMode::Windowed { window, tolerance } => {
-            format!("windowed({window},{tolerance})")
-        }
-        arsf_core::DetectionMode::Off => "off".to_string(),
-        arsf_core::DetectionMode::Immediate => "immediate".to_string(),
-        // `DetectionMode` is non-exhaustive; fall back to the debug form.
-        other => format!("{other:?}").to_lowercase(),
-    }
-}
-
-/// Lint: the cell's statically derived detection verdict, for the
-/// record.
-struct DetectVerdictLint;
-
-impl Lint for DetectVerdictLint {
-    fn id(&self) -> &'static str {
-        "detect-verdict"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn description(&self) -> &'static str {
-        "reports the statically derived detection verdict (provably invisible, provably \
-         flagged, or contingent) and the false-alarm-freedom certificate"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
+/// Runs the detectability pass over a grid, most-severe-first: per
+/// cell, its `detect-verdict` and, when the enabled detector can never
+/// fire under the cell's fuser, `detect-invisible`, each at its
+/// [`Location::Cell`]; then one `detect-coverage` summary per attacker
+/// × detector pair, in first-seen order.
+///
+/// This derives a [`DetectVerdict`] for every cell without running a
+/// single simulation round.
+pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    // (attacker label, detector label) → (invisible, flagged,
+    // contingent, total), in first-seen order for determinism.
+    let mut pairs: Vec<(String, String, [usize; 4])> = Vec::new();
+    for cell in grid.cells() {
+        let scenario = &cell.scenario;
+        let at = || Location::Cell { cell: cell.index };
         let report = detect_report(scenario);
+        let attacker = scenario.attacker.label();
+        let detector = detector_label(&scenario.detector);
+        let fuser = scenario.fuser.name();
+
         let detail = match report.verdict {
-            DetectVerdict::ProvablyInvisible { reason } => {
-                format!(
-                    "{} ({}); static flagged_rounds bound 0",
-                    report.verdict.label(),
-                    reason.describe()
-                )
-            }
+            DetectVerdict::ProvablyInvisible { reason } => format!(
+                "{} ({}); static flagged_rounds bound 0",
+                report.verdict.label(),
+                reason.describe()
+            ),
             DetectVerdict::ProvablyFlagged { within } => {
                 let fate = if report.detector.condemns {
                     format!("condemned within {within} violating fused round(s)")
@@ -451,172 +447,56 @@ impl Lint for DetectVerdictLint {
             ),
             None => String::new(),
         };
-        out.push(Finding {
-            lint: self.id(),
-            severity: self.severity(),
-            location: Location::Scenario {
-                name: scenario.name.clone(),
-            },
-            message: format!(
-                "attacker `{}` × fuser `{}` × detector `{}`: {detail}{faf}",
-                scenario.attacker.label(),
-                scenario.fuser.name(),
-                detector_label(scenario),
+        findings.push(DETECT_VERDICT.finding(
+            at(),
+            format!(
+                "attacker `{attacker}` × fuser `{fuser}` × detector `{detector}`: {detail}{faf}"
             ),
-        });
-    }
-}
+        ));
 
-/// Lint: the detector is enabled but geometrically can never fire.
-struct DetectInvisible;
-
-impl Lint for DetectInvisible {
-    fn id(&self) -> &'static str {
-        "detect-invisible"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "an enabled detector whose overlap check can never fire under this fuser: the \
-         detection columns are vacuous"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let report = detect_report(scenario);
         if report.detector.flags && fuser_geometry_vacuous(&scenario.fuser) {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Scenario {
-                    name: scenario.name.clone(),
-                },
-                message: format!(
-                    "detector `{}` can never fire under fuser `{}`: the fused interval \
-                     intersects every transmitted interval by construction, so the \
+            findings.push(DETECT_INVISIBLE.finding(
+                at(),
+                format!(
+                    "detector `{detector}` can never fire under fuser `{fuser}`: the fused \
+                     interval intersects every transmitted interval by construction, so the \
                      detection columns are vacuous for any attacker",
-                    detector_label(scenario),
-                    scenario.fuser.name(),
                 ),
-            });
+            ));
         }
-    }
-}
 
-/// Lint: the grid-level attack × detector detectability matrix.
-struct DetectCoverage;
-
-impl Lint for DetectCoverage {
-    fn id(&self) -> &'static str {
-        "detect-coverage"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn description(&self) -> &'static str {
-        "summarises, per attacker × detector pair, how many grid cells are provably \
-         invisible, provably flagged, or contingent"
-    }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        // (attacker label, detector label) → (invisible, flagged,
-        // contingent, total), in first-seen order for determinism.
-        let mut pairs: Vec<(String, String, [usize; 4])> = Vec::new();
-        for cell in grid.cells() {
-            let report = detect_report(&cell.scenario);
-            let attacker = cell.scenario.attacker.label();
-            let detector = detector_label(&cell.scenario);
-            let slot = match pairs
-                .iter_mut()
-                .find(|(a, d, _)| *a == attacker && *d == detector)
-            {
-                Some((_, _, counts)) => counts,
-                None => {
-                    pairs.push((attacker, detector, [0; 4]));
-                    // Just pushed, so the vector is non-empty.
-                    let last = pairs.len() - 1;
-                    &mut pairs[last].2
-                }
-            };
-            match report.verdict {
-                DetectVerdict::ProvablyInvisible { .. } => slot[0] += 1,
-                DetectVerdict::ProvablyFlagged { .. } => slot[1] += 1,
-                DetectVerdict::Contingent => slot[2] += 1,
+        let slot = match pairs
+            .iter()
+            .position(|(a, d, _)| *a == attacker && *d == detector)
+        {
+            Some(slot) => slot,
+            None => {
+                pairs.push((attacker, detector, [0; 4]));
+                pairs.len() - 1
             }
-            slot[3] += 1;
+        };
+        let counts = &mut pairs[slot].2;
+        match report.verdict {
+            DetectVerdict::ProvablyInvisible { .. } => counts[0] += 1,
+            DetectVerdict::ProvablyFlagged { .. } => counts[1] += 1,
+            DetectVerdict::Contingent => counts[2] += 1,
         }
-        for (attacker, detector, [invisible, flagged, contingent, total]) in pairs {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Grid {
-                    name: grid.base().name.clone(),
-                },
-                message: format!(
-                    "attacker `{attacker}` × detector `{detector}`: {invisible}/{total} \
-                     cell(s) provably invisible, {flagged} provably flagged, {contingent} \
-                     contingent"
-                ),
-            });
-        }
+        counts[3] += 1;
     }
-}
-
-/// Pass-driver rule id for a stored detection column contradicting its
-/// cell's static verdict.
-struct DetectViolation;
-
-impl Lint for DetectViolation {
-    fn id(&self) -> &'static str {
-        "detect-violation"
+    for (attacker, detector, [invisible, flagged, contingent, total]) in pairs {
+        findings.push(DETECT_COVERAGE.finding(
+            Location::Grid {
+                name: grid.base().name.clone(),
+            },
+            format!(
+                "attacker `{attacker}` × detector `{detector}`: {invisible}/{total} \
+                 cell(s) provably invisible, {flagged} provably flagged, {contingent} \
+                 contingent"
+            ),
+        ));
     }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "a stored baseline detection column contradicts its cell's statically derived \
-         detectability verdict"
-    }
-}
-
-/// Pass-driver rule id for the record-time veto of a grid whose
-/// detection columns are all provably vacuous (reported only when
-/// recording, never by `sweep_lint`).
-struct DetectVacuous;
-
-impl Lint for DetectVacuous {
-    fn id(&self) -> &'static str {
-        "detect-vacuous"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "every corruptible cell of a grid being recorded is provably invisible to its \
-         detector: the baseline's detection columns would be vacuous"
-    }
-}
-
-/// The detectability lints, as a dedicated registry (kept out of the
-/// default [`registry`](crate::registry) for the same reason as the
-/// guarantee lints: this is an opt-in analysis pass, not a structural
-/// precondition).
-pub fn detect_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(DetectVerdictLint),
-        Box::new(DetectInvisible),
-        Box::new(DetectCoverage),
-        Box::new(DetectViolation),
-        Box::new(DetectVacuous),
-    ]
-}
-
-/// Runs the detectability lints over every cell of a grid (each finding
-/// relocated to its [`Location::Cell`]) plus the grid-level hooks (the
-/// coverage matrix), most-severe-first.
-///
-/// This derives a [`DetectVerdict`] for every cell without running a
-/// single simulation round.
-pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
-    lint_grid(&detect_lints(), grid)
+    sort_findings(&mut findings);
+    findings
 }
 
 /// The record-time veto: one `detect-vacuous` finding when the grid
@@ -638,29 +518,16 @@ pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
     if corruptible == 0 {
         return Vec::new();
     }
-    vec![Finding {
-        lint: "detect-vacuous",
-        severity: Severity::Error,
-        location: Location::Grid {
+    vec![DETECT_VACUOUS.finding(
+        Location::Grid {
             name: grid.base().name.clone(),
         },
-        message: format!(
+        format!(
             "all {corruptible} corruptible cell(s) are provably invisible to their detectors, \
              so the recorded detection columns would be vacuous (run `sweep_lint \
              detectability` for the per-cell verdicts)"
         ),
-    }]
-}
-
-/// Parses a stored pipe-joined condemned label (`"0|2"`) into sensor
-/// indices; entries that fail to parse are skipped (the baseline parser
-/// already vets the file's shape).
-fn parse_condemned(label: &str) -> Vec<usize> {
-    label
-        .split('|')
-        .filter(|part| !part.is_empty())
-        .filter_map(|part| part.trim().parse().ok())
-        .collect()
+    )]
 }
 
 /// Vets every stored [`CellRecord`](arsf_core::sweep::store::CellRecord)
@@ -677,11 +544,12 @@ fn parse_condemned(label: &str) -> Vec<usize> {
 /// rounds; and under false-alarm freedom only the cell's suspects may
 /// appear in the condemned set. Violations are `detect-violation` errors
 /// carrying the cell index, column, bound and observed value, located at
-/// `location` (the baseline file, typically).
+/// `location` (the baseline file, typically); so is a `condemned` label
+/// that does not decode, naming the bad entry.
 ///
-/// Records whose cell index falls outside the grid are skipped — the
-/// baseline pass (`baseline-address`) already flags grid/baseline
-/// mismatches.
+/// Records whose cell index falls outside the grid are skipped; the
+/// baseline pass flags a stored golden baseline whose rows are not its
+/// grid's cells (`baseline-cells`), and recording refuses one.
 pub fn vet_baseline_detectability(
     grid: &SweepGrid,
     baseline: &Baseline,
@@ -697,12 +565,10 @@ pub fn vet_baseline_detectability(
         let report = detect_report(&scenario);
 
         let mut violation = |column: &str, message: String| {
-            findings.push(Finding {
-                lint: "detect-violation",
-                severity: Severity::Error,
-                location: location.clone(),
-                message: format!("cell {cell} `{column}`: {message}"),
-            });
+            findings.push(DETECT_VIOLATION.finding(
+                location.clone(),
+                format!("cell {cell} `{column}`: {message}"),
+            ));
         };
 
         let rounds = record
@@ -716,7 +582,6 @@ pub fn vet_baseline_detectability(
             .max(0.0);
         let fused = (rounds - failures).max(0.0);
         let flagged = record.metric("flagged_rounds").flatten();
-        let condemned = record.label("condemned").map(parse_condemned);
 
         if let Some(flagged) = flagged {
             // Universally sound: detection only assesses fused rounds.
@@ -759,6 +624,13 @@ pub fn vet_baseline_detectability(
             }
         }
 
+        let condemned = match record.label("condemned").map(decode_condemned) {
+            Some(Err(err)) => {
+                violation("condemned", err);
+                None
+            }
+            decoded => decoded.and_then(Result::ok),
+        };
         if let Some(condemned) = &condemned {
             if let DetectVerdict::ProvablyInvisible { reason } = report.verdict {
                 if !condemned.is_empty() {
@@ -811,6 +683,7 @@ pub fn vet_baseline_detectability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
     use arsf_core::scenario::{ClosedLoopSpec, StrategySpec, SuiteSpec, TruthSpec};
     use arsf_core::DetectionMode;
     use arsf_sensor::{FaultKind, FaultModel};
@@ -854,7 +727,7 @@ mod tests {
                 "{fuser:?}"
             );
             assert!(detect_report(&scenario).false_alarm_free);
-            let findings = lint_grid(&detect_lints(), &SweepGrid::new(scenario.clone()));
+            let findings = analyze_grid_detectability(&SweepGrid::new(scenario.clone()));
             assert!(
                 findings
                     .iter()
@@ -1124,6 +997,33 @@ mod tests {
         );
     }
 
+    #[test]
+    fn an_undecodable_condemned_label_names_the_cell_and_entry() {
+        let grid = SweepGrid::new(
+            attacked(
+                Scenario::new("d", SuiteSpec::Landshark),
+                vec![0],
+                StrategySpec::PhantomOptimal,
+            )
+            .with_rounds(20),
+        );
+        let mut baseline = Baseline::from_report(&grid, &grid.run_serial());
+        let condemned = baseline.rows[0]
+            .labels
+            .iter_mut()
+            .find(|(name, _)| name == "condemned")
+            .expect("condemned column");
+        condemned.1 = "0|x".to_string();
+        let findings = vet_baseline_detectability(&grid, &baseline, &Location::Cell { cell: 0 });
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, "detect-violation");
+        assert_eq!(findings[0].severity, Severity::Error);
+        assert_eq!(
+            findings[0].message,
+            "cell 0 `condemned`: bad condemned entry `x`"
+        );
+    }
+
     fn slot_reset(metrics: &mut [(String, Option<f64>)], name: &str, value: Option<f64>) {
         if let Some(slot) = metrics.iter_mut().find(|(n, _)| n == name) {
             slot.1 = value;
@@ -1207,18 +1107,5 @@ mod tests {
         assert!(!analyze_grid_detectability(&vacuous)
             .iter()
             .any(|f| f.lint == "detect-vacuous"));
-    }
-
-    #[test]
-    fn detect_lint_ids_are_unique_and_described() {
-        let lints = detect_lints();
-        let mut ids: Vec<&str> = lints.iter().map(|l| l.id()).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before);
-        for lint in &lints {
-            assert!(!lint.description().is_empty(), "{} undocumented", lint.id());
-        }
     }
 }

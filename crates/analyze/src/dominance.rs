@@ -52,14 +52,14 @@
 //! not a grid axis — by recomputing the bound at `f − 1` and requiring
 //! it not to exceed the bound at `f` ([`FRegression`] when it does).
 //!
-//! Three lints surface the layer ([`order_lints`], a dedicated pass like
-//! the guarantee and detectability passes): `order-edge` (info, one per
-//! provable edge), `order-vacuous` (warn: the grid admits single-axis
-//! cell pairs but no provable ordering on any of them), and
-//! `order-violation` (error: a derived-bound inversion or f-regression
-//! at analysis time, or — via [`vet_baseline_dominance`] — a stored
-//! baseline whose metrics contradict a provable edge beyond the
-//! near-exact tolerance floor).
+//! [`analyze_grid_dominance`] derives the report once per grid and
+//! surfaces it as three rules (a dedicated pass like the guarantee and
+//! detectability passes): `order-edge` (info, one per provable edge),
+//! `order-vacuous` (warn: the grid admits single-axis cell pairs but no
+//! provable ordering on any of them), and `order-violation` (error: a
+//! derived-bound inversion or f-regression at analysis time, or — via
+//! [`vet_baseline_dominance`] — a stored baseline whose metrics
+//! contradict a provable edge beyond the near-exact tolerance floor).
 //!
 //! [cmp]: arsf_core::scenario::AttackerSpec::strength_partial_cmp
 
@@ -73,7 +73,8 @@ use arsf_sensor::FaultKind;
 
 use crate::detectability::{detect_report, DetectVerdict};
 use crate::guarantees::{guarantee_report, GuaranteeReport};
-use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
+use crate::rules::{ORDER_EDGE, ORDER_VACUOUS, ORDER_VIOLATION};
+use crate::{sort_findings, Finding, Location};
 
 /// Absolute slack when comparing two derived width bounds: both come
 /// from the same closed-form evaluation, so anything beyond rounding
@@ -534,157 +535,82 @@ pub fn dominance_report(grid: &SweepGrid) -> DominanceReport {
     }
 }
 
-/// Info lint: one finding per provable dominance edge.
-struct OrderEdgeLint;
-
-impl Lint for OrderEdgeLint {
-    fn id(&self) -> &'static str {
-        "order-edge"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn description(&self) -> &'static str {
-        "a provable cross-cell metric ordering derived from the theory (Table II \
-         schedule ordering, certificates, or the width-bound lattice)"
-    }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        for edge in dominance_report(grid).edges {
-            let claim = if let Some((lb, gb)) = edge.bounds {
-                format!("the worst-case width bound ({lb:.6} ≤ {gb:.6})")
-            } else {
-                edge.metrics.join(", ")
-            };
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::CellPair {
-                    lesser: edge.lesser,
-                    greater: edge.greater,
-                },
-                message: format!(
-                    "`{}` axis: {} proves cell {} ⪯ cell {} on {claim}",
-                    edge.axis,
-                    edge.rule.label(),
-                    edge.lesser,
-                    edge.greater,
-                ),
-            });
-        }
-    }
-}
-
-/// Warn lint: the grid admits single-axis pairs but proves none of them.
-struct OrderVacuous;
-
-impl Lint for OrderVacuous {
-    fn id(&self) -> &'static str {
-        "order-vacuous"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "the grid has single-axis cell pairs but no provable ordering on any of them, \
-         so the dominance pass cannot vet its baselines"
-    }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        let report = dominance_report(grid);
-        if report.edges.is_empty() && !report.incomparable.is_empty() {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Grid {
-                    name: grid.base().name.clone(),
-                },
-                message: format!(
-                    "{} single-axis cell pair(s), none provably ordered: no armed axis \
-                     (stealthy schedule comparison, certificate gap, or width-bound \
-                     lattice) applies to this grid",
-                    report.incomparable.len()
-                ),
-            });
-        }
-    }
-}
-
-/// Error lint: the analyzer's own bound lattice is inconsistent — a
-/// bound-level dominance claim is contradicted by the derived bounds, or
-/// the Theorem-2 bound fails f-monotonicity. (The same `order-violation`
-/// id is used by [`vet_baseline_dominance`] for stored metrics that
-/// contradict a provable edge.)
-struct OrderViolation;
-
-impl Lint for OrderViolation {
-    fn id(&self) -> &'static str {
-        "order-violation"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "a derived or stored metric ordering contradicts a provable dominance edge"
-    }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        let report = dominance_report(grid);
-        for inversion in report.inversions {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::CellPair {
-                    lesser: inversion.lesser,
-                    greater: inversion.greater,
-                },
-                message: format!(
-                    "`{}` axis: {} claims cell {} ⪯ cell {}, but the derived width \
-                     bounds invert ({:.6} > {:.6}) — analyzer inconsistency",
-                    inversion.axis,
-                    inversion.rule.label(),
-                    inversion.lesser,
-                    inversion.greater,
-                    inversion.lesser_bound,
-                    inversion.greater_bound,
-                ),
-            });
-        }
-        for regression in report.f_regressions {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Cell {
-                    cell: regression.cell,
-                },
-                message: format!(
-                    "width bound fails f-monotonicity: lowering f from {} to {} raises \
-                     the bound from {:.6} to {:.6} — analyzer inconsistency",
-                    regression.f,
-                    regression.f - 1,
-                    regression.bound,
-                    regression.lower_f_bound,
-                ),
-            });
-        }
-    }
-}
-
-/// The dominance lints, a dedicated pass like
-/// [`guarantee_lints`](crate::guarantee_lints) and
-/// [`detect_lints`](crate::detect_lints) — kept out of the default
-/// [`registry`](crate::registry) because `order-edge` is deliberately
-/// chatty (one info finding per provable edge).
-pub fn order_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(OrderEdgeLint),
-        Box::new(OrderVacuous),
-        Box::new(OrderViolation),
-    ]
-}
-
-/// Runs the dominance pass over a grid: every provable edge as an info
-/// finding located at its cell pair, a warning when nothing is provable,
-/// and errors for internal bound inversions, sorted most-severe-first.
+/// Runs the dominance pass over a grid, most-severe-first: every
+/// provable edge as an `order-edge` located at its cell pair, an
+/// `order-vacuous` warning when nothing is provable, and
+/// `order-violation` errors for bound inversions (at their cell pair)
+/// and f-regressions (at their cell).
 pub fn analyze_grid_dominance(grid: &SweepGrid) -> Vec<Finding> {
-    lint_grid(&order_lints(), grid)
+    let report = dominance_report(grid);
+    let mut findings = Vec::new();
+    for edge in &report.edges {
+        let claim = if let Some((lb, gb)) = edge.bounds {
+            format!("the worst-case width bound ({lb:.6} ≤ {gb:.6})")
+        } else {
+            edge.metrics.join(", ")
+        };
+        findings.push(ORDER_EDGE.finding(
+            Location::CellPair {
+                lesser: edge.lesser,
+                greater: edge.greater,
+            },
+            format!(
+                "`{}` axis: {} proves cell {} ⪯ cell {} on {claim}",
+                edge.axis,
+                edge.rule.label(),
+                edge.lesser,
+                edge.greater,
+            ),
+        ));
+    }
+    if report.edges.is_empty() && !report.incomparable.is_empty() {
+        findings.push(ORDER_VACUOUS.finding(
+            Location::Grid {
+                name: grid.base().name.clone(),
+            },
+            format!(
+                "{} single-axis cell pair(s), none provably ordered: no armed axis \
+                 (stealthy schedule comparison, certificate gap, or width-bound \
+                 lattice) applies to this grid",
+                report.incomparable.len()
+            ),
+        ));
+    }
+    for inversion in &report.inversions {
+        findings.push(ORDER_VIOLATION.finding(
+            Location::CellPair {
+                lesser: inversion.lesser,
+                greater: inversion.greater,
+            },
+            format!(
+                "`{}` axis: {} claims cell {} ⪯ cell {}, but the derived width \
+                 bounds invert ({:.6} > {:.6}) — analyzer inconsistency",
+                inversion.axis,
+                inversion.rule.label(),
+                inversion.lesser,
+                inversion.greater,
+                inversion.lesser_bound,
+                inversion.greater_bound,
+            ),
+        ));
+    }
+    for regression in &report.f_regressions {
+        findings.push(ORDER_VIOLATION.finding(
+            Location::Cell {
+                cell: regression.cell,
+            },
+            format!(
+                "width bound fails f-monotonicity: lowering f from {} to {} raises \
+                 the bound from {:.6} to {:.6} — analyzer inconsistency",
+                regression.f,
+                regression.f - 1,
+                regression.bound,
+                regression.lower_f_bound,
+            ),
+        ));
+    }
+    sort_findings(&mut findings);
+    findings
 }
 
 /// The record-time veto: every recorded cell pair of a freshly-run
@@ -706,7 +632,10 @@ pub(crate) fn veto(grid: &SweepGrid, baseline: &Baseline) -> Vec<Finding> {
 ///
 /// Bound-level edges (empty [`OrderEdge::metrics`]) are not checked
 /// against records: their claim orders worst-case *bounds*, and per-seed
-/// samples legitimately cross.
+/// samples legitimately cross. Edges whose cells have no record are
+/// skipped; the baseline pass flags a stored golden baseline whose rows
+/// are not its grid's cells (`baseline-cells`), and recording refuses
+/// one.
 pub fn vet_baseline_dominance(
     grid: &SweepGrid,
     baseline: &Baseline,
@@ -728,11 +657,9 @@ pub fn vet_baseline_dominance(
                 continue;
             };
             if lv > gv && !floor.allows(gv, lv) {
-                findings.push(Finding {
-                    lint: "order-violation",
-                    severity: Severity::Error,
-                    location: location.clone(),
-                    message: format!(
+                findings.push(ORDER_VIOLATION.finding(
+                    location.clone(),
+                    format!(
                         "cells {l} ⪯ {g} `{column}`: stored {lv} at cell {l} exceeds \
                          stored {gv} at cell {g}, inverting the provable `{axis}`-axis \
                          ordering ({rule}: {why})",
@@ -742,7 +669,7 @@ pub fn vet_baseline_dominance(
                         rule = edge.rule.label(),
                         why = edge.rule.describe(),
                     ),
-                });
+                ));
             }
         }
     }
@@ -753,6 +680,7 @@ pub fn vet_baseline_dominance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
     use arsf_core::scenario::{AttackerSpec, StrategySpec, SuiteSpec};
     use arsf_core::DetectionMode;
     use arsf_schedule::SchedulePolicy;

@@ -6,8 +6,8 @@
 //! lint can observe depend only on (suite, fault set, attacker) — the
 //! budget and soundness checks — and on (detector, rounds) — the window
 //! checks. [`analyze_grid`] therefore scans two small combination
-//! groups, pins every other axis to its first value, and rewrites each
-//! finding's location to the representative cell's grid index via
+//! groups, pins every other axis to its first value, and locates each
+//! finding at the representative cell's grid index via
 //! [`SweepGrid::cell_index`]. Findings are deduplicated by
 //! `(lint, message)` so a base-scenario property (say an inverted
 //! envelope, which every cell inherits) is reported once.
@@ -16,22 +16,20 @@ use std::collections::HashSet;
 
 use arsf_core::sweep::{AxisCoords, SweepGrid};
 
-use crate::{registry, sort_findings, Finding, Lint, Location};
+use crate::lints::{check_grid, check_scenario};
+use crate::{sort_findings, Finding, Location};
 
-/// Runs every registered lint over a sweep grid.
+/// Runs the structural checks over a sweep grid.
 ///
 /// Axis-level checks (`duplicate-axis-value`, `seed-collision`) see the
 /// whole grid; scenario-level checks run over the
 /// suites × fault-sets × attackers and detectors × rounds combination
-/// groups with the remaining axes pinned, each finding relocated to a
+/// groups with the remaining axes pinned, each finding located at a
 /// representative [`Location::Cell`]. Findings come back sorted
 /// most-severe-first.
 pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
-    let lints = registry();
     let mut findings = Vec::new();
-    for lint in &lints {
-        lint.check_grid(grid, &mut findings);
-    }
+    check_grid(grid, &mut findings);
 
     let mut seen: HashSet<(&'static str, String)> = HashSet::new();
     for suite in 0..grid.suite_axis().len() {
@@ -43,7 +41,7 @@ pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
                     attacker,
                     ..AxisCoords::default()
                 };
-                scan_cell(grid, coords, &lints, &mut seen, &mut findings);
+                scan_cell(grid, coords, &mut seen, &mut findings);
             }
         }
     }
@@ -54,7 +52,7 @@ pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
                 rounds,
                 ..AxisCoords::default()
             };
-            scan_cell(grid, coords, &lints, &mut seen, &mut findings);
+            scan_cell(grid, coords, &mut seen, &mut findings);
         }
     }
 
@@ -62,27 +60,26 @@ pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
     findings
 }
 
-/// Lints one representative cell, relocating scenario findings to the
-/// cell index and deduplicating by `(lint, message)` across cells.
+/// Checks one representative cell, locating its findings at the cell
+/// index and deduplicating by `(lint, message)` across cells.
 fn scan_cell(
     grid: &SweepGrid,
     coords: AxisCoords,
-    lints: &[Box<dyn Lint>],
     seen: &mut HashSet<(&'static str, String)>,
     out: &mut Vec<Finding>,
 ) {
     let cell = grid.cell_index(coords);
-    let scenario = grid.scenario(cell);
     let mut cell_findings = Vec::new();
-    for lint in lints {
-        lint.check_scenario(&scenario, &mut cell_findings);
-    }
-    for mut finding in cell_findings {
-        if seen.insert((finding.lint, finding.message.clone())) {
-            finding.location = Location::Cell { cell };
-            out.push(finding);
-        }
-    }
+    check_scenario(
+        &grid.scenario(cell),
+        &Location::Cell { cell },
+        &mut cell_findings,
+    );
+    out.extend(
+        cell_findings
+            .into_iter()
+            .filter(|finding| seen.insert((finding.lint, finding.message.clone()))),
+    );
 }
 
 #[cfg(test)]

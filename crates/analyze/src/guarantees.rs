@@ -10,9 +10,9 @@
 //! dynamics-bound fuser, and per-vehicle platoon suites), and whether
 //! truth-containment is *provable* under the declared budgets.
 //!
-//! Three lints surface the report ([`guarantee_lints`], kept out of the
-//! default [`registry`](crate::registry) because the guarantee view is a
-//! dedicated pass, not a structural precondition):
+//! [`analyze_grid_guarantees`] derives the report once per cell and
+//! surfaces it as three rules (a dedicated pass, not one of the
+//! structural checks [`analyze_grid`](crate::analyze_grid) runs):
 //!
 //! * `guarantee-unbounded` (error) — the declared budget lands in the
 //!   no-bound regime: whatever the sweep records is unfalsifiable;
@@ -34,7 +34,8 @@ use arsf_fusion::bounds::{
     historical_width_bound, regime, static_theorem2_bound, static_width_bound, BoundRegime,
 };
 
-use crate::{lint_grid, sort_findings, Finding, Lint, Location, Severity};
+use crate::rules::{GUARANTEE_UNBOUNDED, GUARANTEE_VACUOUS, GUARANTEE_VIOLATION, GUARANTEE_WIDTH};
+use crate::{sort_findings, Finding, Location};
 
 /// Absolute slack when comparing a recorded metric against a derived
 /// bound: the bounds are exact sums of declared widths, the metrics are
@@ -281,98 +282,49 @@ pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
     }
 }
 
-/// Lint: the declared budget admits no static width bound.
-struct GuaranteeUnbounded;
-
-impl Lint for GuaranteeUnbounded {
-    fn id(&self) -> &'static str {
-        "guarantee-unbounded"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "the declared fault/attacker budget admits no static fused-width bound; \
-         recorded results are unfalsifiable"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
+/// Runs the guarantee pass over every cell of a grid, most-severe-first:
+/// per cell, `guarantee-unbounded` for a no-bound verdict,
+/// `guarantee-vacuous` for a bound wider than the suite's span, and
+/// `guarantee-width` reporting the bound, each at its
+/// [`Location::Cell`].
+///
+/// Every guarantee finding belongs to the pass, not to the structural
+/// checks: several legitimate registry presets intentionally explore
+/// vacuous or attacked regimes. This derives a bound (or a no-bound
+/// verdict) for every cell without running a single simulation round.
+pub fn analyze_grid_guarantees(grid: &SweepGrid) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for cell in grid.cells() {
+        let scenario = &cell.scenario;
+        let at = || Location::Cell { cell: cell.index };
         let report = guarantee_report(scenario);
-        if report.unbounded() {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Scenario {
-                    name: scenario.name.clone(),
-                },
-                message: format!(
-                    "fuser `{}`: budget {} corrupt + {} silent of n = {} under f = {} lands in \
-                     the no-bound regime ({}); no static width bound exists",
-                    scenario.fuser.name(),
+        let fuser = scenario.fuser.name();
+        let Some(bound) = report.width_bound else {
+            findings.push(GUARANTEE_UNBOUNDED.finding(
+                at(),
+                format!(
+                    "fuser `{fuser}`: budget {} corrupt + {} silent of n = {} under f = {} \
+                     lands in the no-bound regime ({}); no static width bound exists",
                     report.corrupt,
                     report.silent,
                     report.n,
                     report.f,
                     regime_label(report.regime),
                 ),
-            });
-        }
-    }
-}
-
-/// Lint: the static bound exceeds the widest single sensor.
-struct GuaranteeVacuous;
-
-impl Lint for GuaranteeVacuous {
-    fn id(&self) -> &'static str {
-        "guarantee-vacuous"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "the static width bound exceeds the suite's span: the guarantee is weaker than \
-         trusting the least precise sensor alone"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let report = guarantee_report(scenario);
+            ));
+            continue;
+        };
         if report.vacuous() {
-            let bound = report.width_bound.unwrap_or(f64::NAN);
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Scenario {
-                    name: scenario.name.clone(),
-                },
-                message: format!(
-                    "fuser `{}`: static width bound {bound} exceeds the suite's span {} \
+            findings.push(GUARANTEE_VACUOUS.finding(
+                at(),
+                format!(
+                    "fuser `{fuser}`: static width bound {bound} exceeds the suite's span {} \
                      (widest declared sensor); the fused output may be worse than trusting \
                      the least precise sensor alone",
-                    scenario.fuser.name(),
                     report.span,
                 ),
-            });
+            ));
         }
-    }
-}
-
-/// Lint: the derived bound, reported for the record.
-struct GuaranteeWidth;
-
-impl Lint for GuaranteeWidth {
-    fn id(&self) -> &'static str {
-        "guarantee-width"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn description(&self) -> &'static str {
-        "reports the statically derived worst-case fused width and truth-containment verdict"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let report = guarantee_report(scenario);
-        let Some(bound) = report.width_bound else {
-            return; // guarantee-unbounded already carries the verdict
-        };
         let containment = if report.truth_containment {
             "truth containment provable"
         } else {
@@ -383,50 +335,21 @@ impl Lint for GuaranteeWidth {
         } else {
             String::new()
         };
-        out.push(Finding {
-            lint: self.id(),
-            severity: self.severity(),
-            location: Location::Scenario {
-                name: scenario.name.clone(),
-            },
-            message: format!(
-                "fuser `{}`: regime {} with n = {}, f = {}, budget {} corrupt + {} silent: \
+        findings.push(GUARANTEE_WIDTH.finding(
+            at(),
+            format!(
+                "fuser `{fuser}`: regime {} with n = {}, f = {}, budget {} corrupt + {} silent: \
                  worst-case fused width ≤ {bound}, {containment}{vehicles}",
-                scenario.fuser.name(),
                 regime_label(report.regime),
                 report.n,
                 report.f,
                 report.corrupt,
                 report.silent,
             ),
-        });
+        ));
     }
-}
-
-/// The guarantee lints, as a dedicated registry.
-///
-/// Deliberately *not* part of [`registry`](crate::registry): the default
-/// pass checks structural preconditions every definition must satisfy,
-/// while the guarantee pass is an opt-in analysis layer (`sweep_lint
-/// guarantees`, the record-time unbounded-cell gate, baseline vetting) —
-/// several legitimate registry presets intentionally explore vacuous or
-/// attacked regimes.
-pub fn guarantee_lints() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(GuaranteeUnbounded),
-        Box::new(GuaranteeVacuous),
-        Box::new(GuaranteeWidth),
-        Box::new(GuaranteeViolation),
-    ]
-}
-
-/// Runs the guarantee lints over every cell of a grid, each finding
-/// relocated to its [`Location::Cell`], most-severe-first.
-///
-/// This derives a bound (or a no-bound verdict) for every cell without
-/// running a single simulation round.
-pub fn analyze_grid_guarantees(grid: &SweepGrid) -> Vec<Finding> {
-    lint_grid(&guarantee_lints(), grid)
+    sort_findings(&mut findings);
+    findings
 }
 
 /// The record-time veto: every cell with no static width bound, whose
@@ -434,23 +357,8 @@ pub fn analyze_grid_guarantees(grid: &SweepGrid) -> Vec<Finding> {
 /// guarantees.
 pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
     let mut findings = analyze_grid_guarantees(grid);
-    findings.retain(|f| f.lint == "guarantee-unbounded");
+    findings.retain(|f| f.lint == GUARANTEE_UNBOUNDED.id);
     findings
-}
-
-/// Pass-driver rule id for a stored metric violating its static bound.
-struct GuaranteeViolation;
-
-impl Lint for GuaranteeViolation {
-    fn id(&self) -> &'static str {
-        "guarantee-violation"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "a stored baseline metric violates its cell's statically derived guarantee"
-    }
 }
 
 /// Vets every stored [`CellRecord`](arsf_core::sweep::store::CellRecord)
@@ -465,9 +373,9 @@ impl Lint for GuaranteeViolation {
 /// column, bound and observed value, located at `location` (the baseline
 /// file, typically).
 ///
-/// Records whose cell index falls outside the grid are skipped — the
-/// baseline pass (`baseline-address`) already flags grid/baseline
-/// mismatches.
+/// Records whose cell index falls outside the grid are skipped; the
+/// baseline pass flags a stored golden baseline whose rows are not its
+/// grid's cells (`baseline-cells`), and recording refuses one.
 pub fn vet_baseline_guarantees(
     grid: &SweepGrid,
     baseline: &Baseline,
@@ -482,12 +390,10 @@ pub fn vet_baseline_guarantees(
         let report = guarantee_report(&grid.scenario(cell));
 
         let mut violation = |column: &str, message: String| {
-            findings.push(Finding {
-                lint: "guarantee-violation",
-                severity: Severity::Error,
-                location: location.clone(),
-                message: format!("cell {cell} `{column}`: {message}"),
-            });
+            findings.push(GUARANTEE_VIOLATION.finding(
+                location.clone(),
+                format!("cell {cell} `{column}`: {message}"),
+            ));
         };
 
         if let Some(bound) = report.width_bound {
@@ -538,6 +444,7 @@ pub fn vet_baseline_guarantees(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Severity;
     use arsf_core::scenario::{AttackerSpec, ClosedLoopSpec, StrategySpec, SuiteSpec, TruthSpec};
     use arsf_sensor::{FaultKind, FaultModel};
 
@@ -571,7 +478,7 @@ mod tests {
         assert_eq!(report.width_bound, Some(28.0));
         assert!(report.vacuous());
         assert!(report.truth_containment);
-        let findings = lint_grid(&guarantee_lints(), &SweepGrid::new(scenario.clone()));
+        let findings = analyze_grid_guarantees(&SweepGrid::new(scenario.clone()));
         assert!(findings.iter().any(|f| f.lint == "guarantee-vacuous"));
     }
 
@@ -581,7 +488,7 @@ mod tests {
         let report = guarantee_report(&scenario);
         assert!(report.unbounded());
         assert!(!report.truth_containment);
-        let findings = lint_grid(&guarantee_lints(), &SweepGrid::new(scenario.clone()));
+        let findings = analyze_grid_guarantees(&SweepGrid::new(scenario.clone()));
         let unbounded = findings
             .iter()
             .find(|f| f.lint == "guarantee-unbounded")
@@ -694,18 +601,5 @@ mod tests {
         // reports its bound.
         assert_eq!(findings[0].lint, "guarantee-unbounded");
         assert_eq!(findings[1].lint, "guarantee-width");
-    }
-
-    #[test]
-    fn guarantee_lint_ids_are_unique_and_described() {
-        let lints = guarantee_lints();
-        let mut ids: Vec<&str> = lints.iter().map(|l| l.id()).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before);
-        for lint in &lints {
-            assert!(!lint.description().is_empty(), "{} undocumented", lint.id());
-        }
     }
 }

@@ -14,7 +14,8 @@
 //!   actually differ, each finding pointed at a representative cell;
 //! * [`analyze_baseline_file`] / [`analyze_baseline_dir`] lint persisted
 //!   [`Baseline`](arsf_core::sweep::store::Baseline)s — recomputed
-//!   content addresses, orphaned files, missing recordings — and
+//!   content addresses, rows that are not their golden grid's cells,
+//!   orphaned files, missing recordings — and
 //!   [`tolerance_findings`] flags check-harness tolerances that match no
 //!   column anywhere;
 //! * the [`VERIFIERS`] table holds the three static verifiers, each
@@ -31,23 +32,22 @@
 //!     chain, the certificates, the width-bound lattice;
 //!     [`dominance_report`]).
 //!
-//!   Each [`Verifier`] row carries the pass's lint registry, its grid
-//!   pass, the vet of a stored baseline against the grid's facts, and
-//!   the record-time veto whose findings refuse a recording unless their
-//!   id is passed to `--allow`.
+//!   Each [`Verifier`] row carries the verifier's grid pass, the vet of a
+//!   stored baseline against the grid's facts, and the record-time veto
+//!   whose findings refuse a recording unless their id is passed to
+//!   `--allow`.
 //!
-//! # Lints and severities
+//! # Rules and severities
 //!
-//! Every check is a [`Lint`]: an object-safe rule with an id, a fixed
-//! [`Severity`] and typed [`Finding`]s carrying a [`Location`]. The
-//! built-in rules live in [`registry`]; pass drivers add a few findings
-//! the trait cannot express (`baseline-parse`, `baseline-io`,
-//! `baseline-orphan`, `baseline-missing`, `baseline-skipped`,
-//! `tolerance-dead`) because they concern files or cross-file context
-//! rather than one parsed value. Each verifier's lints form a dedicated
-//! registry of their own ([`Verifier::lints`]), run by its `sweep_lint`
-//! subcommand and the record-time vetoes rather than the default
-//! registry.
+//! Every finding id is a [`Rule`]: a stable kebab-case id with a fixed
+//! [`Severity`], one const each in [`rules`], all listed in [`RULES`].
+//! Each pass is a plain function that derives its facts once (one
+//! [`guarantee_report`] or [`detect_report`] per cell, one
+//! [`dominance_report`] per grid) and builds its typed [`Finding`]s,
+//! each carrying a [`Location`], through [`Rule::finding`]. The pass
+//! drivers' file and cross-file findings (`baseline-parse`,
+//! `baseline-io`, `baseline-orphan`, `baseline-missing`,
+//! `baseline-skipped`, `tolerance-dead`) come from the same table.
 //!
 //! [`Severity::Error`] marks definitions the engines reject or the
 //! paper's theorems void outright; [`Severity::Warn`] marks degenerate
@@ -81,6 +81,7 @@ mod dominance;
 mod grid;
 mod guarantees;
 mod lints;
+pub mod rules;
 mod verifier;
 
 use std::fmt;
@@ -89,23 +90,20 @@ use std::path::PathBuf;
 use arsf_core::scenario::Scenario;
 use arsf_core::sweep::row::json_string;
 
-pub use baseline::{
-    analyze_baseline_dir, analyze_baseline_file, tolerance_findings, BaselineContext,
-};
+pub use baseline::{analyze_baseline_dir, analyze_baseline_file, tolerance_findings};
 pub use detectability::{
-    analyze_grid_detectability, detect_lints, detect_report, vet_baseline_detectability,
-    DetectReport, DetectVerdict, InvisibleReason,
+    analyze_grid_detectability, detect_report, vet_baseline_detectability, DetectReport,
+    DetectVerdict, InvisibleReason,
 };
 pub use dominance::{
-    analyze_grid_dominance, dominance_report, order_lints, vet_baseline_dominance, BoundInversion,
+    analyze_grid_dominance, dominance_report, vet_baseline_dominance, BoundInversion,
     DominanceReport, FRegression, OrderEdge, OrderRule,
 };
 pub use grid::analyze_grid;
 pub use guarantees::{
-    analyze_grid_guarantees, guarantee_lints, guarantee_report, vet_baseline_guarantees,
-    GuaranteeReport,
+    analyze_grid_guarantees, guarantee_report, vet_baseline_guarantees, GuaranteeReport,
 };
-pub(crate) use verifier::lint_grid;
+pub use rules::{Rule, RULES};
 pub use verifier::{Verifier, VERIFIERS};
 
 /// How bad a finding is.
@@ -200,7 +198,7 @@ impl fmt::Display for Location {
 /// One problem a lint found.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
-    /// The id of the lint (or pass-driver rule) that produced it.
+    /// The id of the [`Rule`] that produced it.
     pub lint: &'static str,
     /// The finding's severity.
     pub severity: Severity,
@@ -224,50 +222,16 @@ impl Finding {
     }
 }
 
-/// An object-safe static-analysis rule.
-///
-/// A lint declares an id and a fixed severity, then overrides whichever
-/// `check_*` hooks apply to it — the default implementations are no-ops,
-/// so a scenario-only lint ignores grids and baselines for free. Hooks
-/// push [`Finding`]s carrying the lint's own id and severity.
-pub trait Lint {
-    /// Stable kebab-case identifier, e.g. `fusion-soundness`.
-    fn id(&self) -> &'static str;
-    /// The severity of every finding this lint produces.
-    fn severity(&self) -> Severity;
-    /// One sentence describing what the lint rejects.
-    fn description(&self) -> &'static str;
-
-    /// Checks one scenario (a preset or a materialised grid cell).
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let _ = (scenario, out);
-    }
-
-    /// Checks grid-level structure (axis values, seed derivation).
-    fn check_grid(&self, grid: &arsf_core::sweep::SweepGrid, out: &mut Vec<Finding>) {
-        let _ = (grid, out);
-    }
-
-    /// Checks one successfully parsed baseline file.
-    fn check_baseline(&self, baseline: &BaselineContext<'_>, out: &mut Vec<Finding>) {
-        let _ = (baseline, out);
-    }
-}
-
-/// All built-in lints, in deterministic order.
-pub fn registry() -> Vec<Box<dyn Lint>> {
-    lints::all()
-}
-
-/// Runs every registered lint over one scenario.
+/// Runs the structural scenario checks over one scenario.
 ///
 /// Findings come back sorted most-severe-first (stable within a
-/// severity, so the registry order breaks ties).
+/// severity, so the rule order breaks ties).
 pub fn analyze_scenario(scenario: &Scenario) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for lint in registry() {
-        lint.check_scenario(scenario, &mut findings);
-    }
+    let location = Location::Scenario {
+        name: scenario.name.clone(),
+    };
+    lints::check_scenario(scenario, &location, &mut findings);
     sort_findings(&mut findings);
     findings
 }
@@ -314,24 +278,6 @@ pub fn render(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a JSON array (dependency-free; locations are
-/// pre-rendered strings, matching the human renderer).
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, finding) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"lint\": {}, \"severity\": {}, \"location\": {}, \"message\": {}}}{}\n",
-            json_string(finding.lint),
-            json_string(finding.severity.label()),
-            json_string(&finding.location.to_string()),
-            json_string(&finding.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
 /// Renders labelled pass findings for humans: a `== pass ==` header per
 /// pass, each pass's findings (or a per-pass `clean` line), and one
 /// overall summary tail — the text shape of `sweep_lint all`.
@@ -361,10 +307,12 @@ pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
     out
 }
 
-/// Renders labelled pass findings as a JSON array. Every object carries
-/// the stable `"schema": 1` marker and the pass name alongside the
-/// fields [`render_json`] emits, so downstream tooling can key on them
-/// across `sweep_lint` subcommands.
+/// Renders labelled pass findings as a JSON array (dependency-free;
+/// locations are pre-rendered strings, matching the human renderer).
+/// Every object carries the stable `"schema": 1` marker and the pass
+/// name alongside the finding's lint, severity, location and message,
+/// so downstream tooling can key on them across `sweep_lint`
+/// subcommands.
 pub fn render_json_passes(passes: &[(&str, Vec<Finding>)]) -> String {
     let total: usize = passes.iter().map(|(_, f)| f.len()).sum();
     let mut emitted = 0usize;
@@ -432,30 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn json_renderer_escapes_and_separates() {
-        let mut f = finding(Severity::Warn);
-        f.message = "a \"quoted\"\nmessage".to_string();
-        let json = render_json(&[f.clone(), f]);
-        assert!(json.contains("\\\"quoted\\\"\\n"));
-        assert_eq!(json.matches("\"lint\": \"test-lint\"").count(), 2);
-        assert!(json.trim_end().ends_with(']'));
-    }
-
-    #[test]
-    fn registry_ids_are_unique_and_described() {
-        let lints = registry();
-        let mut ids: Vec<&str> = lints.iter().map(|l| l.id()).collect();
-        assert!(!ids.is_empty());
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "duplicate lint id in registry");
-        for lint in &lints {
-            assert!(!lint.description().is_empty(), "{} undocumented", lint.id());
-        }
-    }
-
-    #[test]
     fn locations_render_distinctly() {
         let axis = Location::Axis {
             axis: "fusers",
@@ -494,11 +418,20 @@ mod tests {
         assert!(json.trim_end().ends_with(']'));
         // Comma placement: a single object means no trailing comma.
         assert_eq!(json.matches("},").count(), 0);
-        // The legacy single-pass renderer stays comma-correct too.
+        // Two passes of one finding each: one separating comma.
         let two = render_json_passes(&[
             ("a", vec![finding(Severity::Info)]),
             ("b", vec![finding(Severity::Info)]),
         ]);
         assert_eq!(two.matches("},").count(), 1);
+        // Messages are escaped, and two findings of one pass are
+        // separated by exactly one comma.
+        let mut quoted = finding(Severity::Warn);
+        quoted.message = "a \"quoted\"\nmessage".to_string();
+        let json = render_json_passes(&[("a", vec![quoted.clone(), quoted])]);
+        assert!(json.contains("\\\"quoted\\\"\\n"));
+        assert_eq!(json.matches("\"lint\": \"test-lint\"").count(), 2);
+        assert_eq!(json.matches("},").count(), 1);
+        assert!(json.trim_end().ends_with(']'));
     }
 }

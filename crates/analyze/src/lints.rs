@@ -1,530 +1,273 @@
-//! The built-in lint rules.
-//!
-//! Scenario lints check one [`Scenario`] (a registry preset or a
-//! materialised grid cell); grid lints check axis-level structure;
-//! baseline lints check one parsed baseline file. See the crate docs
-//! for the severity conventions and [`crate::registry`] for the full
-//! ordered list.
+//! The structural checks: scenario checks over one [`Scenario`] (a
+//! registry preset or a materialised grid cell), grid checks over
+//! axis-level structure, and baseline checks over one parsed baseline
+//! file. Each is a plain function emitting its [`rules`](crate::rules)
+//! in table order.
 
 use std::collections::{BTreeSet, HashMap};
+use std::path::Path;
 
 use arsf_core::scenario::{faults_label, AttackerSpec, Scenario};
-use arsf_core::sweep::store::{detector_label, fuser_label};
+use arsf_core::sweep::store::{detector_label, fuser_label, Baseline};
 use arsf_core::sweep::{derive_seed, SweepGrid};
 use arsf_core::DetectionMode;
 
-use crate::{BaselineContext, Finding, Lint, Location, Severity};
+use crate::rules::{
+    ATTACKER_BUDGET, BASELINE_ADDRESS, BASELINE_FILENAME, COMBINED_BUDGET, DETECTOR_WINDOW,
+    DUPLICATE_AXIS_VALUE, EMPTY_RUN, ENVELOPE_ORDER, FAULT_BUDGET, FUSION_SOUNDNESS,
+    SCENARIO_VALIDATE, SEED_COLLISION,
+};
+use crate::{Finding, Location};
 
-/// Every built-in lint, in deterministic (roughly layer) order.
-pub(crate) fn all() -> Vec<Box<dyn Lint>> {
-    vec![
-        Box::new(ScenarioValidates),
-        Box::new(FusionSoundness),
-        Box::new(AttackerBudget),
-        Box::new(FaultBudget),
-        Box::new(CombinedBudget),
-        Box::new(DetectorWindow),
-        Box::new(EnvelopeOrder),
-        Box::new(EmptyRun),
-        Box::new(DuplicateAxisValue),
-        Box::new(SeedCollision),
-        Box::new(BaselineAddress),
-        Box::new(BaselineFilename),
-    ]
-}
-
-fn scenario_location(scenario: &Scenario) -> Location {
-    Location::Scenario {
-        name: scenario.name.clone(),
+/// Runs every scenario check over one scenario, each finding located at
+/// `location` (the preset, or the grid cell the scenario is).
+pub(crate) fn check_scenario(scenario: &Scenario, location: &Location, out: &mut Vec<Finding>) {
+    let f = scenario.f;
+    if let Err(err) = scenario.validate() {
+        out.push(SCENARIO_VALIDATE.finding(location.clone(), err.to_string()));
     }
-}
 
-fn distinct_fault_sensors(scenario: &Scenario) -> BTreeSet<usize> {
-    scenario.faults.iter().map(|(sensor, _)| *sensor).collect()
-}
+    let n = scenario.suite.len();
+    if n <= 2 * f {
+        out.push(FUSION_SOUNDNESS.finding(
+            location.clone(),
+            format!(
+                "suite `{}` has n = {n} sensors with f = {f}: Marzullo/Brooks-Iyengar \
+                 containment needs n > 2f",
+                scenario.suite.label(),
+            ),
+        ));
+    }
 
-fn distinct_attacked_sensors(scenario: &Scenario) -> BTreeSet<usize> {
-    match &scenario.attacker {
+    let faulted: BTreeSet<usize> = scenario.faults.iter().map(|(sensor, _)| *sensor).collect();
+    let attacked: BTreeSet<usize> = match &scenario.attacker {
         AttackerSpec::Fixed { sensors, .. } => sensors.iter().copied().collect(),
         _ => BTreeSet::new(),
+    };
+    if attacked.len() > f {
+        out.push(ATTACKER_BUDGET.finding(
+            location.clone(),
+            format!(
+                "attacker `{}` compromises {} distinct sensors but the fault assumption \
+                 is f = {f}: the fused interval is not guaranteed to contain the truth",
+                scenario.attacker.label(),
+                attacked.len(),
+            ),
+        ));
     }
-}
-
-/// `scenario-validate` (error): the engines reject the definition.
-struct ScenarioValidates;
-
-impl Lint for ScenarioValidates {
-    fn id(&self) -> &'static str {
-        "scenario-validate"
+    if faulted.len() > f {
+        out.push(FAULT_BUDGET.finding(
+            location.clone(),
+            format!(
+                "fault set `{}` touches {} distinct sensors with f = {f}: the run is a \
+                 deliberate over-budget stress, not a theorem-covered configuration",
+                faults_label(&scenario.faults),
+                faulted.len(),
+            ),
+        ));
     }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "the scenario fails Scenario::validate, so no engine can execute it"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        if let Err(err) = scenario.validate() {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: err.to_string(),
-            });
-        }
-    }
-}
-
-/// `fusion-soundness` (error): `n ≤ 2f` voids the containment theorems.
-struct FusionSoundness;
-
-impl Lint for FusionSoundness {
-    fn id(&self) -> &'static str {
-        "fusion-soundness"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "the suite has n <= 2f sensors, voiding the n > 2f containment precondition"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let n = scenario.suite.len();
-        if n <= 2 * scenario.f {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: format!(
-                    "suite `{}` has n = {n} sensors with f = {}: Marzullo/Brooks-Iyengar \
-                     containment needs n > 2f",
-                    scenario.suite.label(),
-                    scenario.f
-                ),
-            });
-        }
-    }
-}
-
-/// `attacker-budget` (error): the fixed compromised set exceeds `f`.
-struct AttackerBudget;
-
-impl Lint for AttackerBudget {
-    fn id(&self) -> &'static str {
-        "attacker-budget"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "a fixed attacker compromises more distinct sensors than the fault assumption f"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let attacked = distinct_attacked_sensors(scenario);
-        if attacked.len() > scenario.f {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: format!(
-                    "attacker `{}` compromises {} distinct sensors but the fault assumption \
-                     is f = {}: the fused interval is not guaranteed to contain the truth",
-                    scenario.attacker.label(),
-                    attacked.len(),
-                    scenario.f
-                ),
-            });
-        }
-    }
-}
-
-/// `fault-budget` (warning): the injected fault set exceeds `f`.
-struct FaultBudget;
-
-impl Lint for FaultBudget {
-    fn id(&self) -> &'static str {
-        "fault-budget"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "fault injection touches more distinct sensors than the fault assumption f"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let faulted = distinct_fault_sensors(scenario);
-        if faulted.len() > scenario.f {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: format!(
-                    "fault set `{}` touches {} distinct sensors with f = {}: the run is a \
-                     deliberate over-budget stress, not a theorem-covered configuration",
-                    faults_label(&scenario.faults),
-                    faulted.len(),
-                    scenario.f
-                ),
-            });
-        }
-    }
-}
-
-/// `combined-budget` (info): faults and attacker are each within `f`,
-/// but can jointly corrupt more than `f` sensors in one round.
-struct CombinedBudget;
-
-impl Lint for CombinedBudget {
-    fn id(&self) -> &'static str {
-        "combined-budget"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn description(&self) -> &'static str {
-        "faults plus attacker can jointly corrupt more than f sensors in one round"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        let faulted = distinct_fault_sensors(scenario);
-        let attacked = distinct_attacked_sensors(scenario);
-        if faulted.len() > scenario.f || attacked.len() > scenario.f {
-            return; // already an attacker-budget / fault-budget finding
-        }
+    // Only when neither budget alone is exceeded, which the two rules
+    // above already report.
+    if faulted.len() <= f && attacked.len() <= f {
         let (combined, qualifier) = match &scenario.attacker {
             AttackerSpec::RandomEachRound => (faulted.len() + 1, "up to "),
             _ => (faulted.union(&attacked).count(), ""),
         };
-        if combined > scenario.f {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: format!(
+        if combined > f {
+            out.push(COMBINED_BUDGET.finding(
+                location.clone(),
+                format!(
                     "faults and attacker together can corrupt {qualifier}{combined} distinct \
-                     sensors in a round with f = {}: rows measure behaviour beyond the \
+                     sensors in a round with f = {f}: rows measure behaviour beyond the \
                      corruption budget",
-                    scenario.f
                 ),
-            });
+            ));
         }
     }
-}
 
-/// `detector-window` (warning): a windowed detector that can never fill
-/// its window or never condemn.
-struct DetectorWindow;
+    check_detector_window(scenario, location, out);
 
-impl Lint for DetectorWindow {
-    fn id(&self) -> &'static str {
-        "detector-window"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "a windowed detector's window exceeds the run length, tracks no sensors, or \
-         its tolerance its window"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        if let DetectionMode::Windowed { window, tolerance } = scenario.detector {
-            if window == 0 {
-                // `scenario-validate` rejects it; the unfillable /
-                // uncondemnable diagnoses below would only restate that.
-                return;
-            }
-            if scenario.suite.is_empty() {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: scenario_location(scenario),
-                    message: "windowed detector over an empty suite: there is no sensor to \
-                              track, so it can never flag or condemn"
-                        .to_string(),
-                });
-            }
-            if window as u64 > scenario.rounds {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: scenario_location(scenario),
-                    message: format!(
-                        "windowed detector window {window} exceeds the {}-round run: the \
-                         window never fills",
-                        scenario.rounds
-                    ),
-                });
-            }
-            if tolerance >= window {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: scenario_location(scenario),
-                    message: format!(
-                        "windowed detector tolerance {tolerance} >= window {window}: a window \
-                         holds at most {window} violations, so the detector can never condemn"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// `envelope-order` (warning): `δ1 > δ2` inverts the paper's envelope
-/// assumption.
-struct EnvelopeOrder;
-
-impl Lint for EnvelopeOrder {
-    fn id(&self) -> &'static str {
-        "envelope-order"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "the closed-loop envelope has delta1 > delta2, inverting the paper's assumption"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        if let Some(spec) = &scenario.closed_loop {
-            let finite = spec.delta_up.is_finite() && spec.delta_down.is_finite();
-            if finite && spec.delta_up > spec.delta_down {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: scenario_location(scenario),
-                    message: format!(
-                        "envelope half-widths \u{3b4}1 = {} > \u{3b4}2 = {}: the case study's \
-                         safety argument assumes \u{3b4}1 <= \u{3b4}2",
-                        spec.delta_up, spec.delta_down
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// `empty-run` (warning): zero rounds makes every metric vacuous.
-struct EmptyRun;
-
-impl Lint for EmptyRun {
-    fn id(&self) -> &'static str {
-        "empty-run"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "the scenario runs zero rounds, so every metric is vacuous"
-    }
-    fn check_scenario(&self, scenario: &Scenario, out: &mut Vec<Finding>) {
-        if scenario.rounds == 0 {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: scenario_location(scenario),
-                message: "the scenario runs 0 rounds: every metric will be vacuous".to_string(),
-            });
-        }
-    }
-}
-
-/// `duplicate-axis-value` (warning): the same value twice on one axis.
-struct DuplicateAxisValue;
-
-impl DuplicateAxisValue {
-    fn check_axis(&self, axis: &'static str, labels: &[String], out: &mut Vec<Finding>) {
-        let mut positions: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, label) in labels.iter().enumerate() {
-            positions.entry(label).or_default().push(i);
-        }
-        let mut duplicated: Vec<(&str, Vec<usize>)> = positions
-            .into_iter()
-            .filter(|(_, indices)| indices.len() > 1)
-            .collect();
-        duplicated.sort_by_key(|(_, indices)| indices[0]);
-        for (label, indices) in duplicated {
-            let note = if axis == "seeds" {
-                " (derived per-cell seeds still differ, but the replicate is unintended \
-                 unless the values were meant to vary)"
-            } else {
-                ""
-            };
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::Axis {
-                    axis,
-                    indices: indices.clone(),
-                },
-                message: format!(
-                    "value `{label}` appears {} times on the {axis} axis: duplicate cells \
-                     multiply the grid without adding coverage{note}",
-                    indices.len()
+    if let Some(spec) = &scenario.closed_loop {
+        let finite = spec.delta_up.is_finite() && spec.delta_down.is_finite();
+        if finite && spec.delta_up > spec.delta_down {
+            out.push(ENVELOPE_ORDER.finding(
+                location.clone(),
+                format!(
+                    "envelope half-widths \u{3b4}1 = {} > \u{3b4}2 = {}: the case study's \
+                     safety argument assumes \u{3b4}1 <= \u{3b4}2",
+                    spec.delta_up, spec.delta_down
                 ),
-            });
+            ));
         }
+    }
+
+    if scenario.rounds == 0 {
+        out.push(EMPTY_RUN.finding(
+            location.clone(),
+            "the scenario runs 0 rounds: every metric will be vacuous",
+        ));
     }
 }
 
-impl Lint for DuplicateAxisValue {
-    fn id(&self) -> &'static str {
-        "duplicate-axis-value"
+/// `detector-window`: a windowed detector that can never fill its
+/// window, has no sensor to track, or can never condemn.
+fn check_detector_window(scenario: &Scenario, location: &Location, out: &mut Vec<Finding>) {
+    let DetectionMode::Windowed { window, tolerance } = scenario.detector else {
+        return;
+    };
+    if window == 0 {
+        // `scenario-validate` rejects it; the unfillable / uncondemnable
+        // diagnoses below would only restate that.
+        return;
     }
-    fn severity(&self) -> Severity {
-        Severity::Warn
+    if scenario.suite.is_empty() {
+        out.push(DETECTOR_WINDOW.finding(
+            location.clone(),
+            "windowed detector over an empty suite: there is no sensor to track, so it can \
+             never flag or condemn",
+        ));
     }
-    fn description(&self) -> &'static str {
-        "an axis lists the same value twice, multiplying grid size without adding coverage"
+    if window as u64 > scenario.rounds {
+        out.push(DETECTOR_WINDOW.finding(
+            location.clone(),
+            format!(
+                "windowed detector window {window} exceeds the {}-round run: the window \
+                 never fills",
+                scenario.rounds
+            ),
+        ));
     }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        let labelled: [(&'static str, Vec<String>); 8] = [
-            (
-                "suites",
-                grid.suite_axis().iter().map(|s| s.label()).collect(),
+    if tolerance >= window {
+        out.push(DETECTOR_WINDOW.finding(
+            location.clone(),
+            format!(
+                "windowed detector tolerance {tolerance} >= window {window}: a window holds \
+                 at most {window} violations, so the detector can never condemn"
             ),
-            (
-                "fault_sets",
-                grid.fault_set_axis()
-                    .iter()
-                    .map(|f| faults_label(f))
-                    .collect(),
-            ),
-            (
-                "attackers",
-                grid.attacker_axis().iter().map(|a| a.label()).collect(),
-            ),
-            (
-                "schedules",
-                grid.schedule_axis()
-                    .iter()
-                    .map(|s| s.name().to_string())
-                    .collect(),
-            ),
-            (
-                "fusers",
-                grid.fuser_axis().iter().map(fuser_label).collect(),
-            ),
-            (
-                "detectors",
-                grid.detector_axis().iter().map(detector_label).collect(),
-            ),
-            (
-                "rounds",
-                grid.rounds_axis().iter().map(|r| r.to_string()).collect(),
-            ),
-            (
-                "seeds",
-                grid.seed_axis().iter().map(|s| s.to_string()).collect(),
-            ),
-        ];
-        for (axis, labels) in &labelled {
-            self.check_axis(axis, labels, out);
-        }
+        ));
     }
 }
 
-/// `seed-collision` (warning): two cells derive the same RNG seed.
-struct SeedCollision;
+/// Runs the grid checks: duplicated axis values, then seed collisions.
+pub(crate) fn check_grid(grid: &SweepGrid, out: &mut Vec<Finding>) {
+    let labelled: [(&'static str, Vec<String>); 8] = [
+        (
+            "suites",
+            grid.suite_axis().iter().map(|s| s.label()).collect(),
+        ),
+        (
+            "fault_sets",
+            grid.fault_set_axis()
+                .iter()
+                .map(|f| faults_label(f))
+                .collect(),
+        ),
+        (
+            "attackers",
+            grid.attacker_axis().iter().map(|a| a.label()).collect(),
+        ),
+        (
+            "schedules",
+            grid.schedule_axis()
+                .iter()
+                .map(|s| s.name().to_string())
+                .collect(),
+        ),
+        (
+            "fusers",
+            grid.fuser_axis().iter().map(fuser_label).collect(),
+        ),
+        (
+            "detectors",
+            grid.detector_axis().iter().map(detector_label).collect(),
+        ),
+        (
+            "rounds",
+            grid.rounds_axis().iter().map(|r| r.to_string()).collect(),
+        ),
+        (
+            "seeds",
+            grid.seed_axis().iter().map(|s| s.to_string()).collect(),
+        ),
+    ];
+    for (axis, labels) in labelled {
+        check_axis(axis, &labels, out);
+    }
 
-impl Lint for SeedCollision {
-    fn id(&self) -> &'static str {
-        "seed-collision"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warn
-    }
-    fn description(&self) -> &'static str {
-        "two grid cells derive the same per-cell RNG seed and sample identical streams"
-    }
-    fn check_grid(&self, grid: &SweepGrid, out: &mut Vec<Finding>) {
-        let seeds = grid.seed_axis();
-        let cells = grid.len();
-        let mut first_cell: HashMap<u64, usize> = HashMap::with_capacity(cells);
-        for cell in 0..cells {
-            // Seeds are the fastest-varying axis, so the seed-axis value
-            // of cell i is seeds[i % seeds.len()].
-            let base = seeds[cell % seeds.len()];
-            let derived = derive_seed(base, cell as u64);
-            if let Some(&earlier) = first_cell.get(&derived) {
-                out.push(Finding {
-                    lint: self.id(),
-                    severity: self.severity(),
-                    location: Location::Cell { cell },
-                    message: format!(
-                        "derived seed {derived:#018x} collides with cell {earlier} (seed axis \
-                         values {} and {base}): the two cells sample identical measurement \
-                         streams",
-                        seeds[earlier % seeds.len()]
-                    ),
-                });
-            } else {
-                first_cell.insert(derived, cell);
-            }
-        }
-    }
-}
-
-/// `baseline-address` (error): the stored content address does not match
-/// the recomputed address of the embedded definition.
-struct BaselineAddress;
-
-impl Lint for BaselineAddress {
-    fn id(&self) -> &'static str {
-        "baseline-address"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "the stored content address does not match the recomputed address of the definition"
-    }
-    fn check_baseline(&self, baseline: &BaselineContext<'_>, out: &mut Vec<Finding>) {
-        if let Err(err) = baseline.baseline.verify_address() {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::File {
-                    path: baseline.path.to_path_buf(),
-                },
-                message: err.to_string(),
-            });
-        }
-    }
-}
-
-/// `baseline-filename` (error): the file stem is not the stored address,
-/// so `Baseline::load_for_grid` can never find (or would mis-trust) it.
-struct BaselineFilename;
-
-impl Lint for BaselineFilename {
-    fn id(&self) -> &'static str {
-        "baseline-filename"
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn description(&self) -> &'static str {
-        "the baseline's file stem is not its stored content address"
-    }
-    fn check_baseline(&self, baseline: &BaselineContext<'_>, out: &mut Vec<Finding>) {
-        let stem = baseline
-            .path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if stem != baseline.baseline.address {
-            out.push(Finding {
-                lint: self.id(),
-                severity: self.severity(),
-                location: Location::File {
-                    path: baseline.path.to_path_buf(),
-                },
-                message: format!(
-                    "file stem `{stem}` does not match the stored address {}: the check \
-                     harness looks baselines up by address and will never read this file",
-                    baseline.baseline.address
+    let seeds = grid.seed_axis();
+    let cells = grid.len();
+    let mut first_cell: HashMap<u64, usize> = HashMap::with_capacity(cells);
+    for cell in 0..cells {
+        // Seeds are the fastest-varying axis, so the seed-axis value of
+        // cell i is seeds[i % seeds.len()].
+        let base = seeds[cell % seeds.len()];
+        let derived = derive_seed(base, cell as u64);
+        if let Some(&earlier) = first_cell.get(&derived) {
+            out.push(SEED_COLLISION.finding(
+                Location::Cell { cell },
+                format!(
+                    "derived seed {derived:#018x} collides with cell {earlier} (seed axis \
+                     values {} and {base}): the two cells sample identical measurement \
+                     streams",
+                    seeds[earlier % seeds.len()]
                 ),
-            });
+            ));
+        } else {
+            first_cell.insert(derived, cell);
         }
+    }
+}
+
+/// `duplicate-axis-value` over one axis's labels.
+fn check_axis(axis: &'static str, labels: &[String], out: &mut Vec<Finding>) {
+    let mut positions: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, label) in labels.iter().enumerate() {
+        positions.entry(label).or_default().push(i);
+    }
+    let mut duplicated: Vec<(&str, Vec<usize>)> = positions
+        .into_iter()
+        .filter(|(_, indices)| indices.len() > 1)
+        .collect();
+    duplicated.sort_by_key(|(_, indices)| indices[0]);
+    for (label, indices) in duplicated {
+        let note = if axis == "seeds" {
+            " (derived per-cell seeds still differ, but the replicate is unintended unless \
+             the values were meant to vary)"
+        } else {
+            ""
+        };
+        let message = format!(
+            "value `{label}` appears {} times on the {axis} axis: duplicate cells multiply \
+             the grid without adding coverage{note}",
+            indices.len()
+        );
+        out.push(DUPLICATE_AXIS_VALUE.finding(Location::Axis { axis, indices }, message));
+    }
+}
+
+/// Runs the baseline checks over one parsed baseline file: its stored
+/// address against its definition, then its file stem against its
+/// address.
+pub(crate) fn check_baseline(path: &Path, baseline: &Baseline, out: &mut Vec<Finding>) {
+    let location = || Location::File {
+        path: path.to_path_buf(),
+    };
+    if let Err(err) = baseline.verify_address() {
+        out.push(BASELINE_ADDRESS.finding(location(), err.to_string()));
+    }
+    let stem = path
+        .file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    if stem != baseline.address {
+        out.push(BASELINE_FILENAME.finding(
+            location(),
+            format!(
+                "file stem `{stem}` does not match the stored address {}: the check harness \
+                 looks baselines up by address and will never read this file",
+                baseline.address
+            ),
+        ));
     }
 }
 

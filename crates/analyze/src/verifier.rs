@@ -8,16 +8,16 @@
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::SweepGrid;
 
+use crate::rules::{DETECT_VACUOUS, GUARANTEE_UNBOUNDED, ORDER_VIOLATION};
 use crate::{
-    analyze_grid_detectability, analyze_grid_dominance, analyze_grid_guarantees, detect_lints,
-    detectability, dominance, guarantee_lints, guarantees, order_lints, sort_findings,
-    vet_baseline_detectability, vet_baseline_dominance, vet_baseline_guarantees, Finding, Lint,
-    Location,
+    analyze_grid_detectability, analyze_grid_dominance, analyze_grid_guarantees, detectability,
+    dominance, guarantees, vet_baseline_detectability, vet_baseline_dominance,
+    vet_baseline_guarantees, Finding, Location,
 };
 
-/// One static verifier: a lint registry, a grid pass that derives facts
-/// from the declaration alone, a vet of stored baselines against those
-/// facts, and a record-time veto.
+/// One static verifier: a grid pass that derives facts from the
+/// declaration alone, a vet of stored baselines against those facts, and
+/// a record-time veto.
 pub struct Verifier {
     /// The `sweep_lint` subcommand and the `--json` `"pass"` value.
     pub name: &'static str,
@@ -27,8 +27,6 @@ pub struct Verifier {
     /// The lint id of every [`veto`](Self::veto) finding; the record
     /// paths' `--allow` accepts it.
     pub veto_id: &'static str,
-    /// The pass's dedicated lint registry.
-    pub lints: fn() -> Vec<Box<dyn Lint>>,
     /// Runs the pass over a grid without simulating a round.
     pub analyze_grid: fn(&SweepGrid) -> Vec<Finding>,
     /// Vets a stored baseline against the grid's static facts, locating
@@ -44,8 +42,7 @@ pub const VERIFIERS: [Verifier; 3] = [
     Verifier {
         name: "guarantees",
         noun: "guarantees",
-        veto_id: "guarantee-unbounded",
-        lints: guarantee_lints,
+        veto_id: GUARANTEE_UNBOUNDED.id,
         analyze_grid: analyze_grid_guarantees,
         vet: vet_baseline_guarantees,
         veto: guarantees::veto,
@@ -53,8 +50,7 @@ pub const VERIFIERS: [Verifier; 3] = [
     Verifier {
         name: "detectability",
         noun: "detectability verdicts",
-        veto_id: "detect-vacuous",
-        lints: detect_lints,
+        veto_id: DETECT_VACUOUS.id,
         analyze_grid: analyze_grid_detectability,
         vet: vet_baseline_detectability,
         veto: detectability::veto,
@@ -62,52 +58,30 @@ pub const VERIFIERS: [Verifier; 3] = [
     Verifier {
         name: "dominance",
         noun: "dominance orderings",
-        veto_id: "order-violation",
-        lints: order_lints,
+        veto_id: ORDER_VIOLATION.id,
         analyze_grid: analyze_grid_dominance,
         vet: vet_baseline_dominance,
         veto: dominance::veto,
     },
 ];
 
-/// The shared grid driver of the verifier passes: every lint's
-/// `check_scenario` on every cell (findings relocated to their
-/// [`Location::Cell`]), then every lint's `check_grid`, sorted
-/// most-severe-first.
-pub(crate) fn lint_grid(lints: &[Box<dyn Lint>], grid: &SweepGrid) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for cell in grid.cells() {
-        let first = findings.len();
-        for lint in lints {
-            lint.check_scenario(&cell.scenario, &mut findings);
-        }
-        for finding in &mut findings[first..] {
-            finding.location = Location::Cell { cell: cell.index };
-        }
-    }
-    for lint in lints {
-        lint.check_grid(grid, &mut findings);
-    }
-    sort_findings(&mut findings);
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Severity, RULES};
 
     #[test]
-    fn names_and_veto_ids_are_unique_and_registered() {
+    fn names_and_veto_ids_are_unique_and_are_error_rules() {
         for (i, verifier) in VERIFIERS.iter().enumerate() {
             for other in &VERIFIERS[i + 1..] {
                 assert_ne!(verifier.name, other.name);
                 assert_ne!(verifier.veto_id, other.veto_id);
             }
             assert!(
-                (verifier.lints)()
+                RULES
                     .iter()
-                    .any(|l| l.id() == verifier.veto_id),
-                "{}: veto id `{}` is not one of its lints",
+                    .any(|rule| rule.id == verifier.veto_id && rule.severity == Severity::Error),
+                "{}: veto id `{}` is not an error rule",
                 verifier.name,
                 verifier.veto_id
             );

@@ -25,8 +25,10 @@ pub fn record(grid: &SweepGrid, current: &Baseline, dir: &str) -> Result<PathBuf
 
 /// Records `current` under `dir`, unless a veto refuses it:
 ///
-/// 1. error-severity grid lint findings (never overridable);
-/// 2. each [`VERIFIERS`] entry's `veto` in turn — cells with no static
+/// 1. rows that are not exactly `grid`'s cells, `0..grid.len()` in grid
+///    order ([`Baseline::verify_cells`]; never overridable);
+/// 2. error-severity grid lint findings (never overridable);
+/// 3. each [`VERIFIERS`] entry's `veto` in turn — cells with no static
 ///    width bound (`guarantee-unbounded`), a grid whose every corruptible
 ///    cell is provably invisible to its detector (`detect-vacuous`), and
 ///    recorded cell pairs inverting a provable ordering
@@ -45,6 +47,11 @@ pub fn record_allowing(
     dir: &str,
     allowed: &[&str],
 ) -> Result<PathBuf, String> {
+    // The file is stored under the grid's address, so it must hold the
+    // grid's cells and nothing else.
+    current.verify_cells(grid).map_err(|e| {
+        format!("refusing to record a baseline whose rows are not the grid's cells: {e}")
+    })?;
     // Refuse to freeze a statically unsound grid: an error-severity
     // finding means the rows are meaningless (soundness violated) or
     // the engines got lucky.

@@ -9,10 +9,20 @@
 //! vacuous detection columns unless `--allow detect-vacuous` is passed.
 //! With the override, each record path must write a file that diffs
 //! clean against the committed baseline.
+//!
+//! Recording also refuses a baseline whose rows are not its grid's
+//! cells, whatever the veto overrides.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use arsf_bench::baseline_ops;
+use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
+use arsf_core::sweep::store::{grid_address, Baseline};
+use arsf_core::sweep::SweepGrid;
+use arsf_core::DetectionMode;
+use arsf_sensor::{FaultKind, FaultModel};
 
 /// The committed `table2-closed-loop` baseline's file name.
 const TABLE2: &str = "3d08bd0680471f85.json";
@@ -191,4 +201,51 @@ fn sweep_diff_check_reports_every_missing_baseline() {
             run.stderr
         );
     }
+}
+
+/// The open-loop grid of `crates/core/tests/report_bytes.rs`, whose
+/// address that test's pinned baseline carries.
+fn report_bytes_grid() -> SweepGrid {
+    let base = Scenario::new("fixture \"open\", v1", SuiteSpec::Landshark)
+        .with_attacker(AttackerSpec::Fixed {
+            sensors: vec![0],
+            strategy: StrategySpec::PhantomOptimal,
+        })
+        .with_rounds(20);
+    SweepGrid::new(base)
+        .fault_sets([
+            vec![],
+            vec![
+                (2, FaultModel::new(FaultKind::Bias { offset: 5.0 }, 1.0)),
+                (3, FaultModel::new(FaultKind::StuckAt { value: -4.0 }, 0.5)),
+            ],
+        ])
+        .fusers([FuserSpec::Marzullo, FuserSpec::Hull])
+        .detectors([
+            DetectionMode::Immediate,
+            DetectionMode::Windowed {
+                window: 5,
+                tolerance: 2,
+            },
+        ])
+        .seeds([7])
+}
+
+#[test]
+fn record_refuses_rows_that_are_not_the_grids_cells() {
+    // The pinned report baseline holds the 8 cells of its grid plus three
+    // scenarios outside it, under the 8-cell grid's address.
+    let pinned = include_str!("../../core/tests/fixtures/report_bytes.baseline.json");
+    let baseline = Baseline::from_json(pinned).expect("the pinned baseline parses");
+    let grid = report_bytes_grid();
+    assert_eq!(baseline.address, grid_address(&grid));
+    assert_eq!((baseline.rows.len(), grid.len()), (11, 8));
+
+    let dir = scratch_dir("cells");
+    let refused = baseline_ops::record(&grid, &baseline, path_str(&dir));
+    let recorded = std::fs::read_dir(&dir).expect("scratch dir").count();
+    std::fs::remove_dir_all(&dir).ok();
+    let err = refused.expect_err("a baseline of other cells is refused");
+    assert!(err.contains("11 row(s) for a grid of 8 cell(s)"), "{err}");
+    assert_eq!(recorded, 0, "nothing is written");
 }

@@ -45,13 +45,6 @@ fn baselines_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines")
 }
 
-fn known_grids() -> Vec<(String, String)> {
-    golden::all()
-        .iter()
-        .map(|(name, grid)| (name.to_string(), grid_address(grid)))
-        .collect()
-}
-
 #[test]
 fn golden_grids_are_lint_clean() {
     for (name, grid) in golden::all() {
@@ -65,8 +58,40 @@ fn golden_grids_are_lint_clean() {
 
 #[test]
 fn committed_baseline_directory_is_lint_clean() {
-    let findings = analyze_baseline_dir(&baselines_dir(), &known_grids());
+    let findings = analyze_baseline_dir(&baselines_dir(), &golden::all());
     assert!(findings.is_empty(), "baseline findings: {findings:?}");
+}
+
+#[test]
+fn a_golden_baseline_missing_a_row_is_flagged() {
+    // Drop one row of the committed open-loop baseline and store it under
+    // its own (unchanged) address: the address still verifies, but the
+    // rows are no longer the golden grid's cells.
+    let grid = golden::find("open-loop-48").expect("the open-loop golden grid exists");
+    let mut baseline =
+        Baseline::load_for_grid(baselines_dir(), &grid).expect("committed baseline loads");
+    baseline.rows.remove(5);
+    let dir = std::env::temp_dir().join(format!("arsf-lint-cells-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = baseline.save(&dir).expect("baseline saves");
+    let findings = analyze_baseline_dir(&dir, &golden::all());
+    std::fs::remove_dir_all(&dir).ok();
+
+    let cells: Vec<_> = findings
+        .iter()
+        .filter(|f| f.lint == "baseline-cells")
+        .collect();
+    assert_eq!(cells.len(), 1, "{findings:?}");
+    assert_eq!(cells[0].severity, Severity::Error);
+    assert_eq!(cells[0].location, Location::File { path });
+    assert!(
+        cells[0]
+            .message
+            .contains("golden grid `open-loop-48`: 47 row(s) for a grid of 48 cell(s)"),
+        "{}",
+        cells[0].message
+    );
+    assert_eq!(exit_code(&findings), 2);
 }
 
 #[test]

@@ -188,6 +188,7 @@ mod tests {
         let sup = Supervisor::new(10.0, 0.5, 0.5);
         assert_eq!(sup.upper_rate(), 0.0);
         assert_eq!(sup.lower_rate(), 0.0);
+        assert_eq!(sup.rounds(), 0);
     }
 
     #[test]

@@ -1,91 +1,7 @@
-//! Experiment metrics: violation counters and width statistics.
+//! Experiment metrics: width statistics and the per-vehicle and
+//! supervisor summaries a sweep row reports.
 
 use arsf_interval::Interval;
-
-/// Counts rounds whose fusion interval escapes a safety envelope — the
-/// case study's criterion ("the percentage of runs in which the fusion
-/// interval's upper bound was above 10.5 mph / lower bound below 9.5").
-///
-/// # Example
-///
-/// ```
-/// use arsf_core::metrics::ViolationCounter;
-/// use arsf_interval::Interval;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut counter = ViolationCounter::new(9.5, 10.5);
-/// counter.record(&Interval::new(9.8, 10.2)?);  // safe
-/// counter.record(&Interval::new(9.8, 10.7)?);  // upper violation
-/// counter.record(&Interval::new(9.3, 10.2)?);  // lower violation
-/// assert_eq!(counter.rounds(), 3);
-/// assert!((counter.upper_rate() - 1.0 / 3.0).abs() < 1e-12);
-/// assert!((counter.lower_rate() - 1.0 / 3.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViolationCounter {
-    lower_bound: f64,
-    upper_bound: f64,
-    rounds: u64,
-    upper_violations: u64,
-    lower_violations: u64,
-}
-
-impl ViolationCounter {
-    /// Creates a counter for the envelope `[lower_bound, upper_bound]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not finite or inverted.
-    pub fn new(lower_bound: f64, upper_bound: f64) -> Self {
-        assert!(
-            lower_bound.is_finite() && upper_bound.is_finite() && lower_bound <= upper_bound,
-            "violation envelope must be a finite ordered pair"
-        );
-        Self {
-            lower_bound,
-            upper_bound,
-            rounds: 0,
-            upper_violations: 0,
-            lower_violations: 0,
-        }
-    }
-
-    /// Records one round's fusion interval.
-    pub fn record(&mut self, fusion: &Interval<f64>) {
-        self.rounds += 1;
-        if fusion.hi() > self.upper_bound {
-            self.upper_violations += 1;
-        }
-        if fusion.lo() < self.lower_bound {
-            self.lower_violations += 1;
-        }
-    }
-
-    /// Rounds recorded.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Fraction of rounds whose upper bound escaped (0 when empty).
-    pub fn upper_rate(&self) -> f64 {
-        rate(self.upper_violations, self.rounds)
-    }
-
-    /// Fraction of rounds whose lower bound escaped (0 when empty).
-    pub fn lower_rate(&self) -> f64 {
-        rate(self.lower_violations, self.rounds)
-    }
-}
-
-fn rate(hits: u64, total: u64) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
 
 /// The closed-loop supervisor columns a Table II sweep row reports.
 ///
@@ -225,38 +141,6 @@ mod tests {
 
     fn iv(lo: f64, hi: f64) -> Interval<f64> {
         Interval::new(lo, hi).unwrap()
-    }
-
-    #[test]
-    fn counter_tracks_both_sides_independently() {
-        let mut c = ViolationCounter::new(-1.0, 1.0);
-        c.record(&iv(-2.0, 2.0)); // both sides
-        c.record(&iv(-0.5, 0.5)); // neither
-        assert_eq!(c.rounds(), 2);
-        assert_eq!(c.upper_rate(), 0.5);
-        assert_eq!(c.lower_rate(), 0.5);
-    }
-
-    #[test]
-    fn touching_the_envelope_is_not_a_violation() {
-        let mut c = ViolationCounter::new(-1.0, 1.0);
-        c.record(&iv(-1.0, 1.0));
-        assert_eq!(c.upper_rate(), 0.0);
-        assert_eq!(c.lower_rate(), 0.0);
-    }
-
-    #[test]
-    fn empty_counter_rates_are_zero() {
-        let c = ViolationCounter::new(0.0, 1.0);
-        assert_eq!(c.upper_rate(), 0.0);
-        assert_eq!(c.lower_rate(), 0.0);
-        assert_eq!(c.rounds(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite ordered pair")]
-    fn inverted_envelope_panics() {
-        let _ = ViolationCounter::new(1.0, 0.0);
     }
 
     #[test]

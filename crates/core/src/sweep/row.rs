@@ -175,6 +175,26 @@ pub static COLUMNS: [(&str, Role); 25] = [
     ("vehicle_truth_lost", Role::Vehicle { nullable: false, value: |v| Num::Int(v.truth_lost) }),
 ];
 
+/// Decodes a stored `condemned` label into sensor indices: the
+/// [`COLUMNS`] list encoding, `|`-joined, empty for none.
+///
+/// # Errors
+///
+/// A message naming the first entry that is not a sensor index.
+pub fn decode_condemned(label: &str) -> Result<Vec<usize>, String> {
+    if label.is_empty() {
+        return Ok(Vec::new());
+    }
+    label
+        .split('|')
+        .map(|entry| {
+            entry
+                .parse()
+                .map_err(|_| format!("bad condemned entry `{entry}`"))
+        })
+        .collect()
+}
+
 impl SweepReport {
     /// The CSV header line [`SweepReport::to_csv`] emits: the
     /// [`COLUMNS`] names, trailing newline included.
@@ -377,6 +397,16 @@ pub fn json_string(raw: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn condemned_labels_decode_or_name_the_bad_entry() {
+        assert_eq!(decode_condemned(""), Ok(vec![]));
+        assert_eq!(decode_condemned("1|4"), Ok(vec![1, 4]));
+        let err = decode_condemned("0|x").unwrap_err();
+        assert!(err.contains("`x`"), "{err}");
+        assert!(decode_condemned("1||4").is_err());
+        assert!(decode_condemned(" 1").is_err());
+    }
 
     #[test]
     fn split_csv_honours_quoting() {

@@ -414,6 +414,35 @@ impl Baseline {
         }
     }
 
+    /// Checks that the rows are exactly the cells of `grid`: one row per
+    /// cell, cells `0..grid.len()` in grid order.
+    ///
+    /// [`Baseline::new`] and [`Baseline::from_report`] take the rows as
+    /// given, so a report of other cells can be stored under `grid`'s
+    /// address; recording and linting refuse such a baseline here.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the row and cell counts, or the first row that
+    /// holds the wrong cell.
+    pub fn verify_cells(&self, grid: &SweepGrid) -> Result<(), String> {
+        if self.rows.len() != grid.len() {
+            return Err(format!(
+                "{} row(s) for a grid of {} cell(s)",
+                self.rows.len(),
+                grid.len()
+            ));
+        }
+        match (0u64..).zip(&self.rows).find(|(i, row)| row.cell != *i) {
+            Some((i, row)) => Err(format!(
+                "row {i} holds cell {}, expected cell {i} (rows are the grid's cells in \
+                 grid order)",
+                row.cell
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Loads the baseline a grid addresses inside a baseline directory.
     ///
     /// # Errors
@@ -945,6 +974,21 @@ mod tests {
         let mut retagged = Baseline::from_report(&grid, &grid.run_serial());
         retagged.address = "0000000000000000".to_string();
         assert!(retagged.verify_address().is_err());
+    }
+
+    #[test]
+    fn verify_cells_requires_the_grid_cells_in_grid_order() {
+        let grid = SweepGrid::new(attacked_base(6)).seeds([1, 2, 3]);
+        let mut baseline = Baseline::from_report(&grid, &grid.run_serial());
+        assert_eq!(baseline.verify_cells(&grid), Ok(()));
+        // Rows out of grid order name the first misplaced row.
+        baseline.rows.swap(1, 2);
+        let err = baseline.verify_cells(&grid).unwrap_err();
+        assert!(err.contains("row 1 holds cell 2, expected cell 1"), "{err}");
+        // A dropped row is a count mismatch.
+        baseline.rows.remove(0);
+        let err = baseline.verify_cells(&grid).unwrap_err();
+        assert!(err.contains("2 row(s) for a grid of 3 cell(s)"), "{err}");
     }
 
     #[test]

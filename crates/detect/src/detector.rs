@@ -109,8 +109,13 @@ impl Detector for NoDetector {
 }
 
 /// The paper's rule as a [`Detector`]: every interval disjoint from the
-/// fusion interval is flagged immediately (see [`OverlapDetector`](crate::OverlapDetector)
-/// for the index-based one-shot API).
+/// fusion interval is flagged immediately.
+///
+/// Soundness: when at most `f` sensors are compromised and the fusion
+/// used `f`, a correct interval always intersects the fusion interval
+/// (both contain the true value), so the detector never flags a correct
+/// sensor. Completeness is *not* guaranteed — that asymmetry is
+/// precisely what the paper's stealthy attacker exploits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ImmediateDetector;
 
@@ -164,7 +169,8 @@ impl Detector for WindowedDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overlap::OverlapDetector;
+    use arsf_fusion::marzullo;
+    use arsf_interval::ops::disjoint_indices;
 
     fn iv(lo: f64, hi: f64) -> Interval<f64> {
         Interval::new(lo, hi).unwrap()
@@ -191,16 +197,62 @@ mod tests {
         assert!(out.condemned.is_empty());
     }
 
-    #[test]
-    fn immediate_matches_the_overlap_detector_on_identity_order() {
-        let intervals = [iv(9.0, 11.0), iv(9.5, 10.5), iv(30.0, 31.0)];
-        let fusion = iv(9.5, 10.5);
-        let report = OverlapDetector.detect(&intervals, &fusion);
+    /// The sensors [`ImmediateDetector`] flags when sensor `i` sends
+    /// `intervals[i]` in slot `i`.
+    fn immediate(intervals: &[Interval<f64>], fusion: &Interval<f64>) -> Vec<usize> {
         let transmitted: Vec<(usize, Interval<f64>)> =
             intervals.iter().copied().enumerate().collect();
         let mut out = RoundAssessment::new();
-        ImmediateDetector.assess(&transmitted, &fusion, &mut out);
-        assert_eq!(out.flagged, report.flagged);
+        ImmediateDetector.assess(&transmitted, fusion, &mut out);
+        out.flagged
+    }
+
+    #[test]
+    fn immediate_matches_disjoint_indices_on_identity_order() {
+        let intervals = [iv(9.0, 11.0), iv(9.5, 10.5), iv(30.0, 31.0)];
+        let fusion = iv(9.5, 10.5);
+        assert_eq!(
+            immediate(&intervals, &fusion),
+            disjoint_indices(&intervals, &fusion)
+        );
+    }
+
+    #[test]
+    fn correct_sensors_are_never_flagged() {
+        // All intervals contain the truth (10): none can be flagged.
+        let intervals = [iv(9.0, 11.0), iv(9.5, 10.5), iv(8.0, 12.0)];
+        let fused = marzullo::fuse(&intervals, 1).unwrap();
+        assert!(immediate(&intervals, &fused).is_empty());
+    }
+
+    #[test]
+    fn blatant_forgery_is_flagged() {
+        let intervals = [iv(9.0, 11.0), iv(9.5, 10.5), iv(30.0, 31.0)];
+        let fused = marzullo::fuse(&intervals, 1).unwrap();
+        assert_eq!(immediate(&intervals, &fused), vec![2]);
+    }
+
+    #[test]
+    fn stealthy_forgery_evades_detection() {
+        // The forged interval grazes the fusion interval: undetectable.
+        let all = [iv(9.0, 11.0), iv(9.5, 10.5), iv(10.5, 12.5)]; // touches 10.5
+        let fused = marzullo::fuse(&all, 1).unwrap();
+        assert!(
+            immediate(&all, &fused).is_empty(),
+            "touching intervals overlap"
+        );
+    }
+
+    #[test]
+    fn empty_round_is_all_clear() {
+        assert!(immediate(&[], &iv(0.0, 1.0)).is_empty());
+    }
+
+    #[test]
+    fn multiple_flags_in_slot_order() {
+        let fused = iv(0.0, 1.0);
+        let intervals = [iv(5.0, 6.0), iv(0.5, 0.6), iv(-3.0, -2.0)];
+        assert_eq!(immediate(&intervals, &fused), vec![0, 2]);
     }
 
     #[test]

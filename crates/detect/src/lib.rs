@@ -5,7 +5,7 @@
 //! must be compromised** — a correct interval contains the true value, the
 //! fusion interval contains every candidate true value, so the two must
 //! overlap. A stealthy attacker therefore constrains her forged intervals
-//! to intersect the fusion interval ([`overlap`]).
+//! to intersect the fusion interval ([`ImmediateDetector`]).
 //!
 //! Footnote 1 of the paper sketches the planned refinement: tolerate
 //! *transient* faults by flagging a sensor only when it violates the
@@ -24,19 +24,22 @@
 //! # Example
 //!
 //! ```
-//! use arsf_detect::overlap::OverlapDetector;
+//! use arsf_detect::{Detector, ImmediateDetector, RoundAssessment};
 //! use arsf_fusion::marzullo;
 //! use arsf_interval::Interval;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let intervals = [
-//!     Interval::new(9.0, 11.0)?,
-//!     Interval::new(9.5, 10.5)?,
-//!     Interval::new(30.0, 31.0)?, // blatantly forged
+//! // (sensor id, transmitted interval), in slot order.
+//! let transmitted = [
+//!     (0, Interval::new(9.0, 11.0)?),
+//!     (1, Interval::new(9.5, 10.5)?),
+//!     (2, Interval::new(30.0, 31.0)?), // blatantly forged
 //! ];
+//! let intervals: Vec<_> = transmitted.iter().map(|(_, iv)| *iv).collect();
 //! let fused = marzullo::fuse(&intervals, 1)?;
-//! let report = OverlapDetector.detect(&intervals, &fused);
-//! assert_eq!(report.flagged, vec![2]);
+//! let mut out = RoundAssessment::new();
+//! ImmediateDetector.assess(&transmitted, &fused, &mut out);
+//! assert_eq!(out.flagged, vec![2]);
 //! # Ok(())
 //! # }
 //! ```
@@ -47,10 +50,8 @@
 
 pub mod detector;
 pub mod model;
-pub mod overlap;
 pub mod window;
 
 pub use detector::{Detector, ImmediateDetector, NoDetector, RoundAssessment};
 pub use model::DetectorModel;
-pub use overlap::{DetectionReport, OverlapDetector};
 pub use window::{WindowVerdict, WindowedDetector};

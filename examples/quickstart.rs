@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use arsf::interval::ops::disjoint_indices;
 use arsf::interval::render::{Diagram, RowStyle};
 use arsf::prelude::*;
 
@@ -34,11 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The overlap detector cannot flag her: the forged interval touches
     // the fusion interval by construction.
-    let report = OverlapDetector.detect(&[encoder, forged, camera], &attacked);
-    println!(
-        "detector flags: {:?} (stealthy attack => nothing to flag)\n",
-        report.flagged
-    );
+    let flagged = disjoint_indices(&[encoder, forged, camera], &attacked);
+    println!("detector flags: {flagged:?} (stealthy attack => nothing to flag)\n");
 
     // The paper's figures, in ASCII.
     let mut diagram = Diagram::new();

@@ -91,7 +91,7 @@ pub mod prelude {
         BatchSummary, DetectionMode, FusionPipeline, PipelineConfig, RoundOutcome, ScenarioRunner,
     };
     pub use arsf_detect::{
-        Detector, ImmediateDetector, NoDetector, OverlapDetector, RoundAssessment, WindowedDetector,
+        Detector, ImmediateDetector, NoDetector, RoundAssessment, WindowedDetector,
     };
     pub use arsf_fusion::marzullo::{fuse, FusionConfig};
     pub use arsf_fusion::{

@@ -7,6 +7,7 @@
 //! * every stock fuser and detector combination runs through the single
 //!   `ScenarioRunner` entry point (the acceptance sweep).
 
+use arsf::interval::ops::disjoint_indices;
 use arsf::prelude::*;
 use arsf::sensor::{FaultKind, FaultModel};
 use rand::rngs::StdRng;
@@ -45,8 +46,10 @@ fn seed_reference_round(
     let fusion = arsf::fusion::marzullo::fuse(&intervals, f.min(intervals.len().saturating_sub(1)));
     let mut flagged = Vec::new();
     if let Ok(fused) = &fusion {
-        let report = OverlapDetector.detect(&intervals, fused);
-        flagged = report.flagged.iter().map(|&i| transmitted[i].0).collect();
+        flagged = disjoint_indices(&intervals, fused)
+            .iter()
+            .map(|&i| transmitted[i].0)
+            .collect();
     }
     (transmitted, fusion, flagged)
 }

@@ -5,6 +5,7 @@ use arsf::attack::full_knowledge::optimal_attack;
 use arsf::attack::worst_case::{attacked_worst_case, global_worst_case, no_attack_worst_case};
 use arsf::fusion::bounds::{check_bounds, theorem2_bound};
 use arsf::fusion::marzullo::{fuse, is_bounded_assumption, max_bounded_f};
+use arsf::interval::ops::disjoint_indices;
 use arsf::prelude::*;
 
 fn iv(lo: f64, hi: f64) -> Interval<f64> {
@@ -78,6 +79,5 @@ fn detector_soundness_no_false_positives_when_fa_at_most_f() {
     let mut all = correct.to_vec();
     all.push(attack.placements[0]);
     let fused = fuse(&all, 1).unwrap();
-    let report = OverlapDetector.detect(&all, &fused);
-    assert!(report.all_clear());
+    assert!(disjoint_indices(&all, &fused).is_empty());
 }
