@@ -164,6 +164,9 @@ pub struct DetectReport {
     pub suspects: Option<Vec<usize>>,
     /// Fused outputs per round (platoon size closed-loop, else 1).
     pub vehicles: usize,
+    /// The cell's guarantee report, from which false-alarm freedom and
+    /// the certain violators are derived.
+    pub guarantees: GuaranteeReport,
 }
 
 /// Whether the fuser's output provably intersects every transmitted
@@ -393,6 +396,7 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
         certain,
         suspects,
         vehicles: model.vehicles,
+        guarantees,
     }
 }
 

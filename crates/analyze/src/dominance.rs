@@ -62,6 +62,7 @@
 //! contradict a provable edge beyond the near-exact tolerance floor).
 //!
 //! [cmp]: arsf_core::scenario::AttackerSpec::strength_partial_cmp
+//! [`GuaranteeReport::truth_containment`]: crate::GuaranteeReport::truth_containment
 
 use std::cmp::Ordering;
 
@@ -72,7 +73,7 @@ use arsf_core::sweep::{AxisCoords, SweepGrid};
 use arsf_sensor::FaultKind;
 
 use crate::detectability::{detect_report, DetectVerdict};
-use crate::guarantees::{guarantee_report, GuaranteeReport};
+use crate::guarantees::guarantee_report;
 use crate::rules::{ORDER_EDGE, ORDER_VACUOUS, ORDER_VIOLATION};
 use crate::{sort_findings, Finding, Location};
 
@@ -263,15 +264,11 @@ struct CellFacts {
 fn cell_facts(grid: &SweepGrid) -> Vec<CellFacts> {
     grid.cells()
         .map(|cell| {
-            let guarantees: GuaranteeReport = guarantee_report(&cell.scenario);
-            let invisible = matches!(
-                detect_report(&cell.scenario).verdict,
-                DetectVerdict::ProvablyInvisible { .. }
-            );
+            let detect = detect_report(&cell.scenario);
             CellFacts {
-                containment: guarantees.truth_containment,
-                invisible,
-                width_bound: guarantees.width_bound,
+                containment: detect.guarantees.truth_containment,
+                invisible: matches!(detect.verdict, DetectVerdict::ProvablyInvisible { .. }),
+                width_bound: detect.guarantees.width_bound,
                 scenario: cell.scenario,
             }
         })

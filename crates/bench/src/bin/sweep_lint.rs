@@ -39,7 +39,7 @@
 use std::path::Path;
 use std::process::exit;
 
-use arsf_analyze::rules::BASELINE_MISSING;
+use arsf_analyze::rules::{BASELINE_MISSING, BASELINE_PARSE};
 use arsf_analyze::{
     analyze_baseline_dir, analyze_grid, analyze_scenario, exit_code, render, render_json_passes,
     render_passes, tolerance_findings, Finding, Location, Verifier, VERIFIERS,
@@ -47,7 +47,7 @@ use arsf_analyze::{
 use arsf_bench::cli::{diff_config, grid_from, Args, Cli, Flag, GRID_FLAGS};
 use arsf_bench::golden;
 use arsf_core::scenario::registry;
-use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
+use arsf_core::sweep::store::{baseline_path, grid_address, Baseline, StoreError};
 
 #[rustfmt::skip]
 const SWEEP_LINT: Cli = Cli { positionals: 1, ..Cli::new("sweep_lint", &[&[
@@ -141,7 +141,8 @@ fn baselines(args: &Args) -> Vec<Finding> {
 
 /// One verifier over the golden grids: its static pass over each grid
 /// (messages prefixed with the grid name), then its vet of the grid's
-/// stored baseline, warning when there is nothing to vet.
+/// stored baseline: a `baseline-parse` error when it cannot be parsed, a
+/// `baseline-missing` warning when there is none to vet.
 fn golden_pass(args: &Args, verifier: &Verifier) -> Vec<Finding> {
     let dir = args.value("--dir").unwrap_or("baselines");
     let mut findings = Vec::new();
@@ -160,7 +161,14 @@ fn golden_pass(args: &Args, verifier: &Verifier) -> Vec<Finding> {
             Ok(baseline) => {
                 findings.extend((verifier.vet)(&grid, &baseline, &Location::File { path }))
             }
-            Err(_) => findings.push(BASELINE_MISSING.finding(
+            Err(err @ StoreError::Parse(_)) => findings.push(BASELINE_PARSE.finding(
+                Location::File { path },
+                format!(
+                    "cannot vet the stored baseline against the static {}: {err}",
+                    verifier.noun
+                ),
+            )),
+            Err(StoreError::Io(_)) => findings.push(BASELINE_MISSING.finding(
                 Location::Grid {
                     name: name.to_string(),
                 },

@@ -97,8 +97,8 @@ struct Pinned {
 #[rustfmt::skip]
 const PINNED: [Pinned; 3] = [
     Pinned { grid: "open-loop-48", rounds: 5760, round_allocs: 246359, round_bytes: 13603990, build_allocs: 948 },
-    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 52400, round_bytes: 2730876, build_allocs: 132 },
-    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 158038, round_bytes: 8488046, build_allocs: 270 },
+    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 51200, round_bytes: 2721276, build_allocs: 102 },
+    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 154438, round_bytes: 8286446, build_allocs: 240 },
 ];
 
 /// perfbench's `closed-loop` platoon grid: the Table II base driven as a

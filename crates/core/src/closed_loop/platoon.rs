@@ -8,9 +8,9 @@
 
 use rand::Rng;
 
-use crate::closed_loop::landshark::{LandShark, LandSharkConfig, StepRecord};
+use crate::closed_loop::landshark::{LandShark, StepRecord};
 use crate::metrics::VehicleSummary;
-use crate::RoundOutcome;
+use crate::{RoundOutcome, Scenario};
 
 /// A column of LandSharks sharing one speed target.
 #[derive(Debug)]
@@ -24,18 +24,19 @@ pub struct Platoon {
 
 impl Platoon {
     /// Creates a platoon of `size` vehicles with `gap_miles` initial
-    /// spacing, each configured by `config` (cloned per vehicle).
+    /// spacing, each a [`LandShark`] built from `scenario`.
     ///
     /// # Panics
     ///
-    /// Panics if `size == 0` or `gap_miles` is not positive.
-    pub fn new(size: usize, gap_miles: f64, config: LandSharkConfig) -> Self {
+    /// Panics if `size == 0`, `gap_miles` is not positive, or
+    /// [`LandShark::new`] rejects the scenario.
+    pub fn new(size: usize, gap_miles: f64, scenario: &Scenario) -> Self {
         assert!(size > 0, "a platoon needs at least one vehicle");
         assert!(
             gap_miles > 0.0 && gap_miles.is_finite(),
             "initial gap must be positive"
         );
-        let sharks = (0..size).map(|_| LandShark::new(config.clone())).collect();
+        let sharks = (0..size).map(|_| LandShark::new(scenario)).collect();
         let start_offsets = (0..size).map(|i| -(i as f64) * gap_miles).collect();
         Self {
             sharks,
@@ -126,7 +127,7 @@ impl Platoon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::AttackerSpec;
+    use crate::scenario::{AttackerSpec, ClosedLoopSpec, SuiteSpec};
     use arsf_schedule::SchedulePolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -135,11 +136,19 @@ mod tests {
         StdRng::seed_from_u64(3)
     }
 
+    /// Each vehicle's scenario: the case study at 10 mph.
+    fn cruise(schedule: SchedulePolicy, attacker: AttackerSpec) -> Scenario {
+        Scenario::new("platoon", SuiteSpec::Landshark)
+            .with_schedule(schedule)
+            .with_attacker(attacker)
+            .with_closed_loop(ClosedLoopSpec::new(10.0))
+    }
+
     #[test]
     fn honest_platoon_keeps_formation() {
         let mut rng = rng();
-        let config = LandSharkConfig::new(10.0, SchedulePolicy::Ascending);
-        let mut platoon = Platoon::new(3, 0.01, config);
+        let scenario = cruise(SchedulePolicy::Ascending, AttackerSpec::None);
+        let mut platoon = Platoon::new(3, 0.01, &scenario);
         for _ in 0..300 {
             platoon.step(&mut rng);
         }
@@ -156,9 +165,8 @@ mod tests {
     #[test]
     fn attacked_ascending_platoon_stays_safe() {
         let mut rng = rng();
-        let config = LandSharkConfig::new(10.0, SchedulePolicy::Ascending)
-            .with_attacker(AttackerSpec::RandomEachRound);
-        let mut platoon = Platoon::new(3, 0.01, config);
+        let scenario = cruise(SchedulePolicy::Ascending, AttackerSpec::RandomEachRound);
+        let mut platoon = Platoon::new(3, 0.01, &scenario);
         for _ in 0..300 {
             platoon.step(&mut rng);
         }
@@ -176,9 +184,8 @@ mod tests {
         // Before the per-vehicle aggregate only the leader's engine fed
         // the summary; followers were invisible.
         let mut rng = rng();
-        let config = LandSharkConfig::new(10.0, SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::RandomEachRound);
-        let mut platoon = Platoon::new(3, 0.01, config);
+        let scenario = cruise(SchedulePolicy::Descending, AttackerSpec::RandomEachRound);
+        let mut platoon = Platoon::new(3, 0.01, &scenario);
         let mut buffer = RoundOutcome::default();
         for _ in 0..200 {
             platoon.step_with(&mut rng, &mut buffer);
@@ -209,7 +216,7 @@ mod tests {
         let _ = Platoon::new(
             0,
             0.01,
-            LandSharkConfig::new(10.0, SchedulePolicy::Ascending),
+            &cruise(SchedulePolicy::Ascending, AttackerSpec::None),
         );
     }
 
@@ -219,7 +226,7 @@ mod tests {
         let _ = Platoon::new(
             2,
             0.0,
-            LandSharkConfig::new(10.0, SchedulePolicy::Ascending),
+            &cruise(SchedulePolicy::Ascending, AttackerSpec::None),
         );
     }
 }

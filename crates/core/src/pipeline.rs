@@ -29,8 +29,6 @@ pub struct RoundOutcome {
     /// The fusion result; an error certifies that more sensors misbehaved
     /// than the fault assumption `f` allows.
     pub fusion: Result<Interval<f64>, FusionError>,
-    /// Midpoint of the fusion interval (the controller's point estimate).
-    pub estimate: Option<f64>,
     /// Sensors flagged by the detector this round.
     pub flagged: Vec<usize>,
     /// Sensors condemned by a temporal detector so far (empty for
@@ -47,7 +45,6 @@ impl Default for RoundOutcome {
             order: TransmissionOrder::identity(0),
             transmitted: Vec::new(),
             fusion: Err(FusionError::EmptyInput),
-            estimate: None,
             flagged: Vec::new(),
             condemned: Vec::new(),
         }
@@ -341,7 +338,6 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
             condemned: core::mem::take(&mut out.condemned),
         };
         out.fusion = step.finish(&out.transmitted, &mut assessment);
-        out.estimate = out.fusion.as_ref().ok().map(|s| s.midpoint());
         out.flagged = assessment.flagged;
         out.condemned = assessment.condemned;
     }
@@ -841,7 +837,6 @@ mod tests {
             assert_eq!(fresh.flagged, reused.flagged);
             assert_eq!(fresh.condemned, reused.condemned);
             assert_eq!(fresh.order, reused.order);
-            assert_eq!(fresh.estimate, reused.estimate);
         }
     }
 

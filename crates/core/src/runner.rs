@@ -8,16 +8,15 @@
 //! [`BatchSummary`] aggregates the statistics the experiment harnesses
 //! report.
 
-use arsf_attack::AttackerConfig;
 use arsf_fusion::Fuser;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::closed_loop::landshark::LandShark;
 use crate::closed_loop::platoon::Platoon;
 use crate::closed_loop::supervisor::SupervisorAction;
 use crate::metrics::{SupervisorSummary, VehicleSummary, WidthStats};
-use crate::scenario::{AttackerSpec, PlatoonSpec, Scenario, ScenarioError};
+use crate::scenario::{draw_random_attacker, AttackerSpec, PlatoonSpec, Scenario, ScenarioError};
 use crate::{FusionPipeline, RoundOutcome};
 
 /// Aggregated results of one scenario run.
@@ -146,15 +145,12 @@ enum Engine {
 fn build_engine(scenario: &Scenario) -> Engine {
     match &scenario.closed_loop {
         None => Engine::Open(Box::new(scenario.build_pipeline())),
-        Some(spec) => {
-            let config = scenario.landshark_config();
-            match spec.platoon {
-                None => Engine::Shark(Box::new(LandShark::new(config))),
-                Some(PlatoonSpec { size, gap_miles }) => {
-                    Engine::Platoon(Box::new(Platoon::new(size, gap_miles, config)))
-                }
+        Some(spec) => match spec.platoon {
+            None => Engine::Shark(Box::new(LandShark::new(scenario))),
+            Some(PlatoonSpec { size, gap_miles }) => {
+                Engine::Platoon(Box::new(Platoon::new(size, gap_miles, scenario)))
             }
-        }
+        },
     }
 }
 
@@ -211,11 +207,8 @@ impl ScenarioRunner {
     pub fn step_into(&mut self, out: &mut RoundOutcome) {
         match &mut self.engine {
             Engine::Open(pipeline) => {
-                let n = pipeline.suite().len();
-                // An empty suite leaves the attacker no sensor to draw.
-                if self.scenario.attacker == AttackerSpec::RandomEachRound && n > 0 {
-                    let sensor = self.rng.gen_range(0..n);
-                    pipeline.set_attacker_config(AttackerConfig::new([sensor], self.scenario.f));
+                if self.scenario.attacker == AttackerSpec::RandomEachRound {
+                    draw_random_attacker(pipeline, &mut self.rng);
                 }
                 let truth = self.scenario.truth.at(self.round);
                 pipeline.run_round_into(truth, &mut self.rng, out);
@@ -714,9 +707,10 @@ mod tests {
 
     #[test]
     fn closed_loop_faults_and_nonphantom_attacks_run() {
-        // Regression (ISSUE 4): these exact combinations panicked in
-        // Scenario::landshark_config before the engines were routed
-        // through the pipeline's fault/attacker machinery.
+        // Regression: these exact combinations used to panic while the
+        // closed-loop scenario was mapped onto the vehicle, before the
+        // engines were routed through the pipeline's fault/attacker
+        // machinery.
         use crate::scenario::ClosedLoopSpec;
         use arsf_sensor::{FaultKind, FaultModel};
         let base = Scenario::new("cl", SuiteSpec::Landshark)

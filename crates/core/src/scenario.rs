@@ -18,14 +18,13 @@ use arsf_attack::full_knowledge::MAX_ATTACKED;
 use arsf_attack::strategies::{GreedyExtreme, PhantomOptimal, Side};
 use arsf_attack::{AttackStrategy, AttackerConfig, Truthful};
 use arsf_fusion::historical::{DynamicsBound, HistoricalFuser};
-
-use crate::closed_loop::landshark::LandSharkConfig;
 use arsf_fusion::{
     BrooksIyengarFuser, Fuser, HullFuser, IntersectionFuser, InverseVarianceFuser, MarzulloFuser,
     MidpointMedianFuser,
 };
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel, SensorSuite};
+use rand::Rng;
 
 use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 
@@ -376,18 +375,20 @@ impl AttackerSpec {
     }
 }
 
-/// Attaches fault models to a built suite — the single wiring point both
-/// the open-loop pipeline and the closed-loop vehicle engines use.
-///
-/// # Panics
-///
-/// Panics if a fault's sensor index is out of range for the suite
-/// ([`Scenario::validate`] reports the same condition as a typed error).
-pub(crate) fn apply_faults(suite: &mut SensorSuite, faults: &[(usize, FaultModel)]) {
-    for (sensor, fault) in faults {
-        let sensors = suite.sensors_mut();
-        assert!(*sensor < sensors.len(), "fault sensor index out of range");
-        sensors[*sensor] = sensors[*sensor].clone().with_fault(*fault);
+/// Draws this round's compromised sensor for an
+/// [`AttackerSpec::RandomEachRound`] attacker, uniformly over the suite,
+/// and swaps it into the engine's attacker config — the one redraw both
+/// the open-loop runner and the closed-loop vehicle run before each
+/// round. An empty suite leaves the attacker no sensor to draw.
+pub(crate) fn draw_random_attacker<R: Rng + ?Sized>(
+    pipeline: &mut FusionPipeline<Box<dyn Fuser<f64>>>,
+    rng: &mut R,
+) {
+    let n = pipeline.suite().len();
+    if n > 0 {
+        let sensor = rng.gen_range(0..n);
+        let f = pipeline.config().f();
+        pipeline.set_attacker_config(AttackerConfig::new([sensor], f));
     }
 }
 
@@ -910,7 +911,11 @@ impl Scenario {
     /// typed errors).
     pub fn build_pipeline(&self) -> FusionPipeline<Box<dyn Fuser<f64>>> {
         let mut suite = self.suite.build();
-        apply_faults(&mut suite, &self.faults);
+        let sensors = suite.sensors_mut();
+        for &(sensor, fault) in &self.faults {
+            assert!(sensor < sensors.len(), "fault sensor index out of range");
+            sensors[sensor] = sensors[sensor].clone().with_fault(fault);
+        }
         let config =
             PipelineConfig::new(self.f, self.schedule.clone()).with_detection(self.detector);
         let builder = FusionPipeline::builder(suite)
@@ -922,39 +927,35 @@ impl Scenario {
         }
     }
 
-    /// Maps a closed-loop scenario onto the vehicle configuration the
-    /// runner materialises into a
-    /// [`LandShark`](crate::closed_loop::landshark::LandShark).
-    ///
-    /// The scenario's fault set, attacker (any strategy), fuser, detector,
-    /// schedule and fault assumption `f` all carry over verbatim — the
-    /// vehicle engine runs them through the same machinery as the
-    /// open-loop pipeline. For [`FuserSpec::Historical`] the fuser's `dt`
-    /// also becomes the control period.
+    /// The closed-loop control period in seconds: a historical fuser's
+    /// `dt`, so its history propagates at the loop's actual period, and
+    /// otherwise the case study's 100 ms.
+    pub fn control_period(&self) -> f64 {
+        match self.fuser {
+            FuserSpec::Historical { dt, .. } => dt,
+            _ => 0.1,
+        }
+    }
+
+    /// The scenario itself, once it is known to pass
+    /// [`Scenario::validate`] and to be closed-loop — what
+    /// [`LandShark::new`](crate::closed_loop::landshark::LandShark::new)
+    /// and [`Platoon::new`](crate::closed_loop::platoon::Platoon::new)
+    /// take. Kept because `perfbench/` names it.
     ///
     /// # Panics
     ///
     /// Panics when the scenario is not closed-loop or fails
     /// [`Scenario::validate`] (use `validate` first for a typed
     /// [`ScenarioError`]).
-    pub fn landshark_config(&self) -> LandSharkConfig {
+    pub fn landshark_config(&self) -> &Scenario {
         self.validate()
             .unwrap_or_else(|e| panic!("invalid scenario `{}`: {e}", self.name));
-        let Some(spec) = &self.closed_loop else {
-            panic!("landshark_config needs a closed-loop scenario");
-        };
-        let mut config = LandSharkConfig::new(spec.target_speed, self.schedule.clone());
-        config.delta_up = spec.delta_up;
-        config.delta_down = spec.delta_down;
-        config.f = self.f;
-        if let FuserSpec::Historical { dt, .. } = self.fuser {
-            config.dt = dt;
-        }
-        config.faults = self.faults.clone();
-        config.attacker = self.attacker.clone();
-        config.detection = self.detector;
-        config.fuser = self.fuser.clone();
-        config
+        assert!(
+            self.closed_loop.is_some(),
+            "landshark_config needs a closed-loop scenario"
+        );
+        self
     }
 }
 
@@ -1470,38 +1471,27 @@ mod tests {
     }
 
     #[test]
-    fn landshark_config_carries_faults_fusers_and_strategies() {
-        // Regression: each of these axes used to hit an assert in
-        // landshark_config; now they map onto the vehicle configuration
-        // verbatim.
+    fn control_period_is_the_historical_dt_or_100ms() {
         let scenario = Scenario::new("cl", SuiteSpec::Landshark)
-            .with_fault(2, FaultModel::new(arsf_sensor::FaultKind::Silent, 0.5))
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::GreedyHigh,
-            })
             .with_fuser(FuserSpec::BrooksIyengar)
-            .with_detector(DetectionMode::Off)
-            .with_closed_loop(ClosedLoopSpec::new(12.0).with_deltas(0.4, 0.6));
-        let config = scenario.landshark_config();
-        assert_eq!(config.faults, scenario.faults);
-        assert_eq!(config.attacker, scenario.attacker);
-        assert_eq!(config.fuser, FuserSpec::BrooksIyengar);
-        assert_eq!(config.detection, DetectionMode::Off);
-        assert_eq!(config.target_speed, 12.0);
-        assert_eq!((config.delta_up, config.delta_down), (0.4, 0.6));
+            .with_closed_loop(ClosedLoopSpec::new(12.0));
         assert_eq!(
-            config.dt, 0.1,
+            scenario.control_period(),
+            0.1,
             "non-historical fusers keep the 100 ms period"
         );
-        // Historical fusion also sets the control period from its dt.
-        let historical = Scenario::new("cl-h", SuiteSpec::Landshark)
-            .with_fuser(FuserSpec::Historical {
-                max_rate: 3.5,
-                dt: 0.05,
-            })
-            .with_closed_loop(ClosedLoopSpec::new(10.0));
-        assert_eq!(historical.landshark_config().dt, 0.05);
+        let historical = scenario.with_fuser(FuserSpec::Historical {
+            max_rate: 3.5,
+            dt: 0.05,
+        });
+        assert_eq!(historical.control_period(), 0.05);
+        assert_eq!(historical.landshark_config(), &historical);
+    }
+
+    #[test]
+    #[should_panic(expected = "closed-loop scenario")]
+    fn landshark_config_rejects_an_open_loop_scenario() {
+        let _ = Scenario::new("open", SuiteSpec::Landshark).landshark_config();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The engine's allocation contract: once a first round has sized the
 //! buffers, `FusionPipeline::run_round_into` performs no heap allocation
 //! with any stock fuser, detector and schedule, honest or under a
-//! non-solving attack strategy.
+//! non-solving attack strategy — and neither does a closed-loop
+//! vehicle's control period through `ScenarioRunner::step_into`.
 //!
 //! A counting `#[global_allocator]` tallies the allocations of the calling
 //! thread only, so tests running in parallel do not disturb each other.
@@ -13,8 +14,10 @@ use std::cell::Cell;
 
 use arsf_attack::strategies::{GreedyExtreme, Side};
 use arsf_attack::{AttackStrategy, AttackerConfig, Truthful};
-use arsf_core::scenario::FuserSpec;
-use arsf_core::{DetectionMode, FusionPipeline, PipelineConfig, RoundOutcome};
+use arsf_core::scenario::{
+    AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
+};
+use arsf_core::{DetectionMode, FusionPipeline, PipelineConfig, RoundOutcome, ScenarioRunner};
 use arsf_fusion::Fuser;
 use arsf_schedule::{SchedulePolicy, TransmissionOrder};
 use arsf_sensor::{FaultKind, FaultModel, SensorSuite};
@@ -188,4 +191,54 @@ fn run_round_into_does_not_allocate_after_the_first_round() {
         }
     }
     assert_eq!(checked, 3 * 7 * 3 * 5 * 3);
+}
+
+#[test]
+fn closed_loop_step_into_does_not_allocate_after_the_first_step() {
+    let fixed = |strategy| AttackerSpec::Fixed {
+        sensors: vec![0],
+        strategy,
+    };
+    let attackers = [
+        AttackerSpec::None,
+        fixed(StrategySpec::Truthful),
+        fixed(StrategySpec::GreedyHigh),
+        fixed(StrategySpec::GreedyLow),
+    ];
+    let detectors = [
+        DetectionMode::Immediate,
+        DetectionMode::Windowed {
+            window: 10,
+            tolerance: 3,
+        },
+    ];
+    let mut checked = 0;
+    for schedule in [SchedulePolicy::Ascending, SchedulePolicy::Descending] {
+        for attacker in &attackers {
+            for detection in &detectors {
+                let scenario = Scenario::new("shark", SuiteSpec::Landshark)
+                    .with_schedule(schedule.clone())
+                    .with_attacker(attacker.clone())
+                    .with_detector(*detection)
+                    .with_closed_loop(ClosedLoopSpec::new(10.0));
+                let mut runner = ScenarioRunner::new(&scenario);
+                let mut out = RoundOutcome::default();
+                runner.step_into(&mut out);
+                let allocations = allocations_of(|| {
+                    for _ in 0..200 {
+                        runner.step_into(&mut out);
+                    }
+                });
+                assert_eq!(
+                    allocations,
+                    0,
+                    "{}, attacker {}, {detection:?}",
+                    schedule.name(),
+                    attacker.label(),
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 2 * 4 * 2);
 }

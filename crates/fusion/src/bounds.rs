@@ -285,19 +285,6 @@ pub fn historical_width_bound(
     static_width_bound(widths, present, f, corrupt)
 }
 
-/// Per-vehicle worst-case widths for a platoon: every vehicle carries an
-/// identical sensor suite and fuses independently, so the scalar bound
-/// replicates across the platoon.
-pub fn platoon_width_bounds(
-    widths: &[f64],
-    present: usize,
-    f: usize,
-    corrupt: usize,
-    vehicles: usize,
-) -> Vec<Option<f64>> {
-    vec![static_width_bound(widths, present, f, corrupt); vehicles]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,13 +420,5 @@ mod tests {
             historical_width_bound(&w, 4, 1, 1, 3.5, f64::INFINITY),
             None
         );
-    }
-
-    #[test]
-    fn platoon_bounds_replicate_per_vehicle() {
-        let w = [0.2, 0.2, 1.0, 2.0];
-        let bounds = platoon_width_bounds(&w, 4, 1, 1, 3);
-        assert_eq!(bounds, vec![Some(2.0); 3]);
-        assert!(platoon_width_bounds(&w, 4, 1, 1, 0).is_empty());
     }
 }

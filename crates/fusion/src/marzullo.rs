@@ -102,91 +102,6 @@ pub fn is_bounded_assumption(n: usize, f: usize) -> bool {
     f < n.div_ceil(2)
 }
 
-/// A validated `(n, f)` fusion configuration.
-///
-/// Construction enforces the paper's standing assumption `f < ⌈n/2⌉`, so a
-/// `FusionConfig` is a proof that fusion-interval widths are bounded by
-/// some input interval's width (paper, Section II-A).
-///
-/// # Example
-///
-/// ```
-/// use arsf_fusion::marzullo::FusionConfig;
-/// use arsf_interval::Interval;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let cfg = FusionConfig::new(5, 2).expect("2 < ceil(5/2)");
-/// let sensors = [
-///     Interval::new(0.0, 2.0)?,
-///     Interval::new(1.0, 3.0)?,
-///     Interval::new(1.5, 2.5)?,
-///     Interval::new(1.0, 2.0)?,
-///     Interval::new(40.0, 41.0)?,
-/// ];
-/// let fused = cfg.fuse(&sensors)?;
-/// // Points in >= 3 of the 5 intervals form [1, 2].
-/// assert_eq!(fused, Interval::new(1.0, 2.0)?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FusionConfig {
-    n: usize,
-    f: usize,
-}
-
-impl FusionConfig {
-    /// Creates a configuration for `n` sensors tolerating up to `f` faults.
-    ///
-    /// Returns `None` when `n == 0` or `f ≥ ⌈n/2⌉` (the regime where the
-    /// fusion interval may be unbounded and may exclude the true value).
-    pub fn new(n: usize, f: usize) -> Option<Self> {
-        if n == 0 || !is_bounded_assumption(n, f) {
-            return None;
-        }
-        Some(Self { n, f })
-    }
-
-    /// The configuration the paper's evaluation uses: `f = ⌈n/2⌉ − 1`.
-    ///
-    /// Returns `None` when `n == 0`.
-    pub fn most_conservative(n: usize) -> Option<Self> {
-        Self::new(n, max_bounded_f(n))
-    }
-
-    /// The number of sensors.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The assumed number of faulty sensors.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// The coverage requirement `n − f`.
-    pub fn required_coverage(&self) -> usize {
-        self.n - self.f
-    }
-
-    /// Runs Marzullo fusion on exactly `n` intervals.
-    ///
-    /// # Errors
-    ///
-    /// [`FusionError::FaultCountTooLarge`] if the slice length differs from
-    /// the configured `n` (reported with the actual length), otherwise as
-    /// [`fuse`].
-    pub fn fuse<T: Scalar>(&self, intervals: &[Interval<T>]) -> Result<Interval<T>, FusionError> {
-        if intervals.len() != self.n {
-            return Err(FusionError::FaultCountTooLarge {
-                f: self.f,
-                n: intervals.len(),
-            });
-        }
-        fuse(intervals, self.f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,24 +195,6 @@ mod tests {
         assert_eq!(max_bounded_f(5), 2);
         assert_eq!(max_bounded_f(2), 0);
         assert_eq!(max_bounded_f(0), 0);
-    }
-
-    #[test]
-    fn config_rejects_unbounded_assumptions() {
-        assert!(FusionConfig::new(0, 0).is_none());
-        assert!(FusionConfig::new(4, 2).is_none());
-        assert!(FusionConfig::new(5, 3).is_none());
-        let cfg = FusionConfig::new(5, 2).unwrap();
-        assert_eq!(cfg.required_coverage(), 3);
-        assert_eq!((cfg.n(), cfg.f()), (5, 2));
-    }
-
-    #[test]
-    fn config_checks_arity() {
-        let cfg = FusionConfig::most_conservative(3).unwrap();
-        assert_eq!(cfg.f(), 1);
-        let err = cfg.fuse(&[iv(0.0, 1.0)]).unwrap_err();
-        assert!(matches!(err, FusionError::FaultCountTooLarge { .. }));
     }
 
     #[test]

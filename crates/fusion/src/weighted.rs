@@ -91,26 +91,6 @@ pub fn inverse_variance<T: Scalar>(
     })
 }
 
-/// The unweighted mean of the interval midpoints, with radius equal to the
-/// mean half-width.
-///
-/// # Errors
-///
-/// [`FusionError::EmptyInput`] when no intervals are given.
-pub fn midpoint_mean<T: Scalar>(intervals: &[Interval<T>]) -> Result<PointEstimate, FusionError> {
-    if intervals.is_empty() {
-        return Err(FusionError::EmptyInput);
-    }
-    let n = intervals.len() as f64;
-    let value = intervals.iter().map(|s| s.midpoint().to_f64()).sum::<f64>() / n;
-    let radius = intervals
-        .iter()
-        .map(|s| s.width().to_f64() * 0.5)
-        .sum::<f64>()
-        / n;
-    Ok(PointEstimate { value, radius })
-}
-
 /// The median of the interval midpoints — the classical robust location
 /// estimator, tolerating up to `⌈n/2⌉ − 1` arbitrarily-corrupted readings.
 ///
@@ -199,18 +179,13 @@ mod tests {
     #[test]
     fn all_estimators_reject_empty_input() {
         assert!(inverse_variance::<f64>(&[]).is_err());
-        assert!(midpoint_mean::<f64>(&[]).is_err());
         assert!(midpoint_median::<f64>(&[]).is_err());
     }
 
     #[test]
     fn single_sensor_is_identity() {
         let s = [ci(10.0, 0.5)];
-        for est in [
-            inverse_variance(&s).unwrap(),
-            midpoint_mean(&s).unwrap(),
-            midpoint_median(&s).unwrap(),
-        ] {
+        for est in [inverse_variance(&s).unwrap(), midpoint_median(&s).unwrap()] {
             assert_eq!(est.value, 10.0);
             assert_eq!(est.radius, 0.5);
         }
@@ -236,8 +211,9 @@ mod tests {
     fn mean_is_attackable_median_is_not() {
         let honest = [ci(10.0, 1.0), ci(10.2, 1.0)];
         let attacked = [ci(10.0, 1.0), ci(10.2, 1.0), ci(1000.0, 1.0)];
-        let mean_shift =
-            midpoint_mean(&attacked).unwrap().value - midpoint_mean(&honest).unwrap().value;
+        let mean =
+            |s: &[Interval<f64>]| s.iter().map(|i| i.midpoint()).sum::<f64>() / s.len() as f64;
+        let mean_shift = mean(&attacked) - mean(&honest);
         let median_shift =
             midpoint_median(&attacked).unwrap().value - midpoint_median(&honest).unwrap().value;
         assert!(mean_shift > 100.0);

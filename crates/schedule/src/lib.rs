@@ -43,7 +43,6 @@
 pub mod analysis;
 mod order;
 mod policy;
-pub mod slots;
 
 pub use order::TransmissionOrder;
 pub use policy::SchedulePolicy;

@@ -4,12 +4,7 @@
 //!
 //! Run with: `cargo run --release --example landshark_platoon`
 
-use arsf::core::closed_loop::landshark::LandSharkConfig;
-use arsf::core::closed_loop::platoon::Platoon;
-use arsf::core::closed_loop::supervisor::SupervisorAction;
 use arsf::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let rounds = 2_000;
@@ -25,33 +20,24 @@ fn main() {
         SchedulePolicy::Descending,
         SchedulePolicy::Random,
     ] {
-        let mut rng = StdRng::seed_from_u64(0xDA7E_2014);
-        let config =
-            LandSharkConfig::new(10.0, policy.clone()).with_attacker(AttackerSpec::RandomEachRound);
-        let mut platoon = Platoon::new(3, 0.01, config);
-        let mut preempts = 0u64;
-        for _ in 0..rounds {
-            for record in platoon.step(&mut rng) {
-                if record.action != SupervisorAction::Nominal {
-                    preempts += 1;
-                }
-            }
-        }
-        let (mut above, mut below, mut checked) = (0u64, 0u64, 0u64);
-        for shark in platoon.sharks() {
-            above += shark.supervisor().upper_violations();
-            below += shark.supervisor().lower_violations();
-            checked += shark.supervisor().rounds();
-        }
+        let scenario = Scenario::new("landshark-platoon", SuiteSpec::Landshark)
+            .with_schedule(policy.clone())
+            .with_attacker(AttackerSpec::RandomEachRound)
+            .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(3, 0.01))
+            .with_rounds(rounds)
+            .with_seed(0xDA7E_2014);
+        let summary = ScenarioRunner::new(&scenario).run();
+        let supervisor = summary.supervisor.expect("closed-loop runs report it");
+        let min_gap = supervisor.min_gap.expect("platoon runs track the gap");
         println!(
             "{:<12} {:>13.2}% {:>13.2}% {:>10} {:>12.4}",
             policy.name(),
-            100.0 * above as f64 / checked as f64,
-            100.0 * below as f64 / checked as f64,
-            preempts,
-            platoon.min_gap()
+            100.0 * supervisor.above_rate,
+            100.0 * supervisor.below_rate,
+            supervisor.preemptions,
+            min_gap
         );
-        assert!(!platoon.collided(), "supervisor must prevent collisions");
+        assert!(min_gap > 0.0, "supervisor must prevent collisions");
     }
 
     println!("\nAscending keeps the platoon's fusion intervals inside the");

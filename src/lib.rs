@@ -93,7 +93,7 @@ pub mod prelude {
     pub use arsf_detect::{
         Detector, ImmediateDetector, NoDetector, RoundAssessment, WindowedDetector,
     };
-    pub use arsf_fusion::marzullo::{fuse, FusionConfig};
+    pub use arsf_fusion::marzullo::fuse;
     pub use arsf_fusion::{
         BrooksIyengarFuser, Fuser, FusionError, HullFuser, IntersectionFuser, InverseVarianceFuser,
         MarzulloFuser, MidpointMedianFuser,

@@ -1,14 +1,22 @@
 //! Cross-crate integration: a short Table II case-study run (the full
 //! 20k-round version is the `repro_table2` release binary).
 
-use arsf::core::closed_loop::landshark::{LandShark, LandSharkConfig};
+use arsf::core::closed_loop::landshark::LandShark;
 use arsf::core::closed_loop::platoon::Platoon;
-use arsf::core::scenario::AttackerSpec;
+use arsf::core::scenario::{AttackerSpec, ClosedLoopSpec, Scenario, SuiteSpec};
 use arsf::core::sweep::StreamingSweeper;
 use arsf::schedule::SchedulePolicy;
 use arsf_bench::table2::{run_all, Table2Config};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One vehicle's scenario: 10 mph, one random sensor attacked per round.
+fn attacked_cruise(policy: SchedulePolicy) -> Scenario {
+    Scenario::new("case-study", SuiteSpec::Landshark)
+        .with_schedule(policy)
+        .with_attacker(AttackerSpec::RandomEachRound)
+        .with_closed_loop(ClosedLoopSpec::new(10.0))
+}
 
 #[test]
 fn descending_rates_are_roughly_symmetric() {
@@ -34,9 +42,8 @@ fn descending_rates_are_roughly_symmetric() {
 #[test]
 fn platoon_under_attack_never_collides_with_ascending() {
     let mut rng = StdRng::seed_from_u64(1);
-    let config = LandSharkConfig::new(10.0, SchedulePolicy::Ascending)
-        .with_attacker(AttackerSpec::RandomEachRound);
-    let mut platoon = Platoon::new(3, 0.005, config);
+    let scenario = attacked_cruise(SchedulePolicy::Ascending);
+    let mut platoon = Platoon::new(3, 0.005, &scenario);
     for _ in 0..400 {
         platoon.step(&mut rng);
     }
@@ -51,9 +58,7 @@ fn single_vehicle_holds_speed_under_any_schedule() {
         SchedulePolicy::Random,
     ] {
         let mut rng = StdRng::seed_from_u64(2);
-        let config =
-            LandSharkConfig::new(10.0, policy.clone()).with_attacker(AttackerSpec::RandomEachRound);
-        let mut shark = LandShark::new(config);
+        let mut shark = LandShark::new(&attacked_cruise(policy.clone()));
         for _ in 0..500 {
             shark.step(&mut rng);
         }

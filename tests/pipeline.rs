@@ -27,8 +27,7 @@ fn honest_pipeline_tracks_truth_across_schedules() {
             let fused = out.fusion.expect("all-correct round fuses");
             assert!(fused.contains(truth), "round {round}: {fused} lost {truth}");
             assert!(out.flagged.is_empty());
-            let estimate = out.estimate.expect("estimate exists");
-            assert!((estimate - truth).abs() <= fused.width() / 2.0 + 1e-12);
+            assert!((fused.midpoint() - truth).abs() <= fused.width() / 2.0 + 1e-12);
         }
     }
 }

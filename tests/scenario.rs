@@ -95,12 +95,6 @@ fn generic_engine_reproduces_seed_engine_round_for_round() {
             );
             assert_eq!(out.fusion, fusion, "{} round {round}", policy.name());
             assert_eq!(out.flagged, flagged, "{} round {round}", policy.name());
-            assert_eq!(
-                out.estimate,
-                fusion.as_ref().ok().map(|s| s.midpoint()),
-                "{} round {round}",
-                policy.name()
-            );
         }
     }
 }
