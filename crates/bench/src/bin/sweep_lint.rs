@@ -36,10 +36,11 @@
 //! `sweep_drive --baseline record`) enforces the error tier
 //! automatically before freezing a baseline.
 
+use std::io::ErrorKind;
 use std::path::Path;
 use std::process::exit;
 
-use arsf_analyze::rules::{BASELINE_MISSING, BASELINE_PARSE};
+use arsf_analyze::rules::{BASELINE_IO, BASELINE_MISSING, BASELINE_PARSE};
 use arsf_analyze::{
     analyze_baseline_dir, analyze_grid, analyze_scenario, exit_code, render, render_json_passes,
     render_passes, tolerance_findings, Finding, Location, Verifier, VERIFIERS,
@@ -141,8 +142,9 @@ fn baselines(args: &Args) -> Vec<Finding> {
 
 /// One verifier over the golden grids: its static pass over each grid
 /// (messages prefixed with the grid name), then its vet of the grid's
-/// stored baseline: a `baseline-parse` error when it cannot be parsed, a
-/// `baseline-missing` warning when there is none to vet.
+/// stored baseline: a `baseline-parse` or `baseline-io` error when it
+/// exists but cannot be parsed or read, a `baseline-missing` warning when
+/// there is none to vet.
 fn golden_pass(args: &Args, verifier: &Verifier) -> Vec<Finding> {
     let dir = args.value("--dir").unwrap_or("baselines");
     let mut findings = Vec::new();
@@ -161,22 +163,32 @@ fn golden_pass(args: &Args, verifier: &Verifier) -> Vec<Finding> {
             Ok(baseline) => {
                 findings.extend((verifier.vet)(&grid, &baseline, &Location::File { path }))
             }
-            Err(err @ StoreError::Parse(_)) => findings.push(BASELINE_PARSE.finding(
-                Location::File { path },
-                format!(
-                    "cannot vet the stored baseline against the static {}: {err}",
-                    verifier.noun
-                ),
-            )),
-            Err(StoreError::Io(_)) => findings.push(BASELINE_MISSING.finding(
-                Location::Grid {
-                    name: name.to_string(),
-                },
-                format!(
-                    "no stored baseline {address}.json in {dir} to vet against the static {}",
-                    verifier.noun
-                ),
-            )),
+            Err(StoreError::Io(err)) if err.kind() == ErrorKind::NotFound => {
+                findings.push(BASELINE_MISSING.finding(
+                    Location::Grid {
+                        name: name.to_string(),
+                    },
+                    format!(
+                        "no stored baseline {address}.json in {dir} to vet against the static {}",
+                        verifier.noun
+                    ),
+                ))
+            }
+            // Present but unreadable or unparsable: name the file, not a
+            // recording that is not there.
+            Err(err) => {
+                let rule = match err {
+                    StoreError::Parse(_) => BASELINE_PARSE,
+                    StoreError::Io(_) => BASELINE_IO,
+                };
+                findings.push(rule.finding(
+                    Location::File { path },
+                    format!(
+                        "cannot vet the stored baseline against the static {}: {err}",
+                        verifier.noun
+                    ),
+                ))
+            }
         }
     }
     findings.sort_by_key(|f| std::cmp::Reverse(f.severity));

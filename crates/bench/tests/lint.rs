@@ -487,6 +487,39 @@ fn corrupted_baseline_is_flagged_with_its_path() {
 }
 
 #[test]
+fn unreadable_golden_baseline_is_an_io_error_not_a_missing_one() {
+    // A directory where `open-loop-48`'s baseline file belongs exists but
+    // cannot be read; `table2-closed-loop` has no file at all.
+    let dir = std::env::temp_dir().join(format!("arsf-lint-unreadable-{}", std::process::id()));
+    let address = grid_address(&golden::open_loop_48());
+    std::fs::create_dir_all(baseline_path(&dir, &address)).expect("directory in its place");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_sweep_lint"))
+        .args(["guarantees", "--dir", dir.to_str().expect("utf-8 path")])
+        .output()
+        .expect("sweep_lint runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+
+    assert_eq!(output.status.code(), Some(2), "{stdout}");
+    let io = stdout
+        .lines()
+        .find(|line| line.starts_with("error[baseline-io]"))
+        .unwrap_or_else(|| panic!("the unreadable file is an I/O error: {stdout}"));
+    assert!(io.contains(&format!("{address}.json")), "{io}");
+    let missing: Vec<&str> = stdout
+        .lines()
+        .filter(|line| line.starts_with("warning[baseline-missing]"))
+        .collect();
+    assert_eq!(missing.len(), 1, "{stdout}");
+    assert!(
+        missing[0].contains("`table2-closed-loop`"),
+        "{}",
+        missing[0]
+    );
+}
+
+#[test]
 fn undersized_suite_for_f_is_an_error() {
     // The acceptance grid: n = 3 sensors with f = 2 violates n > 2f.
     let base = Scenario::new("lint", SuiteSpec::Widths(vec![5.0, 11.0, 17.0])).with_f(2);

@@ -198,6 +198,33 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_spec_reaches_the_supervisor_and_the_control_period() {
+        // Unequal deltas pin their order: δ1 sits above the target, δ2
+        // below it.
+        let scenario = Scenario::new("cl", SuiteSpec::Landshark)
+            .with_fuser(FuserSpec::BrooksIyengar)
+            .with_detector(DetectionMode::Off)
+            .with_closed_loop(ClosedLoopSpec::new(12.0).with_deltas(0.4, 0.6));
+        let shark = LandShark::new(&scenario);
+        assert_eq!(shark.supervisor().upper_bound(), 12.4);
+        assert_eq!(shark.supervisor().lower_bound(), 11.4);
+        assert_eq!((shark.target_speed, shark.speed()), (12.0, 12.0));
+        assert_eq!(shark.pipeline().fuser().name(), "brooks-iyengar");
+        assert_eq!(shark.pipeline().detector().name(), "off");
+        assert_eq!(
+            shark.dt, 0.1,
+            "non-historical fusers keep the 100 ms period"
+        );
+
+        // A historical fuser's dt is the vehicle's control period.
+        let historical = LandShark::new(&scenario.with_fuser(FuserSpec::Historical {
+            max_rate: 3.5,
+            dt: 0.05,
+        }));
+        assert_eq!(historical.dt, 0.05);
+    }
+
+    #[test]
     fn windowed_detection_flows_through_the_scenario() {
         let scenario = cruise(SchedulePolicy::Ascending, AttackerSpec::None).with_detector(
             DetectionMode::Windowed {
