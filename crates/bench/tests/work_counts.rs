@@ -98,7 +98,7 @@ struct Pinned {
 const PINNED: [Pinned; 3] = [
     Pinned { grid: "open-loop-48", rounds: 5760, round_allocs: 246359, round_bytes: 13603990, build_allocs: 948 },
     Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 51200, round_bytes: 2721276, build_allocs: 102 },
-    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 154438, round_bytes: 8286446, build_allocs: 240 },
+    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 153238, round_bytes: 8142446, build_allocs: 246 },
 ];
 
 /// perfbench's `closed-loop` platoon grid: the Table II base driven as a

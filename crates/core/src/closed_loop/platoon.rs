@@ -20,6 +20,8 @@ pub struct Platoon {
     min_gap: f64,
     initial_gap: f64,
     stats: Vec<VehicleSummary>,
+    /// The last control period's step records, leader first.
+    records: Vec<StepRecord>,
 }
 
 impl Platoon {
@@ -44,6 +46,7 @@ impl Platoon {
             min_gap: gap_miles,
             initial_gap: gap_miles,
             stats: vec![VehicleSummary::default(); size],
+            records: Vec::with_capacity(size),
         }
     }
 
@@ -71,11 +74,13 @@ impl Platoon {
 
     /// Advances every vehicle by one control period and updates the gap
     /// and per-vehicle statistics. Returns the per-vehicle step records,
-    /// leader first.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<StepRecord> {
-        let records: Vec<StepRecord> = self.sharks.iter_mut().map(|s| s.step(rng)).collect();
-        self.record_round(&records);
-        records
+    /// leader first, in a buffer the platoon reuses every period.
+    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[StepRecord] {
+        self.records.clear();
+        for shark in &mut self.sharks {
+            self.records.push(shark.step(rng));
+        }
+        self.record_round()
     }
 
     /// [`Platoon::step`] writing the **leader's** engine outcome into a
@@ -87,24 +92,24 @@ impl Platoon {
         &mut self,
         rng: &mut R,
         leader_outcome: &mut RoundOutcome,
-    ) -> Vec<StepRecord> {
-        let mut records = Vec::with_capacity(self.sharks.len());
+    ) -> &[StepRecord] {
+        self.records.clear();
         for (i, shark) in self.sharks.iter_mut().enumerate() {
-            records.push(if i == 0 {
+            self.records.push(if i == 0 {
                 shark.step_with(rng, leader_outcome)
             } else {
                 shark.step(rng)
             });
         }
-        self.record_round(&records);
-        records
+        self.record_round()
     }
 
-    fn record_round(&mut self, records: &[StepRecord]) {
-        for (stats, record) in self.stats.iter_mut().zip(records) {
+    fn record_round(&mut self) -> &[StepRecord] {
+        for (stats, record) in self.stats.iter_mut().zip(&self.records) {
             stats.record(record.fusion.as_ref(), record.true_speed);
         }
         self.update_gaps();
+        &self.records
     }
 
     fn update_gaps(&mut self) {

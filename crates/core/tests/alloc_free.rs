@@ -2,7 +2,8 @@
 //! buffers, `FusionPipeline::run_round_into` performs no heap allocation
 //! with any stock fuser, detector and schedule, honest or under a
 //! non-solving attack strategy — and neither does a closed-loop
-//! vehicle's control period through `ScenarioRunner::step_into`.
+//! vehicle's or platoon's control period through
+//! `ScenarioRunner::step_into`.
 //!
 //! A counting `#[global_allocator]` tallies the allocations of the calling
 //! thread only, so tests running in parallel do not disturb each other.
@@ -212,33 +213,40 @@ fn closed_loop_step_into_does_not_allocate_after_the_first_step() {
             tolerance: 3,
         },
     ];
+    let vehicles = [
+        ClosedLoopSpec::new(10.0),
+        ClosedLoopSpec::new(10.0).with_platoon(3, 0.01),
+    ];
     let mut checked = 0;
-    for schedule in [SchedulePolicy::Ascending, SchedulePolicy::Descending] {
-        for attacker in &attackers {
-            for detection in &detectors {
-                let scenario = Scenario::new("shark", SuiteSpec::Landshark)
-                    .with_schedule(schedule.clone())
-                    .with_attacker(attacker.clone())
-                    .with_detector(*detection)
-                    .with_closed_loop(ClosedLoopSpec::new(10.0));
-                let mut runner = ScenarioRunner::new(&scenario);
-                let mut out = RoundOutcome::default();
-                runner.step_into(&mut out);
-                let allocations = allocations_of(|| {
-                    for _ in 0..200 {
-                        runner.step_into(&mut out);
-                    }
-                });
-                assert_eq!(
-                    allocations,
-                    0,
-                    "{}, attacker {}, {detection:?}",
-                    schedule.name(),
-                    attacker.label(),
-                );
-                checked += 1;
+    for closed_loop in vehicles {
+        for schedule in [SchedulePolicy::Ascending, SchedulePolicy::Descending] {
+            for attacker in &attackers {
+                for detection in &detectors {
+                    let scenario = Scenario::new("shark", SuiteSpec::Landshark)
+                        .with_schedule(schedule.clone())
+                        .with_attacker(attacker.clone())
+                        .with_detector(*detection)
+                        .with_closed_loop(closed_loop);
+                    let mut runner = ScenarioRunner::new(&scenario);
+                    let mut out = RoundOutcome::default();
+                    runner.step_into(&mut out);
+                    let allocations = allocations_of(|| {
+                        for _ in 0..200 {
+                            runner.step_into(&mut out);
+                        }
+                    });
+                    assert_eq!(
+                        allocations,
+                        0,
+                        "{:?}, {}, attacker {}, {detection:?}",
+                        closed_loop.platoon,
+                        schedule.name(),
+                        attacker.label(),
+                    );
+                    checked += 1;
+                }
             }
         }
     }
-    assert_eq!(checked, 2 * 4 * 2);
+    assert_eq!(checked, 2 * 2 * 4 * 2);
 }

@@ -106,6 +106,7 @@ impl FaultModel {
     }
 
     /// Rolls the dice for this round.
+    #[inline]
     pub fn fires<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         if self.probability <= 0.0 {
             return false;

@@ -61,6 +61,7 @@ impl NoiseModel {
     /// Draws a measurement offset in `[-radius, +radius]`.
     ///
     /// A non-positive `radius` always produces offset `0.0`.
+    #[inline]
     pub fn sample_offset<R: Rng + ?Sized>(&self, radius: f64, rng: &mut R) -> f64 {
         if radius <= 0.0 {
             return 0.0;

@@ -132,6 +132,7 @@ impl Sensor {
     /// [`crate::FaultKind::Silent`] fault drops the reading, or when the
     /// reading's interval is not representable (a truth or fault value
     /// whose arithmetic overflows `f64`).
+    #[inline]
     pub fn try_sample<R: Rng + ?Sized>(&mut self, truth: f64, rng: &mut R) -> Option<Measurement> {
         let radius = self.spec.radius();
         let honest = truth + self.noise.sample_offset(radius, rng);

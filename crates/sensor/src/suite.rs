@@ -101,6 +101,7 @@ impl SensorSuite {
     /// [`SensorSuite::sample_all`] writing into a caller-owned buffer, so
     /// a round engine can sample every control period without
     /// reallocating. The buffer is cleared first.
+    #[inline]
     pub fn sample_all_into<R: Rng + ?Sized>(
         &mut self,
         truth: f64,
@@ -108,11 +109,15 @@ impl SensorSuite {
         out: &mut Vec<Measurement>,
     ) {
         out.clear();
-        out.extend(
-            self.sensors
-                .iter_mut()
-                .filter_map(|s| s.try_sample(truth, rng)),
-        );
+        out.reserve(self.sensors.len());
+        // The body runs once per sensor every round: a plain loop, with
+        // `#[inline]` down the call chain, lets each sample inline into
+        // the round instead of returning its `Option` through memory.
+        for sensor in &mut self.sensors {
+            if let Some(m) = sensor.try_sample(truth, rng) {
+                out.push(m);
+            }
+        }
     }
 }
 
