@@ -79,7 +79,7 @@ pub enum InvisibleReason {
 
 impl InvisibleReason {
     /// The phrase finding messages use.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             InvisibleReason::DetectorOff => "detection is off, nothing is ever flagged",
             InvisibleReason::FuserGeometry => {
@@ -125,7 +125,7 @@ pub enum DetectVerdict {
 
 impl DetectVerdict {
     /// The short label finding messages use.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DetectVerdict::ProvablyInvisible { .. } => "provably invisible",
             DetectVerdict::ProvablyFlagged { .. } => "provably flagged",

@@ -136,7 +136,7 @@ pub enum OrderRule {
 
 impl OrderRule {
     /// A short human label, e.g. `schedule ordering`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             OrderRule::ScheduleOrdering => "schedule ordering",
             OrderRule::AttackerStrength => "attacker strength",
@@ -148,7 +148,7 @@ impl OrderRule {
     }
 
     /// One sentence stating the theory behind the rule.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             OrderRule::ScheduleOrdering => {
                 "Table II: a schedule exposing fewer correct intervals to an adaptive \

@@ -76,11 +76,6 @@ pub struct GuaranteeReport {
 }
 
 impl GuaranteeReport {
-    /// `true` when no finite width bound is provable.
-    pub fn unbounded(&self) -> bool {
-        self.width_bound.is_none()
-    }
-
     /// `true` when the bound exists but exceeds the widest single
     /// declared width: the fused output may be worse than trusting the
     /// least precise sensor alone.
@@ -462,7 +457,7 @@ mod tests {
         assert_eq!(report.width_bound, Some(2.0));
         assert!(report.truth_containment);
         assert!(!report.vacuous());
-        assert!(!report.unbounded());
+        assert!(report.width_bound.is_some());
     }
 
     #[test]
@@ -486,7 +481,7 @@ mod tests {
     fn over_budget_attack_is_unbounded() {
         let scenario = attacked(Scenario::new("g", SuiteSpec::Landshark), vec![0, 2]);
         let report = guarantee_report(&scenario);
-        assert!(report.unbounded());
+        assert!(report.width_bound.is_none());
         assert!(!report.truth_containment);
         let findings = analyze_grid_guarantees(&SweepGrid::new(scenario.clone()));
         let unbounded = findings
@@ -534,7 +529,7 @@ mod tests {
         assert!(report.truth_containment);
         let attacked = attacked(honest, vec![0]);
         let report = guarantee_report(&attacked);
-        assert!(report.unbounded());
+        assert!(report.width_bound.is_none());
         assert!(report.truth_containment); // 3 honest sensors remain
     }
 
@@ -545,7 +540,7 @@ mod tests {
         assert_eq!(guarantee_report(&ok).width_bound, Some(2.0));
         let outvoted = attacked(Scenario::new("g", SuiteSpec::Landshark), vec![0, 1])
             .with_fuser(FuserSpec::MidpointMedian);
-        assert!(guarantee_report(&outvoted).unbounded());
+        assert!(guarantee_report(&outvoted).width_bound.is_none());
     }
 
     #[test]

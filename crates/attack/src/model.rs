@@ -84,24 +84,9 @@ impl AttackerConfig {
         &self.compromised
     }
 
-    /// The number of compromised sensors (`fa`).
-    pub fn fa(&self) -> usize {
-        self.compromised.len()
-    }
-
-    /// The fusion fault assumption `f` known to the attacker.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
     /// Whether the attacker controls `sensor`.
     pub fn controls(&self, sensor: usize) -> bool {
         self.compromised.binary_search(&sensor).is_ok()
-    }
-
-    /// Whether the paper's standing assumption `fa ≤ f` holds.
-    pub fn within_fault_budget(&self) -> bool {
-        self.fa() <= self.f
     }
 }
 
@@ -220,11 +205,8 @@ mod tests {
     fn config_dedupes_and_sorts() {
         let cfg = AttackerConfig::new([3, 1, 3, 0], 2);
         assert_eq!(cfg.compromised(), &[0, 1, 3]);
-        assert_eq!(cfg.fa(), 3);
         assert!(cfg.controls(1));
         assert!(!cfg.controls(2));
-        assert!(!cfg.within_fault_budget()); // fa = 3 > f = 2
-        assert!(AttackerConfig::new([0], 1).within_fault_budget());
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl GreedyExtreme {
     pub fn new(side: Side) -> Self {
         Self { side }
     }
-
-    /// The configured side.
-    pub fn side(&self) -> Side {
-        self.side
-    }
 }
 
 impl AttackStrategy for GreedyExtreme {
@@ -376,7 +371,7 @@ mod tests {
         let mut low = GreedyExtreme::new(Side::Low);
         let forged_low = low.forge(&c);
         assert!(forged_low.lo() < 0.0);
-        assert_eq!(low.side(), Side::Low);
+        assert_eq!(low.side, Side::Low);
     }
 
     #[test]

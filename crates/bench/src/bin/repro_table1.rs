@@ -136,7 +136,9 @@ fn main() {
         AttackerStyle::Optimal
     };
     if style == AttackerStyle::OneSidedHigh {
-        println!("attacker model: one-sided (fixed high side), cf. EXPERIMENTS.md\n");
+        println!(
+            "attacker model: one-sided (fixed high side), cf. README \"Table I: reproduction vs. the paper\"\n"
+        );
     }
 
     let mut all_gaps_nonnegative = true;

@@ -52,7 +52,7 @@ pub(crate) fn list<T>(
 /// # Errors
 ///
 /// Returns a message naming the first unrecognised token.
-pub fn parse_fusers(spec: &str) -> Result<Vec<FuserSpec>, String> {
+pub(crate) fn parse_fusers(spec: &str) -> Result<Vec<FuserSpec>, String> {
     list("fusers", spec, |token| match token {
         "marzullo" => Ok(FuserSpec::Marzullo),
         "brooks-iyengar" => Ok(FuserSpec::BrooksIyengar),
@@ -85,7 +85,7 @@ pub fn parse_fusers(spec: &str) -> Result<Vec<FuserSpec>, String> {
 /// # Errors
 ///
 /// Returns a message naming the first unrecognised token.
-pub fn parse_detectors(spec: &str) -> Result<Vec<DetectionMode>, String> {
+pub(crate) fn parse_detectors(spec: &str) -> Result<Vec<DetectionMode>, String> {
     list("detectors", spec, |token| match token {
         "off" => Ok(DetectionMode::Off),
         "immediate" => Ok(DetectionMode::Immediate),
@@ -110,7 +110,7 @@ pub fn parse_detectors(spec: &str) -> Result<Vec<DetectionMode>, String> {
 /// # Errors
 ///
 /// Returns a message naming the first unrecognised token.
-pub fn parse_schedules(spec: &str) -> Result<Vec<SchedulePolicy>, String> {
+pub(crate) fn parse_schedules(spec: &str) -> Result<Vec<SchedulePolicy>, String> {
     list("schedules", spec, |token| match token {
         "ascending" => Ok(SchedulePolicy::Ascending),
         "descending" => Ok(SchedulePolicy::Descending),
@@ -125,7 +125,7 @@ pub fn parse_schedules(spec: &str) -> Result<Vec<SchedulePolicy>, String> {
 /// # Errors
 ///
 /// Returns a message naming the first token out of `T`'s range.
-pub fn parse_numbers<T: FlagNumber>(spec: &str) -> Result<Vec<T>, String> {
+pub(crate) fn parse_numbers<T: FlagNumber>(spec: &str) -> Result<Vec<T>, String> {
     list("number", spec, number)
 }
 
@@ -243,7 +243,7 @@ pub fn parse_tolerances(spec: &str) -> Result<Vec<(String, Tolerance)>, String> 
 /// # Errors
 ///
 /// Returns a message naming the unknown id and listing the accepted ones.
-pub fn parse_allow(spec: &str) -> Result<Vec<&'static str>, String> {
+pub(crate) fn parse_allow(spec: &str) -> Result<Vec<&'static str>, String> {
     let known: Vec<&'static str> = VERIFIERS.iter().map(|v| v.veto_id).collect();
     spec.split(',')
         .map(str::trim)
@@ -280,7 +280,7 @@ pub fn parse_strategy(spec: &str) -> Result<StrategySpec, String> {
 ///
 /// Returns a message when the name is unknown or a width is not a
 /// positive number.
-pub fn parse_suite(spec: &str) -> Result<SuiteSpec, String> {
+pub(crate) fn parse_suite(spec: &str) -> Result<SuiteSpec, String> {
     match spec.trim() {
         "landshark" => Ok(SuiteSpec::Landshark),
         other => match other.strip_prefix("widths:") {
@@ -297,7 +297,7 @@ pub fn parse_suite(spec: &str) -> Result<SuiteSpec, String> {
 ///
 /// Returns a message when a half-width is not a finite non-negative
 /// number.
-pub fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
+pub(crate) fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
     let half_width = |token: &str| {
         token
             .trim()
@@ -317,7 +317,7 @@ pub fn parse_deltas(spec: &str) -> Result<(f64, f64), String> {
 ///
 /// Returns a message when the size is not a positive integer or the gap
 /// not a positive number.
-pub fn parse_platoon(spec: &str) -> Result<(usize, f64), String> {
+pub(crate) fn parse_platoon(spec: &str) -> Result<(usize, f64), String> {
     let (size, gap) = spec.split_once(':').unwrap_or((spec, "0.01"));
     Ok((number::<NonZeroUsize>(size)?.get(), number(gap)?))
 }

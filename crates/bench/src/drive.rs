@@ -34,7 +34,7 @@ use crate::cli::{list, parse_range};
 /// The protocol version tag every shard header carries. Bump it when a
 /// frame's shape changes; a coordinator refuses a worker with any other
 /// tag.
-pub const PROTOCOL_VERSION: &str = "arsf-sweep-stream-v1";
+pub(crate) const PROTOCOL_VERSION: &str = "arsf-sweep-stream-v1";
 
 /// One protocol frame (one stdout line).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -124,7 +124,7 @@ pub fn evaluate_setup(setup: &Table1Setup, step: f64) -> Table1Row {
 
 /// The adversarial expected width under one schedule: maximum over all
 /// size-`fa` compromised sets.
-pub fn evaluate_schedule(
+pub(crate) fn evaluate_schedule(
     setup: &Table1Setup,
     policy: &SchedulePolicy,
     step: f64,

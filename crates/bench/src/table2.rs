@@ -64,7 +64,7 @@ pub struct Table2Row {
 }
 
 /// The schedules Table II compares, in the paper's column order.
-pub const SCHEDULES: [SchedulePolicy; 3] = [
+pub(crate) const SCHEDULES: [SchedulePolicy; 3] = [
     SchedulePolicy::Ascending,
     SchedulePolicy::Descending,
     SchedulePolicy::Random,

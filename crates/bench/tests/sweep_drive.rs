@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arsf_bench::golden;
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-use arsf_core::sweep::{ParallelSweeper, StreamingSweeper, SweepGrid};
+use arsf_core::sweep::{ParallelSweeper, StreamingSweeper, SweepGrid, SweepReport};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use proptest::prelude::*;
@@ -405,12 +405,15 @@ proptest! {
         let expected = ParallelSweeper::new(2).run(&grid).to_csv();
 
         // In-process: the streaming path reorders back to grid order.
-        let mut streamed = Vec::new();
+        let mut streamed = SweepReport::csv_header();
         StreamingSweeper::new(threads)
             .with_window(window)
-            .write_csv(&grid, 0..grid.len(), true, &mut streamed)
-            .expect("vec write succeeds");
-        let streamed = String::from_utf8(streamed).expect("CSV is UTF-8");
+            .try_stream_range(&grid, 0..grid.len(), |row| {
+                streamed.push_str(&row.to_csv_line());
+                streamed.push('\n');
+                Ok::<(), std::convert::Infallible>(())
+            })
+            .unwrap_or_else(|never| match never {});
         prop_assert_eq!(
             &streamed, &expected,
             "StreamingSweeper threads={} window={}", threads, window

@@ -14,14 +14,14 @@
 //! * [`BroadcastBus`] — the deterministic event loop: per slot, the owner
 //!   transmits, pending frames are arbitrated by id, and every frame is
 //!   delivered to every node (including its sender),
-//! * ready-made [`FixedSensorNode`] and [`RecorderNode`] for tests and
-//!   custom topologies; the fusion controller and attacker nodes live in
-//!   `arsf-core`, wired on top of this substrate.
+//! * a ready-made [`FixedSensorNode`] for tests and custom topologies;
+//!   the fusion controller and attacker nodes live in `arsf-core`, wired
+//!   on top of this substrate.
 //!
 //! # Example
 //!
 //! ```
-//! use arsf_bus::{BroadcastBus, FixedSensorNode, FrameId, NodeId, Payload, RecorderNode};
+//! use arsf_bus::{BroadcastBus, FixedSensorNode, FrameId, NodeId, Payload};
 //! use arsf_interval::Interval;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +29,6 @@
 //! let mut sensor = FixedSensorNode::new(NodeId::new(0), FrameId::new(10), 0);
 //! sensor.set_reading(Interval::new(9.5, 10.5)?);
 //! bus.add_node(Box::new(sensor));
-//! bus.add_node(Box::new(RecorderNode::new(NodeId::new(1))));
 //! let frames = bus.run_slots(&[NodeId::new(0)]);
 //! assert_eq!(frames.len(), 1);
 //! assert!(matches!(frames[0].payload, Payload::Measurement { sensor: 0, .. }));
@@ -49,4 +48,4 @@ mod nodes;
 pub use bus::BroadcastBus;
 pub use frame::{Frame, FrameId, Payload, Ticks};
 pub use node::{Node, NodeContext, NodeId};
-pub use nodes::{BabblingNode, FixedSensorNode, RecorderNode};
+pub use nodes::FixedSensorNode;

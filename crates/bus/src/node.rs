@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{Frame, FrameId, Payload, Ticks};
+use crate::{Frame, FrameId, Payload};
 
 /// Identity of a component on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -12,11 +12,6 @@ impl NodeId {
     /// Creates a node id from a dense index.
     pub fn new(index: usize) -> Self {
         Self(index)
-    }
-
-    /// The dense index.
-    pub fn index(&self) -> usize {
-        self.0
     }
 }
 
@@ -33,18 +28,12 @@ impl fmt::Display for NodeId {
 #[derive(Debug, Default)]
 pub struct NodeContext {
     pub(crate) outbox: Vec<(FrameId, Payload)>,
-    pub(crate) now: Ticks,
 }
 
 impl NodeContext {
     /// Queues a frame for transmission.
     pub fn transmit(&mut self, id: FrameId, payload: Payload) {
         self.outbox.push((id, payload));
-    }
-
-    /// The current bus time.
-    pub fn now(&self) -> Ticks {
-        self.now
     }
 }
 
@@ -87,7 +76,6 @@ mod tests {
     #[test]
     fn node_id_display() {
         assert_eq!(NodeId::new(4).to_string(), "n4");
-        assert_eq!(NodeId::new(4).index(), 4);
         assert!(NodeId::new(1) < NodeId::new(2));
     }
 
@@ -97,6 +85,5 @@ mod tests {
         ctx.transmit(FrameId::new(5), Payload::Custom(7));
         ctx.transmit(FrameId::new(3), Payload::Custom(8));
         assert_eq!(ctx.outbox.len(), 2);
-        assert_eq!(ctx.now(), Ticks::new(0));
     }
 }

@@ -33,11 +33,6 @@ impl FixedSensorNode {
     pub fn set_reading(&mut self, interval: Interval<f64>) {
         self.reading = Some(interval);
     }
-
-    /// The logical sensor index.
-    pub fn sensor(&self) -> usize {
-        self.sensor
-    }
 }
 
 impl Node for FixedSensorNode {
@@ -60,109 +55,117 @@ impl Node for FixedSensorNode {
     }
 }
 
-/// A passive node recording every frame it observes — the bus-level
-/// equivalent of a logic analyser, and the simplest demonstration that
-/// *anyone* on a broadcast bus sees everything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecorderNode {
-    id: NodeId,
-    frames: Vec<Frame>,
-}
+/// Nodes that only exercise the bus in tests: a frame recorder and a
+/// babbling idiot.
+#[cfg(test)]
+pub(crate) mod test_nodes {
+    use super::*;
 
-impl RecorderNode {
-    /// Creates a recorder.
-    pub fn new(id: NodeId) -> Self {
-        Self {
-            id,
-            frames: Vec::new(),
+    /// A passive node recording every frame it observes — the bus-level
+    /// equivalent of a logic analyser, and the simplest demonstration that
+    /// *anyone* on a broadcast bus sees everything.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct RecorderNode {
+        id: NodeId,
+        frames: Vec<Frame>,
+    }
+
+    impl RecorderNode {
+        /// Creates a recorder.
+        pub(crate) fn new(id: NodeId) -> Self {
+            Self {
+                id,
+                frames: Vec::new(),
+            }
+        }
+
+        /// Everything observed so far.
+        pub(crate) fn frames(&self) -> &[Frame] {
+            &self.frames
+        }
+
+        /// Observed measurement payloads as `(sensor, interval)` pairs, in
+        /// arrival order.
+        pub(crate) fn measurements(&self) -> Vec<(usize, Interval<f64>)> {
+            self.frames
+                .iter()
+                .filter_map(|f| match f.payload {
+                    Payload::Measurement { sensor, interval } => Some((sensor, interval)),
+                    _ => None,
+                })
+                .collect()
         }
     }
 
-    /// Everything observed so far.
-    pub fn frames(&self) -> &[Frame] {
-        &self.frames
+    impl Node for RecorderNode {
+        fn id(&self) -> NodeId {
+            self.id
+        }
+
+        fn on_frame(&mut self, frame: &Frame, _ctx: &mut NodeContext) {
+            self.frames.push(frame.clone());
+        }
+
+        fn on_slot(&mut self, _ctx: &mut NodeContext) {}
     }
 
-    /// Observed measurement payloads as `(sensor, interval)` pairs, in
-    /// arrival order.
-    pub fn measurements(&self) -> Vec<(usize, Interval<f64>)> {
-        self.frames
-            .iter()
-            .filter_map(|f| match f.payload {
-                Payload::Measurement { sensor, interval } => Some((sensor, interval)),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-impl Node for RecorderNode {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn on_frame(&mut self, frame: &Frame, _ctx: &mut NodeContext) {
-        self.frames.push(frame.clone());
+    /// A babbling-idiot node: the classic CAN failure mode where a broken
+    /// component transmits continuously. This one queues a frame in reaction
+    /// to **every** frame it observes (plus its own slot), so each slot's
+    /// arbitration has to sort it against legitimate traffic.
+    ///
+    /// Used to test that the bus stays live and that frame-id arbitration
+    /// decides wire order within a slot: give the babbler a *high* id
+    /// (low priority) and sensor traffic still goes first; give it a low id
+    /// and it wins the wire but cannot erase other frames (TDMA still grants
+    /// every owner its slot).
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct BabblingNode {
+        id: NodeId,
+        frame_id: FrameId,
+        sent: u64,
     }
 
-    fn on_slot(&mut self, _ctx: &mut NodeContext) {}
-}
+    impl BabblingNode {
+        /// Creates a babbler transmitting under the given arbitration id.
+        pub(crate) fn new(id: NodeId, frame_id: FrameId) -> Self {
+            Self {
+                id,
+                frame_id,
+                sent: 0,
+            }
+        }
 
-/// A babbling-idiot node: the classic CAN failure mode where a broken
-/// component transmits continuously. This one queues a frame in reaction
-/// to **every** frame it observes (plus its own slot), so each slot's
-/// arbitration has to sort it against legitimate traffic.
-///
-/// Used to test that the bus stays live and that frame-id arbitration
-/// decides wire order within a slot: give the babbler a *high* id
-/// (low priority) and sensor traffic still goes first; give it a low id
-/// and it wins the wire but cannot erase other frames (TDMA still grants
-/// every owner its slot).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BabblingNode {
-    id: NodeId,
-    frame_id: FrameId,
-    sent: u64,
-}
-
-impl BabblingNode {
-    /// Creates a babbler transmitting under the given arbitration id.
-    pub fn new(id: NodeId, frame_id: FrameId) -> Self {
-        Self {
-            id,
-            frame_id,
-            sent: 0,
+        /// How many frames the babbler has queued so far.
+        pub(crate) fn sent(&self) -> u64 {
+            self.sent
         }
     }
 
-    /// How many frames the babbler has queued so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
-    }
-}
+    impl Node for BabblingNode {
+        fn id(&self) -> NodeId {
+            self.id
+        }
 
-impl Node for BabblingNode {
-    fn id(&self) -> NodeId {
-        self.id
-    }
+        fn on_frame(&mut self, frame: &Frame, ctx: &mut NodeContext) {
+            // React to everyone else's traffic (not our own, which would be
+            // a tighter loop than even a broken ECU manages).
+            if frame.sender != self.id {
+                ctx.transmit(self.frame_id, Payload::Custom(self.sent));
+                self.sent += 1;
+            }
+        }
 
-    fn on_frame(&mut self, frame: &Frame, ctx: &mut NodeContext) {
-        // React to everyone else's traffic (not our own, which would be
-        // a tighter loop than even a broken ECU manages).
-        if frame.sender != self.id {
+        fn on_slot(&mut self, ctx: &mut NodeContext) {
             ctx.transmit(self.frame_id, Payload::Custom(self.sent));
             self.sent += 1;
         }
-    }
-
-    fn on_slot(&mut self, ctx: &mut NodeContext) {
-        ctx.transmit(self.frame_id, Payload::Custom(self.sent));
-        self.sent += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_nodes::{BabblingNode, RecorderNode};
     use super::*;
 
     fn iv(lo: f64, hi: f64) -> Interval<f64> {
@@ -182,7 +185,7 @@ mod tests {
         let mut ctx2 = NodeContext::default();
         s.on_slot(&mut ctx2);
         assert!(ctx2.outbox.is_empty());
-        assert_eq!(s.sensor(), 4);
+        assert_eq!(s.sensor, 4);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl PiController {
         }
         output
     }
-
-    /// Clears the integral state (used on supervisor preemption).
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -110,16 +105,6 @@ mod tests {
         // instead of unwinding a huge integral.
         let out = pi.update(0.0, 100.0, 0.1);
         assert_eq!(out, -1.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut pi = PiController::new(0.0, 1.0, 5.0, 5.0);
-        for _ in 0..10 {
-            pi.update(10.0, 9.0, 0.1);
-        }
-        pi.reset();
-        assert_eq!(pi.update(10.0, 10.0, 0.1), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! suite, fusion pipeline, PI speed controller and safety supervisor.
 //!
 //! A vehicle is built from its closed-loop [`Scenario`]: it owns **one
-//! persistent** [`FusionPipeline`] from [`Scenario::build_pipeline`], the
+//! persistent** [`FusionPipeline`] from `Scenario::build_pipeline`, the
 //! same engine an open-loop cell runs, so faults, any attack strategy,
 //! any fuser and the detector behave identically inside the control loop
 //! and the supervisor vets the interval detection saw. The case study's
@@ -46,7 +46,7 @@ pub struct LandShark {
 impl LandShark {
     /// Creates a LandShark already cruising at the scenario's target
     /// speed (the platoon scenario starts mid-mission), controlled every
-    /// [`Scenario::control_period`].
+    /// `Scenario::control_period`.
     ///
     /// # Panics
     ///
@@ -76,24 +76,19 @@ impl LandShark {
     }
 
     /// Travelled distance (miles).
-    pub fn position(&self) -> f64 {
+    pub(crate) fn position(&self) -> f64 {
         self.vehicle.position()
     }
 
     /// The safety supervisor (violation statistics).
-    pub fn supervisor(&self) -> &Supervisor {
+    pub(crate) fn supervisor(&self) -> &Supervisor {
         &self.supervisor
     }
 
     /// The persistent fusion engine (fuser/detector report names, round
     /// counters).
-    pub fn pipeline(&self) -> &FusionPipeline<Box<dyn Fuser<f64>>> {
+    pub(crate) fn pipeline(&self) -> &FusionPipeline<Box<dyn Fuser<f64>>> {
         &self.pipeline
-    }
-
-    /// Completed rounds.
-    pub fn rounds(&self) -> u64 {
-        self.pipeline.rounds()
     }
 
     /// Runs one control period: sample sensors at the true speed, run the
@@ -252,7 +247,7 @@ mod tests {
         );
         assert_eq!(shark.supervisor().upper_violations(), 0);
         assert_eq!(shark.supervisor().lower_violations(), 0);
-        assert_eq!(shark.rounds(), 200);
+        assert_eq!(shark.pipeline().rounds(), 200);
     }
 
     #[test]
@@ -373,7 +368,7 @@ mod tests {
                 flagged_rounds += 1;
             }
         }
-        assert_eq!(shark.rounds(), 300);
+        assert_eq!(shark.pipeline().rounds(), 300);
         assert!(
             flagged_rounds > 0,
             "the biased GPS must get flagged on some rounds"
@@ -401,7 +396,12 @@ mod tests {
             for _ in 0..200 {
                 shark.step(&mut rng);
             }
-            assert_eq!(shark.rounds(), 200, "{} stalled", strategy.name());
+            assert_eq!(
+                shark.pipeline().rounds(),
+                200,
+                "{} stalled",
+                strategy.name()
+            );
             assert!(
                 (shark.speed() - 10.0).abs() < 2.0,
                 "{}: speed {} diverged",
@@ -429,7 +429,7 @@ mod tests {
             for _ in 0..150 {
                 shark.step(&mut rng);
             }
-            assert_eq!(shark.rounds(), 150, "{} stalled", fuser.name());
+            assert_eq!(shark.pipeline().rounds(), 150, "{} stalled", fuser.name());
             assert_eq!(shark.pipeline().fuser().name(), fuser.name());
         }
     }

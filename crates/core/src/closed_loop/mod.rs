@@ -12,7 +12,7 @@
 //! single vehicle, or a whole platoon (see
 //! [`ClosedLoopSpec`](crate::scenario::ClosedLoopSpec)).
 //!
-//! * [`vehicle`] — longitudinal point-mass dynamics,
+//! * `vehicle` — longitudinal point-mass dynamics (crate-private),
 //! * [`controller`] — the low-level PI speed controller,
 //! * [`supervisor`] — the fusion-bound safety supervisor (Table II's
 //!   violation statistics),
@@ -24,4 +24,4 @@ pub mod controller;
 pub mod landshark;
 pub mod platoon;
 pub mod supervisor;
-pub mod vehicle;
+mod vehicle;

@@ -18,7 +18,6 @@ pub struct Platoon {
     sharks: Vec<LandShark>,
     start_offsets: Vec<f64>,
     min_gap: f64,
-    initial_gap: f64,
     stats: Vec<VehicleSummary>,
     /// The last control period's step records, leader first.
     records: Vec<StepRecord>,
@@ -44,19 +43,18 @@ impl Platoon {
             sharks,
             start_offsets,
             min_gap: gap_miles,
-            initial_gap: gap_miles,
             stats: vec![VehicleSummary::default(); size],
             records: Vec::with_capacity(size),
         }
     }
 
     /// The vehicles, leader first.
-    pub fn sharks(&self) -> &[LandShark] {
+    pub(crate) fn sharks(&self) -> &[LandShark] {
         &self.sharks
     }
 
     /// The smallest inter-vehicle gap observed so far (miles).
-    pub fn min_gap(&self) -> f64 {
+    pub(crate) fn min_gap(&self) -> f64 {
         self.min_gap
     }
 
@@ -68,7 +66,7 @@ impl Platoon {
     /// Cumulative per-vehicle fusion statistics (leader first) — every
     /// vehicle's engine outcome feeds its own aggregate, so followers are
     /// as observable as the leader in sweep rows.
-    pub fn vehicle_stats(&self) -> &[VehicleSummary] {
+    pub(crate) fn vehicle_stats(&self) -> &[VehicleSummary] {
         &self.stats
     }
 
@@ -122,11 +120,6 @@ impl Platoon {
             }
         }
     }
-
-    /// The configured initial gap (miles).
-    pub fn initial_gap(&self) -> f64 {
-        self.initial_gap
-    }
 }
 
 #[cfg(test)]
@@ -153,17 +146,17 @@ mod tests {
     fn honest_platoon_keeps_formation() {
         let mut rng = rng();
         let scenario = cruise(SchedulePolicy::Ascending, AttackerSpec::None);
-        let mut platoon = Platoon::new(3, 0.01, &scenario);
+        let gap = 0.01;
+        let mut platoon = Platoon::new(3, gap, &scenario);
         for _ in 0..300 {
             platoon.step(&mut rng);
         }
         assert!(!platoon.collided());
         // Gaps cannot shrink much when everyone holds the same speed.
         assert!(
-            platoon.min_gap() > 0.5 * platoon.initial_gap(),
-            "min gap {} vs initial {}",
-            platoon.min_gap(),
-            platoon.initial_gap()
+            platoon.min_gap() > 0.5 * gap,
+            "min gap {} vs initial {gap}",
+            platoon.min_gap()
         );
     }
 

@@ -81,12 +81,12 @@ impl Supervisor {
     }
 
     /// The upper envelope bound `v + δ1`.
-    pub fn upper_bound(&self) -> f64 {
+    pub(crate) fn upper_bound(&self) -> f64 {
         self.target + self.delta_up
     }
 
     /// The lower envelope bound `v − δ2`.
-    pub fn lower_bound(&self) -> f64 {
+    pub(crate) fn lower_bound(&self) -> f64 {
         self.target - self.delta_down
     }
 
@@ -111,7 +111,7 @@ impl Supervisor {
     }
 
     /// Rounds checked so far.
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         self.rounds
     }
 
@@ -121,12 +121,12 @@ impl Supervisor {
     }
 
     /// Rounds whose lower bound escaped.
-    pub fn lower_violations(&self) -> u64 {
+    pub(crate) fn lower_violations(&self) -> u64 {
         self.lower_violations
     }
 
     /// Fraction of rounds with an upper violation (Table II row 1).
-    pub fn upper_rate(&self) -> f64 {
+    pub(crate) fn upper_rate(&self) -> f64 {
         if self.rounds == 0 {
             0.0
         } else {
@@ -135,7 +135,7 @@ impl Supervisor {
     }
 
     /// Fraction of rounds with a lower violation (Table II row 2).
-    pub fn lower_rate(&self) -> f64 {
+    pub(crate) fn lower_rate(&self) -> f64 {
         if self.rounds == 0 {
             0.0
         } else {

@@ -9,7 +9,7 @@ use rand::Rng;
 
 /// Static vehicle parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VehicleParams {
+pub(crate) struct VehicleParams {
     /// Maximum forward acceleration (mph/s).
     pub max_accel: f64,
     /// Maximum braking deceleration (mph/s, positive number).
@@ -36,24 +36,15 @@ impl Default for VehicleParams {
 /// Longitudinal vehicle state: speed (mph) and travelled distance
 /// (mile-equivalents, integrated from speed).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Vehicle {
+pub(crate) struct Vehicle {
     params: VehicleParams,
     speed: f64,
     position: f64,
 }
 
 impl Vehicle {
-    /// Creates a vehicle at rest.
-    pub fn new(params: VehicleParams) -> Self {
-        Self {
-            params,
-            speed: 0.0,
-            position: 0.0,
-        }
-    }
-
     /// Creates a vehicle already moving at `speed` mph.
-    pub fn with_speed(params: VehicleParams, speed: f64) -> Self {
+    pub(crate) fn with_speed(params: VehicleParams, speed: f64) -> Self {
         assert!(
             speed.is_finite() && speed >= 0.0,
             "speed must be a finite non-negative value"
@@ -66,24 +57,24 @@ impl Vehicle {
     }
 
     /// Current speed in mph.
-    pub fn speed(&self) -> f64 {
+    pub(crate) fn speed(&self) -> f64 {
         self.speed
     }
 
     /// Travelled distance in miles.
-    pub fn position(&self) -> f64 {
+    pub(crate) fn position(&self) -> f64 {
         self.position
     }
 
     /// The parameters.
-    pub fn params(&self) -> &VehicleParams {
+    pub(crate) fn params(&self) -> &VehicleParams {
         &self.params
     }
 
     /// Advances the dynamics by `dt` seconds under `accel_cmd` (mph/s,
     /// clamped to the actuator limits) plus a uniform terrain
     /// disturbance. Speed never goes negative.
-    pub fn step<R: Rng + ?Sized>(&mut self, accel_cmd: f64, dt: f64, rng: &mut R) {
+    pub(crate) fn step<R: Rng + ?Sized>(&mut self, accel_cmd: f64, dt: f64, rng: &mut R) {
         let a = accel_cmd.clamp(-self.params.max_brake, self.params.max_accel);
         let d = if self.params.disturbance > 0.0 {
             rng.gen_range(-self.params.disturbance..=self.params.disturbance)
@@ -116,7 +107,7 @@ mod tests {
     #[test]
     fn accelerates_towards_command() {
         let mut rng = rng();
-        let mut v = Vehicle::new(quiet_params());
+        let mut v = Vehicle::with_speed(quiet_params(), 0.0);
         for _ in 0..100 {
             v.step(3.0, 0.1, &mut rng);
         }
@@ -141,8 +132,8 @@ mod tests {
     #[test]
     fn command_is_clamped_to_actuator_limits() {
         let mut rng = rng();
-        let mut fast = Vehicle::new(quiet_params());
-        let mut clamped = Vehicle::new(quiet_params());
+        let mut fast = Vehicle::with_speed(quiet_params(), 0.0);
+        let mut clamped = Vehicle::with_speed(quiet_params(), 0.0);
         fast.step(1e9, 0.1, &mut rng);
         clamped.step(quiet_params().max_accel, 0.1, &mut rng);
         assert_eq!(fast.speed(), clamped.speed());

@@ -101,12 +101,12 @@ impl PipelineConfig {
     }
 
     /// The schedule policy.
-    pub fn schedule(&self) -> &SchedulePolicy {
+    pub(crate) fn schedule(&self) -> &SchedulePolicy {
         &self.schedule
     }
 
     /// The detection mode.
-    pub fn detection(&self) -> DetectionMode {
+    pub(crate) fn detection(&self) -> DetectionMode {
         self.detection
     }
 }

@@ -45,7 +45,7 @@ pub struct VehicleSummary {
 impl VehicleSummary {
     /// Records one control period: the vehicle's fused interval (if
     /// fusion succeeded) at its true speed.
-    pub fn record(&mut self, fusion: Option<&Interval<f64>>, true_speed: f64) {
+    pub(crate) fn record(&mut self, fusion: Option<&Interval<f64>>, true_speed: f64) {
         match fusion {
             Some(fused) => {
                 self.widths.record(fused.width());

@@ -210,7 +210,7 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     }
 
     /// The configuration.
-    pub fn config(&self) -> &PipelineConfig {
+    pub(crate) fn config(&self) -> &PipelineConfig {
         &self.config
     }
 
@@ -227,15 +227,6 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// The number of completed rounds.
     pub fn rounds(&self) -> u64 {
         self.round
-    }
-
-    /// Resets the fuser's and detector's carried state and the round
-    /// counter, returning the engine to its initial state (the suite's
-    /// fault state is untouched).
-    pub fn reset(&mut self) {
-        self.fuser.reset();
-        self.detector.reset();
-        self.round = 0;
     }
 
     /// Installs, replaces or removes the attacker between rounds — the
@@ -858,33 +849,5 @@ mod tests {
             assert_eq!(a.fusion, b.fusion);
             assert_eq!(a.flagged, b.flagged);
         }
-    }
-
-    #[test]
-    fn reset_clears_fuser_detector_and_round_state() {
-        let mut rng = rng();
-        let mut suite = arsf_sensor::suite::landshark();
-        suite.sensors_mut()[2] = suite.sensors()[2]
-            .clone()
-            .with_fault(FaultModel::new(FaultKind::Bias { offset: 30.0 }, 1.0));
-        let mut p = FusionPipeline::builder(suite)
-            .config(
-                PipelineConfig::new(1, SchedulePolicy::Ascending).with_detection(
-                    DetectionMode::Windowed {
-                        window: 5,
-                        tolerance: 0,
-                    },
-                ),
-            )
-            .build();
-        let out = p.run_round(10.0, &mut rng);
-        assert_eq!(out.condemned, vec![2]);
-        p.reset();
-        assert_eq!(p.rounds(), 0);
-        // A healthy suite view: the condemned state was wiped, so the
-        // first post-reset round reports no standing condemnations beyond
-        // the fresh violation.
-        let out = p.run_round(10.0, &mut rng);
-        assert_eq!(out.condemned, vec![2], "re-condemned from fresh state");
     }
 }

@@ -93,7 +93,7 @@ impl BatchSummary {
 
     /// Fraction of fused rounds that lost the truth (0 when no round
     /// fused).
-    pub fn truth_loss_rate(&self) -> f64 {
+    pub(crate) fn truth_loss_rate(&self) -> f64 {
         let fused = self.rounds - self.fusion_failures;
         if fused == 0 {
             0.0
@@ -189,16 +189,6 @@ impl ScenarioRunner {
         })
     }
 
-    /// The scenario being executed.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
     /// Runs one round into a reusable outcome buffer.
     ///
     /// Closed-loop engines fill the buffer with the vehicle's (for
@@ -264,22 +254,6 @@ impl ScenarioRunner {
         }
         self.attach_supervisor(&mut summary);
         summary
-    }
-
-    /// Restarts the run: engine state, round counter and RNG return to
-    /// the scenario's initial state.
-    ///
-    /// The engine is rebuilt from the scenario rather than reset in
-    /// place: `FusionPipeline::reset` cannot reach state carried inside a
-    /// boxed attack strategy (e.g. `PhantomOptimal`'s side-alternation),
-    /// and a closed-loop vehicle restarts mid-mission at the target
-    /// speed — rebuilding reproduces exactly what `ScenarioRunner::new`
-    /// constructed.
-    pub fn reset(&mut self) {
-        self.engine = build_engine(&self.scenario);
-        self.rng = StdRng::seed_from_u64(self.scenario.seed);
-        self.round = 0;
-        self.preemptions = 0;
     }
 
     fn summary_shell(&self) -> BatchSummary {
@@ -375,48 +349,10 @@ mod tests {
         let s2 = runner.run_batch(16, &mut outcomes);
         assert_eq!(outcomes.len(), 16);
         assert_eq!(s2.rounds, 16);
-        assert_eq!(runner.rounds(), 80, "batches continue the run");
+        assert_eq!(runner.round, 80, "batches continue the run");
         for out in &outcomes {
             assert!(out.fusion.is_ok());
         }
-    }
-
-    #[test]
-    fn reset_restores_attacker_strategy_state() {
-        // Regression: reset() used to call only FusionPipeline::reset,
-        // which cannot reach state carried inside the boxed strategy —
-        // PhantomOptimal alternates a mirror flag per forge, so after an
-        // odd number of attacked rounds a reset runner diverged from a
-        // fresh one.
-        let scenario = quick("reset-attacked")
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            });
-        let mut runner = ScenarioRunner::new(&scenario);
-        let mut outcomes = Vec::new();
-        let first = runner.run_batch(7, &mut outcomes); // odd forge count
-        let first_forged: Vec<_> = outcomes.iter().map(|o| o.transmitted.clone()).collect();
-        runner.reset();
-        let again = runner.run_batch(7, &mut outcomes);
-        let again_forged: Vec<_> = outcomes.iter().map(|o| o.transmitted.clone()).collect();
-        assert_eq!(first, again);
-        assert_eq!(first_forged, again_forged, "forged streams must restart");
-    }
-
-    #[test]
-    fn reset_reproduces_the_first_batch() {
-        let scenario = quick("reset").with_schedule(SchedulePolicy::Random);
-        let mut runner = ScenarioRunner::new(&scenario);
-        let mut first = Vec::new();
-        runner.run_batch(20, &mut first);
-        let firsts: Vec<_> = first.iter().map(|o| o.fusion).collect();
-        runner.reset();
-        let mut again = Vec::new();
-        runner.run_batch(20, &mut again);
-        let againsts: Vec<_> = again.iter().map(|o| o.fusion).collect();
-        assert_eq!(firsts, againsts);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! materialises it into a [`FusionPipeline`] over
 //! boxed [`Fuser`]/[`Detector`](arsf_detect::Detector) trait objects, so
 //! any combination of the stock algorithms (and any user-supplied
-//! implementation, via [`Scenario::build_pipeline`] plus the builder)
+//! implementation, via `Scenario::build_pipeline` plus the builder)
 //! runs through the same engine entry point.
 //!
 //! [`registry`] holds the named presets used across the examples, tests
@@ -144,7 +144,7 @@ impl SuiteSpec {
     /// order — the a-priori information the paper's static guarantees
     /// (Marzullo's regime conditions, Theorem 2) are computed from,
     /// without sampling a single reading.
-    pub fn widths(&self) -> Vec<f64> {
+    pub(crate) fn widths(&self) -> Vec<f64> {
         match self {
             SuiteSpec::Landshark => self.build().widths(),
             SuiteSpec::Widths(widths) => widths.clone(),
@@ -184,7 +184,7 @@ pub enum StrategySpec {
 
 impl StrategySpec {
     /// Builds the strategy.
-    pub fn build(&self) -> Box<dyn AttackStrategy> {
+    pub(crate) fn build(&self) -> Box<dyn AttackStrategy> {
         match self {
             StrategySpec::PhantomOptimal => Box::new(PhantomOptimal::new()),
             StrategySpec::GreedyHigh => Box::new(GreedyExtreme::new(Side::High)),
@@ -194,7 +194,7 @@ impl StrategySpec {
     }
 
     /// The built strategy's report name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             StrategySpec::PhantomOptimal => "phantom-optimal",
             StrategySpec::GreedyHigh => "greedy-high",
@@ -215,7 +215,7 @@ impl StrategySpec {
     /// the round's corruption stays within budget. They are therefore
     /// [`StrategyVisibility::Stealthy`]; the truthful baseline transmits
     /// the correct reading outright.
-    pub fn visibility(&self) -> StrategyVisibility {
+    pub(crate) fn visibility(&self) -> StrategyVisibility {
         match self {
             StrategySpec::PhantomOptimal | StrategySpec::GreedyHigh | StrategySpec::GreedyLow => {
                 StrategyVisibility::Stealthy
@@ -229,7 +229,7 @@ impl StrategySpec {
 /// check can ever see of it, before a round is run.
 ///
 /// The companion of [`Scenario::static_model`] on the detection side:
-/// [`StrategySpec::visibility`] and [`AttackerSpec::visibility`] derive
+/// `StrategySpec::visibility` and [`AttackerSpec::visibility`] derive
 /// it from the declaration alone, and the static detectability analysis
 /// in `arsf-analyze` turns it into per-cell verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,7 +254,7 @@ impl StrategyVisibility {
     /// forgery) below stealthy (clamped forgery) below opportunistic
     /// (unconstrained placement — the full-knowledge worst case, since
     /// nothing restricts where its forgeries land).
-    pub fn strength_rank(self) -> u8 {
+    pub(crate) fn strength_rank(self) -> u8 {
         match self {
             StrategyVisibility::Honest => 0,
             StrategyVisibility::Stealthy => 1,
@@ -330,7 +330,7 @@ impl AttackerSpec {
     }
 
     /// Compares two attackers in the strength lattice: the product order
-    /// of the strategy's [`StrategyVisibility::strength_rank`] and
+    /// of the strategy's `StrategyVisibility::strength_rank` and
     /// [`AttackerSpec::max_attacked_per_round`].
     ///
     /// `Some(Less)` means `self` is provably the weaker attacker — its
@@ -909,7 +909,7 @@ impl Scenario {
     /// Panics if a fault or compromised-sensor index is out of range for
     /// the suite ([`Scenario::validate`] reports the same conditions as
     /// typed errors).
-    pub fn build_pipeline(&self) -> FusionPipeline<Box<dyn Fuser<f64>>> {
+    pub(crate) fn build_pipeline(&self) -> FusionPipeline<Box<dyn Fuser<f64>>> {
         let mut suite = self.suite.build();
         let sensors = suite.sensors_mut();
         for &(sensor, fault) in &self.faults {
@@ -930,7 +930,7 @@ impl Scenario {
     /// The closed-loop control period in seconds: a historical fuser's
     /// `dt`, so its history propagates at the loop's actual period, and
     /// otherwise the case study's 100 ms.
-    pub fn control_period(&self) -> f64 {
+    pub(crate) fn control_period(&self) -> f64 {
         match self.fuser {
             FuserSpec::Historical { dt, .. } => dt,
             _ => 0.1,

@@ -12,7 +12,7 @@
 //!   the cell index ([`derive_seed`]), so any cell is reproducible in
 //!   isolation: `grid.scenario(i)` always denotes the same experiment.
 //! * [`StreamingSweeper`] (also named [`ParallelSweeper`]) — the one
-//!   sweep engine (see [`stream`]). It shards cells across scoped
+//!   sweep engine. It shards cells across scoped
 //!   worker threads, each owning one reusable
 //!   [`RoundOutcome`] buffer and building its own engines from the
 //!   cell's specs (the [`FuserSpec`] / [`DetectionMode`] factories make
@@ -48,6 +48,7 @@
 //! let sweeper = StreamingSweeper::new(4);
 //! let report = sweeper.run(&grid);
 //! assert_eq!(report, grid.run_serial());
+//! assert!(!report.is_empty());
 //! // The same rows, streamed in grid order without building a report.
 //! let mut cells = Vec::new();
 //! sweeper.stream_range(&grid, 0..grid.len(), |row| cells.push(row.cell));
@@ -57,7 +58,7 @@
 pub mod diff;
 pub mod row;
 pub mod store;
-pub mod stream;
+mod stream;
 
 pub use stream::StreamingSweeper;
 
@@ -130,17 +131,6 @@ impl SweepGrid {
             seeds: vec![base.seed],
             base,
         }
-    }
-
-    /// Sets the sensor-suite axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the axis is empty (all axis setters do).
-    #[must_use]
-    pub fn suites(mut self, values: impl IntoIterator<Item = SuiteSpec>) -> Self {
-        self.suites = axis(values, "suites");
-        self
     }
 
     /// Sets the fault-injection axis; each entry is one complete set of

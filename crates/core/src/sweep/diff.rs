@@ -54,7 +54,7 @@ pub struct Tolerance {
 
 impl Tolerance {
     /// Zero slack: only bit-equal values pass.
-    pub const EXACT: Tolerance = Tolerance { abs: 0.0, rel: 0.0 };
+    pub(crate) const EXACT: Tolerance = Tolerance { abs: 0.0, rel: 0.0 };
 
     /// Creates a tolerance.
     ///
@@ -80,7 +80,7 @@ impl Tolerance {
 }
 
 impl Default for Tolerance {
-    /// [`Tolerance::EXACT`] — deterministic sweeps should not drift at
+    /// `Tolerance::EXACT` — deterministic sweeps should not drift at
     /// all unless an algorithm changed.
     fn default() -> Self {
         Tolerance::EXACT
@@ -109,7 +109,7 @@ impl DiffConfig {
     }
 
     /// Sets the tolerance applied to columns without an explicit entry
-    /// (builder style; the initial default is [`Tolerance::EXACT`]).
+    /// (builder style; the initial default is `Tolerance::EXACT`).
     #[must_use]
     pub fn with_default(mut self, tolerance: Tolerance) -> Self {
         self.default = tolerance;
@@ -136,7 +136,7 @@ impl DiffConfig {
     /// The tolerance in force for a column: the exact entry if present,
     /// else the family entry (name with any `[index]` suffix stripped),
     /// else the default.
-    pub fn tolerance_for(&self, column: &str) -> Tolerance {
+    pub(crate) fn tolerance_for(&self, column: &str) -> Tolerance {
         let lookup = |name: &str| {
             self.columns
                 .iter()
@@ -297,11 +297,6 @@ impl SweepDiff {
     /// Cells aligned and compared on both sides.
     pub fn cells_compared(&self) -> usize {
         self.cells_compared
-    }
-
-    /// Individual column comparisons performed.
-    pub fn comparisons(&self) -> usize {
-        self.comparisons
     }
 
     /// A human-readable multi-line report: one summary line, then one
@@ -510,7 +505,7 @@ mod tests {
         let result = diff(&a, &a.clone(), &DiffConfig::default());
         assert!(result.is_empty(), "{}", result.render());
         assert_eq!(result.cells_compared(), 4);
-        assert!(result.comparisons() > 4 * 10);
+        assert!(result.comparisons > 4 * 10);
         assert!(result.render().starts_with("ok: no drift across 4 cell(s)"));
     }
 

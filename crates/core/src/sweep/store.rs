@@ -7,7 +7,7 @@
 //! into a **baseline** that future runs are diffed against (see
 //! [`diff`](super::diff)):
 //!
-//! * [`canonical_definition`] — a stable, versioned textual form of a
+//! * `canonical_definition` — a stable, versioned textual form of a
 //!   [`SweepGrid`]'s *semantic* content: every axis, the base scenario's
 //!   fault assumption, truth trajectory and closed-loop spec. Formatting
 //!   details that do not change what the grid computes (the base
@@ -54,7 +54,7 @@ use super::{SweepGrid, SweepReport};
 
 /// The format tag written into every baseline file; bumped whenever the
 /// stored shape changes incompatibly.
-pub const FORMAT: &str = "arsf-baseline-v1";
+pub(crate) const FORMAT: &str = "arsf-baseline-v1";
 
 /// A compact, canonical label for a fuser axis entry — unlike
 /// [`FuserSpec::name`] it carries the parameters, so two historical
@@ -111,7 +111,7 @@ fn closed_loop_label(spec: &Option<ClosedLoopSpec>) -> String {
 /// keeps its content address. Everything that feeds a cell's execution
 /// is included, so changing any axis value changes the definition (and
 /// the [`content_address`]).
-pub fn canonical_definition(grid: &SweepGrid) -> String {
+pub(crate) fn canonical_definition(grid: &SweepGrid) -> String {
     fn join<I: IntoIterator<Item = String>>(values: I) -> String {
         values.into_iter().collect::<Vec<_>>().join(";")
     }
@@ -252,7 +252,7 @@ pub struct Baseline {
     /// The grid's content address (the file stem under the baseline
     /// directory).
     pub address: String,
-    /// The grid's canonical definition (see [`canonical_definition`]),
+    /// The grid's canonical definition (see `canonical_definition`),
     /// stored verbatim so a baseline file is self-describing.
     pub definition: String,
     /// The flattened rows, in grid order.
@@ -390,7 +390,7 @@ impl Baseline {
     /// A healthy baseline satisfies
     /// `self.address == self.computed_address()`; anything else means
     /// the file was hand-edited, corrupted, or written by a buggy tool.
-    pub fn computed_address(&self) -> String {
+    pub(crate) fn computed_address(&self) -> String {
         content_address(&self.definition)
     }
 

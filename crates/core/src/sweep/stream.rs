@@ -6,9 +6,10 @@
 //! in cell order the moment the in-order prefix is complete. Every
 //! entry point is a sink over that one loop: [`StreamingSweeper::run`],
 //! [`StreamingSweeper::run_range`] and [`StreamingSweeper::run_scenarios`]
-//! collect the rows into a [`SweepReport`], [`StreamingSweeper::write_csv`]
-//! writes them as CSV, and [`SweepGrid::run_serial`] is the one-thread
-//! case. Per-cell seeds come from the cell source, so the rows are
+//! collect the rows into a [`SweepReport`],
+//! [`StreamingSweeper::try_stream_range`] hands them to a fallible sink
+//! (such as a CSV writer), and [`SweepGrid::run_serial`] is the
+//! one-thread case. Per-cell seeds come from the cell source, so the rows are
 //! byte-identical whatever the thread count or window.
 //!
 //! Ordering with bounded memory: workers claim cell indices from a
@@ -28,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::io;
 use std::ops::Range;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -218,26 +218,6 @@ impl StreamingSweeper {
     /// the preset registry.
     pub fn run_scenarios(&self, scenarios: &[Scenario]) -> SweepReport {
         self.collect(0..scenarios.len(), &|i| scenarios[i].clone())
-    }
-
-    /// Streams a range as CSV straight into a writer: optional header,
-    /// then one [`SweepRow::to_csv_line`] per cell in grid order. The
-    /// bytes match [`SweepReport::to_csv`]/`to_csv_body` exactly, but
-    /// no report is ever materialised.
-    pub fn write_csv<W: io::Write>(
-        &self,
-        grid: &SweepGrid,
-        range: Range<usize>,
-        header: bool,
-        out: &mut W,
-    ) -> io::Result<()> {
-        if header {
-            out.write_all(SweepReport::csv_header().as_bytes())?;
-        }
-        self.try_stream_range(grid, range, |row| {
-            out.write_all(row.to_csv_line().as_bytes())?;
-            out.write_all(b"\n")
-        })
     }
 
     /// Collects `range` into a report, with the window open to the whole
@@ -430,17 +410,6 @@ mod tests {
             joined.push_str(&sweeper.run_range(&grid, range).to_csv_body());
         }
         assert_eq!(joined, full);
-    }
-
-    #[test]
-    fn write_csv_matches_to_csv() {
-        let grid = grid();
-        let expected = oracle(&grid, 0..grid.len()).to_csv();
-        let mut out = Vec::new();
-        StreamingSweeper::new(3)
-            .write_csv(&grid, 0..grid.len(), true, &mut out)
-            .expect("vec write succeeds");
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
     }
 
     #[test]

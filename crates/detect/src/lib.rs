@@ -10,14 +10,14 @@
 //! Footnote 1 of the paper sketches the planned refinement: tolerate
 //! *transient* faults by flagging a sensor only when it violates the
 //! overlap check more than `k` times in a window of `w` rounds. That
-//! temporal detector is implemented in [`window`].
+//! temporal detector is [`WindowedDetector`].
 //!
 //! The round engine in `arsf-core` drives detectors through the
-//! object-safe [`Detector`] trait ([`detector`]): [`NoDetector`],
+//! object-safe [`Detector`] trait: [`NoDetector`],
 //! [`ImmediateDetector`] and [`WindowedDetector`] ship as stock
 //! implementations, and new detectors plug in without touching the
 //! engine. Each stock configuration also exposes its static
-//! characteristics as a [`DetectorModel`] ([`model`]) — whether it can
+//! characteristics as a [`DetectorModel`] — whether it can
 //! flag or condemn at all, and its condemnation latency — so analysis
 //! layers can reason about detectors without building one.
 //!
@@ -37,7 +37,7 @@
 //! ];
 //! let intervals: Vec<_> = transmitted.iter().map(|(_, iv)| *iv).collect();
 //! let fused = marzullo::fuse(&intervals, 1)?;
-//! let mut out = RoundAssessment::new();
+//! let mut out = RoundAssessment::default();
 //! ImmediateDetector.assess(&transmitted, &fused, &mut out);
 //! assert_eq!(out.flagged, vec![2]);
 //! # Ok(())
@@ -48,9 +48,9 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod detector;
-pub mod model;
-pub mod window;
+mod detector;
+mod model;
+mod window;
 
 pub use detector::{Detector, ImmediateDetector, NoDetector, RoundAssessment};
 pub use model::DetectorModel;

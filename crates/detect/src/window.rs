@@ -83,21 +83,6 @@ impl WindowedDetector {
         }
     }
 
-    /// The window length `w`.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// The tolerated number of violations per window.
-    pub fn tolerance(&self) -> usize {
-        self.tolerance
-    }
-
-    /// The number of tracked sensors.
-    pub fn sensor_count(&self) -> usize {
-        self.sensors.len()
-    }
-
     /// Records one round for `sensor` (`violated` = failed the overlap
     /// check) and returns its current standing.
     ///
@@ -150,7 +135,7 @@ impl WindowedDetector {
 
     /// Appends the indices of all condemned sensors to `out` (ascending),
     /// reusing the caller's allocation.
-    pub fn condemned_into(&self, out: &mut Vec<usize>) {
+    pub(crate) fn condemned_into(&self, out: &mut Vec<usize>) {
         out.extend(
             self.sensors
                 .iter()
@@ -254,17 +239,9 @@ mod tests {
         // n = 0 builds (nothing to track) but any record() is out of
         // range; the detector just never condemns anything.
         let mut det = WindowedDetector::new(0, 4, 1);
-        assert_eq!(det.sensor_count(), 0);
+        assert!(det.sensors.is_empty());
         assert!(det.condemned().is_empty());
         det.reset();
         assert!(det.condemned().is_empty());
-    }
-
-    #[test]
-    fn accessors() {
-        let det = WindowedDetector::new(4, 6, 2);
-        assert_eq!(det.window(), 6);
-        assert_eq!(det.tolerance(), 2);
-        assert_eq!(det.sensor_count(), 4);
     }
 }

@@ -13,7 +13,7 @@
 //! The refinement is sound only while the dynamics assumption holds and
 //! at most `f` sensors misbehave; when the intersection comes up empty
 //! (broken assumption, or more faults than `f`), the fuser falls back to
-//! the memoryless interval and reports the anomaly.
+//! the memoryless interval.
 
 use arsf_interval::Interval;
 
@@ -40,15 +40,10 @@ impl DynamicsBound {
         Self { max_rate }
     }
 
-    /// The bound value.
-    pub fn max_rate(&self) -> f64 {
-        self.max_rate
-    }
-
     /// Propagates an interval forward by `dt` seconds: every point the
     /// variable could reach starting anywhere inside `interval`, saturated
     /// at the finite `f64` range.
-    pub fn propagate(&self, interval: &Interval<f64>, dt: f64) -> Interval<f64> {
+    pub(crate) fn propagate(&self, interval: &Interval<f64>, dt: f64) -> Interval<f64> {
         let slack = self.max_rate * dt.abs();
         Interval::new(
             (interval.lo() - slack).max(f64::MIN),
@@ -58,37 +53,24 @@ impl DynamicsBound {
     }
 }
 
-/// The outcome of one historical-fusion round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistoricalOutcome {
-    /// The memoryless Marzullo fusion of this round's intervals.
-    pub memoryless: Interval<f64>,
-    /// The refined interval actually reported (intersection with the
-    /// propagated history when consistent).
-    pub fused: Interval<f64>,
-    /// `true` when the propagated history and the fresh fusion were
-    /// disjoint — evidence that the dynamics bound or the fault budget
-    /// was violated; the fuser reset to the memoryless interval.
-    pub history_conflict: bool,
-}
-
 /// A stateful fuser combining Marzullo fusion with propagated history.
 ///
 /// # Example
 ///
 /// ```
 /// use arsf_fusion::historical::{DynamicsBound, HistoricalFuser};
+/// use arsf_fusion::{marzullo, Fuser};
 /// use arsf_interval::Interval;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Speed changes at most 0.3 mph per 0.1 s control period.
 /// let mut fuser = HistoricalFuser::new(1, DynamicsBound::new(3.0), 0.1);
 /// let round1 = [Interval::new(9.9, 10.1)?, Interval::new(9.5, 10.5)?, Interval::new(9.0, 11.0)?];
-/// let out1 = fuser.fuse_round(&round1)?;
+/// fuser.fuse(&round1)?;
 /// // Second round: one sensor forged far to the right; the history clips it.
 /// let round2 = [Interval::new(9.9, 10.1)?, Interval::new(9.5, 10.5)?, Interval::new(10.4, 12.4)?];
-/// let out2 = fuser.fuse_round(&round2)?;
-/// assert!(out2.fused.width() <= out2.memoryless.width());
+/// let fused = fuser.fuse(&round2)?;
+/// assert!(fused.width() <= marzullo::fuse(&round2, 1)?.width());
 /// # Ok(())
 /// # }
 /// ```
@@ -117,78 +99,44 @@ impl HistoricalFuser {
         }
     }
 
-    /// The fault assumption.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
-    /// The dynamics bound.
-    pub fn bound(&self) -> DynamicsBound {
-        self.bound
-    }
-
-    /// The interval carried from the previous round, if any.
-    pub fn history(&self) -> Option<Interval<f64>> {
-        self.history
-    }
-
     /// Clears the carried history (e.g. after a mode switch that breaks
     /// the dynamics assumption).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.history = None;
     }
 
-    /// Fuses one round of intervals, refining with propagated history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FusionError`] from the memoryless fusion; the history
-    /// is left unchanged in that case so a transient sensor outage does
-    /// not destroy the accumulated knowledge.
-    pub fn fuse_round(
-        &mut self,
-        intervals: &[Interval<f64>],
-    ) -> Result<HistoricalOutcome, FusionError> {
-        self.fuse_round_with_f(intervals, self.f)
-    }
-
+    /// One round at fault assumption `f`: the memoryless Marzullo fusion,
+    /// refined by intersecting it with the propagated history. When the
+    /// two are disjoint (the dynamics bound or the fault budget was
+    /// violated) the fuser restarts from the memoryless interval. A fusion
+    /// error leaves the history unchanged, so a transient sensor outage
+    /// does not destroy the accumulated knowledge.
     fn fuse_round_with_f(
         &mut self,
         intervals: &[Interval<f64>],
         f: usize,
-    ) -> Result<HistoricalOutcome, FusionError> {
+    ) -> Result<Interval<f64>, FusionError> {
         let memoryless = marzullo::fuse(intervals, f)?;
-        let (fused, history_conflict) = match self.history {
-            None => (memoryless, false),
+        let fused = match self.history {
+            None => memoryless,
             Some(prev) => {
                 let reachable = self.bound.propagate(&prev, self.dt);
-                match memoryless.intersection(&reachable) {
-                    Some(refined) => (refined, false),
-                    // Disjoint: dynamics or fault assumption violated.
-                    None => (memoryless, true),
-                }
+                memoryless.intersection(&reachable).unwrap_or(memoryless)
             }
         };
         self.history = Some(fused);
-        Ok(HistoricalOutcome {
-            memoryless,
-            fused,
-            history_conflict,
-        })
+        Ok(fused)
     }
 }
 
 impl crate::Fuser<f64> for HistoricalFuser {
     /// One engine round: memoryless Marzullo refined by propagated
-    /// history; only the refined interval is exposed (use
-    /// [`HistoricalFuser::fuse_round`] for the full
-    /// [`HistoricalOutcome`]). As for every engine-facing fuser, the
+    /// history. As for every engine-facing fuser, the
     /// fault assumption is clamped to `n − 1` so a sensor silenced
     /// mid-run degrades the guarantee instead of erroring out.
     fn fuse(&mut self, intervals: &[Interval<f64>]) -> Result<Interval<f64>, FusionError> {
         let clamped = crate::fuser::clamp_f(self.f, intervals.len());
         self.fuse_round_with_f(intervals, clamped)
-            .map(|out| out.fused)
     }
 
     fn name(&self) -> &str {
@@ -219,10 +167,9 @@ mod tests {
     #[test]
     fn first_round_is_memoryless() {
         let mut fuser = HistoricalFuser::new(1, DynamicsBound::new(3.0), 0.1);
-        let out = fuser.fuse_round(&round(10.0)).unwrap();
-        assert_eq!(out.fused, out.memoryless);
-        assert!(!out.history_conflict);
-        assert_eq!(fuser.history(), Some(out.fused));
+        let fused = fuser.fuse_round_with_f(&round(10.0), 1).unwrap();
+        assert_eq!(fused, marzullo::fuse(&round(10.0), 1).unwrap());
+        assert_eq!(fuser.history, Some(fused));
     }
 
     #[test]
@@ -231,10 +178,10 @@ mod tests {
         let mut truth = 10.0;
         for step in 0..50 {
             truth += 0.01 * (step % 3) as f64; // slow drift within bound
-            let out = fuser.fuse_round(&round(truth)).unwrap();
-            assert!(out.fused.width() <= out.memoryless.width() + 1e-12);
-            assert!(out.fused.contains(truth), "step {step} lost the truth");
-            assert!(!out.history_conflict);
+            let memoryless = marzullo::fuse(&round(truth), 1).unwrap();
+            let fused = fuser.fuse_round_with_f(&round(truth), 1).unwrap();
+            assert!(fused.width() <= memoryless.width() + 1e-12);
+            assert!(fused.contains(truth), "step {step} lost the truth");
         }
     }
 
@@ -244,8 +191,8 @@ mod tests {
         // Honest round with well-nested sensors establishes a tight
         // history [9.9, 10.3].
         let honest = vec![iv(9.95, 10.05), iv(9.9, 10.3), iv(9.8, 10.6)];
-        let first = fuser.fuse_round(&honest).unwrap();
-        assert_eq!(first.fused, iv(9.9, 10.3));
+        let first = fuser.fuse_round_with_f(&honest, 1).unwrap();
+        assert_eq!(first, iv(9.9, 10.3));
         // Next round, the camera is forged to stretch the fusion right to
         // the GPS's upper endpoint (memoryless fusion [9.9, 10.5]).
         let forged = vec![
@@ -254,59 +201,57 @@ mod tests {
             iv(10.45, 12.45),
         ];
         let memoryless = marzullo::fuse(&forged, 1).unwrap();
-        let out = fuser.fuse_round(&forged).unwrap();
+        let fused = fuser.fuse_round_with_f(&forged, 1).unwrap();
         assert!(
-            out.fused.width() < memoryless.width(),
+            fused.width() < memoryless.width(),
             "history must clip the forged extension: {} vs {}",
-            out.fused.width(),
+            fused.width(),
             memoryless.width()
         );
         // The clip lands exactly on the reachable set's upper bound:
         // 10.3 + 1.0 mph/s * 0.1 s = 10.4.
-        assert!((out.fused.hi() - 10.4).abs() < 1e-12);
-        assert!(!out.history_conflict);
+        assert!((fused.hi() - 10.4).abs() < 1e-12);
     }
 
     #[test]
-    fn conflict_falls_back_and_reports() {
+    fn conflict_falls_back_to_memoryless() {
         let mut fuser = HistoricalFuser::new(1, DynamicsBound::new(0.5), 0.1);
-        fuser.fuse_round(&round(10.0)).unwrap();
+        fuser.fuse_round_with_f(&round(10.0), 1).unwrap();
         // Teleport far beyond the reachable set: assumption broken.
-        let out = fuser.fuse_round(&round(50.0)).unwrap();
-        assert!(out.history_conflict);
-        assert_eq!(out.fused, out.memoryless);
+        let fused = fuser.fuse_round_with_f(&round(50.0), 1).unwrap();
+        assert_eq!(fused, marzullo::fuse(&round(50.0), 1).unwrap());
         // History restarts from the fresh interval.
-        assert_eq!(fuser.history(), Some(out.fused));
+        assert_eq!(fuser.history, Some(fused));
     }
 
     #[test]
     fn fusion_error_preserves_history() {
         let mut fuser = HistoricalFuser::new(0, DynamicsBound::new(1.0), 0.1);
-        fuser.fuse_round(&round(10.0)).unwrap();
-        let before = fuser.history();
+        fuser.fuse_round_with_f(&round(10.0), 0).unwrap();
+        let before = fuser.history;
         // Disjoint pair with f = 0: no agreement.
         let bad = [iv(0.0, 1.0), iv(5.0, 6.0)];
-        assert!(fuser.fuse_round(&bad).is_err());
-        assert_eq!(fuser.history(), before);
+        assert!(fuser.fuse_round_with_f(&bad, 0).is_err());
+        assert_eq!(fuser.history, before);
     }
 
     #[test]
     fn reset_clears_history() {
         let mut fuser = HistoricalFuser::new(1, DynamicsBound::new(1.0), 0.1);
-        fuser.fuse_round(&round(10.0)).unwrap();
+        fuser.fuse_round_with_f(&round(10.0), 1).unwrap();
         fuser.reset();
-        assert!(fuser.history().is_none());
+        assert!(fuser.history.is_none());
     }
 
     #[test]
     fn engine_facing_fuse_clamps_the_fault_budget() {
         use crate::Fuser;
-        // One interval with f = 1: the stateful API errors (its contract),
-        // but the engine-facing trait clamps so a silenced-sensor round
-        // degrades instead of failing.
+        // One interval with f = 1: Marzullo fusion itself errors, but the
+        // engine-facing trait clamps so a silenced-sensor round degrades
+        // instead of failing.
         let mut fuser = HistoricalFuser::new(1, DynamicsBound::new(100.0), 0.1);
         let single = [iv(9.0, 11.0)];
-        assert!(fuser.fuse_round(&single).is_err());
+        assert!(fuser.fuse_round_with_f(&single, 1).is_err());
         let fused = Fuser::fuse(&mut fuser, &single).unwrap();
         assert_eq!(fused, iv(9.0, 11.0));
     }

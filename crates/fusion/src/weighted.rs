@@ -22,7 +22,7 @@ pub struct PointEstimate {
 
 impl PointEstimate {
     /// The estimate viewed as the interval `[value − radius, value + radius]`.
-    pub fn to_interval(self) -> Interval<f64> {
+    pub(crate) fn to_interval(self) -> Interval<f64> {
         Interval::centered(self.value, self.radius)
             .unwrap_or_else(|_| unreachable!("radius is validated non-negative at construction"))
     }
@@ -37,25 +37,7 @@ impl PointEstimate {
 /// # Errors
 ///
 /// [`FusionError::EmptyInput`] when no intervals are given.
-///
-/// # Example
-///
-/// ```
-/// use arsf_fusion::weighted::inverse_variance;
-/// use arsf_interval::Interval;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let s = [
-///     Interval::centered(10.0, 1.0)?, // sigma 1
-///     Interval::centered(12.0, 2.0)?, // sigma 2
-/// ];
-/// let est = inverse_variance(&s)?;
-/// // The tighter sensor dominates: (10/1 + 12/4) / (1/1 + 1/4) = 10.4
-/// assert!((est.value - 10.4).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn inverse_variance<T: Scalar>(
+pub(crate) fn inverse_variance<T: Scalar>(
     intervals: &[Interval<T>],
 ) -> Result<PointEstimate, FusionError> {
     if intervals.is_empty() {

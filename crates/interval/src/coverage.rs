@@ -164,10 +164,10 @@ fn sort_sweep_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<Int
 /// # fn main() -> Result<(), arsf_interval::IntervalError> {
 /// let xs = [Interval::new(0.0, 1.0)?, Interval::new(1.0, 2.0)?];
 /// let map = CoverageMap::build(&xs);
-/// assert_eq!(map.coverage_at(1.0), 2); // both intervals touch x = 1
-/// assert_eq!(map.coverage_at(0.5), 1);
-/// assert_eq!(map.coverage_at(7.0), 0);
-/// assert_eq!(map.max_coverage(), 2);
+/// assert_eq!(map.breakpoints(), &[0.0, 1.0, 2.0]);
+/// assert_eq!(map.point_coverages(), &[1, 2, 1]); // both intervals touch x = 1
+/// assert_eq!(map.segment_coverages(), &[1, 1]);
+/// assert_eq!(map.span_at_least(2), Some(Interval::new(1.0, 1.0)?));
 /// # Ok(())
 /// # }
 /// ```
@@ -222,25 +222,6 @@ impl<T: Scalar> CoverageMap<T> {
         }
     }
 
-    /// The number of intervals covering the point `x`.
-    pub fn coverage_at(&self, x: T) -> usize {
-        // `pos` is the first index with points[pos] >= x.
-        let pos = self.points.partition_point(|p| *p < x);
-        if pos < self.points.len() && self.points[pos] == x {
-            return self.point_cov[pos];
-        }
-        if pos == 0 || pos >= self.points.len() {
-            // Outside the hull of all endpoints.
-            return 0;
-        }
-        self.seg_cov[pos - 1]
-    }
-
-    /// The maximum coverage attained anywhere (0 for an empty profile).
-    pub fn max_coverage(&self) -> usize {
-        self.point_cov.iter().copied().max().unwrap_or(0)
-    }
-
     /// The span from the first to the last point with coverage at least
     /// `k`, or `None` when coverage never reaches `k` (or `k == 0`).
     ///
@@ -274,68 +255,9 @@ impl<T: Scalar> CoverageMap<T> {
     /// slice is one shorter than [`CoverageMap::breakpoints`].
     ///
     /// Exact even on integer grids where a unit-width segment has no
-    /// representable interior point to probe with
-    /// [`CoverageMap::coverage_at`].
+    /// representable interior point.
     pub fn segment_coverages(&self) -> &[usize] {
         &self.seg_cov
-    }
-
-    /// The maximal closed sub-intervals on which coverage is at least `k`,
-    /// in increasing order.
-    ///
-    /// Unlike [`CoverageMap::span_at_least`], which returns the convex hull
-    /// of the `≥ k` region, this exposes the (possibly disconnected) region
-    /// itself. Used by the attacker's optimisers to reason about where
-    /// forged intervals can extend the fusion interval.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use arsf_interval::{coverage::CoverageMap, Interval};
-    ///
-    /// # fn main() -> Result<(), arsf_interval::IntervalError> {
-    /// let xs = [
-    ///     Interval::new(0.0, 2.0)?,
-    ///     Interval::new(1.0, 2.0)?,
-    ///     Interval::new(4.0, 6.0)?,
-    ///     Interval::new(5.0, 6.0)?,
-    /// ];
-    /// let map = CoverageMap::build(&xs);
-    /// let regions = map.regions_at_least(2);
-    /// assert_eq!(
-    ///     regions,
-    ///     vec![Interval::new(1.0, 2.0)?, Interval::new(5.0, 6.0)?]
-    /// );
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn regions_at_least(&self, k: usize) -> Vec<Interval<T>> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut regions: Vec<Interval<T>> = Vec::new();
-        let mut open: Option<T> = None; // start of the current >= k run
-        for i in 0..self.points.len() {
-            let point_ok = self.point_cov[i] >= k;
-            if point_ok && open.is_none() {
-                open = Some(self.points[i]);
-            }
-            // The run ends at this breakpoint when the following open
-            // segment (if any) falls below k, or the profile ends.
-            let seg_ok = i < self.seg_cov.len() && self.seg_cov[i] >= k;
-            if let Some(start) = open {
-                if !seg_ok {
-                    if point_ok {
-                        regions.push(
-                            Interval::new(start, self.points[i])
-                                .unwrap_or_else(|_| unreachable!("run endpoints are ordered")),
-                        );
-                    }
-                    open = None;
-                }
-            }
-        }
-        regions
     }
 }
 
@@ -416,6 +338,117 @@ mod tests {
         }
     }
 
+    /// Every closed integer interval with endpoints in `0..grid`.
+    fn grid_intervals_up_to(grid: i64) -> Vec<Interval<i64>> {
+        (0..grid)
+            .flat_map(|lo| (lo..grid).map(move |hi| Interval::new(lo, hi).unwrap()))
+            .collect()
+    }
+
+    /// Calls `visit` with every length-`n` tuple of indices into `0..m`,
+    /// or only the non-decreasing ones when `multiset`, and returns how
+    /// many it visited.
+    fn for_each_tuple(m: usize, n: usize, multiset: bool, mut visit: impl FnMut(&[usize])) -> u64 {
+        let mut idx = vec![0; n];
+        let mut visited = 0;
+        loop {
+            visit(&idx);
+            visited += 1;
+            let Some(pos) = (0..n).rev().find(|&i| idx[i] + 1 < m) else {
+                return visited;
+            };
+            idx[pos] += 1;
+            let restart = if multiset { idx[pos] } else { 0 };
+            idx[pos + 1..].fill(restart);
+        }
+    }
+
+    /// `C(m, r)`, small enough not to overflow here.
+    fn choose(m: u64, r: u64) -> u64 {
+        (0..r).fold(1, |acc, i| acc * (m - i) / (i + 1))
+    }
+
+    /// The counting kernel and the sort sweep only compare endpoints, so
+    /// their output is a function of the endpoints' weak order, and an
+    /// integer grid of `2n` values realises every weak order of `n`
+    /// intervals. Enumerating every ordered configuration on that grid
+    /// therefore proves both kernels for `n ≤ 4` (for any `Scalar`, since
+    /// no arithmetic is involved). `n = 5` and `6` take every sorted
+    /// multiset (the output is order-invariant) on 8 and 6 grid values.
+    /// Each span, for every `k` in `0..=n + 1`, must equal
+    /// [`CoverageMap::span_at_least`] and a count of coverage at every
+    /// integer point, which is exact because coverage only changes at the
+    /// integer endpoints.
+    ///
+    /// Release builds run the full scope (2577218 configurations, about
+    /// 2.5 s; CI runs it next to the exact work counts); debug builds run
+    /// `n ≤ 3` ordered and `n = 4..=6` as multisets on 4 grid values.
+    #[test]
+    fn kernels_agree_on_every_small_integer_configuration() {
+        // (n, grid values, multisets only)
+        let scopes: &[(usize, i64, bool)] = if cfg!(debug_assertions) {
+            &[
+                (1, 2, false),
+                (2, 4, false),
+                (3, 6, false),
+                (4, 4, true),
+                (5, 4, true),
+                (6, 4, true),
+            ]
+        } else {
+            &[
+                (1, 2, false),
+                (2, 4, false),
+                (3, 6, false),
+                (4, 8, false),
+                (5, 8, true),
+                (6, 6, true),
+            ]
+        };
+        for &(n, grid, multiset) in scopes {
+            let pool = grid_intervals_up_to(grid);
+            let mut xs = Vec::with_capacity(n);
+            let mut coverage = vec![0; grid as usize];
+            let visited = for_each_tuple(pool.len(), n, multiset, |idx| {
+                xs.clear();
+                xs.extend(idx.iter().map(|&i| pool[i]));
+                for (x, c) in (0..grid).zip(coverage.iter_mut()) {
+                    *c = xs.iter().filter(|s| s.contains(x)).count();
+                }
+                let map = CoverageMap::build(&xs);
+                for k in 0..=n + 1 {
+                    let first = coverage.iter().position(|&c| k > 0 && c >= k);
+                    let last = coverage.iter().rposition(|&c| k > 0 && c >= k);
+                    let expected = first
+                        .zip(last)
+                        .map(|(a, b)| Interval::new(a as i64, b as i64).unwrap());
+                    assert_eq!(
+                        k_covered_span(&xs, k),
+                        expected,
+                        "counting, k = {k}, {xs:?}"
+                    );
+                    assert_eq!(
+                        sort_sweep_span(&xs, k),
+                        expected,
+                        "sort sweep, k = {k}, {xs:?}"
+                    );
+                    assert_eq!(
+                        map.span_at_least(k),
+                        expected,
+                        "coverage map, k = {k}, {xs:?}"
+                    );
+                }
+            });
+            let m = pool.len() as u64;
+            let expected = if multiset {
+                choose(m + n as u64 - 1, n as u64)
+            } else {
+                m.pow(n as u32)
+            };
+            assert_eq!(visited, expected, "n = {n}, grid = {grid}");
+        }
+    }
+
     #[test]
     fn span_rejects_k_zero_and_k_too_large() {
         let xs = [iv(0.0, 1.0)];
@@ -472,15 +505,9 @@ mod tests {
     fn coverage_map_point_and_segment_queries() {
         let xs = [iv(0.0, 4.0), iv(2.0, 6.0), iv(5.0, 9.0)];
         let map = CoverageMap::build(&xs);
-        assert_eq!(map.coverage_at(-1.0), 0);
-        assert_eq!(map.coverage_at(0.0), 1);
-        assert_eq!(map.coverage_at(3.0), 2);
-        assert_eq!(map.coverage_at(4.0), 2);
-        assert_eq!(map.coverage_at(4.5), 1);
-        assert_eq!(map.coverage_at(5.0), 2);
-        assert_eq!(map.coverage_at(9.0), 1);
-        assert_eq!(map.coverage_at(9.5), 0);
-        assert_eq!(map.max_coverage(), 2);
+        assert_eq!(map.breakpoints(), &[0.0, 2.0, 4.0, 5.0, 6.0, 9.0]);
+        assert_eq!(map.point_coverages(), &[1, 2, 2, 2, 2, 1]);
+        assert_eq!(map.segment_coverages(), &[1, 2, 1, 2, 1]);
     }
 
     #[test]
@@ -495,33 +522,16 @@ mod tests {
     #[test]
     fn coverage_map_empty_profile() {
         let map = CoverageMap::<f64>::build(&[]);
-        assert_eq!(map.max_coverage(), 0);
+        assert!(map.point_coverages().is_empty());
+        assert!(map.segment_coverages().is_empty());
         assert_eq!(map.span_at_least(1), None);
-        assert_eq!(map.coverage_at(0.0), 0);
-        assert!(map.regions_at_least(1).is_empty());
-    }
-
-    #[test]
-    fn regions_at_least_splits_disconnected_components() {
-        let xs = [iv(0.0, 2.0), iv(1.0, 2.0), iv(4.0, 6.0), iv(5.0, 6.0)];
-        let map = CoverageMap::build(&xs);
-        assert_eq!(map.regions_at_least(2), vec![iv(1.0, 2.0), iv(5.0, 6.0)]);
-        assert_eq!(map.regions_at_least(1), vec![iv(0.0, 2.0), iv(4.0, 6.0)]);
-        assert!(map.regions_at_least(3).is_empty());
-    }
-
-    #[test]
-    fn regions_at_least_handles_single_point_components() {
-        let xs = [iv(0.0, 1.0), iv(1.0, 2.0)];
-        let map = CoverageMap::build(&xs);
-        assert_eq!(map.regions_at_least(2), vec![iv(1.0, 1.0)]);
     }
 
     #[test]
     fn coverage_with_duplicated_intervals() {
         let xs = [iv(0.0, 1.0); 4];
         let map = CoverageMap::build(&xs);
-        assert_eq!(map.max_coverage(), 4);
+        assert_eq!(map.point_coverages(), &[4, 4]);
         assert_eq!(k_covered_span(&xs, 4), Some(iv(0.0, 1.0)));
     }
 }

@@ -221,72 +221,6 @@ impl<T: Scalar> Interval<T> {
         }
     }
 
-    /// The interval shifted by `delta` while keeping its width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntervalError::NonFinite`] if a shifted endpoint overflows
-    /// to a non-finite float value. Integer overflow wraps in release mode
-    /// like ordinary integer arithmetic; callers working near the integer
-    /// boundaries should pre-validate.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use arsf_interval::Interval;
-    ///
-    /// # fn main() -> Result<(), arsf_interval::IntervalError> {
-    /// let s = Interval::new(1.0, 2.0)?.translate(0.5)?;
-    /// assert_eq!(s, Interval::new(1.5, 2.5)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn translate(self, delta: T) -> Result<Self, IntervalError> {
-        Self::new(self.lo + delta, self.hi + delta)
-    }
-
-    /// Re-centers the interval at `center`, keeping its width.
-    ///
-    /// This is the basic move available to the paper's attacker: she cannot
-    /// change the width of a compromised sensor's interval (widths are fixed
-    /// by the sensor's published precision) but may slide it along the axis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntervalError::NonFinite`] if the resulting endpoints are
-    /// not finite.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use arsf_interval::Interval;
-    ///
-    /// # fn main() -> Result<(), arsf_interval::IntervalError> {
-    /// let s = Interval::new(0.0, 4.0)?.recenter(10.0)?;
-    /// assert_eq!(s, Interval::new(8.0, 12.0)?);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn recenter(self, center: T) -> Result<Self, IntervalError> {
-        self.translate(center - self.midpoint())
-    }
-
-    /// The point of `self` closest to `point` (i.e. `point` clamped to the
-    /// interval).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use arsf_interval::Interval;
-    ///
-    /// let s = Interval::new(0.0, 1.0).unwrap();
-    /// assert_eq!(s.clamp_point(7.0), 1.0);
-    /// assert_eq!(s.clamp_point(0.5), 0.5);
-    /// ```
-    pub fn clamp_point(&self, point: T) -> T {
-        point.max_scalar(self.lo).min_scalar(self.hi)
-    }
-
     /// Lossy conversion of the endpoints to `f64`, used for rendering and
     /// statistics.
     pub fn to_f64_interval(&self) -> Interval<f64> {
@@ -382,23 +316,6 @@ mod tests {
     fn hull_spans_gaps() {
         assert_eq!(iv(0.0, 1.0).hull(&iv(3.0, 4.0)), iv(0.0, 4.0));
         assert_eq!(iv(3.0, 4.0).hull(&iv(0.0, 1.0)), iv(0.0, 4.0));
-    }
-
-    #[test]
-    fn translate_and_recenter_preserve_width() {
-        let s = iv(1.0, 4.0);
-        assert_eq!(s.translate(2.0).unwrap(), iv(3.0, 6.0));
-        let r = s.recenter(0.0).unwrap();
-        assert_eq!(r.width(), s.width());
-        assert_eq!(r.midpoint(), 0.0);
-    }
-
-    #[test]
-    fn clamp_point_projects_onto_interval() {
-        let s = iv(-1.0, 1.0);
-        assert_eq!(s.clamp_point(-5.0), -1.0);
-        assert_eq!(s.clamp_point(5.0), 1.0);
-        assert_eq!(s.clamp_point(0.25), 0.25);
     }
 
     #[test]

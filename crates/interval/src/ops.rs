@@ -58,38 +58,6 @@ pub fn hull_all<T: Scalar>(intervals: &[Interval<T>]) -> Option<Interval<T>> {
     Some(rest.iter().fold(*first, |acc, next| acc.hull(next)))
 }
 
-/// Returns `true` when every pair of intervals in the slice intersects.
-///
-/// All *correct* sensors satisfy this (each contains the true value), so a
-/// violation proves that at least one sensor in the slice is faulty or
-/// compromised. Runs in `O(n log n)` by checking the equivalent condition
-/// `max(lo) <= min(hi)`-per-overlap via a sort-free scan: pairwise
-/// intersection of closed 1-D intervals holds iff the largest lower bound
-/// is at most the smallest upper bound.
-///
-/// # Example
-///
-/// ```
-/// use arsf_interval::{ops::all_pairwise_intersect, Interval};
-///
-/// # fn main() -> Result<(), arsf_interval::IntervalError> {
-/// let consistent = [Interval::new(0.0, 2.0)?, Interval::new(1.0, 3.0)?];
-/// assert!(all_pairwise_intersect(&consistent));
-/// let inconsistent = [Interval::new(0.0, 1.0)?, Interval::new(2.0, 3.0)?];
-/// assert!(!all_pairwise_intersect(&inconsistent));
-/// # Ok(())
-/// # }
-/// ```
-pub fn all_pairwise_intersect<T: Scalar>(intervals: &[Interval<T>]) -> bool {
-    match intersection_all(intervals) {
-        Some(_) => true,
-        // For 1-D closed intervals, Helly's theorem (d = 1) says pairwise
-        // intersection implies a common point, so an empty common
-        // intersection certifies some disjoint pair.
-        None => intervals.is_empty(),
-    }
-}
-
 /// Indices of intervals in `candidates` that do **not** intersect
 /// `reference`.
 ///
@@ -121,23 +89,6 @@ pub fn disjoint_indices<T: Scalar>(
         .filter(|(_, s)| !s.intersects(reference))
         .map(|(i, _)| i)
         .collect()
-}
-
-/// The widths of all intervals, in slice order.
-///
-/// # Example
-///
-/// ```
-/// use arsf_interval::{ops::widths, Interval};
-///
-/// # fn main() -> Result<(), arsf_interval::IntervalError> {
-/// let xs = [Interval::new(0.0, 5.0)?, Interval::new(1.0, 2.0)?];
-/// assert_eq!(widths(&xs), vec![5.0, 1.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn widths<T: Scalar>(intervals: &[Interval<T>]) -> Vec<T> {
-    intervals.iter().map(Interval::width).collect()
 }
 
 /// The sum of the two largest widths among `intervals`, or `None` when
@@ -221,33 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_intersect_empty_and_single_are_true() {
-        assert!(all_pairwise_intersect::<f64>(&[]));
-        assert!(all_pairwise_intersect(&[iv(0.0, 1.0)]));
-    }
-
-    #[test]
-    fn pairwise_intersect_chain_without_common_point_is_false() {
-        // a∩b ≠ ∅ and b∩c ≠ ∅ but a∩c = ∅; by Helly in 1-D,
-        // all-pairwise-intersect must report false only when some PAIR is
-        // disjoint — here (a, c) is disjoint, so false is correct.
-        let a = iv(0.0, 1.0);
-        let b = iv(0.9, 2.1);
-        let c = iv(2.0, 3.0);
-        assert!(!all_pairwise_intersect(&[a, b, c]));
-    }
-
-    #[test]
     fn disjoint_indices_flags_only_nonoverlapping() {
         let fused = iv(0.0, 2.0);
         let sensors = [iv(-1.0, 0.0), iv(2.0, 3.0), iv(5.0, 6.0), iv(1.0, 1.5)];
         // Touching endpoints intersect, so only index 2 is disjoint.
         assert_eq!(disjoint_indices(&sensors, &fused), vec![2]);
-    }
-
-    #[test]
-    fn widths_preserves_order() {
-        assert_eq!(widths(&[iv(0.0, 2.0), iv(1.0, 1.5)]), vec![2.0, 0.5]);
     }
 
     #[test]

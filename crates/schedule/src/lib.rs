@@ -17,11 +17,6 @@
 //! * [`SchedulePolicy::Fixed`] — an explicit order,
 //! * [`SchedulePolicy::Rotating`] — round-robin rotation of a fixed order.
 //!
-//! [`analysis`] quantifies the *information exposure* a schedule grants an
-//! attacker (how many correct intervals she has seen when forced to
-//! commit), the quantity the paper's Theorem 1 and schedule comparison
-//! revolve around.
-//!
 //! # Example
 //!
 //! ```
@@ -40,7 +35,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod analysis;
 mod order;
 mod policy;
 

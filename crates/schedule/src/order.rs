@@ -13,6 +13,7 @@ use core::ops::Index;
 ///
 /// let order = TransmissionOrder::new(vec![2, 0, 1]).expect("a permutation");
 /// assert_eq!(order.len(), 3);
+/// assert!(!order.is_empty());
 /// assert_eq!(order[0], 2);            // sensor 2 transmits first
 /// assert_eq!(order.slot_of(2), Some(0));
 /// assert_eq!(order.slot_of(1), Some(2));
@@ -80,11 +81,6 @@ impl TransmissionOrder {
         self.order.iter().position(|&s| s == sensor)
     }
 
-    /// The sensors transmitting strictly before `slot`, in order.
-    pub fn before(&self, slot: usize) -> &[usize] {
-        &self.order[..slot.min(self.order.len())]
-    }
-
     /// Iterates over the sensor indices in slot order.
     pub fn iter(&self) -> core::slice::Iter<'_, usize> {
         self.order.iter()
@@ -141,8 +137,6 @@ mod tests {
         assert_eq!(order.slot_of(2), Some(3));
         assert_eq!(order.slot_of(9), None);
         assert_eq!(order[1], 1);
-        assert_eq!(order.before(2), &[3, 1]);
-        assert_eq!(order.before(99), &[3, 1, 0, 2]);
     }
 
     #[test]

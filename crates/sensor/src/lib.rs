@@ -50,5 +50,5 @@ pub use fault::{FaultKind, FaultModel};
 pub use measurement::Measurement;
 pub use noise::NoiseModel;
 pub use sensor::{Sensor, SensorId};
-pub use spec::{encoder_interval_width, encoder_width_at, SensorSpec};
+pub use spec::{encoder_interval_width, SensorSpec};
 pub use suite::SensorSuite;

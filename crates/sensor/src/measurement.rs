@@ -15,8 +15,8 @@ use crate::SensorId;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let m = Measurement::new(SensorId::new(2), 10.1, Interval::centered(10.1, 0.5)?);
-/// assert!(m.is_correct(10.0));
-/// assert!(!m.is_correct(11.0));
+/// assert!(m.interval.contains(10.0));
+/// assert!(!m.interval.contains(11.0));
 /// # Ok(())
 /// # }
 /// ```
@@ -41,26 +41,11 @@ impl Measurement {
             interval,
         }
     }
-
-    /// Returns `true` when the interval contains the given true value —
-    /// the paper's definition of a *correct* sensor reading. Only
-    /// meaningful in simulation, where the truth is known.
-    pub fn is_correct(&self, truth: f64) -> bool {
-        self.interval.contains(truth)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn correctness_is_interval_membership() {
-        let m = Measurement::new(SensorId::new(0), 5.0, Interval::new(4.0, 6.0).unwrap());
-        assert!(m.is_correct(4.0));
-        assert!(m.is_correct(6.0));
-        assert!(!m.is_correct(6.01));
-    }
 
     #[test]
     fn fields_round_trip() {

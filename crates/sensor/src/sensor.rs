@@ -64,7 +64,7 @@ impl From<usize> for SensorId {
 /// let mut sensor = Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform)
 ///     .with_fault(FaultModel::new(FaultKind::Bias { offset: 50.0 }, 1.0));
 /// let m = sensor.sample(10.0, &mut rng);
-/// assert!(!m.is_correct(10.0), "a firing bias fault breaks correctness");
+/// assert!(!m.interval.contains(10.0), "a firing bias fault breaks correctness");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sensor {
@@ -93,24 +93,9 @@ impl Sensor {
         self
     }
 
-    /// The sensor's identity.
-    pub fn id(&self) -> SensorId {
-        self.id
-    }
-
     /// The static specification.
-    pub fn spec(&self) -> &SensorSpec {
+    pub(crate) fn spec(&self) -> &SensorSpec {
         &self.spec
-    }
-
-    /// The noise model.
-    pub fn noise(&self) -> NoiseModel {
-        self.noise
-    }
-
-    /// The fault model, if any.
-    pub fn fault(&self) -> Option<FaultModel> {
-        self.fault
     }
 
     /// Samples the sensor at the given ground truth: the measurement
@@ -162,7 +147,7 @@ mod tests {
         let mut s = Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform);
         for _ in 0..500 {
             let m = s.sample(10.0, &mut rng);
-            assert!(m.is_correct(10.0));
+            assert!(m.interval.contains(10.0));
             assert_eq!(m.interval.width(), 1.0);
             assert_eq!(m.interval.midpoint(), m.value);
         }
@@ -193,7 +178,7 @@ mod tests {
             .with_fault(FaultModel::new(FaultKind::Bias { offset: 10.0 }, 1.0));
         let m = s.sample(0.0, &mut rng);
         assert_eq!(m.value, 10.0);
-        assert!(!m.is_correct(0.0));
+        assert!(!m.interval.contains(0.0));
     }
 
     #[test]
@@ -219,7 +204,7 @@ mod tests {
         let mut s = Sensor::new(4, SensorSpec::new("enc", 0.1), NoiseModel::Uniform)
             .with_fault(FaultModel::new(FaultKind::StuckAt { value: 0.0 }, 0.0));
         for _ in 0..100 {
-            assert!(s.sample(10.0, &mut rng).is_correct(10.0));
+            assert!(s.sample(10.0, &mut rng).interval.contains(10.0));
         }
     }
 
@@ -228,14 +213,5 @@ mod tests {
         let id: SensorId = 7_usize.into();
         assert_eq!(id.to_string(), "s7");
         assert_eq!(id.index(), 7);
-    }
-
-    #[test]
-    fn accessors_round_trip() {
-        let s = Sensor::new(1, SensorSpec::new("x", 0.2), NoiseModel::None);
-        assert_eq!(s.id(), SensorId::new(1));
-        assert_eq!(s.spec().name(), "x");
-        assert_eq!(s.noise(), NoiseModel::None);
-        assert!(s.fault().is_none());
     }
 }

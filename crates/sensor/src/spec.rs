@@ -65,21 +65,6 @@ impl SensorSpec {
         self
     }
 
-    /// The display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The precision guarantee `δ`.
-    pub fn precision(&self) -> f64 {
-        self.precision
-    }
-
-    /// The jitter allowance.
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
-
     /// The interval radius: `precision + jitter`.
     pub fn radius(&self) -> f64 {
         self.precision + self.jitter
@@ -108,8 +93,9 @@ impl fmt::Display for SensorSpec {
 ///
 /// `width = 2 · v · (measuring_error + jitter_error) + circumference / (cycles · period)`
 ///
-/// With the defaults in [`encoder_width_at`] (0.8 m circumference, 100 ms
-/// period) this evaluates to ≈ 0.2 mph at v = 10 mph, matching the paper.
+/// With the case-study calibration (192 cycles/rev, 0.5% measuring error,
+/// 0.05% jitter, 0.8 m circumference, 100 ms period) this evaluates to
+/// ≈ 0.2 mph at v = 10 mph, matching the paper.
 ///
 /// Speeds are in mph; the circumference term is converted from m/s
 /// (1 m/s = 2.23694 mph).
@@ -135,13 +121,6 @@ pub fn encoder_interval_width(
     relative + quantisation_mps * crate::suite::MPH_PER_MPS
 }
 
-/// [`encoder_interval_width`] with the case-study calibration constants
-/// (192 cycles/rev, 0.5% measuring error, 0.05% jitter, 0.8 m wheel,
-/// 100 ms sampling period).
-pub fn encoder_width_at(speed_mph: f64) -> f64 {
-    encoder_interval_width(speed_mph, 192, 0.005, 0.0005, 0.8, 0.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,9 +130,7 @@ mod tests {
         let spec = SensorSpec::new("s", 0.4).with_jitter(0.1);
         assert_eq!(spec.radius(), 0.5);
         assert_eq!(spec.interval_width(), 1.0);
-        assert_eq!(spec.precision(), 0.4);
-        assert_eq!(spec.jitter(), 0.1);
-        assert_eq!(spec.name(), "s");
+        assert_eq!(spec.to_string(), "s (±0.5)");
     }
 
     #[test]
@@ -177,6 +154,11 @@ mod tests {
     fn display_mentions_name_and_radius() {
         let spec = SensorSpec::new("gps", 0.5);
         assert_eq!(spec.to_string(), "gps (±0.5)");
+    }
+
+    /// The case-study encoder calibration at `speed_mph`.
+    fn encoder_width_at(speed_mph: f64) -> f64 {
+        encoder_interval_width(speed_mph, 192, 0.005, 0.0005, 0.8, 0.1)
     }
 
     #[test]

@@ -2,14 +2,14 @@
 
 use rand::Rng;
 
-use crate::{Measurement, NoiseModel, Sensor, SensorId, SensorSpec};
+use crate::{Measurement, NoiseModel, Sensor, SensorSpec};
 
 /// Conversion factor from metres/second to miles/hour.
 pub const MPH_PER_MPS: f64 = 2.236_936_292_054_402;
 
 /// An ordered collection of sensors measuring the same physical variable.
 ///
-/// The order is the sensor's identity order (index = [`SensorId`]); the
+/// The order is the sensor's identity order (index = [`crate::SensorId`]); the
 /// *transmission* order is a separate concern handled by the schedule
 /// crate.
 ///
@@ -21,10 +21,11 @@ pub const MPH_PER_MPS: f64 = 2.236_936_292_054_402;
 ///
 /// let mut suite = arsf_sensor::suite::landshark();
 /// assert_eq!(suite.len(), 4);
+/// assert!(!suite.is_empty());
 /// let mut rng = StdRng::seed_from_u64(11);
 /// let readings = suite.sample_all(10.0, &mut rng);
 /// assert_eq!(readings.len(), 4);
-/// assert!(readings.iter().all(|m| m.is_correct(10.0)));
+/// assert!(readings.iter().all(|m| m.interval.contains(10.0)));
 /// # let _: &SensorSuite = &suite;
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -33,11 +34,6 @@ pub struct SensorSuite {
 }
 
 impl SensorSuite {
-    /// Creates an empty suite.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a suite from specs, assigning dense ids in order and the
     /// given noise model to every sensor.
     pub fn from_specs(specs: impl IntoIterator<Item = SensorSpec>, noise: NoiseModel) -> Self {
@@ -47,12 +43,6 @@ impl SensorSuite {
             .map(|(i, spec)| Sensor::new(i, spec, noise))
             .collect();
         Self { sensors }
-    }
-
-    /// Appends a sensor (its id is *not* rewritten; callers constructing
-    /// suites manually are responsible for id consistency).
-    pub fn push(&mut self, sensor: Sensor) {
-        self.sensors.push(sensor);
     }
 
     /// The number of sensors.
@@ -73,11 +63,6 @@ impl SensorSuite {
     /// Mutable access to the sensors (e.g. to attach fault models).
     pub fn sensors_mut(&mut self) -> &mut [Sensor] {
         &mut self.sensors
-    }
-
-    /// Looks a sensor up by id.
-    pub fn get(&self, id: SensorId) -> Option<&Sensor> {
-        self.sensors.iter().find(|s| s.id() == id)
     }
 
     /// The interval widths of all sensors in id order — the only
@@ -193,7 +178,7 @@ mod tests {
     fn from_widths_builds_matching_specs() {
         let suite = from_widths(&[5.0, 11.0, 17.0]);
         assert_eq!(suite.widths(), vec![5.0, 11.0, 17.0]);
-        assert_eq!(suite.sensors()[1].spec().name(), "s1");
+        assert_eq!(suite.sensors()[1].spec().to_string(), "s1 (±5.5)");
     }
 
     #[test]
@@ -204,7 +189,7 @@ mod tests {
         assert_eq!(readings.len(), 4);
         for (i, m) in readings.iter().enumerate() {
             assert_eq!(m.sensor.index(), i);
-            assert!(m.is_correct(10.0));
+            assert!(m.interval.contains(10.0));
         }
     }
 
@@ -218,13 +203,6 @@ mod tests {
         let readings = suite.sample_all(10.0, &mut rng);
         assert_eq!(readings.len(), 3);
         assert!(readings.iter().all(|m| m.sensor.index() != 0));
-    }
-
-    #[test]
-    fn get_by_id() {
-        let suite = landshark();
-        assert_eq!(suite.get(SensorId::new(2)).unwrap().spec().name(), "gps");
-        assert!(suite.get(SensorId::new(9)).is_none());
     }
 
     #[test]
@@ -242,7 +220,7 @@ mod tests {
 
     #[test]
     fn empty_suite() {
-        let mut suite = SensorSuite::new();
+        let mut suite = SensorSuite::default();
         assert!(suite.is_empty());
         let mut rng = StdRng::seed_from_u64(0);
         assert!(suite.sample_all(1.0, &mut rng).is_empty());

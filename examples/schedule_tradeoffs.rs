@@ -5,8 +5,10 @@
 //! Run with: `cargo run --release --example schedule_tradeoffs [-- width...]`
 //! e.g. `cargo run --release --example schedule_tradeoffs -- 5 11 17`
 
-use arsf::schedule::analysis::recommend_order;
+use arsf::schedule::SchedulePolicy;
 use arsf_bench::table1::{evaluate_setup, Table1Setup};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     let args: Vec<f64> = std::env::args()
@@ -46,10 +48,9 @@ fn main() {
         }
     );
 
-    // The schedule recommender (paper Section IV-C made executable):
-    // untrusted sensors in ascending width order; sensors the operator
-    // marks unspoofable would be pushed last.
-    let trusted = vec![false; setup.widths.len()];
-    let recommended = recommend_order(&setup.widths, setup.f(), &trusted);
+    // The paper's recommendation (Section IV-C): the Ascending schedule,
+    // most precise sensor first.
+    let mut rng = StdRng::seed_from_u64(0); // Ascending draws nothing from it
+    let recommended = SchedulePolicy::Ascending.order(&setup.widths, 0, &mut rng);
     println!("recommended transmission order: {recommended}");
 }

@@ -18,7 +18,7 @@
 //! | [`sensor`] | `arsf-sensor` | abstract sensors, bounded noise, faults, LandShark suite |
 //! | [`fusion`] | `arsf-fusion` | the `Fuser` trait; Marzullo, Brooks–Iyengar, historical, weighted fusers, bounds (Thm 2) |
 //! | [`detect`] | `arsf-detect` | the `Detector` trait; off/immediate/windowed detectors |
-//! | [`schedule`] | `arsf-schedule` | Ascending/Descending/Random schedules, exposure analysis |
+//! | [`schedule`] | `arsf-schedule` | Ascending/Descending/Random schedules |
 //! | [`attack`] | `arsf-attack` | optimal/expectimax/streaming attackers, worst cases (Thms 3–4) |
 //! | [`bus`] | `arsf-bus` | CAN-like broadcast bus substrate |
 //! | [`core`] | `arsf-core` | the generic fusion engine, scenarios + registry, batch runner, closed-loop vehicle/platoon simulation, metrics, bus transport |
