@@ -4,7 +4,7 @@
 //! Each iteration fuses the next of [`INPUTS`] distinct random inputs of
 //! its size: with one repeated input the branch predictor learns the
 //! sort sweep's comparisons, which flatters it against the branch-free
-//! counting kernel.
+//! sorting network.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -38,9 +38,10 @@ fn cycle<'a>(inputs: &'a [Vec<Interval<f64>>]) -> impl FnMut() -> &'a [Interval<
 
 fn bench_fusion_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fusion_scaling");
-    // 9 is the honest-wide suite; 16 to 33 bracket the cut between
-    // `k_covered_span`'s counting kernel and its sort sweep.
-    for &n in &[4usize, 9, 16, 20, 24, 32, 33, 64, 256, 1024, 4096] {
+    // 3 and 4 are what the phantom forge fuses, 9 is the honest-wide
+    // suite; 16 to 33 bracket the cut between `k_covered_span`'s sorting
+    // network and its sort sweep.
+    for &n in &[3usize, 4, 9, 16, 20, 24, 32, 33, 64, 256, 1024, 4096] {
         let inputs: Vec<Vec<Interval<f64>>> = (0..INPUTS as u64)
             .map(|seed| random_intervals(n, seed))
             .collect();

@@ -9,7 +9,12 @@
 //!   two files.
 //! * `drive::Frame::parse` reads a worker's stdout. Every frame it
 //!   accepts must survive a render/parse round trip unchanged.
+//! * `cli::Args::parse` reads `scenario_sweep`'s and `sweep_drive`'s
+//!   command lines: arbitrary argv mixing their flag names, plausible and
+//!   degenerate values and arbitrary strings. Every argv that parses goes
+//!   on through `cli::grid_from` and `cli::runnable_grid`.
 
+use arsf_bench::cli::{self, Args, Cli, SCENARIO_SWEEP, SWEEP_DRIVE};
 use arsf_bench::drive::Frame;
 use arsf_core::sweep::store::Baseline;
 use proptest::prelude::*;
@@ -143,6 +148,82 @@ fn frame_line() -> impl Strategy<Value = String> {
     })
 }
 
+const TABLES: [Cli; 2] = [SCENARIO_SWEEP, SWEEP_DRIVE];
+
+/// Flag values: well-formed, degenerate and out-of-range ones. Each list
+/// is at most four entries long, so no grid that parses gets huge.
+const FLAG_VALUES: [&str; 40] = [
+    "marzullo,brooks-iyengar",
+    "historical:3.5:0.1,hull",
+    "historical:-1:0",
+    "inverse-variance,midpoint-median,intersection",
+    "off,immediate,windowed:10:3",
+    "windowed:0:0",
+    "windowed:3:9",
+    "ascending,descending,random",
+    "ascending,,",
+    "1,2,3",
+    "18446744073709551615",
+    "-1",
+    "0",
+    "2",
+    "nan",
+    "inf",
+    "1e309",
+    "landshark",
+    "widths:5,11,17",
+    "widths:",
+    "widths:0,-2",
+    "0:bias:3:0.5",
+    "9:silent:1",
+    "0:stuck:nan:2",
+    "phantom-optimal",
+    "greedy-high",
+    "3:0.01",
+    "0:0",
+    "0.5:2",
+    "open-loop-48",
+    "table2-closed-loop",
+    "record",
+    "check",
+    "0..4",
+    "5..2",
+    "0..0,0..48",
+    "detect-vacuous,guarantee-unbounded",
+    "max_width=0.1:0.2",
+    "1:2:3",
+    "-",
+];
+
+/// One argv item, chosen by `kind`: mostly a flag of either table
+/// followed by a flag value or an arbitrary string, sometimes a lone
+/// flag, an arbitrary string, or an arbitrary string after `--`.
+fn argv_item(kind: usize, flag: usize, value: usize, chars: &[u32]) -> Vec<String> {
+    let flags: Vec<&str> = TABLES
+        .iter()
+        .flat_map(|cli| cli.flags.iter().copied().flatten())
+        .map(|flag| flag.name)
+        .collect();
+    let flag = flags[flag % flags.len()].to_string();
+    let arbitrary = || chars.iter().filter_map(|&c| char::from_u32(c));
+    match kind {
+        0..=3 => vec![flag, FLAG_VALUES[value % FLAG_VALUES.len()].to_string()],
+        4 => vec![flag, arbitrary().collect()],
+        5 => vec![flag],
+        6 => vec![arbitrary().collect()],
+        _ => vec!["--".chars().chain(arbitrary()).collect()],
+    }
+}
+
+/// Characters mostly from the flag-value alphabet, sometimes any
+/// Unicode scalar value.
+fn argv_chars() -> impl Strategy<Value = Vec<u32>> {
+    const ALPHABET: &[u8] = b"0123456789.,:-=e ahinrstw";
+    let char = (0usize..ALPHABET.len() + 1, 0u32..0x11_0000)
+        .prop_map(|(i, c)| ALPHABET.get(i).map_or(c, |&b| u32::from(b)));
+    prop::collection::vec(char, 0..8)
+}
+
 #[test]
 fn every_truncation_of_the_committed_baselines_parses_or_errs() {
     for src in BASELINES {
@@ -175,6 +256,22 @@ proptest! {
         c in 0usize..64,
     ) {
         parse_baseline(&mutate(file, op, a, b, c));
+    }
+
+    #[test]
+    fn grid_command_lines_parse_or_err(
+        table in 0usize..TABLES.len(),
+        items in prop::collection::vec((0usize..8, 0usize..1 << 10, 0usize..1 << 10, argv_chars()), 0..6),
+    ) {
+        let argv: Vec<String> = items
+            .iter()
+            .flat_map(|(kind, flag, value, chars)| argv_item(*kind, *flag, *value, chars))
+            .collect();
+        if let Ok(args) = Args::parse(&TABLES[table], argv) {
+            // Only the absence of a panic matters; the verdicts are free.
+            let _ = cli::grid_from(&args);
+            let _ = cli::runnable_grid(&args);
+        }
     }
 
     #[test]

@@ -100,10 +100,16 @@ fn widths(n: usize) -> Vec<f64> {
 
 #[test]
 fn run_round_into_does_not_allocate_after_the_first_round() {
-    let suites: [(&str, SensorSuite, usize); 3] = [
+    // 32 sensors is the most `k_covered_span` fuses without allocating.
+    let suites: [(&str, SensorSuite, usize); 4] = [
         ("landshark", arsf_sensor::suite::landshark(), 1),
         ("widths-9", arsf_sensor::suite::from_widths(&widths(9)), 2),
         ("widths-20", arsf_sensor::suite::from_widths(&widths(20)), 9),
+        (
+            "widths-32",
+            arsf_sensor::suite::from_widths(&widths(32)),
+            15,
+        ),
     ];
     let fusers = [
         FuserSpec::Marzullo,
@@ -191,7 +197,7 @@ fn run_round_into_does_not_allocate_after_the_first_round() {
             }
         }
     }
-    assert_eq!(checked, 3 * 7 * 3 * 5 * 3);
+    assert_eq!(checked, 4 * 7 * 3 * 5 * 3);
 }
 
 #[test]

@@ -26,9 +26,10 @@ use crate::FusionError;
 /// Computes Marzullo's fusion interval for `intervals` under the assumption
 /// that at most `f` of them are faulty.
 ///
-/// Runs the counting kernel of [`k_covered_span`] up to 32 intervals
-/// (`O(n²)` compares, no sort, no allocation) and its `O(n log n)` sort
-/// sweep above.
+/// Runs [`k_covered_span`]: up to 32 intervals it sorts the endpoints on
+/// the stack with a merge-exchange sorting network (`O(n log² n)`
+/// branch-free compares, no allocation) and sweeps them once; above 32
+/// it runs an allocating `O(n log n)` sort sweep.
 ///
 /// # Errors
 ///

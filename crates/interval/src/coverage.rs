@@ -8,10 +8,11 @@
 //!
 //! This module provides two implementations:
 //!
-//! * [`k_covered_span`] — answers the span question directly: a counting
-//!   kernel on the stack up to 32 intervals (no sort, no branches in its
-//!   inner loop, no allocation), an `O(n log n)` sort sweep above; this is
-//!   what the fusion crate calls in production,
+//! * [`k_covered_span`] — answers the span question directly: up to 32
+//!   intervals it sorts the endpoints on the stack with a branch-free
+//!   sorting network and finds the span in one sweep (no allocation), an
+//!   `O(n log n)` allocating sort sweep above; this is what the fusion
+//!   crate calls in production,
 //! * [`CoverageMap`] — a full piecewise-constant coverage profile, used by
 //!   the naive reference fuser, the attacker's optimisers and the test
 //!   suite to cross-validate the kernel.
@@ -26,6 +27,10 @@ use crate::{Interval, Scalar};
 ///
 /// `k == 0` is rejected (`None`): every point of the real line is trivially
 /// covered by zero intervals, so the span would be unbounded.
+///
+/// A zero endpoint of the span may carry either sign when the input has
+/// both `-0.0` and `0.0` endpoints: they compare equal, so the sort may
+/// leave them in either order.
 ///
 /// # Example
 ///
@@ -50,61 +55,125 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
     if k == 0 || k > n {
         return None;
     }
-    if n > COUNTING_MAX {
+    if n > NETWORK_MAX {
         return sort_sweep_span(intervals, k);
     }
-    let mut lo_stack = [T::ZERO; COUNTING_MAX];
-    let mut hi_stack = [T::ZERO; COUNTING_MAX];
-    let (los, his) = (&mut lo_stack[..n], &mut hi_stack[..n]);
-    // Start the searches from bounds every answer lies within: the least
-    // covered point is at most the greatest upper endpoint, the greatest
-    // covered point at least the least lower endpoint.
-    let (mut lo, mut hi) = (intervals[0].hi(), intervals[0].lo());
-    for ((l, h), s) in los.iter_mut().zip(his.iter_mut()).zip(intervals) {
-        *l = s.lo();
-        *h = s.hi();
-        lo = lo.max_scalar(s.hi());
-        hi = hi.min_scalar(s.lo());
+    // Sort the lower endpoints in the first lane and the upper endpoints
+    // in the second, both through the same comparators. `min_scalar` and
+    // `max_scalar` compile to selects, so no comparator branches.
+    let mut ends = [(T::ZERO, T::ZERO); NETWORK_MAX];
+    for (end, s) in ends.iter_mut().zip(intervals) {
+        *end = (s.lo(), s.hi());
     }
+    for &(i, j) in NETWORKS.of(n) {
+        let ((lo_i, hi_i), (lo_j, hi_j)) = (ends[usize::from(i)], ends[usize::from(j)]);
+        ends[usize::from(i)] = (lo_i.min_scalar(lo_j), hi_i.min_scalar(hi_j));
+        ends[usize::from(j)] = (lo_i.max_scalar(lo_j), hi_i.max_scalar(hi_j));
+    }
+    let ends = &ends[..n];
 
-    // The closed coverage at `x` is #{lo_j <= x} - #{hi_j < x}, which is
-    // #{lo_j <= x} + #{x <= hi_j} - n. Coverage only rises at a lower
-    // endpoint and only falls just after an upper one, so the least point
-    // covered `k` times is some lo_i and the greatest is some hi_i. Every
-    // candidate is counted against every interval, so the inner loop has no
-    // data-dependent branch; `<=` at both ends counts an interval that only
-    // touches the candidate, as closed-interval semantics require.
-    let need = n + k;
-    let mut found = false;
-    for (&a, &b) in los.iter().zip(his.iter()) {
-        let (mut at_a, mut at_b) = (0, 0);
-        for (&l, &h) in los.iter().zip(his.iter()) {
-            at_a += usize::from(l <= a) + usize::from(a <= h);
-            at_b += usize::from(l <= b) + usize::from(b <= h);
+    // The closed coverage at `x` is #{lo_j <= x} - #{hi_j < x}. It only
+    // rises at a lower endpoint, so the least point covered `k` times is
+    // a lower endpoint, and at the `i`-th sorted one #{lo_j <= x} is at
+    // least `i + 1` (exactly, at the last of equal lows, which the scan
+    // reaches before any greater value). The uppers below the candidate
+    // only grow as it does, so one pointer walks them.
+    let mut below = 0;
+    let lo = (k - 1..n).find_map(|i| {
+        let x = ends[i].0;
+        // Stops in bounds: the greatest upper is at least every lower.
+        while ends[below].1 < x {
+            below += 1;
         }
-        let (a_covered, b_covered) = (at_a >= need, at_b >= need);
-        found |= a_covered;
-        // Indexing by the condition keeps the selects branch-free too: an
-        // `if` compiles to a jump that mispredicts on overlapping inputs.
-        lo = [lo, a][usize::from(a_covered & (a <= lo))];
-        hi = [hi, b][usize::from(b_covered & (b >= hi))];
-    }
-    found.then(|| {
-        Interval::new(lo, hi).unwrap_or_else(|_| unreachable!("the least covered point is first"))
-    })
+        (i + 1 - below >= k).then_some(x)
+    })?;
+    // Mirrored: coverage at `x` is also #{hi_j >= x} - #{lo_j > x}, and
+    // the greatest covered point is an upper endpoint.
+    let mut above = 0;
+    let hi = (0..=n - k).rev().find_map(|i| {
+        let x = ends[i].1;
+        while ends[n - 1 - above].0 > x {
+            above += 1;
+        }
+        (n - i - above >= k).then_some(x)
+    })?;
+    Some(Interval::new(lo, hi).unwrap_or_else(|_| unreachable!("the least covered point is first")))
 }
 
-/// The interval count up to which [`k_covered_span`] runs the `O(n²)`
-/// counting kernel on the stack; larger inputs take the `O(n log n)` sort
-/// sweep. In the `fusion_scaling` bench, which cycles through 1024
-/// distinct random inputs per size, counting is ~1.9× faster from 9 to 20
-/// intervals and ~1.1× at 24, even at 28 and 32, and ~8% slower at 40.
-/// The cut sits at the last size where counting is not slower, which also
-/// keeps fusion of up to 32 sensors allocation-free.
-const COUNTING_MAX: usize = 32;
+/// The interval count up to which [`k_covered_span`] sorts the endpoints
+/// on the stack with a merge-exchange network; larger inputs take the
+/// allocating sort sweep. In the `fusion_scaling` bench, which cycles
+/// through 1024 distinct random inputs per size, Marzullo fusion of 3
+/// intervals takes ~18 ns, 4 ~23 ns, 9 ~57 ns, 16 ~99 ns, 20 ~139 ns and
+/// 32 ~247 ns, against ~840 ns for the sort sweep at 33 (best of 20
+/// samples, 2 vCPU). The cut is the stack array's size, not a crossover:
+/// 32 sensors is the largest suite the engine promises to fuse without
+/// allocating.
+const NETWORK_MAX: usize = 32;
+
+/// Batcher's merge-exchange sorting networks for every input count up to
+/// [`NETWORK_MAX`], generated at compile time.
+static NETWORKS: Networks<NETWORK_PAIRS> = Networks::generate();
+
+/// The comparator count of all of [`NETWORKS`] together.
+const NETWORK_PAIRS: usize = Networks::<0>::generate().start[NETWORK_MAX + 1];
+
+/// Sorting networks for `0..=NETWORK_MAX` inputs, concatenated.
+struct Networks<const CAP: usize> {
+    /// Compare-exchange pairs `(i, j)` with `i < j`: after each, slot `i`
+    /// holds the smaller value and slot `j` the larger.
+    pairs: [(u8, u8); CAP],
+    /// The network for `n` inputs is `pairs[start[n]..start[n + 1]]`.
+    start: [usize; NETWORK_MAX + 2],
+}
+
+impl<const CAP: usize> Networks<CAP> {
+    /// Runs Knuth's Algorithm M (TAOCP §5.2.2) for each `n`, keeping the
+    /// first `CAP` comparators; with `CAP = 0` it only counts them.
+    const fn generate() -> Self {
+        let mut pairs = [(0, 0); CAP];
+        let mut start = [0; NETWORK_MAX + 2];
+        let mut len = 0;
+        let mut n = 2;
+        while n <= NETWORK_MAX {
+            start[n] = len;
+            // t = ⌈log₂ n⌉; p, q and d are powers of two or their gaps.
+            let t = usize::BITS - (n - 1).leading_zeros();
+            let mut p = 1 << (t - 1);
+            while p > 0 {
+                let (mut q, mut r, mut d) = (1 << (t - 1), 0, p);
+                loop {
+                    let mut i = 0;
+                    while i + d < n {
+                        if i & p == r {
+                            if len < CAP {
+                                pairs[len] = (i as u8, (i + d) as u8);
+                            }
+                            len += 1;
+                        }
+                        i += 1;
+                    }
+                    if q == p {
+                        break;
+                    }
+                    (d, q, r) = (q - p, q / 2, p);
+                }
+                p /= 2;
+            }
+            n += 1;
+        }
+        start[NETWORK_MAX + 1] = len;
+        Self { pairs, start }
+    }
+
+    /// The comparators that sort `n <= NETWORK_MAX` inputs.
+    fn of(&self, n: usize) -> &[(u8, u8)] {
+        &self.pairs[self.start[n]..self.start[n + 1]]
+    }
+}
 
 /// [`k_covered_span`] by sorting the lower and upper endpoints separately
-/// and merging them in one sweep, for inputs above [`COUNTING_MAX`].
+/// and merging them in one sweep, for inputs above [`NETWORK_MAX`].
 fn sort_sweep_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<Interval<T>> {
     let n = intervals.len();
     let mut endpoints = Vec::with_capacity(2 * n);
@@ -226,7 +295,8 @@ impl<T: Scalar> CoverageMap<T> {
     /// `k`, or `None` when coverage never reaches `k` (or `k == 0`).
     ///
     /// Agrees with [`k_covered_span`], which is cheaper when only the span
-    /// is needed: a counting kernel up to 32 intervals, a sort sweep above.
+    /// is needed: it sorts the endpoints on the stack, without building a
+    /// profile.
     pub fn span_at_least(&self, k: usize) -> Option<Interval<T>> {
         if k == 0 {
             return None;
@@ -319,7 +389,78 @@ mod tests {
     }
 
     #[test]
-    fn counting_kernel_matches_sort_sweep_and_coverage_map() {
+    fn merge_exchange_networks_have_batchers_comparator_counts() {
+        let counts: Vec<usize> = (0..=NETWORK_MAX).map(|n| NETWORKS.of(n).len()).collect();
+        assert_eq!(counts[..5], [0, 0, 1, 3, 5]);
+        assert_eq!((counts[9], counts[16], counts[32]), (26, 63, 191));
+        for n in 0..=NETWORK_MAX {
+            for &(i, j) in NETWORKS.of(n) {
+                assert!(i < j && usize::from(j) < n, "n = {n}: ({i}, {j})");
+            }
+        }
+    }
+
+    /// The comparators of `NETWORKS.of(values.len())` applied as the
+    /// kernel applies them.
+    fn network_sort(values: &mut [f64]) {
+        for &(i, j) in NETWORKS.of(values.len()) {
+            let (a, b) = (values[usize::from(i)], values[usize::from(j)]);
+            values[usize::from(i)] = a.min_scalar(b);
+            values[usize::from(j)] = a.max_scalar(b);
+        }
+    }
+
+    /// By the 0-1 principle a comparator network sorts every input iff it
+    /// sorts every input of zeros and ones, so this proves the networks
+    /// up to 16 inputs. Bit `i` of `ones` is slot `i`.
+    #[test]
+    fn merge_exchange_networks_sort_every_zero_one_input() {
+        for n in 0..=16 {
+            for input in 0_u32..1 << n {
+                let mut ones = input;
+                for &(i, j) in NETWORKS.of(n) {
+                    if ones >> i & 1 == 1 && ones >> j & 1 == 0 {
+                        ones ^= 1 << i | 1 << j;
+                    }
+                }
+                // Sorted: zeros in the low slots, every one above them.
+                let zeros = n - input.count_ones() as usize;
+                let sorted = ((1_u64 << n) - (1_u64 << zeros)) as u32;
+                assert_eq!(ones, sorted, "n = {n}, input {input:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_exchange_networks_sort_random_floats_above_16() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for n in 17..=NETWORK_MAX {
+            for round in 0..1000 {
+                let mut values: Vec<f64> = (0..n)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let unit = (state >> 11) as f64 / (1_u64 << 53) as f64;
+                        // Every other input draws from 8 values, so ties
+                        // are common; the rest are distinct.
+                        if round % 2 == 0 {
+                            (unit * 8.0).floor() - 4.0
+                        } else {
+                            unit * 200.0 - 100.0
+                        }
+                    })
+                    .collect();
+                let mut expected = values.clone();
+                expected.sort_by(f64::total_cmp);
+                network_sort(&mut values);
+                assert_eq!(values, expected, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn network_kernel_matches_sort_sweep_and_coverage_map() {
         let mut state = 0x9e37_79b9_7f4a_7c15;
         for n in 1..=40 {
             for _ in 0..60 {
@@ -368,7 +509,7 @@ mod tests {
         (0..r).fold(1, |acc, i| acc * (m - i) / (i + 1))
     }
 
-    /// The counting kernel and the sort sweep only compare endpoints, so
+    /// The network kernel and the sort sweep only compare endpoints, so
     /// their output is a function of the endpoints' weak order, and an
     /// integer grid of `2n` values realises every weak order of `n`
     /// intervals. Enumerating every ordered configuration on that grid
@@ -422,11 +563,7 @@ mod tests {
                     let expected = first
                         .zip(last)
                         .map(|(a, b)| Interval::new(a as i64, b as i64).unwrap());
-                    assert_eq!(
-                        k_covered_span(&xs, k),
-                        expected,
-                        "counting, k = {k}, {xs:?}"
-                    );
+                    assert_eq!(k_covered_span(&xs, k), expected, "network, k = {k}, {xs:?}");
                     assert_eq!(
                         sort_sweep_span(&xs, k),
                         expected,
