@@ -281,13 +281,7 @@ fn single_axis_pairs(grid: &SweepGrid) -> Vec<(usize, usize, &'static str)> {
     type Len = fn(&SweepGrid) -> usize;
     type Get = fn(&AxisCoords) -> usize;
     type Set = fn(&mut AxisCoords, usize);
-    const AXES: [(&str, Len, Get, Set); 8] = [
-        (
-            "suites",
-            |g| g.suite_axis().len(),
-            |c| c.suite,
-            |c, v| c.suite = v,
-        ),
+    const AXES: [(&str, Len, Get, Set); 7] = [
         (
             "fault_sets",
             |g| g.fault_set_axis().len(),

@@ -23,7 +23,7 @@ use crate::{sort_findings, Finding, Location};
 ///
 /// Axis-level checks (`duplicate-axis-value`, `seed-collision`) see the
 /// whole grid; scenario-level checks run over the
-/// suites × fault-sets × attackers and detectors × rounds combination
+/// fault-sets × attackers and detectors × rounds combination
 /// groups with the remaining axes pinned, each finding located at a
 /// representative [`Location::Cell`]. Findings come back sorted
 /// most-severe-first.
@@ -32,17 +32,14 @@ pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
     check_grid(grid, &mut findings);
 
     let mut seen: HashSet<(&'static str, String)> = HashSet::new();
-    for suite in 0..grid.suite_axis().len() {
-        for fault_set in 0..grid.fault_set_axis().len() {
-            for attacker in 0..grid.attacker_axis().len() {
-                let coords = AxisCoords {
-                    suite,
-                    fault_set,
-                    attacker,
-                    ..AxisCoords::default()
-                };
-                scan_cell(grid, coords, &mut seen, &mut findings);
-            }
+    for fault_set in 0..grid.fault_set_axis().len() {
+        for attacker in 0..grid.attacker_axis().len() {
+            let coords = AxisCoords {
+                fault_set,
+                attacker,
+                ..AxisCoords::default()
+            };
+            scan_cell(grid, coords, &mut seen, &mut findings);
         }
     }
     for detector in 0..grid.detector_axis().len() {

@@ -150,11 +150,7 @@ fn check_detector_window(scenario: &Scenario, location: &Location, out: &mut Vec
 
 /// Runs the grid checks: duplicated axis values, then seed collisions.
 pub(crate) fn check_grid(grid: &SweepGrid, out: &mut Vec<Finding>) {
-    let labelled: [(&'static str, Vec<String>); 8] = [
-        (
-            "suites",
-            grid.suite_axis().iter().map(|s| s.label()).collect(),
-        ),
+    let labelled: [(&'static str, Vec<String>); 7] = [
         (
             "fault_sets",
             grid.fault_set_axis()

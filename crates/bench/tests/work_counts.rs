@@ -1,6 +1,7 @@
-//! Exact work counts of the golden grids: the heap allocations (and
-//! requested bytes) every cell makes inside its rounds and while its
-//! runner is built, pinned per grid.
+//! Exact work counts of the golden grids, perfbench's platoon grid and
+//! a small honest 9-sensor grid: the heap allocations (and requested
+//! bytes) every cell makes inside its rounds and while its runner is
+//! built, pinned per grid.
 //!
 //! Wall time differs between machines and between runs; these counts do
 //! not. The engine is deterministic given its seed, so a layer that
@@ -22,8 +23,11 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 
 use arsf_bench::golden;
+use arsf_core::scenario::{FuserSpec, Scenario, SuiteSpec};
 use arsf_core::sweep::SweepGrid;
-use arsf_core::{RoundOutcome, ScenarioRunner};
+use arsf_core::{DetectionMode, RoundOutcome, ScenarioRunner};
+use arsf_schedule::SchedulePolicy;
+use arsf_sensor::{FaultKind, FaultModel};
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -95,11 +99,47 @@ struct Pinned {
 }
 
 #[rustfmt::skip]
-const PINNED: [Pinned; 3] = [
-    Pinned { grid: "open-loop-48", rounds: 5760, round_allocs: 246359, round_bytes: 13603990, build_allocs: 948 },
-    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 51200, round_bytes: 2721276, build_allocs: 102 },
-    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 153238, round_bytes: 8142446, build_allocs: 246 },
+const PINNED: [Pinned; 4] = [
+    Pinned { grid: "open-loop-48", rounds: 5760, round_allocs: 246359, round_bytes: 13603990, build_allocs: 468 },
+    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 51200, round_bytes: 2721276, build_allocs: 48 },
+    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 153238, round_bytes: 8142446, build_allocs: 144 },
+    Pinned { grid: "honest-wide", rounds: 1600, round_allocs: 76, round_bytes: 2382, build_allocs: 132 },
 ];
+
+/// A 16-cell grid shaped like perfbench's `open-honest-wide`: the same
+/// honest 9-sensor `Widths` suite, `f = 2` and bias fault on sensor 4,
+/// under its four fusers, two detectors and two schedules, at one seed
+/// and 100 rounds a cell. A runner build that does per-sensor work
+/// (a name, a copy of the widths) moves `build_allocs` by a multiple of
+/// nine.
+fn honest_wide() -> SweepGrid {
+    let base = Scenario::new(
+        "honest-wide",
+        SuiteSpec::Widths(vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]),
+    )
+    .with_f(2)
+    .with_fault(4, FaultModel::new(FaultKind::Bias { offset: 6.0 }, 0.25))
+    .with_rounds(100);
+    SweepGrid::new(base)
+        .fusers([
+            FuserSpec::Marzullo,
+            FuserSpec::BrooksIyengar,
+            FuserSpec::InverseVariance,
+            FuserSpec::Historical {
+                max_rate: 3.5,
+                dt: 0.1,
+            },
+        ])
+        .detectors([
+            DetectionMode::Immediate,
+            DetectionMode::Windowed {
+                window: 10,
+                tolerance: 3,
+            },
+        ])
+        .schedules([SchedulePolicy::Ascending, SchedulePolicy::Descending])
+        .seeds([2014])
+}
 
 /// perfbench's `closed-loop` platoon grid: the Table II base driven as a
 /// 3-vehicle platoon over Table II's schedule and seed axes, at the
@@ -183,4 +223,9 @@ fn table2_closed_loop_work_counts_are_pinned() {
 #[test]
 fn table2_platoon_work_counts_are_pinned() {
     check(&PINNED[2], &table2_platoon());
+}
+
+#[test]
+fn honest_wide_work_counts_are_pinned() {
+    check(&PINNED[3], &honest_wide());
 }

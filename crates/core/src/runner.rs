@@ -16,7 +16,9 @@ use crate::closed_loop::landshark::LandShark;
 use crate::closed_loop::platoon::Platoon;
 use crate::closed_loop::supervisor::SupervisorAction;
 use crate::metrics::{SupervisorSummary, VehicleSummary, WidthStats};
-use crate::scenario::{draw_random_attacker, AttackerSpec, PlatoonSpec, Scenario, ScenarioError};
+use crate::scenario::{
+    draw_random_attacker, AttackerSpec, PlatoonSpec, Scenario, ScenarioError, TruthSpec,
+};
 use crate::{FusionPipeline, RoundOutcome};
 
 /// Aggregated results of one scenario run.
@@ -54,9 +56,9 @@ pub struct BatchSummary {
 }
 
 impl BatchSummary {
-    fn new(scenario: &Scenario, fuser: &str, detector: &str) -> Self {
+    fn new(scenario: &str, fuser: &str, detector: &str) -> Self {
         Self {
-            scenario: scenario.name.clone(),
+            scenario: scenario.to_string(),
             fuser: fuser.to_string(),
             detector: detector.to_string(),
             rounds: 0,
@@ -126,7 +128,15 @@ impl BatchSummary {
 /// ```
 #[derive(Debug)]
 pub struct ScenarioRunner {
-    scenario: Scenario,
+    /// The scenario's name, for [`BatchSummary::scenario`].
+    name: String,
+    /// The open-loop ground truth, read once per round.
+    truth: TruthSpec,
+    /// The scenario's configured round count, for [`ScenarioRunner::run`].
+    rounds: u64,
+    /// Whether the attacked sensor is redrawn every open-loop round
+    /// ([`AttackerSpec::RandomEachRound`]).
+    redraw_attacker: bool,
     engine: Engine,
     rng: StdRng,
     round: u64,
@@ -155,7 +165,7 @@ fn build_engine(scenario: &Scenario) -> Engine {
 }
 
 impl ScenarioRunner {
-    /// Materialises a scenario (cloned) into a runnable engine: an
+    /// Materialises a scenario into a runnable engine: an
     /// open-loop [`FusionPipeline`], or — for closed-loop scenarios — a
     /// [`LandShark`] / [`Platoon`] driven through the vehicle control
     /// loop.
@@ -181,7 +191,10 @@ impl ScenarioRunner {
     pub fn try_new(scenario: &Scenario) -> Result<Self, ScenarioError> {
         scenario.validate()?;
         Ok(Self {
-            scenario: scenario.clone(),
+            name: scenario.name.clone(),
+            truth: scenario.truth,
+            rounds: scenario.rounds,
+            redraw_attacker: scenario.attacker == AttackerSpec::RandomEachRound,
             engine: build_engine(scenario),
             rng: StdRng::seed_from_u64(scenario.seed),
             round: 0,
@@ -197,10 +210,10 @@ impl ScenarioRunner {
     pub fn step_into(&mut self, out: &mut RoundOutcome) {
         match &mut self.engine {
             Engine::Open(pipeline) => {
-                if self.scenario.attacker == AttackerSpec::RandomEachRound {
+                if self.redraw_attacker {
                     draw_random_attacker(pipeline, &mut self.rng);
                 }
-                let truth = self.scenario.truth.at(self.round);
+                let truth = self.truth.at(self.round);
                 pipeline.run_round_into(truth, &mut self.rng, out);
             }
             Engine::Shark(shark) => {
@@ -248,7 +261,7 @@ impl ScenarioRunner {
     /// executing many scenarios back to back.
     pub fn run_into(&mut self, out: &mut RoundOutcome) -> BatchSummary {
         let mut summary = self.summary_shell();
-        for _ in 0..self.scenario.rounds {
+        for _ in 0..self.rounds {
             self.step_into(out);
             summary.record(out);
         }
@@ -263,7 +276,7 @@ impl ScenarioRunner {
             Engine::Platoon(platoon) => platoon.sharks()[0].pipeline(),
         };
         BatchSummary::new(
-            &self.scenario,
+            &self.name,
             pipeline.fuser().name(),
             pipeline.detector().name(),
         )
@@ -443,7 +456,7 @@ mod tests {
     fn failed_round_does_not_erase_standing_condemnations() {
         use arsf_interval::Interval;
         let scenario = quick("condemn");
-        let mut summary = BatchSummary::new(&scenario, "marzullo", "windowed");
+        let mut summary = BatchSummary::new(&scenario.name, "marzullo", "windowed");
         let mut fused_round = RoundOutcome {
             truth: 10.0,
             fusion: Ok(Interval::new(9.0, 11.0).unwrap()),
@@ -466,7 +479,7 @@ mod tests {
         // flagged vec in a reused buffer inflated the count.
         use arsf_interval::Interval;
         let scenario = quick("stale-flags");
-        let mut summary = BatchSummary::new(&scenario, "marzullo", "immediate");
+        let mut summary = BatchSummary::new(&scenario.name, "marzullo", "immediate");
         let mut buffer = RoundOutcome {
             truth: 10.0,
             fusion: Ok(Interval::new(9.0, 11.0).unwrap()),
@@ -496,7 +509,7 @@ mod tests {
             .with_rounds(200);
         let mut runner = ScenarioRunner::new(&scenario);
         let mut out = RoundOutcome::default();
-        let mut summary = BatchSummary::new(&scenario, "marzullo", "immediate");
+        let mut summary = BatchSummary::new(&scenario.name, "marzullo", "immediate");
         let mut fused_flagged = 0;
         for _ in 0..scenario.rounds {
             runner.step_into(&mut out);

@@ -23,7 +23,8 @@ use arsf_fusion::{
     MidpointMedianFuser,
 };
 use arsf_schedule::SchedulePolicy;
-use arsf_sensor::{FaultKind, FaultModel, SensorSuite};
+use arsf_sensor::suite::LANDSHARK_SPECS;
+use arsf_sensor::{FaultKind, FaultModel, SensorSpec, SensorSuite};
 use rand::Rng;
 
 use crate::{DetectionMode, FusionPipeline, PipelineConfig};
@@ -132,10 +133,11 @@ impl SuiteSpec {
         }
     }
 
-    /// The number of sensors the built suite will have.
+    /// The number of sensors the built suite will have, read from the
+    /// declaration without building a sensor.
     pub fn len(&self) -> usize {
         match self {
-            SuiteSpec::Landshark => self.build().len(),
+            SuiteSpec::Landshark => LANDSHARK_SPECS.len(),
             SuiteSpec::Widths(widths) => widths.len(),
         }
     }
@@ -143,10 +145,13 @@ impl SuiteSpec {
     /// The declared interval widths of the built suite, in sensor-id
     /// order — the a-priori information the paper's static guarantees
     /// (Marzullo's regime conditions, Theorem 2) are computed from,
-    /// without sampling a single reading.
+    /// without building a sensor or sampling a single reading.
     pub(crate) fn widths(&self) -> Vec<f64> {
         match self {
-            SuiteSpec::Landshark => self.build().widths(),
+            SuiteSpec::Landshark => LANDSHARK_SPECS
+                .iter()
+                .map(SensorSpec::interval_width)
+                .collect(),
             SuiteSpec::Widths(widths) => widths.clone(),
         }
     }
@@ -981,205 +986,171 @@ fn check_parameter(
 ///
 /// Names are unique; [`find`] looks one up.
 pub fn registry() -> Vec<Scenario> {
-    let attacked = |schedule: SchedulePolicy| {
-        Scenario::new(
-            format!("landshark-{}-attacked", schedule.name()),
-            SuiteSpec::Landshark,
-        )
+    PRESETS.iter().map(|&(name, build)| build(name)).collect()
+}
+
+/// Looks a preset up by name, building only that preset.
+pub fn find(name: &str) -> Option<Scenario> {
+    PRESETS
+        .iter()
+        .find(|(preset, _)| *preset == name)
+        .map(|&(name, build)| build(name))
+}
+
+/// The LandShark under `schedule` with encoder 0 forged by the
+/// phantom-optimal attacker.
+fn attacked(name: &str, schedule: SchedulePolicy) -> Scenario {
+    Scenario::new(name, SuiteSpec::Landshark)
         .with_schedule(schedule)
         .with_attacker(AttackerSpec::Fixed {
             sensors: vec![0],
             strategy: StrategySpec::PhantomOptimal,
         })
-    };
-    vec![
-        Scenario::new("landshark-honest", SuiteSpec::Landshark),
-        attacked(SchedulePolicy::Ascending),
-        attacked(SchedulePolicy::Descending),
-        attacked(SchedulePolicy::Random),
-        attacked(SchedulePolicy::Descending)
-            .named("landshark-descending-historical")
-            .with_fuser(FuserSpec::Historical {
-                max_rate: 3.5,
-                dt: 0.1,
-            }),
-        attacked(SchedulePolicy::Descending)
-            .named("landshark-descending-brooks-iyengar")
-            .with_fuser(FuserSpec::BrooksIyengar),
-        attacked(SchedulePolicy::Descending)
-            .named("ablation-detection-off")
-            .with_detector(DetectionMode::Off),
-        Scenario::new("ablation-windowed-gps-fault", SuiteSpec::Landshark)
-            .with_fault(
-                2,
-                FaultModel::new(arsf_sensor::FaultKind::Bias { offset: 3.0 }, 0.2),
-            )
-            .with_detector(DetectionMode::Windowed {
-                window: 20,
-                tolerance: 6,
-            }),
-        Scenario::new("table1-n3", SuiteSpec::Widths(vec![5.0, 11.0, 17.0]))
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_truth(TruthSpec::Constant(0.0)),
-        Scenario::new("platoon-ramp", SuiteSpec::Landshark)
-            .with_truth(TruthSpec::Ramp {
-                start: 10.0,
-                rate_per_round: 0.002,
-            })
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::GreedyHigh,
-            }),
-        // Sweep-era presets: the platoon family and the stealthy-attacker
-        // × windowed-detector design space the grid sweeps explore.
-        Scenario::new("platoon-stealthy-windowed", SuiteSpec::Landshark)
-            .with_truth(TruthSpec::Ramp {
-                start: 10.0,
-                rate_per_round: 0.002,
-            })
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_detector(DetectionMode::Windowed {
-                window: 20,
-                tolerance: 6,
-            }),
-        Scenario::new("platoon-greedy-low", SuiteSpec::Landshark)
-            .with_truth(TruthSpec::Ramp {
-                start: 10.0,
-                rate_per_round: -0.002,
-            })
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::GreedyLow,
-            }),
-        Scenario::new("platoon-historical-windowed", SuiteSpec::Landshark)
-            .with_truth(TruthSpec::Ramp {
-                start: 10.0,
-                rate_per_round: 0.002,
-            })
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_fuser(FuserSpec::Historical {
-                max_rate: 3.5,
-                dt: 0.1,
-            })
-            .with_detector(DetectionMode::Windowed {
-                window: 20,
-                tolerance: 6,
-            }),
-        Scenario::new("stealthy-windowed-strict", SuiteSpec::Landshark)
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_detector(DetectionMode::Windowed {
-                window: 10,
-                tolerance: 2,
-            }),
-        Scenario::new("stealthy-windowed-lenient", SuiteSpec::Landshark)
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_detector(DetectionMode::Windowed {
-                window: 30,
-                tolerance: 10,
-            }),
-        Scenario::new("greedy-high-windowed", SuiteSpec::Landshark)
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::GreedyHigh,
-            })
-            .with_detector(DetectionMode::Windowed {
-                window: 10,
-                tolerance: 3,
-            }),
-        Scenario::new(
-            "table1-n5-stealthy",
-            SuiteSpec::Widths(vec![5.0, 5.0, 5.0, 5.0, 20.0]),
-        )
-        .with_f(2)
-        .with_attacker(AttackerSpec::Fixed {
-            sensors: vec![0],
-            strategy: StrategySpec::PhantomOptimal,
-        })
-        .with_truth(TruthSpec::Constant(0.0)),
-        // Closed-loop presets: Table II's three schedule cells (one
-        // uniformly-random compromised sensor per round, LandShark at
-        // 10 mph inside the [9.5, 10.5] envelope) and the platoon under
-        // the historical-fusion defence.
-        table2_preset(SchedulePolicy::Ascending),
-        table2_preset(SchedulePolicy::Descending),
-        table2_preset(SchedulePolicy::Random),
-        // The formerly-impossible closed-loop combinations, now plain
-        // cells: fault injection and non-phantom strategies in the loop.
-        Scenario::new("table2-faulted-gps", SuiteSpec::Landshark)
-            .with_attacker(AttackerSpec::RandomEachRound)
-            .with_fault(
-                2,
-                FaultModel::new(arsf_sensor::FaultKind::Bias { offset: 3.0 }, 0.2),
-            )
-            .with_detector(DetectionMode::Windowed {
-                window: 20,
-                tolerance: 6,
-            })
-            .with_closed_loop(ClosedLoopSpec::new(10.0)),
-        Scenario::new("table2-greedy-descending", SuiteSpec::Landshark)
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::GreedyHigh,
-            })
-            .with_closed_loop(ClosedLoopSpec::new(10.0)),
-        Scenario::new("platoon-historical", SuiteSpec::Landshark)
-            .with_schedule(SchedulePolicy::Descending)
-            .with_attacker(AttackerSpec::RandomEachRound)
-            .with_fuser(FuserSpec::Historical {
-                max_rate: 3.5,
-                dt: 0.1,
-            })
-            .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(3, 0.01)),
-        // Regression-baseline base scenarios: the golden grids CI's
-        // `baseline-check` job re-runs are built around these two (see
-        // `arsf_bench::golden`), so their axes are part of the committed
-        // baselines' content addresses — change them and the baselines
-        // must be re-recorded.
-        Scenario::new("baseline-open-loop", SuiteSpec::Landshark)
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::PhantomOptimal,
-            })
-            .with_rounds(120),
-        Scenario::new("baseline-table2", SuiteSpec::Landshark)
-            .with_attacker(AttackerSpec::RandomEachRound)
-            .with_rounds(200)
-            .with_closed_loop(ClosedLoopSpec::new(10.0)),
-    ]
 }
 
-fn table2_preset(schedule: SchedulePolicy) -> Scenario {
-    Scenario::new(format!("table2-{}", schedule.name()), SuiteSpec::Landshark)
+/// Table II's closed-loop cell under `schedule`: one uniformly-random
+/// compromised sensor per round, LandShark at 10 mph inside the
+/// [9.5, 10.5] envelope.
+fn table2_preset(name: &str, schedule: SchedulePolicy) -> Scenario {
+    Scenario::new(name, SuiteSpec::Landshark)
         .with_schedule(schedule)
         .with_attacker(AttackerSpec::RandomEachRound)
         .with_closed_loop(ClosedLoopSpec::new(10.0))
 }
 
-/// Looks a preset up by name.
-pub fn find(name: &str) -> Option<Scenario> {
-    registry().into_iter().find(|s| s.name == name)
-}
+/// The registry in order: each preset's name and the function that
+/// builds the preset under that name, so a lookup builds one scenario.
+type Preset = (&'static str, fn(&'static str) -> Scenario);
+
+#[rustfmt::skip]
+const PRESETS: &[Preset] = &[
+    ("landshark-honest", |name| Scenario::new(name, SuiteSpec::Landshark)),
+    ("landshark-ascending-attacked", |name| attacked(name, SchedulePolicy::Ascending)),
+    ("landshark-descending-attacked", |name| attacked(name, SchedulePolicy::Descending)),
+    ("landshark-random-attacked", |name| attacked(name, SchedulePolicy::Random)),
+    ("landshark-descending-historical", |name| {
+        attacked(name, SchedulePolicy::Descending)
+            .with_fuser(FuserSpec::Historical { max_rate: 3.5, dt: 0.1 })
+    }),
+    ("landshark-descending-brooks-iyengar", |name| {
+        attacked(name, SchedulePolicy::Descending).with_fuser(FuserSpec::BrooksIyengar)
+    }),
+    ("ablation-detection-off", |name| {
+        attacked(name, SchedulePolicy::Descending).with_detector(DetectionMode::Off)
+    }),
+    ("ablation-windowed-gps-fault", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_fault(2, FaultModel::new(FaultKind::Bias { offset: 3.0 }, 0.2))
+            .with_detector(DetectionMode::Windowed { window: 20, tolerance: 6 })
+    }),
+    ("table1-n3", |name| {
+        Scenario::new(name, SuiteSpec::Widths(vec![5.0, 11.0, 17.0]))
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::PhantomOptimal,
+            })
+            .with_truth(TruthSpec::Constant(0.0))
+    }),
+    ("platoon-ramp", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_truth(TruthSpec::Ramp { start: 10.0, rate_per_round: 0.002 })
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::GreedyHigh,
+            })
+    }),
+    // Sweep-era presets: the platoon family and the stealthy-attacker
+    // × windowed-detector design space the grid sweeps explore.
+    ("platoon-stealthy-windowed", |name| {
+        attacked(name, SchedulePolicy::Descending)
+            .with_truth(TruthSpec::Ramp { start: 10.0, rate_per_round: 0.002 })
+            .with_detector(DetectionMode::Windowed { window: 20, tolerance: 6 })
+    }),
+    ("platoon-greedy-low", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_truth(TruthSpec::Ramp { start: 10.0, rate_per_round: -0.002 })
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::GreedyLow,
+            })
+    }),
+    ("platoon-historical-windowed", |name| {
+        attacked(name, SchedulePolicy::Descending)
+            .with_truth(TruthSpec::Ramp { start: 10.0, rate_per_round: 0.002 })
+            .with_fuser(FuserSpec::Historical { max_rate: 3.5, dt: 0.1 })
+            .with_detector(DetectionMode::Windowed { window: 20, tolerance: 6 })
+    }),
+    ("stealthy-windowed-strict", |name| {
+        attacked(name, SchedulePolicy::Descending)
+            .with_detector(DetectionMode::Windowed { window: 10, tolerance: 2 })
+    }),
+    ("stealthy-windowed-lenient", |name| {
+        attacked(name, SchedulePolicy::Descending)
+            .with_detector(DetectionMode::Windowed { window: 30, tolerance: 10 })
+    }),
+    ("greedy-high-windowed", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_schedule(SchedulePolicy::Descending)
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::GreedyHigh,
+            })
+            .with_detector(DetectionMode::Windowed { window: 10, tolerance: 3 })
+    }),
+    ("table1-n5-stealthy", |name| {
+        Scenario::new(name, SuiteSpec::Widths(vec![5.0, 5.0, 5.0, 5.0, 20.0]))
+            .with_f(2)
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::PhantomOptimal,
+            })
+            .with_truth(TruthSpec::Constant(0.0))
+    }),
+    // Closed-loop presets: Table II's three schedule cells and the
+    // platoon under the historical-fusion defence.
+    ("table2-ascending", |name| table2_preset(name, SchedulePolicy::Ascending)),
+    ("table2-descending", |name| table2_preset(name, SchedulePolicy::Descending)),
+    ("table2-random", |name| table2_preset(name, SchedulePolicy::Random)),
+    // The formerly-impossible closed-loop combinations, now plain
+    // cells: fault injection and non-phantom strategies in the loop.
+    ("table2-faulted-gps", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_attacker(AttackerSpec::RandomEachRound)
+            .with_fault(2, FaultModel::new(FaultKind::Bias { offset: 3.0 }, 0.2))
+            .with_detector(DetectionMode::Windowed { window: 20, tolerance: 6 })
+            .with_closed_loop(ClosedLoopSpec::new(10.0))
+    }),
+    ("table2-greedy-descending", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_schedule(SchedulePolicy::Descending)
+            .with_attacker(AttackerSpec::Fixed {
+                sensors: vec![0],
+                strategy: StrategySpec::GreedyHigh,
+            })
+            .with_closed_loop(ClosedLoopSpec::new(10.0))
+    }),
+    ("platoon-historical", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_schedule(SchedulePolicy::Descending)
+            .with_attacker(AttackerSpec::RandomEachRound)
+            .with_fuser(FuserSpec::Historical { max_rate: 3.5, dt: 0.1 })
+            .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(3, 0.01))
+    }),
+    // Regression-baseline base scenarios: the golden grids CI's
+    // `baseline-check` job re-runs are built around these two (see
+    // `arsf_bench::golden`), so their axes are part of the committed
+    // baselines' content addresses — change them and the baselines
+    // must be re-recorded.
+    ("baseline-open-loop", |name| {
+        attacked(name, SchedulePolicy::Ascending).with_rounds(120)
+    }),
+    ("baseline-table2", |name| {
+        Scenario::new(name, SuiteSpec::Landshark)
+            .with_attacker(AttackerSpec::RandomEachRound)
+            .with_rounds(200)
+            .with_closed_loop(ClosedLoopSpec::new(10.0))
+    }),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1200,15 +1171,28 @@ mod tests {
         assert!(find("no-such-scenario").is_none());
     }
 
+    /// `len` and `widths` read the declaration without building; they
+    /// must agree with the suite that is built, bit for bit.
     #[test]
-    fn suite_specs_build_correct_sizes() {
-        assert_eq!(
-            SuiteSpec::Landshark.build().len(),
-            SuiteSpec::Landshark.len()
-        );
-        let widths = SuiteSpec::Widths(vec![1.0, 2.0]);
-        assert_eq!(widths.build().len(), 2);
-        assert!(!widths.is_empty());
+    fn suite_len_and_widths_match_the_built_suite() {
+        let bits = |widths: Vec<f64>| widths.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let suites = registry().into_iter().map(|preset| preset.suite).chain([
+            SuiteSpec::Widths(vec![1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]),
+            SuiteSpec::Widths(vec![0.1, 0.0, 1e-3]),
+            SuiteSpec::Widths(vec![]),
+        ]);
+        for suite in suites {
+            let built = suite.build();
+            assert_eq!(suite.len(), built.len(), "{}", suite.label());
+            assert_eq!(suite.is_empty(), built.is_empty(), "{}", suite.label());
+            assert_eq!(
+                bits(suite.widths()),
+                bits(built.widths()),
+                "{}",
+                suite.label()
+            );
+        }
+        assert_eq!(SuiteSpec::Landshark.len(), 4);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! hand-listing every combination and executing serially. This module
 //! turns the cross-product itself into a first-class value:
 //!
-//! * [`SweepGrid`] — a builder over experiment *axes* (suites, fault
-//!   sets, attackers, schedules, fusers, detectors, rounds, seeds) that
+//! * [`SweepGrid`] — a builder over experiment *axes* (fault sets,
+//!   attackers, schedules, fusers, detectors, rounds, seeds) that
 //!   lazily yields the cartesian product of [`Scenario`]s. Each cell's
 //!   RNG seed is derived deterministically from the seed-axis value and
 //!   the cell index ([`derive_seed`]), so any cell is reproducible in
@@ -70,7 +70,7 @@ use arsf_schedule::SchedulePolicy;
 use arsf_sensor::FaultModel;
 
 use crate::runner::{BatchSummary, ScenarioRunner};
-use crate::scenario::{faults_label, AttackerSpec, FuserSpec, Scenario, SuiteSpec};
+use crate::scenario::{faults_label, AttackerSpec, FuserSpec, Scenario};
 use crate::{DetectionMode, RoundOutcome};
 
 /// Derives the RNG seed for one grid cell from the seed-axis value and
@@ -93,14 +93,13 @@ pub fn derive_seed(base: u64, cell: u64) -> u64 {
 /// [`Scenario`]s.
 ///
 /// Every axis starts as a singleton holding the base scenario's value;
-/// the builder methods replace one axis at a time. Cell `i` is decoded
-/// in row-major order with the axes nested (slowest to fastest):
-/// suites, fault sets, attackers, schedules, fusers, detectors, rounds,
-/// seeds.
+/// the builder methods replace one axis at a time. Every cell runs the
+/// base scenario's sensor suite. Cell `i` is decoded in row-major order
+/// with the axes nested (slowest to fastest): fault sets, attackers,
+/// schedules, fusers, detectors, rounds, seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     base: Scenario,
-    suites: Vec<SuiteSpec>,
     fault_sets: Vec<Vec<(usize, FaultModel)>>,
     attackers: Vec<AttackerSpec>,
     schedules: Vec<SchedulePolicy>,
@@ -121,7 +120,6 @@ impl SweepGrid {
     /// widen one axis each.
     pub fn new(base: Scenario) -> Self {
         Self {
-            suites: vec![base.suite.clone()],
             fault_sets: vec![base.faults.clone()],
             attackers: vec![base.attacker.clone()],
             schedules: vec![base.schedule.clone()],
@@ -193,11 +191,6 @@ impl SweepGrid {
         &self.base
     }
 
-    /// The sensor-suite axis values.
-    pub fn suite_axis(&self) -> &[SuiteSpec] {
-        &self.suites
-    }
-
     /// The fault-injection axis values.
     pub fn fault_set_axis(&self) -> &[Vec<(usize, FaultModel)>] {
         &self.fault_sets
@@ -236,7 +229,8 @@ impl SweepGrid {
 
     /// The grid-order cell index of the cell with the given per-axis
     /// coordinates — the inverse of the row-major decoding
-    /// [`SweepGrid::scenario`] performs (seeds fastest, suites slowest).
+    /// [`SweepGrid::scenario`] performs (seeds fastest, fault sets
+    /// slowest).
     ///
     /// Static analyses use it to point a finding about an axis *value*
     /// at a concrete representative cell.
@@ -246,7 +240,6 @@ impl SweepGrid {
     /// Panics if any coordinate is out of range for its axis.
     pub fn cell_index(&self, coords: AxisCoords) -> usize {
         let axes = [
-            (coords.suite, self.suites.len(), "suite"),
             (coords.fault_set, self.fault_sets.len(), "fault_set"),
             (coords.attacker, self.attackers.len(), "attacker"),
             (coords.schedule, self.schedules.len(), "schedule"),
@@ -289,9 +282,7 @@ impl SweepGrid {
         let schedule = pick(self.schedules.len());
         let attacker = pick(self.attackers.len());
         let fault_set = pick(self.fault_sets.len());
-        let suite = pick(self.suites.len());
         AxisCoords {
-            suite,
             fault_set,
             attacker,
             schedule,
@@ -310,7 +301,6 @@ impl SweepGrid {
     #[allow(clippy::len_without_is_empty)] // axes are never empty: len() >= 1
     pub fn len(&self) -> usize {
         [
-            self.suites.len(),
             self.fault_sets.len(),
             self.attackers.len(),
             self.schedules.len(),
@@ -345,10 +335,9 @@ impl SweepGrid {
         let schedule = self.schedules[pick(self.schedules.len())].clone();
         let attacker = self.attackers[pick(self.attackers.len())].clone();
         let faults = self.fault_sets[pick(self.fault_sets.len())].clone();
-        let suite = self.suites[pick(self.suites.len())].clone();
         Scenario {
             name: format!("{}#{}", self.base.name, index),
-            suite,
+            suite: self.base.suite.clone(),
             faults,
             attacker,
             schedule,
@@ -382,8 +371,6 @@ impl SweepGrid {
 /// value of each axis) — the argument of [`SweepGrid::cell_index`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AxisCoords {
-    /// Index into the suite axis.
-    pub suite: usize,
     /// Index into the fault-set axis.
     pub fault_set: usize,
     /// Index into the attacker axis.
@@ -461,7 +448,7 @@ fn run_cell(index: usize, scenario: Scenario, buffer: &mut RoundOutcome) -> Swee
 pub struct SweepRow {
     /// The cell index in grid order.
     pub cell: usize,
-    /// Suite label (see [`SuiteSpec::label`]).
+    /// Suite label (see [`SuiteSpec::label`](crate::scenario::SuiteSpec::label)).
     pub suite: String,
     /// Fault-set label (see [`faults_label`]) — without it two rows of a
     /// `fault_sets(...)` axis would be indistinguishable except by cell
@@ -537,7 +524,7 @@ impl SweepReport {
 mod tests {
     use super::row::{csv_field, json_string};
     use super::*;
-    use crate::scenario::StrategySpec;
+    use crate::scenario::{StrategySpec, SuiteSpec};
     use arsf_sensor::{FaultKind, FaultModel};
     use std::ops::Range;
 
@@ -910,7 +897,6 @@ mod tests {
         assert_eq!(grid.detector_axis().len(), 3);
         assert_eq!(grid.schedule_axis().len(), 2);
         assert_eq!(grid.seed_axis(), &[2014, 99]);
-        assert_eq!(grid.suite_axis(), &[SuiteSpec::Landshark]);
         assert_eq!(grid.fault_set_axis(), &[vec![]]);
         assert_eq!(grid.attacker_axis().len(), 1);
         assert_eq!(grid.rounds_axis(), &[10]);

@@ -124,10 +124,9 @@ pub(crate) fn canonical_definition(grid: &SweepGrid) -> String {
         "closed_loop={}\n",
         closed_loop_label(&base.closed_loop)
     ));
-    out.push_str(&format!(
-        "suites={}\n",
-        join(grid.suites.iter().map(|s| s.label()))
-    ));
+    // The suite is the base scenario's; the line keeps the v1 form of
+    // a one-value axis, so committed content addresses stay put.
+    out.push_str(&format!("suites={}\n", base.suite.label()));
     out.push_str(&format!(
         "fault_sets={}\n",
         join(

@@ -18,10 +18,7 @@ fn suite_strategy() -> impl Strategy<Value = Vec<f64>> {
 
 fn build_suite(radii: &[f64]) -> SensorSuite {
     SensorSuite::from_specs(
-        radii
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| SensorSpec::new(format!("s{i}"), r)),
+        radii.iter().map(|&r| SensorSpec::new(r)),
         NoiseModel::Uniform,
     )
 }

@@ -6,8 +6,9 @@
 //! * [`marzullo`] — Marzullo's algorithm: given `n` abstract-sensor
 //!   intervals and an assumed fault count `f`, the fusion interval spans
 //!   the smallest to the largest point contained in at least `n − f`
-//!   intervals (a sorting network and one sweep on the stack up to 32
-//!   intervals, an `O(n log n)` sort sweep above),
+//!   intervals (the endpoints sorted by a sorting network on the stack up
+//!   to 32 intervals, by an `O(n log n)` sort in a heap buffer above,
+//!   then one scan),
 //! * [`naive`] — an `O(n²)` reference implementation used to cross-validate
 //!   the production kernel in tests and benchmarks,
 //! * [`brooks_iyengar`] — the Brooks–Iyengar hybrid algorithm, the robust

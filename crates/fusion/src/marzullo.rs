@@ -28,8 +28,8 @@ use crate::FusionError;
 ///
 /// Runs [`k_covered_span`]: up to 32 intervals it sorts the endpoints on
 /// the stack with a merge-exchange sorting network (`O(n log² n)`
-/// branch-free compares, no allocation) and sweeps them once; above 32
-/// it runs an allocating `O(n log n)` sort sweep.
+/// branch-free compares, no allocation); above 32 it sorts them in one
+/// heap buffer (`O(n log n)`). Either way one scan finds the span.
 ///
 /// # Errors
 ///

@@ -8,11 +8,11 @@
 //!
 //! This module provides two implementations:
 //!
-//! * [`k_covered_span`] — answers the span question directly: up to 32
-//!   intervals it sorts the endpoints on the stack with a branch-free
-//!   sorting network and finds the span in one sweep (no allocation), an
-//!   `O(n log n)` allocating sort sweep above; this is what the fusion
-//!   crate calls in production,
+//! * [`k_covered_span`] — answers the span question directly: it sorts
+//!   the lower and the upper endpoints (on the stack with a branch-free
+//!   sorting network up to 32 intervals, so without allocating; in one
+//!   heap buffer above) and finds the span in one two-pointer scan; this
+//!   is what the fusion crate calls in production,
 //! * [`CoverageMap`] — a full piecewise-constant coverage profile, used by
 //!   the naive reference fuser, the attacker's optimisers and the test
 //!   suite to cross-validate the kernel.
@@ -56,7 +56,18 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
         return None;
     }
     if n > NETWORK_MAX {
-        return sort_sweep_span(intervals, k);
+        // Too many for the stack: sort each lane in one heap buffer.
+        let mut ends = Vec::with_capacity(2 * n);
+        ends.extend(intervals.iter().map(|s| s.lo()));
+        ends.extend(intervals.iter().map(|s| s.hi()));
+        let (los, his) = ends.split_at_mut(n);
+        let by_value = |a: &T, b: &T| {
+            a.partial_cmp(b)
+                .unwrap_or_else(|| unreachable!("interval endpoints are finite by construction"))
+        };
+        los.sort_unstable_by(by_value);
+        his.sort_unstable_by(by_value);
+        return sorted_span(n, k, |i| los[i], |i| his[i]);
     }
     // Sort the lower endpoints in the first lane and the upper endpoints
     // in the second, both through the same comparators. `min_scalar` and
@@ -71,7 +82,21 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
         ends[usize::from(j)] = (lo_i.max_scalar(lo_j), hi_i.max_scalar(hi_j));
     }
     let ends = &ends[..n];
+    sorted_span(n, k, |i| ends[i].0, |i| ends[i].1)
+}
 
+/// The span of the points covered by at least `1 <= k <= n` of `n`
+/// closed intervals, given the `i`-th least lower endpoint `lo(i)` and
+/// the `i`-th least upper endpoint `hi(i)` for `i < n`.
+// Inlined into both callers, so the network path indexes its stack
+// array in place.
+#[inline(always)]
+fn sorted_span<T: Scalar>(
+    n: usize,
+    k: usize,
+    lo: impl Fn(usize) -> T,
+    hi: impl Fn(usize) -> T,
+) -> Option<Interval<T>> {
     // The closed coverage at `x` is #{lo_j <= x} - #{hi_j < x}. It only
     // rises at a lower endpoint, so the least point covered `k` times is
     // a lower endpoint, and at the `i`-th sorted one #{lo_j <= x} is at
@@ -79,10 +104,10 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
     // reaches before any greater value). The uppers below the candidate
     // only grow as it does, so one pointer walks them.
     let mut below = 0;
-    let lo = (k - 1..n).find_map(|i| {
-        let x = ends[i].0;
+    let least = (k - 1..n).find_map(|i| {
+        let x = lo(i);
         // Stops in bounds: the greatest upper is at least every lower.
-        while ends[below].1 < x {
+        while hi(below) < x {
             below += 1;
         }
         (i + 1 - below >= k).then_some(x)
@@ -90,23 +115,26 @@ pub fn k_covered_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<
     // Mirrored: coverage at `x` is also #{hi_j >= x} - #{lo_j > x}, and
     // the greatest covered point is an upper endpoint.
     let mut above = 0;
-    let hi = (0..=n - k).rev().find_map(|i| {
-        let x = ends[i].1;
-        while ends[n - 1 - above].0 > x {
+    let greatest = (0..=n - k).rev().find_map(|i| {
+        let x = hi(i);
+        while lo(n - 1 - above) > x {
             above += 1;
         }
         (n - i - above >= k).then_some(x)
     })?;
-    Some(Interval::new(lo, hi).unwrap_or_else(|_| unreachable!("the least covered point is first")))
+    Some(
+        Interval::new(least, greatest)
+            .unwrap_or_else(|_| unreachable!("the least covered point is first")),
+    )
 }
 
 /// The interval count up to which [`k_covered_span`] sorts the endpoints
-/// on the stack with a merge-exchange network; larger inputs take the
-/// allocating sort sweep. In the `fusion_scaling` bench, which cycles
-/// through 1024 distinct random inputs per size, Marzullo fusion of 3
-/// intervals takes ~18 ns, 4 ~23 ns, 9 ~57 ns, 16 ~99 ns, 20 ~139 ns and
-/// 32 ~247 ns, against ~840 ns for the sort sweep at 33 (best of 20
-/// samples, 2 vCPU). The cut is the stack array's size, not a crossover:
+/// on the stack with a merge-exchange network; larger inputs sort them in
+/// a heap buffer. In the `fusion_scaling` bench, which cycles through
+/// 1024 distinct random inputs per size, Marzullo fusion of 3 intervals
+/// takes ~18 ns, 4 ~23 ns, 9 ~57 ns, 16 ~99 ns, 20 ~139 ns and 32
+/// ~247 ns, against ~840 ns for the heap sort at 33 (best of 20 samples,
+/// 2 vCPU). The cut is the stack array's size, not a crossover:
 /// 32 sensors is the largest suite the engine promises to fuse without
 /// allocating.
 const NETWORK_MAX: usize = 32;
@@ -169,52 +197,6 @@ impl<const CAP: usize> Networks<CAP> {
     /// The comparators that sort `n <= NETWORK_MAX` inputs.
     fn of(&self, n: usize) -> &[(u8, u8)] {
         &self.pairs[self.start[n]..self.start[n + 1]]
-    }
-}
-
-/// [`k_covered_span`] by sorting the lower and upper endpoints separately
-/// and merging them in one sweep, for inputs above [`NETWORK_MAX`].
-fn sort_sweep_span<T: Scalar>(intervals: &[Interval<T>], k: usize) -> Option<Interval<T>> {
-    let n = intervals.len();
-    let mut endpoints = Vec::with_capacity(2 * n);
-    endpoints.extend(intervals.iter().map(|s| s.lo()));
-    endpoints.extend(intervals.iter().map(|s| s.hi()));
-    let (los, his) = endpoints.split_at_mut(n);
-    let by_value = |a: &T, b: &T| {
-        a.partial_cmp(b)
-            .unwrap_or_else(|| unreachable!("interval endpoints are finite by construction"))
-    };
-    los.sort_unstable_by(by_value);
-    his.sort_unstable_by(by_value);
-
-    // Merge: at equal coordinates the lower endpoint is taken first, so
-    // touching closed intervals count as overlapping at the shared point.
-    let (mut i, mut j, mut count) = (0, 0, 0);
-    let mut lo: Option<T> = None;
-    let mut hi: Option<T> = None;
-    while j < n {
-        if i < n && los[i] <= his[j] {
-            count += 1;
-            if count == k && lo.is_none() {
-                lo = Some(los[i]);
-            }
-            i += 1;
-        } else {
-            if count == k {
-                // Coverage drops below k just after this point; the point
-                // itself is still covered k times (closed upper endpoint).
-                hi = Some(his[j]);
-            }
-            count -= 1;
-            j += 1;
-        }
-    }
-    match (lo, hi) {
-        (Some(lo), Some(hi)) => Some(
-            Interval::new(lo, hi)
-                .unwrap_or_else(|_| unreachable!("sweep produces ordered endpoints")),
-        ),
-        _ => None,
     }
 }
 
@@ -459,8 +441,10 @@ mod tests {
         }
     }
 
+    /// n = 1..40 crosses the cut between the stack network and the heap
+    /// sort.
     #[test]
-    fn network_kernel_matches_sort_sweep_and_coverage_map() {
+    fn kernel_matches_coverage_map() {
         let mut state = 0x9e37_79b9_7f4a_7c15;
         for n in 1..=40 {
             for _ in 0..60 {
@@ -468,9 +452,6 @@ mod tests {
                 let map = CoverageMap::build(&xs);
                 for k in 0..=n + 1 {
                     let kernel = k_covered_span(&xs, k);
-                    let sweep = sort_sweep_span(&xs, k);
-                    assert_eq!(kernel, sweep, "n = {n}, k = {k}, {xs:?}");
-                    assert!(same_endpoints(kernel, sweep), "n = {n}, k = {k}, {xs:?}");
                     let profile = map.span_at_least(k);
                     assert_eq!(kernel, profile, "n = {n}, k = {k}, {xs:?}");
                     assert!(same_endpoints(kernel, profile), "n = {n}, k = {k}, {xs:?}");
@@ -509,11 +490,11 @@ mod tests {
         (0..r).fold(1, |acc, i| acc * (m - i) / (i + 1))
     }
 
-    /// The network kernel and the sort sweep only compare endpoints, so
+    /// The span kernel and the coverage map only compare endpoints, so
     /// their output is a function of the endpoints' weak order, and an
     /// integer grid of `2n` values realises every weak order of `n`
     /// intervals. Enumerating every ordered configuration on that grid
-    /// therefore proves both kernels for `n ≤ 4` (for any `Scalar`, since
+    /// therefore proves both for `n ≤ 4` (for any `Scalar`, since
     /// no arithmetic is involved). `n = 5` and `6` take every sorted
     /// multiset (the output is order-invariant) on 8 and 6 grid values.
     /// Each span, for every `k` in `0..=n + 1`, must equal
@@ -564,11 +545,6 @@ mod tests {
                         .zip(last)
                         .map(|(a, b)| Interval::new(a as i64, b as i64).unwrap());
                     assert_eq!(k_covered_span(&xs, k), expected, "network, k = {k}, {xs:?}");
-                    assert_eq!(
-                        sort_sweep_span(&xs, k),
-                        expected,
-                        "sort sweep, k = {k}, {xs:?}"
-                    );
                     assert_eq!(
                         map.span_at_least(k),
                         expected,

@@ -9,8 +9,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`SensorSpec`] — the static description (name, precision, jitter)
-//!   from which interval radii are derived,
+//! * [`SensorSpec`] — the static description (precision, jitter) from
+//!   which interval radii are derived; a sensor is identified by its
+//!   index in the suite ([`SensorId`]), not by a name,
 //! * [`NoiseModel`] — bounded in-interval noise models; the paper's
 //!   analysis is distribution-free, so any bounded model yields a *correct*
 //!   sensor,
@@ -27,8 +28,9 @@
 //! use arsf_sensor::{NoiseModel, Sensor, SensorSpec};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let spec = SensorSpec::new("gps", 0.45).with_jitter(0.05);
-//! let mut gps = Sensor::new(0, spec, NoiseModel::Uniform);
+//! // The case study's GPS: sensor 2 of the LandShark suite.
+//! let spec = SensorSpec::new(0.45).with_jitter(0.05);
+//! let mut gps = Sensor::new(2, spec, NoiseModel::Uniform);
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let m = gps.sample(10.0, &mut rng);
 //! assert!(m.interval.contains(10.0), "no fault injected, so correct");

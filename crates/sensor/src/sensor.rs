@@ -61,7 +61,7 @@ impl From<usize> for SensorId {
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(5);
-/// let mut sensor = Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform)
+/// let mut sensor = Sensor::new(0, SensorSpec::new(0.5), NoiseModel::Uniform)
 ///     .with_fault(FaultModel::new(FaultKind::Bias { offset: 50.0 }, 1.0));
 /// let m = sensor.sample(10.0, &mut rng);
 /// assert!(!m.interval.contains(10.0), "a firing bias fault breaks correctness");
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn honest_sensor_is_always_correct() {
         let mut rng = rng();
-        let mut s = Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform);
+        let mut s = Sensor::new(0, SensorSpec::new(0.5), NoiseModel::Uniform);
         for _ in 0..500 {
             let m = s.sample(10.0, &mut rng);
             assert!(m.interval.contains(10.0));
@@ -156,8 +156,7 @@ mod tests {
     #[test]
     fn an_overflowing_reading_is_dropped() {
         let fault = FaultModel::new(FaultKind::Scale { factor: 1e300 }, 1.0);
-        let mut s =
-            Sensor::new(0, SensorSpec::new("gps", 0.5), NoiseModel::Uniform).with_fault(fault);
+        let mut s = Sensor::new(0, SensorSpec::new(0.5), NoiseModel::Uniform).with_fault(fault);
         assert!(s.try_sample(1e10, &mut rng()).is_none());
         assert!(s.try_sample(10.0, &mut rng()).is_some());
     }
@@ -165,7 +164,7 @@ mod tests {
     #[test]
     fn zero_radius_sensor_reports_exactly() {
         let mut rng = rng();
-        let mut s = Sensor::new(1, SensorSpec::new("oracle", 0.0), NoiseModel::Uniform);
+        let mut s = Sensor::new(1, SensorSpec::new(0.0), NoiseModel::Uniform);
         let m = s.sample(3.25, &mut rng);
         assert_eq!(m.value, 3.25);
         assert_eq!(m.interval.width(), 0.0);
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn firing_bias_fault_breaks_correctness() {
         let mut rng = rng();
-        let mut s = Sensor::new(2, SensorSpec::new("gps", 0.5), NoiseModel::None)
+        let mut s = Sensor::new(2, SensorSpec::new(0.5), NoiseModel::None)
             .with_fault(FaultModel::new(FaultKind::Bias { offset: 10.0 }, 1.0));
         let m = s.sample(0.0, &mut rng);
         assert_eq!(m.value, 10.0);
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn silent_fault_drops_reading() {
         let mut rng = rng();
-        let mut s = Sensor::new(3, SensorSpec::new("cam", 1.0), NoiseModel::None)
+        let mut s = Sensor::new(3, SensorSpec::new(1.0), NoiseModel::None)
             .with_fault(FaultModel::new(FaultKind::Silent, 1.0));
         assert!(s.try_sample(5.0, &mut rng).is_none());
     }
@@ -193,7 +192,7 @@ mod tests {
     #[should_panic(expected = "Silent fault")]
     fn sample_panics_on_silenced_sensor() {
         let mut rng = rng();
-        let mut s = Sensor::new(3, SensorSpec::new("cam", 1.0), NoiseModel::None)
+        let mut s = Sensor::new(3, SensorSpec::new(1.0), NoiseModel::None)
             .with_fault(FaultModel::new(FaultKind::Silent, 1.0));
         let _ = s.sample(5.0, &mut rng);
     }
@@ -201,7 +200,7 @@ mod tests {
     #[test]
     fn non_firing_fault_keeps_sensor_correct() {
         let mut rng = rng();
-        let mut s = Sensor::new(4, SensorSpec::new("enc", 0.1), NoiseModel::Uniform)
+        let mut s = Sensor::new(4, SensorSpec::new(0.1), NoiseModel::Uniform)
             .with_fault(FaultModel::new(FaultKind::StuckAt { value: 0.0 }, 0.0));
         for _ in 0..100 {
             assert!(s.sample(10.0, &mut rng).interval.contains(10.0));

@@ -1,9 +1,7 @@
 //! Static sensor specifications.
 
-use core::fmt;
-
-/// The static description of one sensor: a display name, the
-/// manufacturer's precision guarantee `δ` and an extra jitter allowance.
+/// The static description of one sensor: the manufacturer's precision
+/// guarantee `δ` and an extra jitter allowance.
 ///
 /// The paper constructs each abstract interval with radius `δ` around the
 /// raw measurement, "further increased if the worst-case guarantees for
@@ -13,38 +11,40 @@ use core::fmt;
 /// property the paper's schedule analysis relies on (widths are the only
 /// a-priori information).
 ///
+/// A spec carries no name: a sensor's identity is its index in the suite
+/// ([`SensorId`](crate::SensorId)), and the case study's sensor roles are
+/// documented on [`suite::landshark`](crate::suite::landshark).
+///
 /// # Example
 ///
 /// ```
 /// use arsf_sensor::SensorSpec;
 ///
-/// let spec = SensorSpec::new("encoder-left", 0.08).with_jitter(0.02);
+/// let spec = SensorSpec::new(0.08).with_jitter(0.02);
 /// assert_eq!(spec.radius(), 0.1);
 /// assert_eq!(spec.interval_width(), 0.2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorSpec {
-    name: String,
     precision: f64,
     jitter: f64,
 }
 
 impl SensorSpec {
-    /// Creates a spec with the given display name and precision `δ`
-    /// (half-width of the guaranteed error band) and zero jitter.
+    /// Creates a spec with the given precision `δ` (half-width of the
+    /// guaranteed error band) and zero jitter.
     ///
     /// # Panics
     ///
     /// Panics if `precision` is negative or not finite — specs are static
     /// configuration, so a bad value is a programming error.
-    pub fn new(name: impl Into<String>, precision: f64) -> Self {
+    pub const fn new(precision: f64) -> Self {
         assert!(
             precision.is_finite() && precision >= 0.0,
             "precision must be finite and non-negative"
         );
         Self {
-            name: name.into(),
             precision,
             jitter: 0.0,
         }
@@ -56,7 +56,7 @@ impl SensorSpec {
     ///
     /// Panics if `jitter` is negative or not finite.
     #[must_use]
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
+    pub const fn with_jitter(mut self, jitter: f64) -> Self {
         assert!(
             jitter.is_finite() && jitter >= 0.0,
             "jitter must be finite and non-negative"
@@ -73,12 +73,6 @@ impl SensorSpec {
     /// The interval width: `2 × radius`.
     pub fn interval_width(&self) -> f64 {
         2.0 * self.radius()
-    }
-}
-
-impl fmt::Display for SensorSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} (±{})", self.name, self.radius())
     }
 }
 
@@ -127,33 +121,26 @@ mod tests {
 
     #[test]
     fn radius_combines_precision_and_jitter() {
-        let spec = SensorSpec::new("s", 0.4).with_jitter(0.1);
+        let spec = SensorSpec::new(0.4).with_jitter(0.1);
         assert_eq!(spec.radius(), 0.5);
         assert_eq!(spec.interval_width(), 1.0);
-        assert_eq!(spec.to_string(), "s (±0.5)");
     }
 
     #[test]
     #[should_panic(expected = "precision must be finite")]
     fn negative_precision_panics() {
-        let _ = SensorSpec::new("bad", -1.0);
+        let _ = SensorSpec::new(-1.0);
     }
 
     #[test]
     #[should_panic(expected = "jitter must be finite")]
     fn negative_jitter_panics() {
-        let _ = SensorSpec::new("bad", 1.0).with_jitter(-0.5);
+        let _ = SensorSpec::new(1.0).with_jitter(-0.5);
     }
 
     #[test]
     fn zero_jitter_default() {
-        assert_eq!(SensorSpec::new("s", 0.25).radius(), 0.25);
-    }
-
-    #[test]
-    fn display_mentions_name_and_radius() {
-        let spec = SensorSpec::new("gps", 0.5);
-        assert_eq!(spec.to_string(), "gps (±0.5)");
+        assert_eq!(SensorSpec::new(0.25).radius(), 0.25);
     }
 
     /// The case-study encoder calibration at `speed_mph`.

@@ -120,38 +120,37 @@ impl Extend<Sensor> for SensorSuite {
     }
 }
 
-/// The LandShark speed-sensing suite from the paper's case study:
+/// The LandShark speed-sensing suite from the paper's case study, in
+/// sensor-id order (most precise first):
 ///
-/// | sensor     | interval width (mph) | source                        |
-/// |------------|----------------------|-------------------------------|
-/// | encoder-l  | 0.2                  | manufacturer spec (192 c/rev) |
-/// | encoder-r  | 0.2                  | manufacturer spec             |
-/// | GPS        | 1.0                  | determined empirically        |
-/// | camera     | 2.0                  | determined empirically        |
+/// | id | role                | interval width (mph) | source                        |
+/// |----|---------------------|----------------------|-------------------------------|
+/// | 0  | left wheel encoder  | 0.2                  | manufacturer spec (192 c/rev) |
+/// | 1  | right wheel encoder | 0.2                  | manufacturer spec             |
+/// | 2  | GPS                 | 1.0                  | determined empirically        |
+/// | 3  | camera              | 2.0                  | determined empirically        |
 ///
-/// Sensors use [`NoiseModel::Uniform`]; ids are assigned in the order
-/// above (most precise first, matching the table).
+/// Sensors use [`NoiseModel::Uniform`] and are built from
+/// [`LANDSHARK_SPECS`].
 pub fn landshark() -> SensorSuite {
-    SensorSuite::from_specs(
-        [
-            SensorSpec::new("encoder-left", 0.095).with_jitter(0.005),
-            SensorSpec::new("encoder-right", 0.095).with_jitter(0.005),
-            SensorSpec::new("gps", 0.45).with_jitter(0.05),
-            SensorSpec::new("camera", 0.9).with_jitter(0.1),
-        ],
-        NoiseModel::Uniform,
-    )
+    SensorSuite::from_specs(LANDSHARK_SPECS, NoiseModel::Uniform)
 }
+
+/// The specs of the [`landshark`] suite, in sensor-id order: the
+/// suite's size and widths without building a sensor.
+pub const LANDSHARK_SPECS: [SensorSpec; 4] = [
+    SensorSpec::new(0.095).with_jitter(0.005), // left wheel encoder
+    SensorSpec::new(0.095).with_jitter(0.005), // right wheel encoder
+    SensorSpec::new(0.45).with_jitter(0.05),   // GPS
+    SensorSpec::new(0.9).with_jitter(0.1),     // camera
+];
 
 /// A uniform-noise suite with the given interval *widths* (half of each
 /// width becomes the precision), used by the Table I experiments where
 /// setups are described by width multisets such as `L = {5, 11, 17}`.
 pub fn from_widths(widths: &[f64]) -> SensorSuite {
     SensorSuite::from_specs(
-        widths
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| SensorSpec::new(format!("s{i}"), w * 0.5)),
+        widths.iter().map(|&w| SensorSpec::new(w * 0.5)),
         NoiseModel::Uniform,
     )
 }
@@ -178,7 +177,7 @@ mod tests {
     fn from_widths_builds_matching_specs() {
         let suite = from_widths(&[5.0, 11.0, 17.0]);
         assert_eq!(suite.widths(), vec![5.0, 11.0, 17.0]);
-        assert_eq!(suite.sensors()[1].spec().to_string(), "s1 (±5.5)");
+        assert_eq!(suite.sensors()[1].spec().radius(), 5.5);
     }
 
     #[test]
@@ -208,12 +207,12 @@ mod tests {
     #[test]
     fn collect_and_extend() {
         let sensors = vec![
-            Sensor::new(0, SensorSpec::new("a", 1.0), NoiseModel::None),
-            Sensor::new(1, SensorSpec::new("b", 2.0), NoiseModel::None),
+            Sensor::new(0, SensorSpec::new(1.0), NoiseModel::None),
+            Sensor::new(1, SensorSpec::new(2.0), NoiseModel::None),
         ];
         let mut suite: SensorSuite = sensors.into_iter().collect();
         assert_eq!(suite.len(), 2);
-        suite.extend([Sensor::new(2, SensorSpec::new("c", 3.0), NoiseModel::None)]);
+        suite.extend([Sensor::new(2, SensorSpec::new(3.0), NoiseModel::None)]);
         assert_eq!(suite.len(), 3);
         assert!(!suite.is_empty());
     }

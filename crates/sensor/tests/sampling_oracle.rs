@@ -64,11 +64,8 @@ fn suite(draws: &[SensorDraw]) -> SensorSuite {
             |(i, &(noise_index, noise_param, radius, (kind, param), p))| {
                 // A quarter of the radii are exactly zero.
                 let radius = if radius < 0.75 { 0.0 } else { radius - 0.75 };
-                let sensor = Sensor::new(
-                    i,
-                    SensorSpec::new(format!("s{i}"), radius),
-                    noise(noise_index, noise_param),
-                );
+                let sensor =
+                    Sensor::new(i, SensorSpec::new(radius), noise(noise_index, noise_param));
                 match fault_kind(kind, param) {
                     Some(kind) => sensor.with_fault(FaultModel::new(kind, probability(p, param))),
                     None => sensor,
@@ -114,7 +111,7 @@ proptest! {
         let mut fast_rng = StdRng::seed_from_u64(seed);
         let mut oracle_rng = fast_rng.clone();
         // A reused buffer that starts dirty: the suite clears it.
-        let mut readings = vec![Sensor::new(99, SensorSpec::new("stale", 1.0), NoiseModel::None)
+        let mut readings = vec![Sensor::new(99, SensorSpec::new(1.0), NoiseModel::None)
             .sample(0.0, &mut StdRng::seed_from_u64(0))];
         for round in 0..3 {
             fast.sample_all_into(truth, &mut fast_rng, &mut readings);
