@@ -5,7 +5,7 @@
 //!
 //! [`detect_report`] abstractly evaluates one [`Scenario`]: from the
 //! attacker's [`StrategyVisibility`], the fault set, the fuser's
-//! geometry and the detector's static [`DetectorModel`], it classifies
+//! geometry and the detector's [`DetectionMode`], it classifies
 //! the cell into a [`DetectVerdict`]:
 //!
 //! * [`DetectVerdict::ProvablyInvisible`] — the overlap check provably
@@ -43,7 +43,7 @@ use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategyVisibility}
 use arsf_core::sweep::row::decode_condemned;
 use arsf_core::sweep::store::{detector_label, Baseline};
 use arsf_core::sweep::SweepGrid;
-use arsf_detect::DetectorModel;
+use arsf_core::DetectionMode;
 use arsf_sensor::FaultKind;
 
 use crate::guarantees::{guarantee_report, GuaranteeReport};
@@ -147,8 +147,9 @@ pub struct DetectReport {
     pub corrupt: usize,
     /// The cell's verdict.
     pub verdict: DetectVerdict,
-    /// The detector's static characteristics.
-    pub detector: DetectorModel,
+    /// The cell's detector, whose flag, condemn and latency facts the
+    /// verdict uses.
+    pub detector: DetectionMode,
     /// Whether honest sensors are provably never flagged: the fused
     /// interval provably contains the truth (so it intersects every
     /// truth-containing interval), or provably intersects everything.
@@ -337,13 +338,13 @@ fn stealth_invisible(scenario: &Scenario, n: usize, guarantees: &GuaranteeReport
 pub fn detect_report(scenario: &Scenario) -> DetectReport {
     let model = scenario.static_model();
     let n = model.widths.len();
-    let detector = scenario.detector.model();
+    let detector = scenario.detector;
     let geometry = fuser_geometry_vacuous(&scenario.fuser);
     let guarantees = guarantee_report(scenario);
     let false_alarm_free = geometry || guarantees.truth_containment;
     let certain = certain_violators(scenario, &model.widths, &guarantees);
 
-    let verdict = if !detector.flags {
+    let verdict = if !detector.flags() {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::DetectorOff,
         }
@@ -428,7 +429,7 @@ pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
                 reason.describe()
             ),
             DetectVerdict::ProvablyFlagged { within } => {
-                let fate = if report.detector.condemns {
+                let fate = if report.detector.condemns() {
                     format!("condemned within {within} violating fused round(s)")
                 } else {
                     "flagged from the first fused round (this detector never condemns)".to_string()
@@ -458,7 +459,7 @@ pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
             ),
         ));
 
-        if report.detector.flags && fuser_geometry_vacuous(&scenario.fuser) {
+        if report.detector.flags() && fuser_geometry_vacuous(&scenario.fuser) {
             findings.push(DETECT_INVISIBLE.finding(
                 at(),
                 format!(
@@ -649,7 +650,7 @@ pub fn vet_baseline_detectability(
                 }
             }
             if let DetectVerdict::ProvablyFlagged { within } = report.verdict {
-                if report.detector.condemns && fused >= within as f64 {
+                if report.detector.condemns() && fused >= within as f64 {
                     for sensor in &report.certain {
                         if !condemned.contains(sensor) {
                             violation(

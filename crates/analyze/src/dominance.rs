@@ -69,7 +69,7 @@ use std::cmp::Ordering;
 use arsf_core::scenario::{FuserSpec, Scenario, StrategyVisibility};
 use arsf_core::sweep::diff::Tolerance;
 use arsf_core::sweep::store::Baseline;
-use arsf_core::sweep::{AxisCoords, SweepGrid};
+use arsf_core::sweep::{Axis, SweepGrid};
 use arsf_sensor::FaultKind;
 
 use crate::detectability::{detect_report, DetectVerdict};
@@ -187,8 +187,8 @@ pub struct OrderEdge {
     pub lesser: usize,
     /// The ⪰ side, by grid-order cell index.
     pub greater: usize,
-    /// The one axis the two cells differ on (`schedules`, `fusers`, …).
-    pub axis: &'static str,
+    /// The one axis the two cells differ on.
+    pub axis: Axis,
     /// The rule proving the ordering.
     pub rule: OrderRule,
     /// Stored columns the ordering is vetted over (`lesser ≤ greater`
@@ -212,7 +212,7 @@ pub struct BoundInversion {
     /// The cell the rule claims is ⪰.
     pub greater: usize,
     /// The one axis the two cells differ on.
-    pub axis: &'static str,
+    pub axis: Axis,
     /// The rule whose claim the derived bounds contradict.
     pub rule: OrderRule,
     /// The lesser cell's derived width bound.
@@ -246,7 +246,7 @@ pub struct DominanceReport {
     pub edges: Vec<OrderEdge>,
     /// Single-axis-differing cell pairs `(a, b, axis)` with `a < b` in
     /// grid order and no provable ordering in either direction.
-    pub incomparable: Vec<(usize, usize, &'static str)>,
+    pub incomparable: Vec<(usize, usize, Axis)>,
     /// Bound-level claims contradicted by the derived bounds.
     pub inversions: Vec<BoundInversion>,
     /// Per-cell f-monotonicity violations of the width bound.
@@ -277,61 +277,15 @@ fn cell_facts(grid: &SweepGrid) -> Vec<CellFacts> {
 
 /// Enumerates every unordered pair of cells differing in exactly one
 /// axis coordinate, each pair exactly once (`a < b` in grid order).
-fn single_axis_pairs(grid: &SweepGrid) -> Vec<(usize, usize, &'static str)> {
-    type Len = fn(&SweepGrid) -> usize;
-    type Get = fn(&AxisCoords) -> usize;
-    type Set = fn(&mut AxisCoords, usize);
-    const AXES: [(&str, Len, Get, Set); 7] = [
-        (
-            "fault_sets",
-            |g| g.fault_set_axis().len(),
-            |c| c.fault_set,
-            |c, v| c.fault_set = v,
-        ),
-        (
-            "attackers",
-            |g| g.attacker_axis().len(),
-            |c| c.attacker,
-            |c, v| c.attacker = v,
-        ),
-        (
-            "schedules",
-            |g| g.schedule_axis().len(),
-            |c| c.schedule,
-            |c, v| c.schedule = v,
-        ),
-        (
-            "fusers",
-            |g| g.fuser_axis().len(),
-            |c| c.fuser,
-            |c, v| c.fuser = v,
-        ),
-        (
-            "detectors",
-            |g| g.detector_axis().len(),
-            |c| c.detector,
-            |c, v| c.detector = v,
-        ),
-        (
-            "rounds",
-            |g| g.rounds_axis().len(),
-            |c| c.rounds,
-            |c, v| c.rounds = v,
-        ),
-        (
-            "seeds",
-            |g| g.seed_axis().len(),
-            |c| c.seed,
-            |c, v| c.seed = v,
-        ),
-    ];
+fn single_axis_pairs(grid: &SweepGrid) -> Vec<(usize, usize, Axis)> {
+    let shape = grid.shape();
     let mut pairs = Vec::new();
     for index in 0..grid.len() {
         let coords = grid.coords(index);
-        for (axis, len, get, set) in AXES {
-            for other in get(&coords) + 1..len(grid) {
+        for (axis, len) in Axis::ALL.into_iter().zip(shape) {
+            for other in coords[axis as usize] + 1..len {
                 let mut neighbour = coords;
-                set(&mut neighbour, other);
+                neighbour[axis as usize] = other;
                 pairs.push((index, grid.cell_index(neighbour), axis));
             }
         }
@@ -358,7 +312,7 @@ fn edges_for_pair(
     facts: &[CellFacts],
     a: usize,
     b: usize,
-    axis: &'static str,
+    axis: Axis,
     edges: &mut Vec<OrderEdge>,
     inversions: &mut Vec<BoundInversion>,
 ) {
@@ -420,7 +374,7 @@ fn edges_for_pair(
     };
 
     match axis {
-        "schedules" => {
+        Axis::Schedules => {
             let ranks = (
                 fa.scenario.schedule.exposure_rank(),
                 fb.scenario.schedule.exposure_rank(),
@@ -447,7 +401,7 @@ fn edges_for_pair(
                 }
             }
         }
-        "fusers" => {
+        Axis::Fusers => {
             let historical = |s: &Scenario| matches!(s.fuser, FuserSpec::Historical { .. });
             let marzullo = |s: &Scenario| matches!(s.fuser, FuserSpec::Marzullo);
             if historical(&fa.scenario) && marzullo(&fb.scenario) {
@@ -456,7 +410,7 @@ fn edges_for_pair(
                 bound_claim(b, a, OrderRule::HistoryDefense);
             }
         }
-        "attackers" => {
+        Axis::Attackers => {
             match fa
                 .scenario
                 .attacker
@@ -467,7 +421,7 @@ fn edges_for_pair(
                 _ => {}
             }
         }
-        "fault_sets" => {
+        Axis::FaultSets => {
             let subset =
                 |x: &Scenario, y: &Scenario| x.faults.iter().all(|entry| y.faults.contains(entry));
             let a_in_b = subset(&fa.scenario, &fb.scenario);
@@ -547,7 +501,7 @@ pub fn analyze_grid_dominance(grid: &SweepGrid) -> Vec<Finding> {
             },
             format!(
                 "`{}` axis: {} proves cell {} ⪯ cell {} on {claim}",
-                edge.axis,
+                edge.axis.name(),
                 edge.rule.label(),
                 edge.lesser,
                 edge.greater,
@@ -576,7 +530,7 @@ pub fn analyze_grid_dominance(grid: &SweepGrid) -> Vec<Finding> {
             format!(
                 "`{}` axis: {} claims cell {} ⪯ cell {}, but the derived width \
                  bounds invert ({:.6} > {:.6}) — analyzer inconsistency",
-                inversion.axis,
+                inversion.axis.name(),
                 inversion.rule.label(),
                 inversion.lesser,
                 inversion.greater,
@@ -656,7 +610,7 @@ pub fn vet_baseline_dominance(
                          ordering ({rule}: {why})",
                         l = edge.lesser,
                         g = edge.greater,
-                        axis = edge.axis,
+                        axis = edge.axis.name(),
                         rule = edge.rule.label(),
                         why = edge.rule.describe(),
                     ),
@@ -720,7 +674,7 @@ mod tests {
         }
         for edge in &report.edges {
             if edge.rule == OrderRule::ScheduleOrdering {
-                assert_eq!(edge.axis, "schedules");
+                assert_eq!(edge.axis, Axis::Schedules);
                 assert!(edge.metrics.contains(&"preemptions"));
                 assert!(edge.metrics.contains(&"flagged_rounds"));
             }
@@ -819,7 +773,7 @@ mod tests {
             .find(|e| e.rule == OrderRule::FaultInclusion)
             .expect("S ⊂ S' admits a fault-inclusion edge");
         assert_eq!((edge.lesser, edge.greater), (0, 1));
-        assert_eq!(edge.axis, "fault_sets");
+        assert_eq!(edge.axis, Axis::FaultSets);
     }
 
     #[test]

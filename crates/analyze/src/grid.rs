@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use arsf_core::sweep::{AxisCoords, SweepGrid};
+use arsf_core::sweep::{Axis, AxisCoords, SweepGrid};
 
 use crate::lints::{check_grid, check_scenario};
 use crate::{sort_findings, Finding, Location};
@@ -32,24 +32,18 @@ pub fn analyze_grid(grid: &SweepGrid) -> Vec<Finding> {
     check_grid(grid, &mut findings);
 
     let mut seen: HashSet<(&'static str, String)> = HashSet::new();
-    for fault_set in 0..grid.fault_set_axis().len() {
-        for attacker in 0..grid.attacker_axis().len() {
-            let coords = AxisCoords {
-                fault_set,
-                attacker,
-                ..AxisCoords::default()
-            };
-            scan_cell(grid, coords, &mut seen, &mut findings);
-        }
-    }
-    for detector in 0..grid.detector_axis().len() {
-        for rounds in 0..grid.rounds_axis().len() {
-            let coords = AxisCoords {
-                detector,
-                rounds,
-                ..AxisCoords::default()
-            };
-            scan_cell(grid, coords, &mut seen, &mut findings);
+    let shape = grid.shape();
+    for (outer, inner) in [
+        (Axis::FaultSets, Axis::Attackers),
+        (Axis::Detectors, Axis::Rounds),
+    ] {
+        for i in 0..shape[outer as usize] {
+            for j in 0..shape[inner as usize] {
+                let mut coords = [0; 7];
+                coords[outer as usize] = i;
+                coords[inner as usize] = j;
+                scan_cell(grid, coords, &mut seen, &mut findings);
+            }
         }
     }
 

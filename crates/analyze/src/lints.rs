@@ -8,8 +8,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 
 use arsf_core::scenario::{faults_label, AttackerSpec, Scenario};
-use arsf_core::sweep::store::{detector_label, fuser_label, Baseline};
-use arsf_core::sweep::{derive_seed, SweepGrid};
+use arsf_core::sweep::store::Baseline;
+use arsf_core::sweep::{derive_seed, Axis, SweepGrid};
 use arsf_core::DetectionMode;
 
 use crate::rules::{
@@ -150,53 +150,16 @@ fn check_detector_window(scenario: &Scenario, location: &Location, out: &mut Vec
 
 /// Runs the grid checks: duplicated axis values, then seed collisions.
 pub(crate) fn check_grid(grid: &SweepGrid, out: &mut Vec<Finding>) {
-    let labelled: [(&'static str, Vec<String>); 7] = [
-        (
-            "fault_sets",
-            grid.fault_set_axis()
-                .iter()
-                .map(|f| faults_label(f))
-                .collect(),
-        ),
-        (
-            "attackers",
-            grid.attacker_axis().iter().map(|a| a.label()).collect(),
-        ),
-        (
-            "schedules",
-            grid.schedule_axis()
-                .iter()
-                .map(|s| s.name().to_string())
-                .collect(),
-        ),
-        (
-            "fusers",
-            grid.fuser_axis().iter().map(fuser_label).collect(),
-        ),
-        (
-            "detectors",
-            grid.detector_axis().iter().map(detector_label).collect(),
-        ),
-        (
-            "rounds",
-            grid.rounds_axis().iter().map(|r| r.to_string()).collect(),
-        ),
-        (
-            "seeds",
-            grid.seed_axis().iter().map(|s| s.to_string()).collect(),
-        ),
-    ];
-    for (axis, labels) in labelled {
+    for (axis, labels) in Axis::ALL.into_iter().zip(grid.axis_labels()) {
         check_axis(axis, &labels, out);
     }
 
     let seeds = grid.seed_axis();
+    let seed_value = |cell: usize| seeds[grid.coords(cell)[Axis::Seeds as usize]];
     let cells = grid.len();
     let mut first_cell: HashMap<u64, usize> = HashMap::with_capacity(cells);
     for cell in 0..cells {
-        // Seeds are the fastest-varying axis, so the seed-axis value of
-        // cell i is seeds[i % seeds.len()].
-        let base = seeds[cell % seeds.len()];
+        let base = seed_value(cell);
         let derived = derive_seed(base, cell as u64);
         if let Some(&earlier) = first_cell.get(&derived) {
             out.push(SEED_COLLISION.finding(
@@ -205,7 +168,7 @@ pub(crate) fn check_grid(grid: &SweepGrid, out: &mut Vec<Finding>) {
                     "derived seed {derived:#018x} collides with cell {earlier} (seed axis \
                      values {} and {base}): the two cells sample identical measurement \
                      streams",
-                    seeds[earlier % seeds.len()]
+                    seed_value(earlier)
                 ),
             ));
         } else {
@@ -215,7 +178,7 @@ pub(crate) fn check_grid(grid: &SweepGrid, out: &mut Vec<Finding>) {
 }
 
 /// `duplicate-axis-value` over one axis's labels.
-fn check_axis(axis: &'static str, labels: &[String], out: &mut Vec<Finding>) {
+fn check_axis(axis: Axis, labels: &[String], out: &mut Vec<Finding>) {
     let mut positions: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, label) in labels.iter().enumerate() {
         positions.entry(label).or_default().push(i);
@@ -226,12 +189,13 @@ fn check_axis(axis: &'static str, labels: &[String], out: &mut Vec<Finding>) {
         .collect();
     duplicated.sort_by_key(|(_, indices)| indices[0]);
     for (label, indices) in duplicated {
-        let note = if axis == "seeds" {
+        let note = if axis == Axis::Seeds {
             " (derived per-cell seeds still differ, but the replicate is unintended unless \
              the values were meant to vary)"
         } else {
             ""
         };
+        let axis = axis.name();
         let message = format!(
             "value `{label}` appears {} times on the {axis} axis: duplicate cells multiply \
              the grid without adding coverage{note}",

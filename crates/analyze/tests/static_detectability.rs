@@ -204,7 +204,7 @@ proptest! {
                          violators {:?}",
                         row.cell, summary.flagged_rounds, &detect.certain
                     );
-                    if detect.detector.condemns && fused >= within as u64 {
+                    if detect.detector.condemns() && fused >= within as u64 {
                         for sensor in &detect.certain {
                             prop_assert!(
                                 summary.condemned.contains(sensor),

@@ -2,7 +2,6 @@
 
 use arsf_interval::ops::intersection_all;
 use arsf_interval::Interval;
-use arsf_schedule::TransmissionOrder;
 
 /// The attacker's operating mode at one of her transmission slots
 /// (paper, Section III-A).
@@ -97,10 +96,6 @@ impl AttackerConfig {
 /// strategy must copy anything it wants to keep.
 #[derive(Debug)]
 pub struct SlotContext<'a> {
-    /// The round's transmission order.
-    pub order: &'a TransmissionOrder,
-    /// The current slot (0-based).
-    pub slot: usize,
     /// The compromised sensor transmitting now.
     pub sensor: usize,
     /// That sensor's fixed interval width.
@@ -211,11 +206,8 @@ mod tests {
 
     #[test]
     fn truthful_returns_own_reading() {
-        let order = TransmissionOrder::identity(3);
         let seen: Vec<(usize, Interval<f64>)> = Vec::new();
         let ctx = SlotContext {
-            order: &order,
-            slot: 0,
             sensor: 0,
             width: 2.0,
             seen: &seen,

@@ -249,7 +249,6 @@ mod tests {
     fn ctx<'a>(
         order: &'a TransmissionOrder,
         seen: &'a [(usize, Interval<f64>)],
-        slot: usize,
         sensor: usize,
         width: f64,
         mode: AttackMode,
@@ -258,8 +257,6 @@ mod tests {
         compromised: &'a [usize],
     ) -> SlotContext<'a> {
         SlotContext {
-            order,
-            slot,
             sensor,
             width,
             seen,
@@ -282,7 +279,6 @@ mod tests {
         let c = ctx(
             &order,
             &seen,
-            2,
             0,
             3.0,
             AttackMode::Active,
@@ -304,17 +300,7 @@ mod tests {
         let order = TransmissionOrder::identity(3);
         let seen: [(usize, Interval<f64>); 0] = [];
         let delta = iv(4.0, 5.0);
-        let c = ctx(
-            &order,
-            &seen,
-            0,
-            0,
-            4.0,
-            AttackMode::Passive,
-            delta,
-            &[],
-            &[0],
-        );
+        let c = ctx(&order, &seen, 0, 4.0, AttackMode::Passive, delta, &[], &[0]);
         let mut strategy = PhantomOptimal::new();
         let forged = strategy.forge(&c);
         assert!(forged.contains_interval(&delta));
@@ -331,7 +317,6 @@ mod tests {
         let c = ctx(
             &order,
             &seen,
-            2,
             0,
             1.0,
             AttackMode::Active,
@@ -353,17 +338,7 @@ mod tests {
         let order = TransmissionOrder::new(vec![1, 0, 2]).unwrap();
         let seen = [(1usize, iv(0.0, 4.0))];
         let delta = iv(1.0, 2.0);
-        let c = ctx(
-            &order,
-            &seen,
-            1,
-            0,
-            2.0,
-            AttackMode::Active,
-            delta,
-            &[],
-            &[0],
-        );
+        let c = ctx(&order, &seen, 0, 2.0, AttackMode::Active, delta, &[], &[0]);
         let mut high = GreedyExtreme::new(Side::High);
         let forged_high = high.forge(&c);
         assert!(forged_high.hi() > 4.0);
@@ -379,17 +354,7 @@ mod tests {
         let order = TransmissionOrder::identity(3);
         let seen: [(usize, Interval<f64>); 0] = [];
         let delta = iv(0.0, 1.0);
-        let c = ctx(
-            &order,
-            &seen,
-            0,
-            0,
-            3.0,
-            AttackMode::Passive,
-            delta,
-            &[],
-            &[0],
-        );
+        let c = ctx(&order, &seen, 0, 3.0, AttackMode::Passive, delta, &[], &[0]);
         let mut strategy = GreedyExtreme::new(Side::High);
         let forged = strategy.forge(&c);
         assert!(forged.contains_interval(&delta));
@@ -400,17 +365,7 @@ mod tests {
         let order = TransmissionOrder::identity(2);
         let seen: [(usize, Interval<f64>); 0] = [];
         let delta = iv(10.0, 12.0);
-        let c = ctx(
-            &order,
-            &seen,
-            0,
-            0,
-            3.0,
-            AttackMode::Passive,
-            delta,
-            &[],
-            &[0],
-        );
+        let c = ctx(&order, &seen, 0, 3.0, AttackMode::Passive, delta, &[], &[0]);
         let out = shift_to_contain(iv(0.0, 3.0), &delta, &c);
         assert!(out.contains_interval(&delta));
         assert_eq!(out.width(), 3.0);
@@ -423,17 +378,7 @@ mod tests {
         let order = TransmissionOrder::identity(2);
         let seen: [(usize, Interval<f64>); 0] = [];
         let anchor = iv(0.0, 1.0);
-        let c = ctx(
-            &order,
-            &seen,
-            0,
-            0,
-            2.0,
-            AttackMode::Active,
-            anchor,
-            &[],
-            &[0],
-        );
+        let c = ctx(&order, &seen, 0, 2.0, AttackMode::Active, anchor, &[], &[0]);
         // From the right: lands exactly on the anchor's upper endpoint.
         let right = shift_to_touch(iv(5.0, 7.0), &anchor, &c);
         assert_eq!(right, iv(1.0, 3.0));

@@ -1,6 +1,6 @@
 //! Pipeline configuration.
 
-use arsf_detect::{Detector, DetectorModel, ImmediateDetector, NoDetector, WindowedDetector};
+use arsf_detect::{Detector, ImmediateDetector, NoDetector, WindowedDetector};
 use arsf_schedule::SchedulePolicy;
 
 /// Declarative default for the engine's detector: how the controller
@@ -43,16 +43,36 @@ impl DetectionMode {
         }
     }
 
-    /// The static [`DetectorModel`] of this mode: what the detector it
-    /// names can do (flag, condemn, and at what latency), derived from
-    /// the configuration values alone — nothing is built.
-    pub fn model(&self) -> DetectorModel {
+    /// Whether the detector this mode names reports per-round overlap
+    /// violations at all (`false` only for [`DetectionMode::Off`]).
+    pub fn flags(&self) -> bool {
+        *self != DetectionMode::Off
+    }
+
+    /// Whether the detector this mode names can ever *condemn* a sensor
+    /// (declare it compromised for the rest of the run). Only the
+    /// temporal detector condemns; the immediate rule is memoryless.
+    pub fn condemns(&self) -> bool {
+        self.condemnation_latency().is_some()
+    }
+
+    /// How many *violating fused rounds* a persistently violating sensor
+    /// needs before it is condemned, or `None` if this mode can never
+    /// condemn.
+    ///
+    /// Detectors only observe fused rounds (a failed fusion gives the
+    /// overlap check nothing to compare against), so the count is in
+    /// fused rounds: `tolerance + 1` for a windowed detector, since
+    /// violations must *strictly* exceed the tolerance. A window holds
+    /// at most `window` violations, so `tolerance >= window` (including
+    /// the degenerate `window == 0`, which
+    /// [`WindowedDetector::new`] refuses to build) never condemns.
+    pub fn condemnation_latency(&self) -> Option<usize> {
         match *self {
-            DetectionMode::Off => DetectorModel::off(),
-            DetectionMode::Immediate => DetectorModel::immediate(),
-            DetectionMode::Windowed { window, tolerance } => {
-                DetectorModel::windowed(window, tolerance)
+            DetectionMode::Windowed { window, tolerance } if tolerance < window => {
+                Some(tolerance + 1)
             }
+            _ => None,
         }
     }
 }
@@ -142,16 +162,36 @@ mod tests {
     }
 
     #[test]
-    fn modes_expose_their_static_models() {
-        assert!(!DetectionMode::Off.model().flags);
-        let immediate = DetectionMode::Immediate.model();
-        assert!(immediate.flags && !immediate.condemns);
-        let windowed = DetectionMode::Windowed {
-            window: 10,
-            tolerance: 3,
+    fn off_can_do_nothing() {
+        let off = DetectionMode::Off;
+        assert!(!off.flags());
+        assert!(!off.condemns());
+        assert_eq!(off.condemnation_latency(), None);
+    }
+
+    #[test]
+    fn immediate_flags_but_never_condemns() {
+        let immediate = DetectionMode::Immediate;
+        assert!(immediate.flags());
+        assert!(!immediate.condemns());
+        assert_eq!(immediate.condemnation_latency(), None);
+    }
+
+    #[test]
+    fn windowed_latency_is_tolerance_plus_one() {
+        let windowed = |window, tolerance| DetectionMode::Windowed { window, tolerance };
+        assert!(windowed(10, 3).flags() && windowed(10, 3).condemns());
+        assert_eq!(windowed(10, 3).condemnation_latency(), Some(4));
+        assert_eq!(windowed(5, 0).condemnation_latency(), Some(1));
+    }
+
+    #[test]
+    fn saturated_tolerance_never_condemns() {
+        for (window, tolerance) in [(4, 4), (4, 9), (0, 0)] {
+            let mode = DetectionMode::Windowed { window, tolerance };
+            assert!(mode.flags(), "w={window} t={tolerance}");
+            assert!(!mode.condemns(), "w={window} t={tolerance}");
+            assert_eq!(mode.condemnation_latency(), None);
         }
-        .model();
-        assert_eq!(windowed.window, Some(10));
-        assert_eq!(windowed.condemnation_latency(), Some(4));
     }
 }

@@ -433,8 +433,6 @@ impl<F: Fuser<f64>> SlotStep<'_, F> {
                 .map(|&s| p.widths[s]),
         );
         let ctx = SlotContext {
-            order: self.order,
-            slot,
             sensor,
             width: p.widths[sensor],
             seen,

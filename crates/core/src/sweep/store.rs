@@ -50,7 +50,7 @@ use crate::scenario::{ClosedLoopSpec, FuserSpec, TruthSpec};
 use crate::DetectionMode;
 
 use super::row::json_string;
-use super::{SweepGrid, SweepReport};
+use super::{Axis, SweepGrid, SweepReport};
 
 /// The format tag written into every baseline file; bumped whenever the
 /// stored shape changes incompatibly.
@@ -59,15 +59,16 @@ pub(crate) const FORMAT: &str = "arsf-baseline-v1";
 /// A compact, canonical label for a fuser axis entry — unlike
 /// [`FuserSpec::name`] it carries the parameters, so two historical
 /// fusers with different rate bounds hash differently.
-pub fn fuser_label(spec: &FuserSpec) -> String {
+pub(crate) fn fuser_label(spec: &FuserSpec) -> String {
     match spec {
         FuserSpec::Historical { max_rate, dt } => format!("historical({max_rate},{dt})"),
         other => other.name().to_string(),
     }
 }
 
-/// A compact, canonical label for a detector axis entry (parameters
-/// included, same reasoning as [`fuser_label`]).
+/// A compact, canonical label for a detector axis entry, parameters
+/// included, so two windowed detectors with different windows hash
+/// differently.
 pub fn detector_label(mode: &DetectionMode) -> String {
     match mode {
         DetectionMode::Off => "off".to_string(),
@@ -112,9 +113,6 @@ fn closed_loop_label(spec: &Option<ClosedLoopSpec>) -> String {
 /// is included, so changing any axis value changes the definition (and
 /// the [`content_address`]).
 pub(crate) fn canonical_definition(grid: &SweepGrid) -> String {
-    fn join<I: IntoIterator<Item = String>>(values: I) -> String {
-        values.into_iter().collect::<Vec<_>>().join(";")
-    }
     let base = &grid.base;
     let mut out = String::new();
     out.push_str("arsf-sweep-grid v1\n");
@@ -127,38 +125,9 @@ pub(crate) fn canonical_definition(grid: &SweepGrid) -> String {
     // The suite is the base scenario's; the line keeps the v1 form of
     // a one-value axis, so committed content addresses stay put.
     out.push_str(&format!("suites={}\n", base.suite.label()));
-    out.push_str(&format!(
-        "fault_sets={}\n",
-        join(
-            grid.fault_sets
-                .iter()
-                .map(|f| crate::scenario::faults_label(f))
-        )
-    ));
-    out.push_str(&format!(
-        "attackers={}\n",
-        join(grid.attackers.iter().map(|a| a.label()))
-    ));
-    out.push_str(&format!(
-        "schedules={}\n",
-        join(grid.schedules.iter().map(|s| s.name().to_string()))
-    ));
-    out.push_str(&format!(
-        "fusers={}\n",
-        join(grid.fusers.iter().map(fuser_label))
-    ));
-    out.push_str(&format!(
-        "detectors={}\n",
-        join(grid.detectors.iter().map(detector_label))
-    ));
-    out.push_str(&format!(
-        "rounds={}\n",
-        join(grid.rounds.iter().map(|r| r.to_string()))
-    ));
-    out.push_str(&format!(
-        "seeds={}\n",
-        join(grid.seeds.iter().map(|s| s.to_string()))
-    ));
+    for (axis, labels) in Axis::ALL.into_iter().zip(grid.axis_labels()) {
+        out.push_str(&format!("{}={}\n", axis.name(), labels.join(";")));
+    }
     out
 }
 

@@ -1,9 +1,9 @@
 //! The object-safe [`Detector`] interface the round engine drives.
 //!
-//! The engine in `arsf-core` used to dispatch over a closed
-//! `DetectionMode` enum; this trait replaces that dispatch so new
-//! detectors plug in without touching the engine. Three stock
-//! implementations cover the paper's design space:
+//! The engine in `arsf-core` calls detectors only through this trait,
+//! so new detectors plug in without touching the engine. Three stock
+//! implementations, built from `arsf-core`'s `DetectionMode`, cover the
+//! paper's design space:
 //!
 //! * [`NoDetector`] — detection disabled (ablation baseline),
 //! * [`ImmediateDetector`] — the paper's rule: flag every interval

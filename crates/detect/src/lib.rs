@@ -8,18 +8,19 @@
 //! to intersect the fusion interval ([`ImmediateDetector`]).
 //!
 //! Footnote 1 of the paper sketches the planned refinement: tolerate
-//! *transient* faults by flagging a sensor only when it violates the
+//! *transient* faults by condemning a sensor only when it violates the
 //! overlap check more than `k` times in a window of `w` rounds. That
-//! temporal detector is [`WindowedDetector`].
+//! temporal detector is [`WindowedDetector`]; it still flags every
+//! violation the round it happens.
 //!
 //! The round engine in `arsf-core` drives detectors through the
 //! object-safe [`Detector`] trait: [`NoDetector`],
 //! [`ImmediateDetector`] and [`WindowedDetector`] ship as stock
 //! implementations, and new detectors plug in without touching the
-//! engine. Each stock configuration also exposes its static
-//! characteristics as a [`DetectorModel`] — whether it can
-//! flag or condemn at all, and its condemnation latency — so analysis
-//! layers can reason about detectors without building one.
+//! engine. `arsf-core`'s `DetectionMode` names the three stock
+//! configurations and states, from their parameters alone, whether each
+//! can flag or condemn and at what latency, so analysis layers reason
+//! about detectors without building one.
 //!
 //! # Example
 //!
@@ -49,9 +50,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod detector;
-mod model;
 mod window;
 
 pub use detector::{Detector, ImmediateDetector, NoDetector, RoundAssessment};
-pub use model::DetectorModel;
 pub use window::{WindowVerdict, WindowedDetector};
