@@ -3,10 +3,10 @@
 //! simulation — the detection-side twin of the guarantee layer
 //! ([`guarantee_report`](crate::guarantee_report)).
 //!
-//! [`detect_report`] abstractly evaluates one [`Scenario`]: from the
-//! attacker's [`StrategyVisibility`], the fault set, the fuser's
-//! geometry and the detector's [`DetectionMode`], it classifies
-//! the cell into a [`DetectVerdict`]:
+//! [`detect_report`] abstractly evaluates one [`Scenario`]: from which
+//! sensors its faults and attacker can corrupt and forge, the fuser's
+//! geometry and the detector's [`DetectionMode`], it classifies the
+//! cell into a [`DetectVerdict`]:
 //!
 //! * [`DetectVerdict::ProvablyInvisible`] — the overlap check provably
 //!   never fires: detection is off, the fuser's output intersects every
@@ -39,7 +39,7 @@
 //! verdict, and `detect-vacuous` is raised only by the record-time veto,
 //! for a grid whose every corruptible cell is provably invisible.
 
-use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategyVisibility};
+use arsf_core::scenario::{FuserSpec, Scenario};
 use arsf_core::sweep::row::decode_condemned;
 use arsf_core::sweep::store::{detector_label, Baseline};
 use arsf_core::sweep::SweepGrid;
@@ -47,6 +47,7 @@ use arsf_core::DetectionMode;
 use arsf_sensor::FaultKind;
 
 use crate::guarantees::{guarantee_report, GuaranteeReport};
+use crate::model::Model;
 use crate::rules::{
     DETECT_COVERAGE, DETECT_INVISIBLE, DETECT_VACUOUS, DETECT_VERDICT, DETECT_VIOLATION,
 };
@@ -138,13 +139,6 @@ impl DetectVerdict {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct DetectReport {
-    /// Declared suite size `n`.
-    pub n: usize,
-    /// The fusion fault assumption `f`.
-    pub f: usize,
-    /// Worst-case corrupt transmitting sensors (see
-    /// [`StaticModel::corrupt`](arsf_core::scenario::StaticModel::corrupt)).
-    pub corrupt: usize,
     /// The cell's verdict.
     pub verdict: DetectVerdict,
     /// The cell's detector, whose flag, condemn and latency facts the
@@ -163,8 +157,6 @@ pub struct DetectReport {
     /// random-each-round attacker). `None` when honest sensors cannot be
     /// statically exonerated.
     pub suspects: Option<Vec<usize>>,
-    /// Fused outputs per round (platoon size closed-loop, else 1).
-    pub vehicles: usize,
     /// The cell's guarantee report, from which false-alarm freedom and
     /// the certain violators are derived.
     pub guarantees: GuaranteeReport,
@@ -177,22 +169,6 @@ pub struct DetectReport {
 /// intersection case never reaches the check.
 fn fuser_geometry_vacuous(fuser: &FuserSpec) -> bool {
     matches!(fuser, FuserSpec::Hull | FuserSpec::Intersection)
-}
-
-/// The distinct in-range sensors carrying a non-silent (corrupting)
-/// fault. A silent sensor transmits nothing when the fault fires and its
-/// correct reading when it does not, so it never shows the check a
-/// corrupted interval.
-fn corrupting_faulted(scenario: &Scenario, n: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = scenario
-        .faults
-        .iter()
-        .filter(|(sensor, fault)| *sensor < n && !matches!(fault.kind(), FaultKind::Silent))
-        .map(|(sensor, _)| *sensor)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// The truth's range over the run, when statically known: the trajectory
@@ -244,7 +220,7 @@ fn fault_margin(kind: FaultKind, truth: (f64, f64)) -> Option<f64> {
 /// truth range).
 fn certain_violators(
     scenario: &Scenario,
-    widths: &[f64],
+    model: &Model,
     guarantees: &GuaranteeReport,
 ) -> Vec<usize> {
     if fuser_geometry_vacuous(&scenario.fuser) {
@@ -256,39 +232,34 @@ fn certain_violators(
     let Some(truth) = truth_range(scenario) else {
         return Vec::new();
     };
-    // An attacked sensor's transmission is forged by the strategy, not
-    // the fault; random-each-round can attack anyone.
-    let attacked: Vec<usize> = match &scenario.attacker {
-        AttackerSpec::None => Vec::new(),
-        AttackerSpec::Fixed { sensors, .. } => sensors.clone(),
-        // Random-each-round (or an unknown attacker) can touch anyone:
-        // no per-sensor claim survives.
-        _ => return Vec::new(),
-    };
-    let n = widths.len();
+    // Random-each-round can attack anyone: no per-sensor claim survives.
+    if model.random {
+        return Vec::new();
+    }
+    let n = model.widths.len();
     let mut out = Vec::new();
-    for (sensor, fault) in &scenario.faults {
-        let sensor = *sensor;
-        if sensor >= n || attacked.contains(&sensor) {
+    // An attacked sensor's transmission is forged by the strategy, not
+    // the fault.
+    for &sensor in model.corrupting.range(..n) {
+        if model.attacked.contains(&sensor) {
             continue;
         }
         // A sensor with several fault entries has ambiguous composition
         // semantics; make no claim about it.
-        if scenario.faults.iter().filter(|(s, _)| *s == sensor).count() != 1 {
+        let mut entries = scenario.faults.iter().filter(|(s, _)| *s == sensor);
+        let (Some((_, fault)), None) = (entries.next(), entries.next()) else {
             continue;
-        }
+        };
         if fault.probability() < 1.0 {
             continue;
         }
         let Some(margin) = fault_margin(fault.kind(), truth) else {
             continue;
         };
-        if margin > bound + widths[sensor] / 2.0 + EPSILON {
+        if margin > bound + model.widths[sensor] / 2.0 + EPSILON {
             out.push(sensor);
         }
     }
-    out.sort_unstable();
-    out.dedup();
     out
 }
 
@@ -298,18 +269,15 @@ fn certain_violators(
 /// the corruption budget within `f` in every silent configuration (so
 /// the clamp's maximal-coverage touch point provably lies inside the
 /// fused interval).
-fn stealth_invisible(scenario: &Scenario, n: usize, guarantees: &GuaranteeReport) -> bool {
-    if !matches!(
+fn stealth_invisible(scenario: &Scenario, model: &Model, guarantees: &GuaranteeReport) -> bool {
+    let n = model.widths.len();
+    let marzullo = matches!(
         scenario.fuser,
         FuserSpec::Marzullo | FuserSpec::BrooksIyengar
-    ) {
-        return false;
-    }
-    if !corrupting_faulted(scenario, n).is_empty() {
-        return false;
-    }
-    scenario.attacker.visibility() != StrategyVisibility::Opportunistic
-        && scenario.attacker.max_attacked_per_round() <= 1
+    );
+    marzullo
+        && model.corrupting.range(..n).next().is_none()
+        && model.forged_per_round() <= 1
         && guarantees.truth_containment
 }
 
@@ -336,13 +304,12 @@ fn stealth_invisible(scenario: &Scenario, n: usize, guarantees: &GuaranteeReport
 /// assert_eq!(report.suspects, Some(vec![0]));
 /// ```
 pub fn detect_report(scenario: &Scenario) -> DetectReport {
-    let model = scenario.static_model();
-    let n = model.widths.len();
+    let model = Model::of(scenario);
     let detector = scenario.detector;
     let geometry = fuser_geometry_vacuous(&scenario.fuser);
     let guarantees = guarantee_report(scenario);
     let false_alarm_free = geometry || guarantees.truth_containment;
-    let certain = certain_violators(scenario, &model.widths, &guarantees);
+    let certain = certain_violators(scenario, &model, &guarantees);
 
     let verdict = if !detector.flags() {
         DetectVerdict::ProvablyInvisible {
@@ -360,7 +327,7 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::HonestSuite,
         }
-    } else if stealth_invisible(scenario, n, &guarantees) {
+    } else if stealth_invisible(scenario, &model, &guarantees) {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::StealthClamp,
         }
@@ -368,35 +335,14 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
         DetectVerdict::Contingent
     };
 
-    let suspects = if false_alarm_free {
-        Some(match &scenario.attacker {
-            AttackerSpec::RandomEachRound => (0..n).collect(),
-            attacker => {
-                let mut suspects = corrupting_faulted(scenario, n);
-                if let AttackerSpec::Fixed { sensors, strategy } = attacker {
-                    if *strategy != arsf_core::scenario::StrategySpec::Truthful {
-                        suspects.extend(sensors.iter().copied().filter(|&s| s < n));
-                    }
-                }
-                suspects.sort_unstable();
-                suspects.dedup();
-                suspects
-            }
-        })
-    } else {
-        None
-    };
+    let suspects = false_alarm_free.then(|| model.suspects());
 
     DetectReport {
-        n,
-        f: model.f,
-        corrupt: model.corrupt,
         verdict,
         detector,
         false_alarm_free,
         certain,
         suspects,
-        vehicles: model.vehicles,
         guarantees,
     }
 }
@@ -511,7 +457,7 @@ pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
 pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
     let mut corruptible = 0usize;
     for cell in grid.cells() {
-        if cell.scenario.static_model().corrupt == 0 {
+        if Model::of(&cell.scenario).corrupt == 0 {
             continue;
         }
         corruptible += 1;
@@ -689,7 +635,7 @@ pub fn vet_baseline_detectability(
 mod tests {
     use super::*;
     use crate::Severity;
-    use arsf_core::scenario::{ClosedLoopSpec, StrategySpec, SuiteSpec, TruthSpec};
+    use arsf_core::scenario::{AttackerSpec, ClosedLoopSpec, StrategySpec, SuiteSpec, TruthSpec};
     use arsf_core::DetectionMode;
     use arsf_sensor::{FaultKind, FaultModel};
 

@@ -41,7 +41,8 @@
 //!   is vetted — an inverted pair of derived bounds is reported as an
 //!   analyzer inconsistency instead.
 //! * [`OrderRule::AttackerStrength`] — the attacker-strength lattice
-//!   ([`AttackerSpec::strength_partial_cmp`][cmp]): a strictly weaker
+//!   (an attacker that does not forge is below one that does, and
+//!   fewer forged sensors per round below more): a strictly weaker
 //!   attacker cannot have a larger worst-case width bound. Bound-level
 //!   only, same reasoning.
 //! * [`OrderRule::FaultInclusion`] — fault-set inclusion `S ⊆ S′`
@@ -61,19 +62,18 @@
 //! [`vet_baseline_dominance`] — a stored baseline whose metrics
 //! contradict a provable edge beyond the near-exact tolerance floor).
 //!
-//! [cmp]: arsf_core::scenario::AttackerSpec::strength_partial_cmp
 //! [`GuaranteeReport::truth_containment`]: crate::GuaranteeReport::truth_containment
 
 use std::cmp::Ordering;
 
-use arsf_core::scenario::{FuserSpec, Scenario, StrategyVisibility};
+use arsf_core::scenario::{FuserSpec, Scenario};
 use arsf_core::sweep::diff::Tolerance;
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::{Axis, SweepGrid};
-use arsf_sensor::FaultKind;
 
 use crate::detectability::{detect_report, DetectVerdict};
 use crate::guarantees::guarantee_report;
+use crate::model::Model;
 use crate::rules::{ORDER_EDGE, ORDER_VACUOUS, ORDER_VIOLATION};
 use crate::{sort_findings, Finding, Location};
 
@@ -256,6 +256,7 @@ pub struct DominanceReport {
 /// Per-cell facts the pair rules consume, computed once per cell.
 struct CellFacts {
     scenario: Scenario,
+    model: Model,
     containment: bool,
     invisible: bool,
     width_bound: Option<f64>,
@@ -269,6 +270,7 @@ fn cell_facts(grid: &SweepGrid) -> Vec<CellFacts> {
                 containment: detect.guarantees.truth_containment,
                 invisible: matches!(detect.verdict, DetectVerdict::ProvablyInvisible { .. }),
                 width_bound: detect.guarantees.width_bound,
+                model: Model::of(&cell.scenario),
                 scenario: cell.scenario,
             }
         })
@@ -297,13 +299,8 @@ fn single_axis_pairs(grid: &SweepGrid) -> Vec<(usize, usize, Axis)> {
 /// schedule ordering reasons about, with at least one sensor to forge,
 /// and no corrupting fault adds schedule-independent violations that
 /// would swamp the ordering.
-fn schedule_ordering_armed(scenario: &Scenario) -> bool {
-    scenario.attacker.visibility() == StrategyVisibility::Stealthy
-        && scenario.attacker.max_attacked_per_round() >= 1
-        && scenario
-            .faults
-            .iter()
-            .all(|(_, fault)| matches!(fault.kind(), FaultKind::Silent))
+fn schedule_ordering_armed(model: &Model) -> bool {
+    model.forges && model.forged_per_round() >= 1 && model.corrupting.is_empty()
 }
 
 /// Applies every pair rule to one single-axis pair, pushing edges and
@@ -380,7 +377,7 @@ fn edges_for_pair(
                 fb.scenario.schedule.exposure_rank(),
             );
             if let (Some(ra), Some(rb)) = ranks {
-                if ra != rb && schedule_ordering_armed(&fa.scenario) {
+                if ra != rb && schedule_ordering_armed(&fa.model) {
                     let (l, g) = if ra < rb { (a, b) } else { (b, a) };
                     // A changed schedule reshuffles the whole round
                     // trajectory, so a counter is only per-seed
@@ -410,17 +407,11 @@ fn edges_for_pair(
                 bound_claim(b, a, OrderRule::HistoryDefense);
             }
         }
-        Axis::Attackers => {
-            match fa
-                .scenario
-                .attacker
-                .strength_partial_cmp(&fb.scenario.attacker)
-            {
-                Some(Ordering::Less) => bound_claim(a, b, OrderRule::AttackerStrength),
-                Some(Ordering::Greater) => bound_claim(b, a, OrderRule::AttackerStrength),
-                _ => {}
-            }
-        }
+        Axis::Attackers => match fa.model.strength_cmp(&fb.model) {
+            Ordering::Less => bound_claim(a, b, OrderRule::AttackerStrength),
+            Ordering::Greater => bound_claim(b, a, OrderRule::AttackerStrength),
+            Ordering::Equal => {}
+        },
         Axis::FaultSets => {
             let subset =
                 |x: &Scenario, y: &Scenario| x.faults.iter().all(|entry| y.faults.contains(entry));
@@ -629,6 +620,7 @@ mod tests {
     use arsf_core::scenario::{AttackerSpec, StrategySpec, SuiteSpec};
     use arsf_core::DetectionMode;
     use arsf_schedule::SchedulePolicy;
+    use arsf_sensor::FaultKind;
 
     fn attacked_base() -> Scenario {
         Scenario::new("dom", SuiteSpec::Landshark)

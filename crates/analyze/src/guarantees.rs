@@ -27,13 +27,14 @@
 //! drifted-but-within-tolerance cell that violates a theorem is flagged
 //! as a `guarantee-violation` error.
 
-use arsf_core::scenario::{FuserSpec, Scenario, StaticModel};
+use arsf_core::scenario::{FuserSpec, Scenario};
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::SweepGrid;
 use arsf_fusion::bounds::{
     historical_width_bound, regime, static_theorem2_bound, static_width_bound, BoundRegime,
 };
 
+use crate::model::Model;
 use crate::rules::{GUARANTEE_UNBOUNDED, GUARANTEE_VACUOUS, GUARANTEE_VIOLATION, GUARANTEE_WIDTH};
 use crate::{sort_findings, Finding, Location};
 
@@ -51,10 +52,10 @@ pub struct GuaranteeReport {
     pub n: usize,
     /// The fusion fault assumption `f`.
     pub f: usize,
-    /// Worst-case corrupt transmitting sensors (see
-    /// [`StaticModel::corrupt`]).
+    /// Worst-case transmitting sensors whose intervals may exclude the
+    /// truth in one round, capped at `n`.
     pub corrupt: usize,
-    /// Worst-case silenced sensors (see [`StaticModel::silent`]).
+    /// Worst-case silenced sensors, capped at `n`.
     pub silent: usize,
     /// The Marzullo regime of the declared budget, taken worst-case over
     /// silent configurations (a budget exceeding `f` reads as
@@ -100,7 +101,7 @@ fn regime_label(regime: BoundRegime) -> &'static str {
 /// the single-configuration bound; the worst case is `None` if any
 /// configuration is unbounded, else the maximum. Configurations with
 /// nothing transmitting produce no fused interval and are skipped.
-fn worst_over_silent(model: &StaticModel, bound_at: impl Fn(usize) -> Option<f64>) -> Option<f64> {
+fn worst_over_silent(model: &Model, bound_at: impl Fn(usize) -> Option<f64>) -> Option<f64> {
     let n = model.widths.len();
     let mut worst: Option<f64> = None;
     for k in 0..=model.silent.min(n.saturating_sub(1)) {
@@ -113,7 +114,7 @@ fn worst_over_silent(model: &StaticModel, bound_at: impl Fn(usize) -> Option<f64
 /// The worst regime (in guarantee strength) across silent
 /// configurations, folding a corruption budget above `f` into
 /// [`BoundRegime::Unbounded`].
-fn budget_regime(model: &StaticModel) -> BoundRegime {
+fn budget_regime(model: &Model) -> BoundRegime {
     let n = model.widths.len();
     let rank = |r: BoundRegime| match r {
         BoundRegime::CorrectWidthBounded => 0,
@@ -138,7 +139,7 @@ fn budget_regime(model: &StaticModel) -> BoundRegime {
 
 /// Marzullo-family truth containment: every silent configuration must
 /// keep the corruption budget within the (clamped) fault assumption.
-fn marzullo_containment(model: &StaticModel) -> bool {
+fn marzullo_containment(model: &Model) -> bool {
     let n = model.widths.len();
     if n == 0 {
         return false;
@@ -155,7 +156,7 @@ fn marzullo_containment(model: &StaticModel) -> bool {
 /// unpropagated while a ramping truth keeps moving, so silence voids the
 /// proof unless the truth is constant; closed-loop truth (the vehicle's
 /// actual speed) has no static drift bound at all.
-fn history_tracks_truth(model: &StaticModel, max_rate: f64, dt: f64) -> bool {
+fn history_tracks_truth(model: &Model, max_rate: f64, dt: f64) -> bool {
     if !max_rate.is_finite() || max_rate < 0.0 || !dt.is_finite() {
         return false;
     }
@@ -186,7 +187,7 @@ fn history_tracks_truth(model: &StaticModel, max_rate: f64, dt: f64) -> bool {
 /// assert!(!report.vacuous());
 /// ```
 pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
-    let model = scenario.static_model();
+    let model = Model::of(scenario);
     let n = model.widths.len();
     let span = model.widths.iter().copied().fold(0.0_f64, f64::max);
     let mut ascending = model.widths.clone();

@@ -81,6 +81,7 @@ mod dominance;
 mod grid;
 mod guarantees;
 mod lints;
+mod model;
 pub mod rules;
 mod verifier;
 

@@ -4,14 +4,15 @@
 //! file. Each is a plain function emitting its [`rules`](crate::rules)
 //! in table order.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 
-use arsf_core::scenario::{faults_label, AttackerSpec, Scenario};
+use arsf_core::scenario::{faults_label, Scenario};
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::{derive_seed, Axis, SweepGrid};
 use arsf_core::DetectionMode;
 
+use crate::model::Model;
 use crate::rules::{
     ATTACKER_BUDGET, BASELINE_ADDRESS, BASELINE_FILENAME, COMBINED_BUDGET, DETECTOR_WINDOW,
     DUPLICATE_AXIS_VALUE, EMPTY_RUN, ENVELOPE_ORDER, FAULT_BUDGET, FUSION_SOUNDNESS,
@@ -39,11 +40,8 @@ pub(crate) fn check_scenario(scenario: &Scenario, location: &Location, out: &mut
         ));
     }
 
-    let faulted: BTreeSet<usize> = scenario.faults.iter().map(|(sensor, _)| *sensor).collect();
-    let attacked: BTreeSet<usize> = match &scenario.attacker {
-        AttackerSpec::Fixed { sensors, .. } => sensors.iter().copied().collect(),
-        _ => BTreeSet::new(),
-    };
+    let model = Model::of(scenario);
+    let (faulted, attacked) = (&model.faulted, &model.attacked);
     if attacked.len() > f {
         out.push(ATTACKER_BUDGET.finding(
             location.clone(),
@@ -69,9 +67,10 @@ pub(crate) fn check_scenario(scenario: &Scenario, location: &Location, out: &mut
     // Only when neither budget alone is exceeded, which the two rules
     // above already report.
     if faulted.len() <= f && attacked.len() <= f {
-        let (combined, qualifier) = match &scenario.attacker {
-            AttackerSpec::RandomEachRound => (faulted.len() + 1, "up to "),
-            _ => (faulted.union(&attacked).count(), ""),
+        let (combined, qualifier) = if model.random {
+            (faulted.len() + 1, "up to ")
+        } else {
+            (faulted.union(attacked).count(), "")
         };
         if combined > f {
             out.push(COMBINED_BUDGET.finding(

@@ -411,12 +411,13 @@ impl Eval<'_> {
         if self.scenario.style == AttackerStyle::OneSidedHigh {
             let floor = self.delta.lo();
             out.retain(|c| c.lo() >= floor - 1e-12);
-            if out.is_empty() {
-                // The truthful reading always qualifies (it starts at or
-                // above Δ's lower endpoint by construction of Δ).
-                if let Some((_, own)) = self.own_correct.iter().find(|(s, _)| *s == sensor) {
-                    out.push(*own);
-                }
+        }
+        if out.is_empty() {
+            // The truthful reading always qualifies: it contains Δ exactly,
+            // while a grid candidate can miss Δ by a rounding error (a
+            // width-11 grid steps by 11/6 at step 2).
+            if let Some((_, own)) = self.own_correct.iter().find(|(s, _)| *s == sensor) {
+                out.push(*own);
             }
         }
         out
@@ -571,6 +572,28 @@ mod tests {
             e_desc.expected_width,
             e_asc.expected_width
         );
+    }
+
+    #[test]
+    fn passive_slots_keep_the_truthful_reading_on_a_non_dyadic_grid() {
+        // At step 2 both passive grid candidates miss Δ by a rounding
+        // error; the own reading must still be one, for both styles.
+        for (widths, attacked, expected, leaves) in [
+            (vec![5.0, 11.0, 11.0], 1, 415.0 / 49.0, 196),
+            (vec![5.0, 8.0, 8.0, 11.0], 3, 1931.0 / 350.0, 700),
+        ] {
+            let desc = order_for(&SchedulePolicy::Descending, &widths);
+            for style in [AttackerStyle::Optimal, AttackerStyle::OneSidedHigh] {
+                let sc =
+                    GridScenario::new(widths.clone(), vec![attacked], 1, 2.0).with_style(style);
+                let out = expected_fusion_width(&sc, &desc);
+                assert!(
+                    (out.expected_width - expected).abs() < 1e-9,
+                    "{widths:?} [{attacked}] {style:?}: {out:?}"
+                );
+                assert_eq!((out.leaves, out.stealthy), (leaves, true));
+            }
+        }
     }
 
     #[test]

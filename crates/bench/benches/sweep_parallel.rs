@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 
@@ -52,7 +52,7 @@ fn bench_sweep_parallel(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(&grid).run_serial())
     });
     for threads in [2_usize, 4, 8] {
-        let sweeper = ParallelSweeper::new(threads);
+        let sweeper = StreamingSweeper::new(threads);
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &sweeper,

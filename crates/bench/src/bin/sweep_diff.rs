@@ -29,7 +29,7 @@ use arsf_bench::cli::{allowed, diff_config, sweeper_from, Args, Cli, Flag, THREA
 use arsf_bench::{baseline_ops, golden};
 use arsf_core::sweep::diff::diff;
 use arsf_core::sweep::store::{baseline_path, grid_address, Baseline};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 
 #[rustfmt::skip]
 const SWEEP_DIFF: Cli = Cli { positionals: 3, ..Cli::new("sweep_diff", &[&[
@@ -57,7 +57,7 @@ fn grids(args: &Args) -> Vec<(&str, SweepGrid)> {
     }
 }
 
-fn run_baseline(grid: &SweepGrid, sweeper: &ParallelSweeper) -> Baseline {
+fn run_baseline(grid: &SweepGrid, sweeper: &StreamingSweeper) -> Baseline {
     Baseline::from_report(grid, &sweeper.run(grid))
 }
 

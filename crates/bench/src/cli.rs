@@ -17,7 +17,7 @@ use arsf_core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
 use arsf_core::sweep::diff::{DiffConfig, Tolerance};
-use arsf_core::sweep::{ParallelSweeper, SweepGrid};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::{FaultKind, FaultModel};
@@ -416,10 +416,10 @@ pub fn forwarded_grid_args(args: &Args) -> Vec<String> {
 ///
 /// Returns a message naming the value when it is not a positive
 /// integer.
-pub fn sweeper_from(args: &Args) -> Result<ParallelSweeper, String> {
+pub fn sweeper_from(args: &Args) -> Result<StreamingSweeper, String> {
     Ok(args
         .get::<NonZeroUsize>(THREADS.name)?
-        .map_or_else(ParallelSweeper::auto, |k| ParallelSweeper::new(k.get())))
+        .map_or_else(StreamingSweeper::auto, |k| StreamingSweeper::new(k.get())))
 }
 
 /// The veto ids `--allow` overrides (none without the flag).

@@ -510,7 +510,7 @@ mod tests {
     use super::*;
     use crate::golden;
     use arsf_core::sweep::store::content_address;
-    use arsf_core::sweep::ParallelSweeper;
+    use arsf_core::sweep::StreamingSweeper;
 
     #[test]
     fn incremental_fnv_matches_content_address() {
@@ -733,7 +733,7 @@ mod tests {
         for (name, grid) in golden::all() {
             // Shrink the grids so the test stays fast; the shape (open-
             // vs closed-loop, platoon columns) is what matters.
-            let report = ParallelSweeper::new(2).run_range(&grid, 0..grid.len().min(6));
+            let report = StreamingSweeper::new(2).run_range(&grid, 0..grid.len().min(6));
             let lines: Vec<String> = report.rows().iter().map(|r| r.to_csv_line()).collect();
             let mut rebuilt_rows = Vec::new();
             for line in &lines {

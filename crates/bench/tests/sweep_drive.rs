@@ -1,7 +1,7 @@
 //! End-to-end coverage of the distributed sweep path: a `sweep_drive`
 //! coordinator fanning a grid out across `scenario_sweep --stream`
 //! workers must produce a merged report byte-identical to the
-//! single-process `ParallelSweeper`, for the committed golden grids,
+//! single-process `StreamingSweeper`, for the committed golden grids,
 //! for randomly-shaped grids under adversarial shard plans (empty and
 //! single-cell ranges included), and across the crash-retry path.
 
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use arsf_bench::golden;
 use arsf_core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-use arsf_core::sweep::{ParallelSweeper, StreamingSweeper, SweepGrid, SweepReport};
+use arsf_core::sweep::{StreamingSweeper, SweepGrid, SweepReport};
 use arsf_core::DetectionMode;
 use arsf_schedule::SchedulePolicy;
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ fn grid_for(
 #[test]
 fn driven_golden_grids_match_the_library_and_the_committed_baselines() {
     for (name, grid) in golden::all() {
-        let expected = ParallelSweeper::new(2).run(&grid).to_csv();
+        let expected = StreamingSweeper::new(2).run(&grid).to_csv();
         let csv = scratch(name);
         let run = drive(&[
             "--golden",
@@ -146,7 +146,7 @@ fn empty_and_single_cell_shards_merge_cleanly() {
         &[1, 2],
         20,
     );
-    let expected = ParallelSweeper::new(2).run(&grid).to_csv();
+    let expected = StreamingSweeper::new(2).run(&grid).to_csv();
     let csv = scratch("adversarial-shards");
     let csv_str = csv.to_str().unwrap().to_string();
     let run = drive(&[
@@ -186,7 +186,7 @@ fn a_crashed_worker_is_retried_once_and_the_report_is_unchanged() {
         &[1, 2, 3, 4],
         20,
     );
-    let expected = ParallelSweeper::new(2).run(&grid).to_csv();
+    let expected = StreamingSweeper::new(2).run(&grid).to_csv();
     let csv = scratch("retry");
     let csv_str = csv.to_str().unwrap().to_string();
     let run = drive(&[
@@ -379,7 +379,7 @@ proptest! {
 
     /// A random grid streamed in-process and driven across worker
     /// processes under an adversarial shard plan must both be
-    /// byte-identical to `ParallelSweeper`'s report.
+    /// byte-identical to `StreamingSweeper`'s report.
     #[test]
     fn random_grids_stream_and_drive_byte_identically(
         fusers in prop::collection::vec(0usize..FUSER_POOL.len(), 1..=2),
@@ -402,7 +402,7 @@ proptest! {
             &seeds,
             rounds,
         );
-        let expected = ParallelSweeper::new(2).run(&grid).to_csv();
+        let expected = StreamingSweeper::new(2).run(&grid).to_csv();
 
         // In-process: the streaming path reorders back to grid order.
         let mut streamed = SweepReport::csv_header();

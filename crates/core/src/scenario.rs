@@ -146,7 +146,7 @@ impl SuiteSpec {
     /// order — the a-priori information the paper's static guarantees
     /// (Marzullo's regime conditions, Theorem 2) are computed from,
     /// without building a sensor or sampling a single reading.
-    pub(crate) fn widths(&self) -> Vec<f64> {
+    pub fn widths(&self) -> Vec<f64> {
         match self {
             SuiteSpec::Landshark => LANDSHARK_SPECS
                 .iter()
@@ -207,65 +207,6 @@ impl StrategySpec {
             StrategySpec::Truthful => "truthful",
         }
     }
-
-    /// How the strategy's transmitted intervals relate to the overlap
-    /// check, statically (see [`StrategyVisibility`]).
-    ///
-    /// Both the phantom forger and the greedy extreme placers route
-    /// every proposal through the shared stealth clamp (the paper's
-    /// Section III-A argument): in passive mode the forged interval
-    /// contains Δ (and hence the truth), in active mode it is shifted to
-    /// touch the intersection of the correct intervals seen so far —
-    /// a point of maximal coverage, inside the Marzullo interval when
-    /// the round's corruption stays within budget. They are therefore
-    /// [`StrategyVisibility::Stealthy`]; the truthful baseline transmits
-    /// the correct reading outright.
-    pub(crate) fn visibility(&self) -> StrategyVisibility {
-        match self {
-            StrategySpec::PhantomOptimal | StrategySpec::GreedyHigh | StrategySpec::GreedyLow => {
-                StrategyVisibility::Stealthy
-            }
-            StrategySpec::Truthful => StrategyVisibility::Honest,
-        }
-    }
-}
-
-/// The static visibility class of an attack strategy: what the overlap
-/// check can ever see of it, before a round is run.
-///
-/// The companion of [`Scenario::static_model`] on the detection side:
-/// `StrategySpec::visibility` and [`AttackerSpec::visibility`] derive
-/// it from the declaration alone, and the static detectability analysis
-/// in `arsf-analyze` turns it into per-cell verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum StrategyVisibility {
-    /// Transmits the correct reading: indistinguishable from an honest
-    /// sensor, so the overlap check never fires on it (and no budget
-    /// argument is needed).
-    Honest,
-    /// Forgeries are stealth-clamped to stay in contact with the fusion
-    /// interval (Section III-A): provably invisible to the overlap check
-    /// under Marzullo-family fusion while at most one sensor per round
-    /// is attacked within budget.
-    Stealthy,
-    /// No static placement claim: whether the overlap check fires
-    /// depends on magnitudes and runtime state.
-    Opportunistic,
-}
-
-impl StrategyVisibility {
-    /// The strategy's rank in the attacker-strength lattice: honest (no
-    /// forgery) below stealthy (clamped forgery) below opportunistic
-    /// (unconstrained placement — the full-knowledge worst case, since
-    /// nothing restricts where its forgeries land).
-    pub(crate) fn strength_rank(self) -> u8 {
-        match self {
-            StrategyVisibility::Honest => 0,
-            StrategyVisibility::Stealthy => 1,
-            StrategyVisibility::Opportunistic => 2,
-        }
-    }
 }
 
 /// The scenario's attacker model.
@@ -299,60 +240,6 @@ impl AttackerSpec {
                 format!("{}@{}", strategy.name(), ids.join("|"))
             }
             AttackerSpec::RandomEachRound => "random-each-round".to_string(),
-        }
-    }
-
-    /// The visibility class of the strategy this attacker runs (see
-    /// [`StrategyVisibility`]): honest for no attacker, the fixed
-    /// strategy's own class for a fixed set, and stealthy for the
-    /// random-each-round model (which always forges with
-    /// [`StrategySpec::PhantomOptimal`]).
-    pub fn visibility(&self) -> StrategyVisibility {
-        match self {
-            AttackerSpec::None => StrategyVisibility::Honest,
-            AttackerSpec::Fixed { strategy, .. } => strategy.visibility(),
-            AttackerSpec::RandomEachRound => StrategySpec::PhantomOptimal.visibility(),
-        }
-    }
-
-    /// The worst-case number of *distinct* sensors this attacker forges
-    /// in a single round: the stealth clamp's coverage argument only
-    /// closes when at most one sensor per round is attacked.
-    pub fn max_attacked_per_round(&self) -> usize {
-        match self {
-            AttackerSpec::None => 0,
-            AttackerSpec::Fixed { sensors, strategy } => {
-                if *strategy == StrategySpec::Truthful {
-                    0
-                } else {
-                    let distinct: std::collections::BTreeSet<usize> =
-                        sensors.iter().copied().collect();
-                    distinct.len()
-                }
-            }
-            AttackerSpec::RandomEachRound => 1,
-        }
-    }
-
-    /// Compares two attackers in the strength lattice: the product order
-    /// of the strategy's `StrategyVisibility::strength_rank` and
-    /// [`AttackerSpec::max_attacked_per_round`].
-    ///
-    /// `Some(Less)` means `self` is provably the weaker attacker — its
-    /// strategy class is no more capable *and* it forges no more sensors
-    /// per round — so no worst-case metric bound can be larger under it.
-    /// `None` means the two are incomparable (one axis says weaker, the
-    /// other stronger), and the static dominance pass makes no claim.
-    pub fn strength_partial_cmp(&self, other: &AttackerSpec) -> Option<std::cmp::Ordering> {
-        use std::cmp::Ordering;
-        let rank = |a: &AttackerSpec| (a.visibility().strength_rank(), a.max_attacked_per_round());
-        let (va, ca) = rank(self);
-        let (vb, cb) = rank(other);
-        match (va.cmp(&vb), ca.cmp(&cb)) {
-            (Ordering::Equal, count) => Some(count),
-            (visibility, Ordering::Equal) => Some(visibility),
-            (visibility, count) if visibility == count => Some(visibility),
-            _ => None,
         }
     }
 
@@ -571,35 +458,6 @@ impl ClosedLoopSpec {
     }
 }
 
-/// The a-priori corruption model of one scenario — everything the static
-/// guarantee analysis (Marzullo's regime conditions, Theorem 2) needs,
-/// extracted from the declaration alone: no sensors built, no rounds run.
-///
-/// Produced by [`Scenario::static_model`].
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct StaticModel {
-    /// Declared interval widths, in sensor-id order.
-    pub widths: Vec<f64>,
-    /// The fusion fault assumption `f`.
-    pub f: usize,
-    /// Worst-case number of *transmitting* sensors whose intervals may
-    /// exclude the truth in one round: the distinct sensors carrying a
-    /// non-silent fault, union the fixed compromised set, plus one for a
-    /// random-each-round attacker — capped at the suite size.
-    pub corrupt: usize,
-    /// Number of distinct sensors a `Silent` fault can drop from a round
-    /// (the worst case silences all of them at once).
-    pub silent: usize,
-    /// Worst-case per-round drift `|Δtruth|` of the measured variable:
-    /// `Some(0.0)` for constant truth, the absolute ramp rate for a
-    /// ramp, and `None` closed-loop, where the truth is the vehicle's
-    /// actual speed and no static drift bound exists.
-    pub truth_rate: Option<f64>,
-    /// Fused outputs per round: the platoon size closed-loop, else 1.
-    pub vehicles: usize,
-}
-
 /// A complete, declarative experiment description.
 ///
 /// # Example
@@ -745,62 +603,6 @@ impl Scenario {
     pub fn with_closed_loop(mut self, spec: ClosedLoopSpec) -> Self {
         self.closed_loop = Some(spec);
         self
-    }
-
-    /// Extracts the [`StaticModel`] this scenario declares: widths, the
-    /// fault assumption, and the worst-case corruption/silence budgets,
-    /// all without building a sensor or running a round.
-    ///
-    /// A sensor carrying both a silent and a corrupting fault counts in
-    /// both budgets — over rounds, either can manifest, and the analysis
-    /// takes the worst case. Fault probabilities are ignored (a fault
-    /// that *can* fire counts), and out-of-range indices are capped at
-    /// the suite size ([`Scenario::validate`] reports them as errors).
-    pub fn static_model(&self) -> StaticModel {
-        use std::collections::BTreeSet;
-        let widths = self.suite.widths();
-        let n = widths.len();
-        let mut silent = BTreeSet::new();
-        let mut corrupt = BTreeSet::new();
-        for (sensor, fault) in &self.faults {
-            if matches!(fault.kind(), arsf_sensor::FaultKind::Silent) {
-                silent.insert(*sensor);
-            } else {
-                corrupt.insert(*sensor);
-            }
-        }
-        let extra = match &self.attacker {
-            AttackerSpec::None => 0,
-            AttackerSpec::Fixed { sensors, strategy } => {
-                // A truthful "attacker" transmits the correct reading.
-                if *strategy != StrategySpec::Truthful {
-                    corrupt.extend(sensors.iter().copied());
-                }
-                0
-            }
-            AttackerSpec::RandomEachRound => 1,
-        };
-        let truth_rate = if self.closed_loop.is_some() {
-            None
-        } else {
-            Some(match self.truth {
-                TruthSpec::Constant(_) => 0.0,
-                TruthSpec::Ramp { rate_per_round, .. } => rate_per_round.abs(),
-            })
-        };
-        let vehicles = self
-            .closed_loop
-            .as_ref()
-            .and_then(|spec| spec.platoon.as_ref())
-            .map_or(1, |platoon| platoon.size.max(1));
-        StaticModel {
-            widths,
-            f: self.f,
-            corrupt: (corrupt.len() + extra).min(n),
-            silent: silent.len().min(n),
-            truth_rate,
-            vehicles,
-        }
     }
 
     /// Checks the scenario for combinations the engines genuinely cannot
@@ -1212,131 +1014,6 @@ mod tests {
         for spec in specs {
             assert_eq!(spec.build(1).name(), spec.name());
         }
-    }
-
-    #[test]
-    fn static_model_extracts_widths_and_budgets() {
-        let scenario = Scenario::new("sm", SuiteSpec::Landshark)
-            .with_fault(2, FaultModel::new(arsf_sensor::FaultKind::Silent, 0.5))
-            .with_fault(
-                3,
-                FaultModel::new(arsf_sensor::FaultKind::Bias { offset: 3.0 }, 0.2),
-            )
-            .with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0, 3],
-                strategy: StrategySpec::PhantomOptimal,
-            });
-        let model = scenario.static_model();
-        assert_eq!(model.widths, vec![0.2, 0.2, 1.0, 2.0]);
-        assert_eq!(model.f, 1);
-        // Sensor 3 is faulted *and* attacked: distinct count is {0, 3}.
-        assert_eq!(model.corrupt, 2);
-        assert_eq!(model.silent, 1);
-        assert_eq!(model.truth_rate, Some(0.0));
-        assert_eq!(model.vehicles, 1);
-    }
-
-    #[test]
-    fn static_model_truthful_attacker_does_not_corrupt() {
-        let scenario =
-            Scenario::new("sm", SuiteSpec::Landshark).with_attacker(AttackerSpec::Fixed {
-                sensors: vec![0],
-                strategy: StrategySpec::Truthful,
-            });
-        assert_eq!(scenario.static_model().corrupt, 0);
-    }
-
-    #[test]
-    fn strategy_visibility_classes() {
-        for stealthy in [
-            StrategySpec::PhantomOptimal,
-            StrategySpec::GreedyHigh,
-            StrategySpec::GreedyLow,
-        ] {
-            assert_eq!(stealthy.visibility(), StrategyVisibility::Stealthy);
-        }
-        assert_eq!(
-            StrategySpec::Truthful.visibility(),
-            StrategyVisibility::Honest
-        );
-        assert_eq!(AttackerSpec::None.visibility(), StrategyVisibility::Honest);
-        assert_eq!(
-            AttackerSpec::RandomEachRound.visibility(),
-            StrategyVisibility::Stealthy
-        );
-    }
-
-    #[test]
-    fn max_attacked_counts_distinct_forging_sensors() {
-        assert_eq!(AttackerSpec::None.max_attacked_per_round(), 0);
-        assert_eq!(AttackerSpec::RandomEachRound.max_attacked_per_round(), 1);
-        let fixed = AttackerSpec::Fixed {
-            sensors: vec![0, 2, 0],
-            strategy: StrategySpec::GreedyHigh,
-        };
-        assert_eq!(fixed.max_attacked_per_round(), 2);
-        let truthful = AttackerSpec::Fixed {
-            sensors: vec![0, 1],
-            strategy: StrategySpec::Truthful,
-        };
-        assert_eq!(truthful.max_attacked_per_round(), 0);
-    }
-
-    #[test]
-    fn strength_partial_cmp_is_the_product_order() {
-        use std::cmp::Ordering;
-        let honest = AttackerSpec::None;
-        let random = AttackerSpec::RandomEachRound;
-        let phantom_two = AttackerSpec::Fixed {
-            sensors: vec![0, 2],
-            strategy: StrategySpec::PhantomOptimal,
-        };
-        let truthful = AttackerSpec::Fixed {
-            sensors: vec![0, 1, 2],
-            strategy: StrategySpec::Truthful,
-        };
-        // Honest below any armed stealthy attacker; reflexive equality.
-        assert_eq!(honest.strength_partial_cmp(&random), Some(Ordering::Less));
-        assert_eq!(
-            random.strength_partial_cmp(&honest),
-            Some(Ordering::Greater)
-        );
-        assert_eq!(honest.strength_partial_cmp(&honest), Some(Ordering::Equal));
-        // Same visibility class, more forged sensors: strictly stronger.
-        assert_eq!(
-            random.strength_partial_cmp(&phantom_two),
-            Some(Ordering::Less)
-        );
-        // Truthful forges nothing: equal strength to no attacker at all.
-        assert_eq!(
-            honest.strength_partial_cmp(&truthful),
-            Some(Ordering::Equal)
-        );
-        // Ranks come from the visibility lattice.
-        assert_eq!(StrategyVisibility::Honest.strength_rank(), 0);
-        assert_eq!(StrategyVisibility::Stealthy.strength_rank(), 1);
-        assert_eq!(StrategyVisibility::Opportunistic.strength_rank(), 2);
-    }
-
-    #[test]
-    fn static_model_random_attacker_adds_one_corruption() {
-        let scenario =
-            Scenario::new("sm", SuiteSpec::Landshark).with_attacker(AttackerSpec::RandomEachRound);
-        assert_eq!(scenario.static_model().corrupt, 1);
-    }
-
-    #[test]
-    fn static_model_closed_loop_platoon_and_unknown_drift() {
-        let scenario = Scenario::new("sm", SuiteSpec::Landshark)
-            .with_closed_loop(ClosedLoopSpec::new(10.0).with_platoon(3, 0.05));
-        let model = scenario.static_model();
-        assert_eq!(model.vehicles, 3);
-        assert_eq!(model.truth_rate, None);
-        let ramp = Scenario::new("sm", SuiteSpec::Landshark).with_truth(TruthSpec::Ramp {
-            start: 5.0,
-            rate_per_round: -0.25,
-        });
-        assert_eq!(ramp.static_model().truth_rate, Some(0.25));
     }
 
     #[test]

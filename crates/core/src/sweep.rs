@@ -11,8 +11,7 @@
 //!   RNG seed is derived deterministically from the seed-axis value and
 //!   the cell index ([`derive_seed`]), so any cell is reproducible in
 //!   isolation: `grid.scenario(i)` always denotes the same experiment.
-//! * [`StreamingSweeper`] (also named [`ParallelSweeper`]) — the one
-//!   sweep engine. It shards cells across scoped
+//! * [`StreamingSweeper`] — the one sweep engine. It shards cells across scoped
 //!   worker threads, each owning one reusable
 //!   [`RoundOutcome`] buffer and building its own engines from the
 //!   cell's specs (the [`FuserSpec`] / [`DetectionMode`] factories make
@@ -62,8 +61,8 @@ mod stream;
 
 pub use stream::StreamingSweeper;
 
-/// Another name for the sweep engine, used by callers that collect
-/// whole reports (`perfbench/` among them).
+/// Another name for the sweep engine, kept only because the
+/// `perfbench/` benchmark still names it.
 pub type ParallelSweeper = StreamingSweeper;
 
 use arsf_schedule::SchedulePolicy;

@@ -772,7 +772,7 @@ mod json {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{ParallelSweeper, SweepGrid};
+    use super::super::{StreamingSweeper, SweepGrid};
     use super::*;
     use crate::scenario::{AttackerSpec, ClosedLoopSpec, Scenario, StrategySpec, SuiteSpec};
     use arsf_schedule::SchedulePolicy;
@@ -859,7 +859,7 @@ mod tests {
     #[test]
     fn baseline_round_trips_through_json() {
         let grid = small_grid(25);
-        let report = ParallelSweeper::new(2).run(&grid);
+        let report = StreamingSweeper::new(2).run(&grid);
         let baseline = Baseline::from_report(&grid, &report);
         assert_eq!(baseline.rows.len(), 8);
         assert_eq!(baseline.address, grid_address(&grid));

@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn to_f64_interval_preserves_endpoints() {
-        let s = Interval::new(-2_i32, 7).unwrap().to_f64_interval();
+        let s = Interval::new(-2_i64, 7).unwrap().to_f64_interval();
         assert_eq!(s.lo(), -2.0);
         assert_eq!(s.hi(), 7.0);
     }

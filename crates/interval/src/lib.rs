@@ -10,7 +10,7 @@
 //! here:
 //!
 //! * [`Interval`] — a validated closed interval `[lo, hi]` generic over a
-//!   [`Scalar`] coordinate type (`f64`, `f32`, `i64`, `i32`),
+//!   [`Scalar`] coordinate type (`f64`, `i64`),
 //! * slice-level operations ([`ops`]) — common intersection, convex hull,
 //!   pairwise-overlap checks,
 //! * the *k*-coverage kernel ([`coverage`]) — the smallest and

@@ -8,7 +8,7 @@ use core::ops::{Add, Sub};
 /// The trait is deliberately small: intervals only ever need ordering,
 /// addition/subtraction (widths, translations), halving (midpoints) and a
 /// lossy view as `f64` for rendering and statistics. It is implemented for
-/// `f64`, `f32`, `i64` and `i32`; sensor-facing code uses `f64`, while the
+/// `f64` and `i64`; sensor-facing code uses `f64`, while the
 /// exhaustive-enumeration experiment engines use integer grids for exact
 /// arithmetic.
 ///
@@ -82,22 +82,6 @@ impl Scalar for f64 {
     }
 }
 
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-
-    fn is_finite_scalar(&self) -> bool {
-        self.is_finite()
-    }
-
-    fn half(self) -> Self {
-        self * 0.5
-    }
-
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-}
-
 impl Scalar for i64 {
     const ZERO: Self = 0;
 
@@ -114,22 +98,6 @@ impl Scalar for i64 {
     }
 }
 
-impl Scalar for i32 {
-    const ZERO: Self = 0;
-
-    fn is_finite_scalar(&self) -> bool {
-        true
-    }
-
-    fn half(self) -> Self {
-        self.div_euclid(2)
-    }
-
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,28 +108,26 @@ mod tests {
         assert!(!f64::NAN.is_finite_scalar());
         assert!(!f64::INFINITY.is_finite_scalar());
         assert!(!f64::NEG_INFINITY.is_finite_scalar());
-        assert!(!f32::NAN.is_finite_scalar());
     }
 
     #[test]
     fn integers_are_always_finite() {
         assert!(i64::MAX.is_finite_scalar());
         assert!(i64::MIN.is_finite_scalar());
-        assert!(0_i32.is_finite_scalar());
     }
 
     #[test]
     fn half_rounds_towards_negative_infinity_for_integers() {
         assert_eq!(7_i64.half(), 3);
         assert_eq!((-7_i64).half(), -4);
-        assert_eq!(6_i32.half(), 3);
-        assert_eq!((-6_i32).half(), -3);
+        assert_eq!(6_i64.half(), 3);
+        assert_eq!((-6_i64).half(), -3);
     }
 
     #[test]
     fn half_is_exact_for_floats() {
         assert_eq!(7.0_f64.half(), 3.5);
-        assert_eq!((-1.0_f32).half(), -0.5);
+        assert_eq!((-1.0_f64).half(), -0.5);
     }
 
     #[test]
@@ -171,14 +137,14 @@ mod tests {
         assert_eq!(5_i64.min_scalar(3), 3);
         assert_eq!(5_i64.max_scalar(3), 5);
         // Equal values return self.
-        assert_eq!(4_i32.min_scalar(4), 4);
-        assert_eq!(4_i32.max_scalar(4), 4);
+        assert_eq!(4_i64.min_scalar(4), 4);
+        assert_eq!(4_i64.max_scalar(4), 4);
     }
 
     #[test]
     fn to_f64_is_value_preserving_for_small_values() {
         assert_eq!(41_i64.to_f64(), 41.0);
-        assert_eq!((-3_i32).to_f64(), -3.0);
-        assert_eq!(2.5_f32.to_f64(), 2.5);
+        assert_eq!((-3_i64).to_f64(), -3.0);
+        assert_eq!(2.5_f64.to_f64(), 2.5);
     }
 }

@@ -10,7 +10,7 @@
 use arsf::core::scenario::{
     AttackerSpec, ClosedLoopSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec,
 };
-use arsf::core::sweep::{ParallelSweeper, SweepGrid};
+use arsf::core::sweep::{StreamingSweeper, SweepGrid};
 use arsf::core::DetectionMode;
 use arsf::schedule::SchedulePolicy;
 
@@ -41,7 +41,7 @@ fn main() {
         ])
         .schedules([SchedulePolicy::Ascending, SchedulePolicy::Descending]);
 
-    let sweeper = ParallelSweeper::auto();
+    let sweeper = StreamingSweeper::auto();
     println!(
         "Grid sweep: {} cells (4 fusers x 3 detectors x 2 schedules),",
         grid.len()

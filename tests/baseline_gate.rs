@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use arsf_bench::golden;
 use arsf_core::sweep::diff::{diff, DiffConfig, Drift, Tolerance};
 use arsf_core::sweep::store::{grid_address, Baseline};
-use arsf_core::sweep::ParallelSweeper;
+use arsf_core::sweep::StreamingSweeper;
 
 fn baselines_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("baselines")
@@ -23,7 +23,7 @@ fn baselines_dir() -> PathBuf {
 
 #[test]
 fn committed_baselines_match_a_fresh_run_of_every_golden_grid() {
-    let sweeper = ParallelSweeper::new(2);
+    let sweeper = StreamingSweeper::new(2);
     for (name, grid) in golden::all() {
         let stored = Baseline::load_for_grid(baselines_dir(), &grid).unwrap_or_else(|e| {
             panic!(

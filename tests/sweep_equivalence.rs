@@ -4,7 +4,7 @@
 //! must be reproducible in isolation.
 
 use arsf::core::scenario::{AttackerSpec, FuserSpec, Scenario, StrategySpec, SuiteSpec};
-use arsf::core::sweep::{ParallelSweeper, SweepGrid};
+use arsf::core::sweep::{StreamingSweeper, SweepGrid};
 use arsf::core::{DetectionMode, ScenarioRunner};
 use arsf::schedule::SchedulePolicy;
 
@@ -45,7 +45,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     let serial = grid.run_serial();
     assert_eq!(serial.len(), grid.len());
     for threads in [2, 4, 8] {
-        let parallel = ParallelSweeper::new(threads).run(&grid);
+        let parallel = StreamingSweeper::new(threads).run(&grid);
         assert_eq!(serial, parallel, "{threads}-thread report diverged");
         assert_eq!(
             serial.to_csv(),
@@ -67,7 +67,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn any_cell_reruns_identically_in_isolation() {
     let grid = acceptance_grid();
-    let report = ParallelSweeper::new(4).run(&grid);
+    let report = StreamingSweeper::new(4).run(&grid);
     for index in [0, 13, 29, 47] {
         let solo = ScenarioRunner::new(&grid.scenario(index)).run();
         assert_eq!(
@@ -89,8 +89,8 @@ fn random_schedule_cells_stay_deterministic_across_thread_counts() {
     )
     .fusers([FuserSpec::Marzullo, FuserSpec::Hull])
     .seeds([1, 2, 3]);
-    let a = ParallelSweeper::new(2).run(&grid);
-    let b = ParallelSweeper::new(5).run(&grid);
+    let a = StreamingSweeper::new(2).run(&grid);
+    let b = StreamingSweeper::new(5).run(&grid);
     assert_eq!(a, b);
     assert_eq!(a.to_csv(), grid.run_serial().to_csv());
 }

@@ -4,7 +4,7 @@
 //! random strictly between, descending worst), and the parallel report
 //! is byte-identical to the serial one, supervisor columns included.
 
-use arsf::core::sweep::ParallelSweeper;
+use arsf::core::sweep::StreamingSweeper;
 use arsf::schedule::SchedulePolicy;
 use arsf_bench::table2::{run_all, sweep_grid, Table2Config, Table2Row};
 
@@ -18,7 +18,7 @@ fn quick() -> Table2Config {
 
 #[test]
 fn table2_through_the_grid_reproduces_the_paper_ordering() {
-    let rows = run_all(&quick(), &ParallelSweeper::new(1));
+    let rows = run_all(&quick(), &StreamingSweeper::new(1));
     let by_name = |name: &str| -> &Table2Row {
         rows.iter()
             .find(|r| r.schedule == name)
@@ -49,7 +49,7 @@ fn table2_grid_is_byte_identical_serial_vs_parallel() {
     let grid = sweep_grid(&quick());
     assert_eq!(grid.len(), 6, "3 schedules x 2 replicates");
     let serial = grid.run_serial();
-    let parallel = ParallelSweeper::new(4).run(&grid);
+    let parallel = StreamingSweeper::new(4).run(&grid);
     assert_eq!(serial, parallel, "4-worker report diverged");
     let csv = serial.to_csv();
     assert_eq!(csv, parallel.to_csv(), "CSV bytes diverged");
@@ -94,7 +94,7 @@ fn table2_grid_is_byte_identical_serial_vs_parallel() {
 fn table2_cells_rerun_identically_in_isolation() {
     let config = quick();
     let grid = sweep_grid(&config);
-    let report = ParallelSweeper::new(2).run(&grid);
+    let report = StreamingSweeper::new(2).run(&grid);
     for index in [0, 3, 5] {
         let solo = arsf::core::ScenarioRunner::new(&grid.scenario(index)).run();
         assert_eq!(
@@ -170,7 +170,7 @@ fn previously_panicking_closed_loop_combos_run_through_the_grid() {
         cell.scenario.validate().expect("supported combination");
     }
     let serial = grid.run_serial();
-    let threaded = ParallelSweeper::new(4).run(&grid);
+    let threaded = StreamingSweeper::new(4).run(&grid);
     assert_eq!(serial, threaded, "4-worker report diverged");
     assert_eq!(serial.to_csv(), threaded.to_csv(), "CSV bytes diverged");
     assert_eq!(serial.to_json(), threaded.to_json(), "JSON bytes diverged");
