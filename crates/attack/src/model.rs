@@ -78,6 +78,16 @@ impl AttackerConfig {
         Self { compromised, f }
     }
 
+    /// Replaces the compromised set in place, reusing this config's
+    /// storage; duplicate sensor indices are removed as in
+    /// [`AttackerConfig::new`].
+    pub fn set_compromised(&mut self, compromised: impl IntoIterator<Item = usize>) {
+        self.compromised.clear();
+        self.compromised.extend(compromised);
+        self.compromised.sort_unstable();
+        self.compromised.dedup();
+    }
+
     /// The compromised sensor indices (sorted).
     pub fn compromised(&self) -> &[usize] {
         &self.compromised
@@ -202,6 +212,15 @@ mod tests {
         assert_eq!(cfg.compromised(), &[0, 1, 3]);
         assert!(cfg.controls(1));
         assert!(!cfg.controls(2));
+    }
+
+    #[test]
+    fn set_compromised_sorts_dedups_and_replaces() {
+        let mut cfg = AttackerConfig::new([], 2);
+        cfg.set_compromised([3, 1, 3, 0]);
+        assert_eq!(cfg, AttackerConfig::new([0, 1, 3], 2));
+        cfg.set_compromised([2]);
+        assert_eq!(cfg.compromised(), &[2]);
     }
 
     #[test]

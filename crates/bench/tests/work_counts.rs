@@ -101,8 +101,8 @@ struct Pinned {
 #[rustfmt::skip]
 const PINNED: [Pinned; 4] = [
     Pinned { grid: "open-loop-48", rounds: 5760, round_allocs: 246359, round_bytes: 13603990, build_allocs: 468 },
-    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 51200, round_bytes: 2721276, build_allocs: 48 },
-    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 153238, round_bytes: 8142446, build_allocs: 144 },
+    Pinned { grid: "table2-closed-loop", rounds: 1200, round_allocs: 50006, round_bytes: 2711868, build_allocs: 48 },
+    Pinned { grid: "table2-platoon", rounds: 1200, round_allocs: 149656, round_bytes: 8114222, build_allocs: 144 },
     Pinned { grid: "honest-wide", rounds: 1600, round_allocs: 76, round_bytes: 2382, build_allocs: 132 },
 ];
 

@@ -6,10 +6,11 @@
 //! same engine an open-loop cell runs, so faults, any attack strategy,
 //! any fuser and the detector behave identically inside the control loop
 //! and the supervisor vets the interval detection saw. The case study's
-//! "any sensor can be attacked" redraw swaps only the attacker config
-//! each round instead of rebuilding the engine.
+//! "any sensor can be attacked" redraw happens inside that pipeline's
+//! round, which overwrites only the attacker config in place instead of
+//! rebuilding the engine.
 
-use crate::scenario::{draw_random_attacker, AttackerSpec, Scenario};
+use crate::scenario::Scenario;
 use crate::{FusionPipeline, RoundOutcome};
 use arsf_fusion::Fuser;
 use arsf_interval::Interval;
@@ -39,7 +40,6 @@ pub struct LandShark {
     supervisor: Supervisor,
     target_speed: f64,
     dt: f64,
-    random_attacker: bool,
     outcome: RoundOutcome,
 }
 
@@ -65,7 +65,6 @@ impl LandShark {
             supervisor: Supervisor::new(spec.target_speed, spec.delta_up, spec.delta_down),
             target_speed: spec.target_speed,
             dt: scenario.control_period(),
-            random_attacker: scenario.attacker == AttackerSpec::RandomEachRound,
             outcome: RoundOutcome::default(),
         }
     }
@@ -111,9 +110,6 @@ impl LandShark {
         outcome: &mut RoundOutcome,
     ) -> StepRecord {
         let truth = self.vehicle.speed();
-        if self.random_attacker {
-            draw_random_attacker(&mut self.pipeline, rng);
-        }
         self.pipeline.run_round_into(truth, rng, outcome);
 
         let (action, estimate) = match &outcome.fusion {
@@ -148,7 +144,7 @@ impl LandShark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ClosedLoopSpec, FuserSpec, StrategySpec, SuiteSpec};
+    use crate::scenario::{AttackerSpec, ClosedLoopSpec, FuserSpec, StrategySpec, SuiteSpec};
     use crate::DetectionMode;
     use arsf_schedule::SchedulePolicy;
     use arsf_sensor::{FaultKind, FaultModel};

@@ -149,6 +149,7 @@ impl<F: Fuser<f64>> PipelineBuilder<F> {
             own: Vec::new(),
             future_own_widths: Vec::new(),
             round: 0,
+            random_attacker: false,
         }
     }
 }
@@ -188,6 +189,10 @@ pub struct FusionPipeline<F: Fuser<f64> = MarzulloFuser> {
     /// Scratch: widths of the attacker's sensors in later slots.
     future_own_widths: Vec<f64>,
     round: u64,
+    /// Whether [`FusionPipeline::run_round_into`] redraws the installed
+    /// attacker's one compromised sensor every round
+    /// ([`AttackerSpec::RandomEachRound`](crate::scenario::AttackerSpec::RandomEachRound)).
+    random_attacker: bool,
 }
 
 impl FusionPipeline<MarzulloFuser> {
@@ -209,11 +214,6 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         &self.suite
     }
 
-    /// The configuration.
-    pub(crate) fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// The fusion algorithm.
     pub fn fuser(&self) -> &F {
         &self.fuser
@@ -227,6 +227,13 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// The number of completed rounds.
     pub fn rounds(&self) -> u64 {
         self.round
+    }
+
+    /// Makes every [`FusionPipeline::run_round_into`] redraw the
+    /// installed attacker's compromised set as one sensor drawn uniformly
+    /// over the suite, before anything else in the round uses the RNG.
+    pub(crate) fn redraw_attacker_each_round(&mut self) {
+        self.random_attacker = true;
     }
 
     /// Installs, replaces or removes the attacker between rounds — the
@@ -250,8 +257,7 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// Replaces only the **configuration** of the installed attacker,
     /// keeping the boxed strategy (and any state it carries, such as
     /// [`PhantomOptimal`](arsf_attack::strategies::PhantomOptimal)'s
-    /// side-alternation) alive — the allocation-free way to express a
-    /// per-round compromised set in a hot control loop.
+    /// side-alternation) alive.
     ///
     /// # Panics
     ///
@@ -297,6 +303,14 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         rng: &mut R,
         out: &mut RoundOutcome,
     ) {
+        // Table II's "any sensor can be attacked": the round's one
+        // compromised sensor, drawn in place. An empty suite draws none.
+        let n = self.suite.len();
+        if self.random_attacker && n > 0 {
+            if let Some((cfg, _)) = &mut self.attacker {
+                cfg.set_compromised([rng.gen_range(0..n)]);
+            }
+        }
         let schedule = self.config.schedule();
         if schedule.is_round_invariant() {
             let order = self

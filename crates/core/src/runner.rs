@@ -16,9 +16,7 @@ use crate::closed_loop::landshark::LandShark;
 use crate::closed_loop::platoon::Platoon;
 use crate::closed_loop::supervisor::SupervisorAction;
 use crate::metrics::{SupervisorSummary, VehicleSummary, WidthStats};
-use crate::scenario::{
-    draw_random_attacker, AttackerSpec, PlatoonSpec, Scenario, ScenarioError, TruthSpec,
-};
+use crate::scenario::{PlatoonSpec, Scenario, ScenarioError, TruthSpec};
 use crate::{FusionPipeline, RoundOutcome};
 
 /// Aggregated results of one scenario run.
@@ -134,9 +132,6 @@ pub struct ScenarioRunner {
     truth: TruthSpec,
     /// The scenario's configured round count, for [`ScenarioRunner::run`].
     rounds: u64,
-    /// Whether the attacked sensor is redrawn every open-loop round
-    /// ([`AttackerSpec::RandomEachRound`]).
-    redraw_attacker: bool,
     engine: Engine,
     rng: StdRng,
     round: u64,
@@ -194,7 +189,6 @@ impl ScenarioRunner {
             name: scenario.name.clone(),
             truth: scenario.truth,
             rounds: scenario.rounds,
-            redraw_attacker: scenario.attacker == AttackerSpec::RandomEachRound,
             engine: build_engine(scenario),
             rng: StdRng::seed_from_u64(scenario.seed),
             round: 0,
@@ -210,9 +204,6 @@ impl ScenarioRunner {
     pub fn step_into(&mut self, out: &mut RoundOutcome) {
         match &mut self.engine {
             Engine::Open(pipeline) => {
-                if self.redraw_attacker {
-                    draw_random_attacker(pipeline, &mut self.rng);
-                }
                 let truth = self.truth.at(self.round);
                 pipeline.run_round_into(truth, &mut self.rng, out);
             }

@@ -25,7 +25,6 @@ use arsf_fusion::{
 use arsf_schedule::SchedulePolicy;
 use arsf_sensor::suite::LANDSHARK_SPECS;
 use arsf_sensor::{FaultKind, FaultModel, SensorSpec, SensorSuite};
-use rand::Rng;
 
 use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 
@@ -225,8 +224,8 @@ pub enum AttackerSpec {
     /// One compromised sensor re-drawn uniformly every round, running the
     /// stealthy [`StrategySpec::PhantomOptimal`] forger — Table II's
     /// "any sensor can be attacked" model. Works in both execution modes:
-    /// the runner swaps only the attacker *config* on a persistent
-    /// strategy each round.
+    /// the scenario's pipeline redraws the sensor in place at the top of
+    /// every [`FusionPipeline::run_round_into`], on a persistent strategy.
     RandomEachRound,
 }
 
@@ -247,10 +246,9 @@ impl AttackerSpec {
     /// (`None` for honest runs).
     ///
     /// [`AttackerSpec::RandomEachRound`] is installed with an **empty**
-    /// compromised set and a persistent [`PhantomOptimal`]: the runner
-    /// swaps only the attacker config to the round's drawn sensor (see
-    /// [`FusionPipeline::set_attacker_config`]), never re-boxing the
-    /// strategy. Both the open-loop pipeline and the closed-loop vehicle
+    /// compromised set and a persistent [`PhantomOptimal`]: the pipeline
+    /// [`Scenario::build_pipeline`] makes redraws the compromised sensor
+    /// every round, never re-boxing the strategy. Both the open-loop pipeline and the closed-loop vehicle
     /// engines build their attacker through this one method.
     pub fn build(&self, f: usize) -> Option<(AttackerConfig, Box<dyn AttackStrategy>)> {
         match self {
@@ -264,23 +262,6 @@ impl AttackerSpec {
                 StrategySpec::PhantomOptimal.build(),
             )),
         }
-    }
-}
-
-/// Draws this round's compromised sensor for an
-/// [`AttackerSpec::RandomEachRound`] attacker, uniformly over the suite,
-/// and swaps it into the engine's attacker config — the one redraw both
-/// the open-loop runner and the closed-loop vehicle run before each
-/// round. An empty suite leaves the attacker no sensor to draw.
-pub(crate) fn draw_random_attacker<R: Rng + ?Sized>(
-    pipeline: &mut FusionPipeline<Box<dyn Fuser<f64>>>,
-    rng: &mut R,
-) {
-    let n = pipeline.suite().len();
-    if n > 0 {
-        let sensor = rng.gen_range(0..n);
-        let f = pipeline.config().f();
-        pipeline.set_attacker_config(AttackerConfig::new([sensor], f));
     }
 }
 
@@ -728,10 +709,14 @@ impl Scenario {
         let builder = FusionPipeline::builder(suite)
             .config(config)
             .fuser(self.fuser.build(self.f));
-        match self.attacker.build(self.f) {
+        let mut pipeline = match self.attacker.build(self.f) {
             None => builder.build(),
             Some((attacker, strategy)) => builder.attacker(attacker, strategy).build(),
+        };
+        if self.attacker == AttackerSpec::RandomEachRound {
+            pipeline.redraw_attacker_each_round();
         }
+        pipeline
     }
 
     /// The closed-loop control period in seconds: a historical fuser's
