@@ -46,7 +46,7 @@ use arsf_core::sweep::SweepGrid;
 use arsf_core::DetectionMode;
 use arsf_sensor::FaultKind;
 
-use crate::guarantees::{guarantee_report, GuaranteeReport};
+use crate::guarantees::{guarantee_report_of, GuaranteeReport};
 use crate::model::Model;
 use crate::rules::{
     DETECT_COVERAGE, DETECT_INVISIBLE, DETECT_VACUOUS, DETECT_VERDICT, DETECT_VIOLATION,
@@ -304,12 +304,16 @@ fn stealth_invisible(scenario: &Scenario, model: &Model, guarantees: &GuaranteeR
 /// assert_eq!(report.suspects, Some(vec![0]));
 /// ```
 pub fn detect_report(scenario: &Scenario) -> DetectReport {
-    let model = Model::of(scenario);
+    detect_report_of(scenario, &Model::of(scenario))
+}
+
+/// [`detect_report`] of a scenario whose [`Model`] is already derived.
+pub(crate) fn detect_report_of(scenario: &Scenario, model: &Model) -> DetectReport {
     let detector = scenario.detector;
     let geometry = fuser_geometry_vacuous(&scenario.fuser);
-    let guarantees = guarantee_report(scenario);
+    let guarantees = guarantee_report_of(scenario, model);
     let false_alarm_free = geometry || guarantees.truth_containment;
-    let certain = certain_violators(scenario, &model, &guarantees);
+    let certain = certain_violators(scenario, model, &guarantees);
 
     let verdict = if !detector.flags() {
         DetectVerdict::ProvablyInvisible {
@@ -327,7 +331,7 @@ pub fn detect_report(scenario: &Scenario) -> DetectReport {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::HonestSuite,
         }
-    } else if stealth_invisible(scenario, &model, &guarantees) {
+    } else if stealth_invisible(scenario, model, &guarantees) {
         DetectVerdict::ProvablyInvisible {
             reason: InvisibleReason::StealthClamp,
         }
@@ -457,11 +461,12 @@ pub fn analyze_grid_detectability(grid: &SweepGrid) -> Vec<Finding> {
 pub(crate) fn veto(grid: &SweepGrid, _baseline: &Baseline) -> Vec<Finding> {
     let mut corruptible = 0usize;
     for cell in grid.cells() {
-        if Model::of(&cell.scenario).corrupt == 0 {
+        let model = Model::of(&cell.scenario);
+        if model.corrupt == 0 {
             continue;
         }
         corruptible += 1;
-        let report = detect_report(&cell.scenario);
+        let report = detect_report_of(&cell.scenario, &model);
         if !matches!(report.verdict, DetectVerdict::ProvablyInvisible { .. }) {
             return Vec::new();
         }

@@ -71,7 +71,7 @@ use arsf_core::sweep::diff::Tolerance;
 use arsf_core::sweep::store::Baseline;
 use arsf_core::sweep::{Axis, SweepGrid};
 
-use crate::detectability::{detect_report, DetectVerdict};
+use crate::detectability::{detect_report_of, DetectVerdict};
 use crate::guarantees::guarantee_report;
 use crate::model::Model;
 use crate::rules::{ORDER_EDGE, ORDER_VACUOUS, ORDER_VIOLATION};
@@ -265,12 +265,13 @@ struct CellFacts {
 fn cell_facts(grid: &SweepGrid) -> Vec<CellFacts> {
     grid.cells()
         .map(|cell| {
-            let detect = detect_report(&cell.scenario);
+            let model = Model::of(&cell.scenario);
+            let detect = detect_report_of(&cell.scenario, &model);
             CellFacts {
                 containment: detect.guarantees.truth_containment,
                 invisible: matches!(detect.verdict, DetectVerdict::ProvablyInvisible { .. }),
                 width_bound: detect.guarantees.width_bound,
-                model: Model::of(&cell.scenario),
+                model,
                 scenario: cell.scenario,
             }
         })

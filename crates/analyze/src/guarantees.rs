@@ -187,7 +187,11 @@ fn history_tracks_truth(model: &Model, max_rate: f64, dt: f64) -> bool {
 /// assert!(!report.vacuous());
 /// ```
 pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
-    let model = Model::of(scenario);
+    guarantee_report_of(scenario, &Model::of(scenario))
+}
+
+/// [`guarantee_report`] of a scenario whose [`Model`] is already derived.
+pub(crate) fn guarantee_report_of(scenario: &Scenario, model: &Model) -> GuaranteeReport {
     let n = model.widths.len();
     let span = model.widths.iter().copied().fold(0.0_f64, f64::max);
     let mut ascending = model.widths.clone();
@@ -201,15 +205,15 @@ pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
         FuserSpec::Marzullo | FuserSpec::BrooksIyengar => (
             // Brooks–Iyengar's output interval coincides with Marzullo's,
             // so one analysis covers both.
-            worst_over_silent(&model, |present| {
+            worst_over_silent(model, |present| {
                 static_width_bound(&model.widths, present, model.f, model.corrupt)
             }),
-            marzullo_containment(&model),
+            marzullo_containment(model),
         ),
         FuserSpec::Historical { max_rate, dt } => (
             // History only ever refines the memoryless interval (conflict
             // falls back to it), so the memoryless bound carries over.
-            worst_over_silent(&model, |present| {
+            worst_over_silent(model, |present| {
                 historical_width_bound(
                     &model.widths,
                     present,
@@ -219,7 +223,7 @@ pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
                     *dt,
                 )
             }),
-            marzullo_containment(&model) && history_tracks_truth(&model, *max_rate, *dt),
+            marzullo_containment(model) && history_tracks_truth(model, *max_rate, *dt),
         ),
         // The common intersection is a subset of every transmitting
         // interval, in particular of some honest one; with `reach`
@@ -270,7 +274,7 @@ pub fn guarantee_report(scenario: &Scenario) -> GuaranteeReport {
         f: model.f,
         corrupt: model.corrupt,
         silent: model.silent,
-        regime: budget_regime(&model),
+        regime: budget_regime(model),
         width_bound,
         span,
         truth_containment,

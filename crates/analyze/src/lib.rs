@@ -256,39 +256,35 @@ pub fn exit_code(findings: &[Finding]) -> i32 {
 /// Renders findings for humans: one line per finding plus a summary
 /// tail (`clean` when there are none).
 pub fn render(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut notes = 0usize;
-    for finding in findings {
-        match finding.severity {
-            Severity::Error => errors += 1,
-            Severity::Warn => warnings += 1,
-            Severity::Info => notes += 1,
-        }
-        out.push_str(&finding.render());
-        out.push('\n');
-    }
     if findings.is_empty() {
-        out.push_str("clean: no findings\n");
-    } else {
-        out.push_str(&format!(
-            "{errors} error(s), {warnings} warning(s), {notes} note(s)\n"
-        ));
+        return "clean: no findings\n".to_string();
     }
-    out
+    render_sections([(None, findings)])
 }
 
 /// Renders labelled pass findings for humans: a `== pass ==` header per
 /// pass, each pass's findings (or a per-pass `clean` line), and one
 /// overall summary tail — the text shape of `sweep_lint all`.
 pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
+    render_sections(
+        passes
+            .iter()
+            .map(|(pass, findings)| (Some(*pass), findings.as_slice())),
+    )
+}
+
+/// The one findings printer behind [`render`] and [`render_passes`]:
+/// each section's optional `== pass ==` header and its findings (or a
+/// `clean` line), then the severity tally over every section.
+fn render_sections<'a>(
+    sections: impl IntoIterator<Item = (Option<&'a str>, &'a [Finding])>,
+) -> String {
     let mut out = String::new();
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut notes = 0usize;
-    for (pass, findings) in passes {
-        out.push_str(&format!("== {pass} ==\n"));
+    let (mut errors, mut warnings, mut notes) = (0usize, 0usize, 0usize);
+    for (pass, findings) in sections {
+        if let Some(pass) = pass {
+            out.push_str(&format!("== {pass} ==\n"));
+        }
         for finding in findings {
             match finding.severity {
                 Severity::Error => errors += 1,
