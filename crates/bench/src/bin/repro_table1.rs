@@ -19,7 +19,8 @@ use std::num::NonZeroU64;
 use arsf_attack::expectimax::AttackerStyle;
 use arsf_bench::cli::{sweeper_from, Args, Cli, Flag, THREADS};
 use arsf_bench::table1::{
-    evaluate_schedule_styled, evaluate_setup, most_precise_set, paper_setups, Table1Setup,
+    evaluate_schedule_styled, evaluate_setup, leaf_bound, most_precise_set, paper_setups,
+    Table1Setup, LEAF_BUDGET,
 };
 use arsf_bench::TextTable;
 use arsf_core::scenario::{AttackerSpec, Scenario, StrategySpec, SuiteSpec, TruthSpec};
@@ -72,6 +73,15 @@ fn main() {
         .ok(args.get("--mc-rounds"))
         .map_or(mc_rounds, NonZeroU64::get);
     let sweeper = args.ok(sweeper_from(&args));
+    let setups = paper_setups();
+    let leaves: f64 = setups.iter().map(|setup| leaf_bound(setup, step)).sum();
+    if leaves > LEAF_BUDGET {
+        args.fail(format_args!(
+            "--step {} may enumerate up to {leaves:.1e} leaves, over the leaf budget \
+             LEAF_BUDGET = {LEAF_BUDGET:.0e}; steps of 0.5 and up fit",
+            args.value("--step").unwrap_or_default()
+        ));
+    }
 
     println!("Table I: comparison of two sensor communication schedules");
     println!("(E|S_N,f| by exhaustive grid enumeration, step {step}; f = ⌈n/2⌉-1;");
@@ -92,8 +102,6 @@ fn main() {
         (5.22, 5.31),
         (6.87, 7.74),
     ];
-
-    let setups = paper_setups();
 
     // The streaming analogue of the attacker style the exact columns use:
     // stealthy width-maximiser for Optimal, fixed-high-side greedy for

@@ -167,6 +167,33 @@ pub fn evaluate_schedule_styled(
     outcome.expected_width
 }
 
+/// The most leaves, by [`leaf_bound`], that `repro_table1` enumerates
+/// before it refuses a grid step: the eight paper setups come to about
+/// `3.5e17` at step 0.5 and `3.2e15` at step 1.
+pub const LEAF_BUDGET: f64 = 1e18;
+
+/// An upper bound on the leaves the exact evaluations of one setup at
+/// grid step `step` enumerate together: the honest control, every
+/// compromised set under both schedules and the most precise set under
+/// both — `2·C(n, fa) + 3` evaluations.
+///
+/// With `m` the widest width, an evaluation's leaf is one choice of
+/// each attacked sensor's own reading and one choice per slot. A
+/// measurement grid has at most `m/step + 2` points. A forged slot scans
+/// a lattice window no wider than `(4·fa + 1)·m`, plus its own reading:
+/// honest intervals lie within `m` of the truth, the window pads the bus
+/// contents by `w + m` below and `m` above, and every earlier forgery
+/// widens the bus by at most `2m` a side. Passive slots scan fewer
+/// points. Overflow gives `inf`, which passes any budget.
+pub fn leaf_bound(setup: &Table1Setup, step: f64) -> f64 {
+    let n = setup.widths.len();
+    let fa = setup.fa;
+    let cells = setup.widths.iter().copied().fold(0.0_f64, f64::max) / step;
+    let slot = (4 * fa + 1) as f64 * cells + 4.0;
+    let evaluations = 2.0 * (0..fa).fold(1.0, |c, i| c * (n - i) as f64 / (i + 1) as f64) + 3.0;
+    evaluations * (cells + 2.0).powi(fa as i32) * slot.powi(n as i32)
+}
+
 /// The indices of the `fa` most precise (smallest-width) sensors, ties
 /// broken by index — the compromised set Theorem 4 says is the most
 /// profitable.
@@ -219,6 +246,35 @@ mod tests {
         let row = evaluate_setup(&setup, 2.0);
         assert_eq!(row.ascending_attacked.len(), 1);
         assert_eq!(row.descending_attacked.len(), 1);
+    }
+
+    #[test]
+    fn leaf_bound_covers_every_evaluation_and_admits_half_steps() {
+        use arsf_attack::expectimax::expected_fusion_width;
+        for (setup, step) in [
+            (Table1Setup::new([2.0, 4.0, 6.0], 1), 2.0),
+            (Table1Setup::new([5.0, 8.0, 8.0, 11.0], 1), 2.0),
+            (Table1Setup::new([5.0, 5.0, 5.0, 14.0, 17.0], 2), 4.0),
+        ] {
+            let mut leaves = 0u64;
+            for policy in [SchedulePolicy::Ascending, SchedulePolicy::Descending] {
+                let order = policy.order(&setup.widths, 0, &mut StdRng::seed_from_u64(0));
+                for attacked in subsets(setup.widths.len(), setup.fa) {
+                    let scenario =
+                        GridScenario::new(setup.widths.clone(), attacked, setup.f(), step);
+                    leaves += expected_fusion_width(&scenario, &order).leaves;
+                }
+            }
+            assert!(
+                (leaves as f64) < leaf_bound(&setup, step),
+                "{}",
+                setup.label()
+            );
+        }
+        let run = |step: f64| -> f64 { paper_setups().iter().map(|s| leaf_bound(s, step)).sum() };
+        assert!(run(0.5) <= LEAF_BUDGET);
+        assert!(run(0.01) > LEAF_BUDGET);
+        assert_eq!(run(1e-300), f64::INFINITY);
     }
 
     #[test]

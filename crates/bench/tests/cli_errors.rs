@@ -614,6 +614,17 @@ fn degenerate_numbers_exit_2_instead_of_panicking_or_defaulting() {
             &["--quick", "--step", "0"],
             format!("--step {positive}, got `0`"),
         ),
+        // A step too fine to enumerate is refused before any work.
+        (
+            table1,
+            &["--step", "1e-300"],
+            "--step 1e-300 may enumerate up to inf leaves, over the leaf budget".to_string(),
+        ),
+        (
+            table1,
+            &["--step", "0.01"],
+            "--step 0.01 may enumerate up to 2.3e29 leaves, over the leaf budget".to_string(),
+        ),
         (
             table1,
             &["--mc-rounds", "abc"],
