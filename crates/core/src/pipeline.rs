@@ -236,10 +236,9 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         self.random_attacker = true;
     }
 
-    /// Installs, replaces or removes the attacker between rounds — the
-    /// case study re-draws the compromised sensor every round, and a
+    /// Installs, replaces or removes the attacker between rounds, so a
     /// persistent engine (stateful fuser/detector, advancing schedules)
-    /// must not be rebuilt to express that.
+    /// need not be rebuilt to change its attacker.
     ///
     /// # Panics
     ///
@@ -291,9 +290,10 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// buffer: all result vectors are cleared and refilled in place.
     ///
     /// Once the first round has sized the buffers, the engine itself does
-    /// not allocate: the schedule order, the attacker's per-slot context,
-    /// fusion (with any stock fuser, for up to 32 sensors) and detection
-    /// all reuse outcome- or pipeline-owned storage. An attack strategy may
+    /// not allocate: the random attacker's redraw, the schedule order, the
+    /// attacker's per-slot context, fusion (with any stock fuser, for up
+    /// to 32 sensors) and detection all reuse outcome- or pipeline-owned
+    /// storage. An attack strategy may
     /// still allocate inside its `forge` (the exhaustive
     /// [`PhantomOptimal`](arsf_attack::strategies::PhantomOptimal) solver
     /// does).

@@ -246,10 +246,11 @@ impl AttackerSpec {
     /// (`None` for honest runs).
     ///
     /// [`AttackerSpec::RandomEachRound`] is installed with an **empty**
-    /// compromised set and a persistent [`PhantomOptimal`]: the pipeline
-    /// [`Scenario::build_pipeline`] makes redraws the compromised sensor
-    /// every round, never re-boxing the strategy. Both the open-loop pipeline and the closed-loop vehicle
-    /// engines build their attacker through this one method.
+    /// compromised set and a persistent [`PhantomOptimal`]: the
+    /// scenario's pipeline redraws the compromised sensor in place every
+    /// round, never re-boxing the strategy. Both the open-loop pipeline
+    /// and the closed-loop vehicle engines build their attacker through
+    /// this one method.
     pub fn build(&self, f: usize) -> Option<(AttackerConfig, Box<dyn AttackStrategy>)> {
         match self {
             AttackerSpec::None => None,
