@@ -256,52 +256,41 @@ pub fn exit_code(findings: &[Finding]) -> i32 {
 /// Renders findings for humans: one line per finding plus a summary
 /// tail (`clean` when there are none).
 pub fn render(findings: &[Finding]) -> String {
-    if findings.is_empty() {
-        return "clean: no findings\n".to_string();
+    match findings {
+        [] => finding_lines(findings),
+        _ => finding_lines(findings) + &tally(findings.iter()),
     }
-    render_sections([(None, findings)])
 }
 
 /// Renders labelled pass findings for humans: a `== pass ==` header per
 /// pass, each pass's findings (or a per-pass `clean` line), and one
 /// overall summary tail — the text shape of `sweep_lint all`.
 pub fn render_passes(passes: &[(&str, Vec<Finding>)]) -> String {
-    render_sections(
-        passes
-            .iter()
-            .map(|(pass, findings)| (Some(*pass), findings.as_slice())),
-    )
+    let body: String = passes
+        .iter()
+        .map(|(pass, findings)| format!("== {pass} ==\n{}", finding_lines(findings)))
+        .collect();
+    body + &tally(passes.iter().flat_map(|(_, findings)| findings))
 }
 
-/// The one findings printer behind [`render`] and [`render_passes`]:
-/// each section's optional `== pass ==` header and its findings (or a
-/// `clean` line), then the severity tally over every section.
-fn render_sections<'a>(
-    sections: impl IntoIterator<Item = (Option<&'a str>, &'a [Finding])>,
-) -> String {
-    let mut out = String::new();
-    let (mut errors, mut warnings, mut notes) = (0usize, 0usize, 0usize);
-    for (pass, findings) in sections {
-        if let Some(pass) = pass {
-            out.push_str(&format!("== {pass} ==\n"));
-        }
-        for finding in findings {
-            match finding.severity {
-                Severity::Error => errors += 1,
-                Severity::Warn => warnings += 1,
-                Severity::Info => notes += 1,
-            }
-            out.push_str(&finding.render());
-            out.push('\n');
-        }
-        if findings.is_empty() {
-            out.push_str("clean: no findings\n");
-        }
+/// The one findings printer behind [`render`] and [`render_passes`]: a
+/// line per finding, or a `clean` line when there are none.
+fn finding_lines(findings: &[Finding]) -> String {
+    if findings.is_empty() {
+        return "clean: no findings\n".to_string();
     }
-    out.push_str(&format!(
-        "{errors} error(s), {warnings} warning(s), {notes} note(s)\n"
-    ));
-    out
+    findings.iter().map(|f| f.render() + "\n").collect()
+}
+
+/// The summary tail: `findings` counted by severity.
+fn tally<'a>(findings: impl Iterator<Item = &'a Finding> + Clone) -> String {
+    let count = |severity| findings.clone().filter(|f| f.severity == severity).count();
+    format!(
+        "{} error(s), {} warning(s), {} note(s)\n",
+        count(Severity::Error),
+        count(Severity::Warn),
+        count(Severity::Info)
+    )
 }
 
 /// Renders labelled pass findings as a JSON array (dependency-free;
@@ -311,26 +300,22 @@ fn render_sections<'a>(
 /// so downstream tooling can key on them across `sweep_lint`
 /// subcommands.
 pub fn render_json_passes(passes: &[(&str, Vec<Finding>)]) -> String {
-    let total: usize = passes.iter().map(|(_, f)| f.len()).sum();
-    let mut emitted = 0usize;
-    let mut out = String::from("[\n");
-    for (pass, findings) in passes {
-        for finding in findings {
-            emitted += 1;
-            out.push_str(&format!(
-                "  {{\"schema\": 1, \"pass\": {}, \"lint\": {}, \"severity\": {}, \
-                 \"location\": {}, \"message\": {}}}{}\n",
+    let objects: Vec<String> = passes
+        .iter()
+        .flat_map(|(pass, findings)| findings.iter().map(move |finding| (pass, finding)))
+        .map(|(pass, finding)| {
+            format!(
+                "\n  {{\"schema\": 1, \"pass\": {}, \"lint\": {}, \"severity\": {}, \
+                 \"location\": {}, \"message\": {}}}",
                 json_string(pass),
                 json_string(finding.lint),
                 json_string(finding.severity.label()),
                 json_string(&finding.location.to_string()),
                 json_string(&finding.message),
-                if emitted < total { "," } else { "" }
-            ));
-        }
-    }
-    out.push_str("]\n");
-    out
+            )
+        })
+        .collect();
+    format!("[{}\n]\n", objects.join(","))
 }
 
 #[cfg(test)]

@@ -79,8 +79,7 @@ impl AttackerConfig {
     }
 
     /// Replaces the compromised set in place, reusing this config's
-    /// storage; duplicate sensor indices are removed as in
-    /// [`AttackerConfig::new`].
+    /// storage; duplicate sensor indices are removed.
     pub fn set_compromised(&mut self, compromised: impl IntoIterator<Item = usize>) {
         self.compromised.clear();
         self.compromised.extend(compromised);

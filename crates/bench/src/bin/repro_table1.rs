@@ -76,10 +76,10 @@ fn main() {
     let setups = paper_setups();
     let leaves: f64 = setups.iter().map(|setup| leaf_bound(setup, step)).sum();
     if leaves > LEAF_BUDGET {
-        args.fail(format_args!(
-            "--step {} may enumerate up to {leaves:.1e} leaves, over the leaf budget \
-             LEAF_BUDGET = {LEAF_BUDGET:.0e}; steps of 0.5 and up fit",
-            args.value("--step").unwrap_or_default()
+        let step = args.value("--step").unwrap_or_default();
+        args.fail(format!(
+            "--step {step} may enumerate up to {leaves:.1e} leaves, over the leaf budget \
+             LEAF_BUDGET = {LEAF_BUDGET:.0e}; steps of 0.5 and up fit"
         ));
     }
 

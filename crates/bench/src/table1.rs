@@ -167,31 +167,22 @@ pub fn evaluate_schedule_styled(
     outcome.expected_width
 }
 
-/// The most leaves, by [`leaf_bound`], that `repro_table1` enumerates
-/// before it refuses a grid step: the eight paper setups come to about
-/// `3.5e17` at step 0.5 and `3.2e15` at step 1.
+/// The most leaves, by [`leaf_bound`], `repro_table1` may enumerate: the
+/// eight setups come to 3.5e17 at step 0.5 and 3.2e15 at step 1.
 pub const LEAF_BUDGET: f64 = 1e18;
 
-/// An upper bound on the leaves the exact evaluations of one setup at
-/// grid step `step` enumerate together: the honest control, every
-/// compromised set under both schedules and the most precise set under
-/// both — `2·C(n, fa) + 3` evaluations.
-///
-/// With `m` the widest width, an evaluation's leaf is one choice of
-/// each attacked sensor's own reading and one choice per slot. A
-/// measurement grid has at most `m/step + 2` points. A forged slot scans
-/// a lattice window no wider than `(4·fa + 1)·m`, plus its own reading:
-/// honest intervals lie within `m` of the truth, the window pads the bus
-/// contents by `w + m` below and `m` above, and every earlier forgery
-/// widens the bus by at most `2m` a side. Passive slots scan fewer
-/// points. Overflow gives `inf`, which passes any budget.
+/// An upper bound on the leaves of one setup's `2·C(n, fa) + 3` exact
+/// evaluations at grid step `step` (`inf` on overflow). With `m` the
+/// widest width, a leaf picks each attacker's own reading and each slot's
+/// interval: a measurement grid has at most `m/step + 2` points, and a
+/// forged slot scans a lattice window of at most `(4·fa + 1)·m` (the bus
+/// spans `2m` around the truth, padded by `3m`, plus `4m` per earlier
+/// forgery) and its own reading.
 pub fn leaf_bound(setup: &Table1Setup, step: f64) -> f64 {
-    let n = setup.widths.len();
-    let fa = setup.fa;
+    let (n, fa) = (setup.widths.len() as i32, setup.fa as i32);
     let cells = setup.widths.iter().copied().fold(0.0_f64, f64::max) / step;
-    let slot = (4 * fa + 1) as f64 * cells + 4.0;
-    let evaluations = 2.0 * (0..fa).fold(1.0, |c, i| c * (n - i) as f64 / (i + 1) as f64) + 3.0;
-    evaluations * (cells + 2.0).powi(fa as i32) * slot.powi(n as i32)
+    let sets = (0..fa).fold(1.0, |c, i| c * f64::from(n - i) / f64::from(i + 1));
+    (2.0 * sets + 3.0) * (cells + 2.0).powi(fa) * (f64::from(4 * fa + 1) * cells + 4.0).powi(n)
 }
 
 /// The indices of the `fa` most precise (smallest-width) sensors, ties

@@ -6,9 +6,8 @@
 //! same engine an open-loop cell runs, so faults, any attack strategy,
 //! any fuser and the detector behave identically inside the control loop
 //! and the supervisor vets the interval detection saw. The case study's
-//! "any sensor can be attacked" redraw happens inside that pipeline's
-//! round, which overwrites only the attacker config in place instead of
-//! rebuilding the engine.
+//! "any sensor can be attacked" redraw overwrites only the attacker config
+//! in place, inside that pipeline's round.
 
 use crate::scenario::Scenario;
 use crate::{FusionPipeline, RoundOutcome};

@@ -117,10 +117,7 @@ impl<F: Fuser<f64>> PipelineBuilder<F> {
     /// Panics if a compromised index is out of range for the suite.
     #[must_use]
     pub fn attacker(mut self, config: AttackerConfig, strategy: Box<dyn AttackStrategy>) -> Self {
-        assert!(
-            config.compromised().iter().all(|&i| i < self.suite.len()),
-            "compromised sensor index out of range"
-        );
+        assert_compromised_in(&self.suite, &config);
         self.attacker = Some((config, strategy));
         self
     }
@@ -190,9 +187,9 @@ pub struct FusionPipeline<F: Fuser<f64> = MarzulloFuser> {
     future_own_widths: Vec<f64>,
     round: u64,
     /// Whether [`FusionPipeline::run_round_into`] redraws the installed
-    /// attacker's one compromised sensor every round
-    /// ([`AttackerSpec::RandomEachRound`](crate::scenario::AttackerSpec::RandomEachRound)).
-    random_attacker: bool,
+    /// attacker's one compromised sensor every round, uniformly over the
+    /// suite ([`AttackerSpec::RandomEachRound`](crate::scenario::AttackerSpec::RandomEachRound)).
+    pub(crate) random_attacker: bool,
 }
 
 impl FusionPipeline<MarzulloFuser> {
@@ -229,13 +226,6 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         self.round
     }
 
-    /// Makes every [`FusionPipeline::run_round_into`] redraw the
-    /// installed attacker's compromised set as one sensor drawn uniformly
-    /// over the suite, before anything else in the round uses the RNG.
-    pub(crate) fn redraw_attacker_each_round(&mut self) {
-        self.random_attacker = true;
-    }
-
     /// Installs, replaces or removes the attacker between rounds, so a
     /// persistent engine (stateful fuser/detector, advancing schedules)
     /// need not be rebuilt to change its attacker.
@@ -245,10 +235,7 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// Panics if a compromised index is out of range for the suite.
     pub fn set_attacker(&mut self, attacker: Option<(AttackerConfig, Box<dyn AttackStrategy>)>) {
         if let Some((cfg, _)) = &attacker {
-            assert!(
-                cfg.compromised().iter().all(|&i| i < self.suite.len()),
-                "compromised sensor index out of range"
-            );
+            assert_compromised_in(&self.suite, cfg);
         }
         self.attacker = attacker;
     }
@@ -263,10 +250,7 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
     /// Panics if no attacker is installed or a compromised index is out
     /// of range for the suite.
     pub fn set_attacker_config(&mut self, config: AttackerConfig) {
-        assert!(
-            config.compromised().iter().all(|&i| i < self.suite.len()),
-            "compromised sensor index out of range"
-        );
+        assert_compromised_in(&self.suite, &config);
         let Some((cfg, _)) = self.attacker.as_mut() else {
             panic!("set_attacker_config needs an installed attacker");
         };
@@ -303,8 +287,7 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
         rng: &mut R,
         out: &mut RoundOutcome,
     ) {
-        // Table II's "any sensor can be attacked": the round's one
-        // compromised sensor, drawn in place. An empty suite draws none.
+        // The random attacker's sensor is the round's first draw.
         let n = self.suite.len();
         if self.random_attacker && n > 0 {
             if let Some((cfg, _)) = &mut self.attacker {
@@ -385,6 +368,14 @@ impl<F: Fuser<f64>> FusionPipeline<F> {
             delta,
         }
     }
+}
+
+/// Panics unless `config` compromises only sensors of `suite`.
+fn assert_compromised_in(suite: &SensorSuite, config: &AttackerConfig) {
+    assert!(
+        config.compromised().iter().all(|&i| i < suite.len()),
+        "compromised sensor index out of range"
+    );
 }
 
 /// Readings come in sensor-id order with silenced sensors left out, so a

@@ -204,8 +204,7 @@ impl ScenarioRunner {
     pub fn step_into(&mut self, out: &mut RoundOutcome) {
         match &mut self.engine {
             Engine::Open(pipeline) => {
-                let truth = self.truth.at(self.round);
-                pipeline.run_round_into(truth, &mut self.rng, out);
+                pipeline.run_round_into(self.truth.at(self.round), &mut self.rng, out);
             }
             Engine::Shark(shark) => {
                 let record = shark.step_with(&mut self.rng, out);

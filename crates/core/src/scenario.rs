@@ -246,11 +246,10 @@ impl AttackerSpec {
     /// (`None` for honest runs).
     ///
     /// [`AttackerSpec::RandomEachRound`] is installed with an **empty**
-    /// compromised set and a persistent [`PhantomOptimal`]: the
-    /// scenario's pipeline redraws the compromised sensor in place every
-    /// round, never re-boxing the strategy. Both the open-loop pipeline
-    /// and the closed-loop vehicle engines build their attacker through
-    /// this one method.
+    /// compromised set and a persistent [`PhantomOptimal`], which the
+    /// scenario's pipeline redraws in place every round. Both the
+    /// open-loop pipeline and the closed-loop vehicle engines build their
+    /// attacker through this one method.
     pub fn build(&self, f: usize) -> Option<(AttackerConfig, Box<dyn AttackStrategy>)> {
         match self {
             AttackerSpec::None => None,
@@ -714,9 +713,7 @@ impl Scenario {
             None => builder.build(),
             Some((attacker, strategy)) => builder.attacker(attacker, strategy).build(),
         };
-        if self.attacker == AttackerSpec::RandomEachRound {
-            pipeline.redraw_attacker_each_round();
-        }
+        pipeline.random_attacker = self.attacker == AttackerSpec::RandomEachRound;
         pipeline
     }
 
