@@ -117,13 +117,6 @@ impl GridScenario {
     pub(crate) fn n(&self) -> usize {
         self.widths.len()
     }
-
-    /// Measurement-offset grid for a sensor of width `w`: every centre
-    /// position whose interval contains the truth, at (self-correcting)
-    /// grid resolution.
-    fn measurement_grid(&self, w: f64) -> Vec<f64> {
-        grid_points(self.truth - w * 0.5, self.truth + w * 0.5, self.step)
-    }
 }
 
 /// The result of one expected-width evaluation.
@@ -192,15 +185,16 @@ pub fn expected_fusion_width(
     let needs_delta = modes.iter().flatten().any(|m| *m == AttackMode::Passive);
 
     // Enumerate the attacker's own correct readings when passive mode
-    // needs Δ; otherwise a single pass with a placeholder.
-    let own_grids: Vec<Vec<f64>> = scenario
+    // needs Δ; otherwise a single pass with a truth-centred placeholder.
+    let own_grids: Vec<Vec<Interval<f64>>> = scenario
         .attacked
         .iter()
         .map(|&a| {
+            let w = scenario.widths[a];
             if needs_delta {
-                scenario.measurement_grid(scenario.widths[a])
+                measurement_grid(scenario.truth, w, scenario.step)
             } else {
-                vec![scenario.truth]
+                vec![Interval::centered(scenario.truth, w * 0.5).expect("the truth is finite")]
             }
         })
         .collect();
@@ -209,32 +203,15 @@ pub fn expected_fusion_width(
     let mut configs = 0u64;
     let mut leaves = 0u64;
     let mut stealthy = true;
-
-    let mut own_choice = vec![0usize; scenario.attacked.len()];
-    loop {
-        // Build the attacker's correct readings and Δ for this config.
-        let own_correct: Vec<(usize, Interval<f64>)> = scenario
-            .attacked
-            .iter()
-            .zip(&own_choice)
-            .map(|(&a, &j)| {
-                let w = scenario.widths[a];
-                let centre = own_grids[scenario.attacked.iter().position(|&x| x == a).unwrap()][j];
-                (
-                    a,
-                    Interval::centered(centre, w * 0.5).expect("grid centres are finite"),
-                )
-            })
-            .collect();
-        let delta = intersection_all(&own_correct.iter().map(|(_, iv)| *iv).collect::<Vec<_>>())
+    for_each_placement(&own_grids, |own| {
+        let delta = intersection_all(own)
             .unwrap_or_else(|| Interval::degenerate(scenario.truth).expect("truth is finite"));
-
         let mut eval = Eval {
             scenario,
             order,
             modes: &modes,
             delta,
-            own_correct: &own_correct,
+            own,
             leaves: 0,
         };
         let mut placed: Vec<(usize, Interval<f64>)> = Vec::with_capacity(n);
@@ -243,24 +220,7 @@ pub fn expected_fusion_width(
         leaves += eval.leaves;
         stealthy &= ok;
         configs += 1;
-
-        // Advance the mixed-radix counter over own-reading choices.
-        let mut i = 0;
-        loop {
-            if i == own_choice.len() {
-                break;
-            }
-            own_choice[i] += 1;
-            if own_choice[i] < own_grids[i].len() {
-                break;
-            }
-            own_choice[i] = 0;
-            i += 1;
-        }
-        if i == own_choice.len() {
-            break;
-        }
-    }
+    });
 
     ExpectedOutcome {
         expected_width: total / configs as f64,
@@ -283,45 +243,52 @@ pub fn expected_fusion_width(
 /// assert!(honest > 0.0);
 /// ```
 pub fn expected_honest_width(scenario: &GridScenario) -> f64 {
-    let grids: Vec<Vec<f64>> = scenario
+    let grids: Vec<Vec<Interval<f64>>> = scenario
         .widths
         .iter()
-        .map(|&w| scenario.measurement_grid(w))
+        .map(|&w| measurement_grid(scenario.truth, w, scenario.step))
         .collect();
     let mut total = 0.0;
     let mut count = 0u64;
-    let mut choice = vec![0usize; grids.len()];
-    loop {
-        let intervals: Vec<Interval<f64>> = grids
-            .iter()
-            .zip(&choice)
-            .zip(&scenario.widths)
-            .map(|((g, &j), &w)| {
-                Interval::centered(g[j], w * 0.5).expect("grid centres are finite")
-            })
-            .collect();
-        let fused = arsf_fusion::marzullo::fuse(&intervals, scenario.f)
+    for_each_placement(&grids, |intervals| {
+        let fused = arsf_fusion::marzullo::fuse(intervals, scenario.f)
             .expect("truth-containing intervals always reach coverage n - f");
         total += fused.width();
         count += 1;
-
-        let mut i = 0;
-        loop {
-            if i == choice.len() {
-                break;
-            }
-            choice[i] += 1;
-            if choice[i] < grids[i].len() {
-                break;
-            }
-            choice[i] = 0;
-            i += 1;
-        }
-        if i == choice.len() {
-            break;
-        }
-    }
+    });
     total / count as f64
+}
+
+/// The measurement grid of a sensor of width `w`: its interval centred at
+/// every grid position that keeps `truth` inside, at (self-correcting)
+/// resolution `step`.
+pub(crate) fn measurement_grid(truth: f64, w: f64, step: f64) -> Vec<Interval<f64>> {
+    grid_points(truth - w * 0.5, truth + w * 0.5, step)
+        .into_iter()
+        .map(|centre| Interval::centered(centre, w * 0.5).expect("grid centres are finite"))
+        .collect()
+}
+
+/// Visits every joint placement that takes one interval from each grid,
+/// the first grid advancing fastest. An empty grid list has one (empty)
+/// placement.
+pub(crate) fn for_each_placement(
+    grids: &[Vec<Interval<f64>>],
+    mut visit: impl FnMut(&[Interval<f64>]),
+) {
+    let mut choice = vec![0; grids.len()];
+    let mut placement: Vec<Interval<f64>> = grids.iter().map(|grid| grid[0]).collect();
+    'visit: loop {
+        visit(&placement);
+        for (i, grid) in grids.iter().enumerate() {
+            choice[i] = (choice[i] + 1) % grid.len();
+            placement[i] = grid[choice[i]];
+            if choice[i] != 0 {
+                continue 'visit;
+            }
+        }
+        return;
+    }
 }
 
 struct Eval<'a> {
@@ -329,7 +296,9 @@ struct Eval<'a> {
     order: &'a TransmissionOrder,
     modes: &'a [Option<AttackMode>],
     delta: Interval<f64>,
-    own_correct: &'a [(usize, Interval<f64>)],
+    /// The attacker's own correct readings, aligned with
+    /// `scenario.attacked`.
+    own: &'a [Interval<f64>],
     leaves: u64,
 }
 
@@ -344,13 +313,11 @@ impl Eval<'_> {
         match self.modes[slot] {
             None => {
                 // Correct sensor: average over its measurement grid.
-                let w = self.scenario.widths[sensor];
-                let grid = self.scenario.measurement_grid(w);
+                let sc = self.scenario;
+                let grid = measurement_grid(sc.truth, sc.widths[sensor], sc.step);
                 let mut sum = 0.0;
                 let mut ok = true;
-                for &centre in &grid {
-                    let interval =
-                        Interval::centered(centre, w * 0.5).expect("grid centres are finite");
+                for &interval in &grid {
                     placed.push((sensor, interval));
                     let (width, child_ok) = self.node(slot + 1, placed);
                     placed.pop();
@@ -361,8 +328,7 @@ impl Eval<'_> {
             }
             Some(mode) => {
                 // Attacked sensor: maximise over stealthy candidates.
-                let w = self.scenario.widths[sensor];
-                let candidates = self.candidates(sensor, w, mode, placed);
+                let candidates = self.candidates(slot, mode, placed);
                 let mut best_ok: Option<f64> = None;
                 let mut best_any = f64::NEG_INFINITY;
                 for candidate in candidates {
@@ -399,15 +365,21 @@ impl Eval<'_> {
         (fused.width(), ok)
     }
 
+    /// The attacker's own correct reading of `sensor`.
+    fn own(&self, sensor: usize) -> Option<Interval<f64>> {
+        let mut own = self.scenario.attacked.iter().zip(self.own);
+        own.find(|(&a, _)| a == sensor).map(|(_, iv)| *iv)
+    }
+
     /// Stealth-feasible forgery candidates for an attacked slot.
     fn candidates(
         &self,
-        sensor: usize,
-        w: f64,
+        slot: usize,
         mode: AttackMode,
         placed: &[(usize, Interval<f64>)],
     ) -> Vec<Interval<f64>> {
-        let mut out = self.unstyled_candidates(sensor, w, mode, placed);
+        let sensor = self.order[slot];
+        let mut out = self.unstyled_candidates(slot, mode, placed);
         if self.scenario.style == AttackerStyle::OneSidedHigh {
             let floor = self.delta.lo();
             out.retain(|c| c.lo() >= floor - 1e-12);
@@ -416,20 +388,19 @@ impl Eval<'_> {
             // The truthful reading always qualifies: it contains Δ exactly,
             // while a grid candidate can miss Δ by a rounding error (a
             // width-11 grid steps by 11/6 at step 2).
-            if let Some((_, own)) = self.own_correct.iter().find(|(s, _)| *s == sensor) {
-                out.push(*own);
-            }
+            out.extend(self.own(sensor));
         }
         out
     }
 
     fn unstyled_candidates(
         &self,
-        sensor: usize,
-        w: f64,
+        slot: usize,
         mode: AttackMode,
         placed: &[(usize, Interval<f64>)],
     ) -> Vec<Interval<f64>> {
+        let sensor = self.order[slot];
+        let w = self.scenario.widths[sensor];
         let step = self.scenario.step;
         let truth = self.scenario.truth;
         match mode {
@@ -464,12 +435,7 @@ impl Eval<'_> {
                 let j_lo = ((lo_start - truth) / step).floor() as i64;
                 let j_hi = ((lo_end - truth) / step).ceil() as i64;
                 let seen: Vec<Interval<f64>> = placed.iter().map(|(_, iv)| *iv).collect();
-                let future_own = self
-                    .modes
-                    .iter()
-                    .enumerate()
-                    .filter(|(slot, m)| m.is_some() && *slot > self.slot_of(sensor, placed))
-                    .count();
+                let future_own = self.modes[slot + 1..].iter().flatten().count();
                 let n = self.scenario.n();
                 let f = self.scenario.f;
                 let mut out: Vec<Interval<f64>> = (j_lo..=j_hi)
@@ -482,18 +448,10 @@ impl Eval<'_> {
                 // Guaranteed-stealthy fallback: the sensor's own correct
                 // reading (when enumerated) always intersects the fusion
                 // interval.
-                if let Some((_, own)) = self.own_correct.iter().find(|(s, _)| *s == sensor) {
-                    out.push(*own);
-                }
+                out.extend(self.own(sensor));
                 out
             }
         }
-    }
-
-    fn slot_of(&self, sensor: usize, _placed: &[(usize, Interval<f64>)]) -> usize {
-        self.order
-            .slot_of(sensor)
-            .expect("attacked sensor is in the order")
     }
 }
 

@@ -20,6 +20,7 @@
 
 use arsf_interval::Interval;
 
+use crate::expectimax::{for_each_placement, measurement_grid};
 use crate::full_knowledge::optimal_attack;
 use crate::AttackError;
 
@@ -66,8 +67,7 @@ pub struct WorstCase {
 pub fn no_attack_worst_case(widths: &[f64], f: usize, step: f64) -> Result<WorstCase, AttackError> {
     validate(widths, step)?;
     let mut best: Option<WorstCase> = None;
-    let mut placement: Vec<Interval<f64>> = Vec::with_capacity(widths.len());
-    enumerate_correct(widths, step, &mut placement, &mut |config| {
+    for_each_placement(&correct_grids(widths, step), |config| {
         if let Ok(fused) = arsf_fusion::marzullo::fuse(config, f) {
             let width = fused.width();
             if best.as_ref().is_none_or(|b| width > b.width) {
@@ -130,12 +130,9 @@ pub fn attacked_worst_case(
 
     let mut best: Option<WorstCase> = None;
     let mut error = AttackError::NoFeasiblePlacement;
-    let mut placement: Vec<Interval<f64>> = Vec::with_capacity(correct_widths.len());
-    enumerate_correct(
-        &correct_widths,
-        step,
-        &mut placement,
-        &mut |config| match optimal_attack(config, &attacked_widths, f) {
+    for_each_placement(
+        &correct_grids(&correct_widths, step),
+        |config| match optimal_attack(config, &attacked_widths, f) {
             Ok(attack) => {
                 let width = attack.width();
                 if best.as_ref().is_none_or(|b| width > b.width) {
@@ -212,33 +209,13 @@ fn validate(widths: &[f64], step: f64) -> Result<(), AttackError> {
     Ok(())
 }
 
-/// Enumerates placements of correct intervals: each of width `w` centred
-/// at a grid offset in `[-w/2, +w/2]` (so the truth 0 is always
-/// contained), invoking `visit` for every complete configuration.
-fn enumerate_correct(
-    widths: &[f64],
-    step: f64,
-    placement: &mut Vec<Interval<f64>>,
-    visit: &mut impl FnMut(&[Interval<f64>]),
-) {
-    let idx = placement.len();
-    if idx == widths.len() {
-        visit(placement);
-        return;
-    }
-    let w = widths[idx];
-    let half = w * 0.5;
-    let count = (w / step).round() as usize;
-    for j in 0..=count {
-        let centre = if count == 0 {
-            0.0
-        } else {
-            -half + w * j as f64 / count as f64
-        };
-        placement.push(Interval::centered(centre, half).expect("grid centres are finite"));
-        enumerate_correct(widths, step, placement, visit);
-        placement.pop();
-    }
+/// The measurement grid of each correct interval: every placement of
+/// width `w` on a grid of the given step that contains the truth 0.
+fn correct_grids(widths: &[f64], step: f64) -> Vec<Vec<Interval<f64>>> {
+    widths
+        .iter()
+        .map(|&w| measurement_grid(0.0, w, step))
+        .collect()
 }
 
 #[cfg(test)]

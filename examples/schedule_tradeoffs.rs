@@ -30,14 +30,15 @@ fn main() {
     let row = evaluate_setup(&setup, step);
     println!("{:<28} {:>10}", "schedule", "E|S_N,f|");
     println!("{:<28} {:>10.2}", "no attack (honest)", row.honest);
-    println!(
-        "{:<28} {:>10.2}   attacker chose sensors {:?}",
-        "ascending (attacked)", row.ascending, row.ascending_attacked
-    );
-    println!(
-        "{:<28} {:>10.2}   attacker chose sensors {:?}",
-        "descending (attacked)", row.descending, row.descending_attacked
-    );
+    for (label, adv) in [
+        ("ascending (attacked)", row.ascending_adv()),
+        ("descending (attacked)", row.descending_adv()),
+    ] {
+        println!(
+            "{label:<28} {:>10.2}   attacker chose sensors {:?}",
+            adv.expected_width, adv.set
+        );
+    }
     println!(
         "\ndescending - ascending gap: {:.2} ({}).",
         row.gap(),

@@ -4,7 +4,7 @@
 
 use arsf::attack::expectimax::AttackerStyle;
 use arsf::schedule::SchedulePolicy;
-use arsf_bench::table1::{evaluate_schedule_styled, evaluate_setup, most_precise_set, Table1Setup};
+use arsf_bench::table1::{evaluate_set, evaluate_setup, most_precise_set, Table1Setup};
 
 #[test]
 fn descending_dominates_ascending_on_paper_like_setups() {
@@ -17,14 +17,15 @@ fn descending_dominates_ascending_on_paper_like_setups() {
     ];
     for setup in &setups {
         let row = evaluate_setup(setup, 1.0);
+        let (asc, desc) = (row.ascending_adv(), row.descending_adv());
         assert!(
             row.gap() >= -1e-9,
             "{}: ascending {} vs descending {}",
             setup.label(),
-            row.ascending,
-            row.descending
+            asc.expected_width,
+            desc.expected_width
         );
-        assert!(row.honest <= row.ascending + 1e-9);
+        assert!(row.honest <= asc.expected_width + 1e-9);
         assert!(row.honest > 0.0);
     }
 }
@@ -54,8 +55,9 @@ fn precise_attacked_set_is_blind_under_ascending() {
     let setup = Table1Setup::new([3.0, 5.0, 9.0], 1);
     let row = evaluate_setup(&setup, 1.0);
     let precise = most_precise_set(&setup);
-    let fixed =
-        |policy| evaluate_schedule_styled(&setup, &policy, &precise, 1.0, AttackerStyle::Optimal);
+    let fixed = |policy| {
+        evaluate_set(&setup, &policy, &precise, 1.0, AttackerStyle::Optimal).expected_width
+    };
     let asc_fixed = fixed(SchedulePolicy::Ascending);
     assert!(
         (asc_fixed - row.honest).abs() < 1e-9,
