@@ -60,7 +60,6 @@ const EPSILON: f64 = 1e-9;
 
 /// Why a cell is provably invisible to its detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum InvisibleReason {
     /// Detection is disabled: nothing is ever flagged.
     DetectorOff,
@@ -102,7 +101,6 @@ impl InvisibleReason {
 /// The static detection verdict of one attacker × fault set × detector
 /// cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum DetectVerdict {
     /// The overlap check provably never fires: the recorded
     /// `flagged_rounds` must be 0 and the condemned set empty.
@@ -137,7 +135,6 @@ impl DetectVerdict {
 
 /// The statically derived detectability of one scenario cell.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct DetectReport {
     /// The cell's verdict.
     pub verdict: DetectVerdict,
@@ -205,8 +202,6 @@ fn fault_margin(kind: FaultKind, truth: (f64, f64)) -> Option<f64> {
         // from the truth; minimise over the run's truth range.
         FaultKind::Scale { factor } => Some(dist(0.0) * (factor - 1.0).abs()),
         FaultKind::Silent => None,
-        // `FaultKind` is non-exhaustive: an unknown kind gets no claim.
-        _ => None,
     }
 }
 

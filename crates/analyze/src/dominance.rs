@@ -111,7 +111,6 @@ const FLAG_METRICS: &[&str] = &["flagged_rounds"];
 
 /// The theory rule proving one dominance edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum OrderRule {
     /// Table II's schedule ordering: ascending ⪯ random ⪯ descending on
     /// the violation counters when an armed stealthy attacker adapts to
@@ -181,7 +180,6 @@ impl OrderRule {
 /// One provable dominance edge: `lesser ⪯ greater`, cells differing in
 /// exactly the named axis coordinate.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct OrderEdge {
     /// The ⪯ side, by grid-order cell index.
     pub lesser: usize,
@@ -205,7 +203,6 @@ pub struct OrderEdge {
 /// `greater`'s, yet the abstract evaluator produced the opposite. An
 /// analyzer inconsistency, surfaced as an `order-violation` error.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct BoundInversion {
     /// The cell the rule claims is ⪯.
     pub lesser: usize,
@@ -226,7 +223,6 @@ pub struct BoundInversion {
 /// `f` increased the bound. Monotonicity in `f` is a theorem, so this
 /// is an analyzer inconsistency, surfaced as an `order-violation`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct FRegression {
     /// The offending cell.
     pub cell: usize,
@@ -240,7 +236,6 @@ pub struct FRegression {
 
 /// The statically derived partial order over one grid's cells.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[non_exhaustive]
 pub struct DominanceReport {
     /// Every provable edge, in grid order of the lower-indexed cell.
     pub edges: Vec<OrderEdge>,

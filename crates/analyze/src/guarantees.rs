@@ -46,7 +46,6 @@ const EPSILON: f64 = 1e-9;
 
 /// The statically derived guarantees of one scenario cell.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct GuaranteeReport {
     /// Declared suite size `n`.
     pub n: usize,
@@ -264,9 +263,6 @@ pub(crate) fn guarantee_report_of(scenario: &Scenario, model: &Model) -> Guarant
                 false,
             )
         }
-        // `FuserSpec` is non-exhaustive: a fuser this analysis does not
-        // know gets no guarantees, which is the sound default.
-        _ => (None, false),
     };
 
     GuaranteeReport {

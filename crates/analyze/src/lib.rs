@@ -135,7 +135,6 @@ impl Severity {
 /// Where a finding points: the preset, grid cell, axis value, file or
 /// tolerance column it is about.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum Location {
     /// A named scenario (a registry preset or a stand-alone definition).
     Scenario {

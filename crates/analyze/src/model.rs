@@ -88,8 +88,6 @@ impl Model {
             _ if scenario.closed_loop.is_some() => None,
             TruthSpec::Constant(_) => Some(0.0),
             TruthSpec::Ramp { rate_per_round, .. } => Some(rate_per_round.abs()),
-            // An unknown trajectory has no static drift bound.
-            _ => None,
         };
         let vehicles = scenario
             .closed_loop

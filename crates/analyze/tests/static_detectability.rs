@@ -116,7 +116,6 @@ fn the_pools_exercise_every_verdict_class() {
                             DetectVerdict::ProvablyInvisible { .. } => invisible += 1,
                             DetectVerdict::ProvablyFlagged { .. } => flagged += 1,
                             DetectVerdict::Contingent => contingent += 1,
-                            _ => {}
                         }
                     }
                 }
@@ -216,7 +215,6 @@ proptest! {
                     }
                 }
                 DetectVerdict::Contingent => {}
-                _ => {}
             }
 
             if let Some(suspects) = &detect.suspects {

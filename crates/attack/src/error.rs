@@ -4,7 +4,6 @@ use core::fmt;
 
 /// Error returned by the attack solvers in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum AttackError {
     /// The attacked-interval count reaches the coverage requirement
     /// `n − f`, so the attacker could move the fusion interval arbitrarily

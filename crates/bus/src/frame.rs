@@ -78,7 +78,6 @@ impl fmt::Display for FrameId {
 
 /// What a frame carries.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Payload {
     /// One sensor's abstract measurement interval.
     Measurement {

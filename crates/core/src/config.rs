@@ -13,7 +13,6 @@ use arsf_schedule::SchedulePolicy;
 /// [`PipelineBuilder::detector`](crate::PipelineBuilder::detector)
 /// overrides it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum DetectionMode {
     /// No detection at all (ablation baseline).
     Off,

@@ -37,7 +37,6 @@ use crate::{DetectionMode, FusionPipeline, PipelineConfig};
 /// fuser, any attack strategy within the solver limit and any fault set
 /// run both open- and closed-loop.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum ScenarioError {
     /// A parameter no engine can run with: a negative or non-finite
     /// width, a non-finite truth or fault value, a historical fuser's
@@ -114,7 +113,6 @@ impl std::error::Error for ScenarioError {}
 
 /// Which sensor suite a scenario instantiates.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum SuiteSpec {
     /// The LandShark case-study suite (two encoders, GPS, camera).
     Landshark,
@@ -174,7 +172,6 @@ impl SuiteSpec {
 
 /// Which streaming attack strategy a scenario's attacker runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum StrategySpec {
     /// The stealthy width-maximiser (never flagged).
     PhantomOptimal,
@@ -210,7 +207,6 @@ impl StrategySpec {
 
 /// The scenario's attacker model.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum AttackerSpec {
     /// No attacker (honest baseline).
     None,
@@ -280,7 +276,6 @@ pub fn faults_label(faults: &[(usize, FaultModel)]) -> String {
                 arsf_sensor::FaultKind::Bias { offset } => format!("bias({offset})"),
                 arsf_sensor::FaultKind::Scale { factor } => format!("scale({factor})"),
                 arsf_sensor::FaultKind::Silent => "silent".to_string(),
-                other => format!("{other:?}").to_lowercase(),
             };
             format!("{sensor}:{kind}@{}", fault.probability())
         })
@@ -290,7 +285,6 @@ pub fn faults_label(faults: &[(usize, FaultModel)]) -> String {
 
 /// Which fusion algorithm the scenario's engine runs.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum FuserSpec {
     /// Marzullo's algorithm at the scenario's `f` (the paper's choice).
     Marzullo,
@@ -346,7 +340,6 @@ impl FuserSpec {
 
 /// The ground-truth trajectory driving a scenario's rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub enum TruthSpec {
     /// The measured variable holds one value (the case study's cruise).
     Constant(f64),

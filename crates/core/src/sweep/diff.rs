@@ -155,7 +155,6 @@ impl DiffConfig {
 
 /// One observed difference between two baselines.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Drift {
     /// The grid definitions (and therefore content addresses) differ:
     /// the two reports do not describe the same experiment.

@@ -17,7 +17,6 @@ use core::fmt;
 /// assert!(matches!(err, FusionError::NoAgreement { required: 2 }));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum FusionError {
     /// No intervals were supplied.
     EmptyInput,

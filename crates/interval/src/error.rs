@@ -14,7 +14,6 @@ use core::fmt;
 /// assert!(matches!(err, IntervalError::Inverted));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum IntervalError {
     /// The lower endpoint was strictly greater than the upper endpoint.
     Inverted,

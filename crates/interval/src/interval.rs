@@ -33,7 +33,6 @@ use crate::{IntervalError, Scalar};
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval<T> {
     lo: T,
     hi: T,

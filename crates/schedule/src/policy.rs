@@ -23,7 +23,6 @@ use crate::TransmissionOrder;
 /// assert_eq!(order.as_slice(), &[1, 2, 0, 3]); // encoders first
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum SchedulePolicy {
     /// Most precise (smallest width) sensors transmit first — the paper's
     /// recommended schedule.

@@ -17,14 +17,12 @@ use rand::Rng;
 /// use arsf_sensor::FaultKind;
 ///
 /// let stuck = FaultKind::StuckAt { value: 0.0 };
-/// assert_eq!(stuck.corrupt(10.0, 0.5), Some(0.0));
+/// assert_eq!(stuck.corrupt(10.0), Some(0.0));
 /// let bias = FaultKind::Bias { offset: 2.0 };
-/// assert_eq!(bias.corrupt(10.0, 0.5), Some(12.0));
-/// assert_eq!(FaultKind::Silent.corrupt(10.0, 0.5), None);
+/// assert_eq!(bias.corrupt(10.0), Some(12.0));
+/// assert_eq!(FaultKind::Silent.corrupt(10.0), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[non_exhaustive]
 pub enum FaultKind {
     /// The sensor reports a fixed value regardless of the truth (a stuck
     /// ADC, a frozen filter).
@@ -51,12 +49,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Applies the fault to a truthful measurement, returning the faulty
     /// value or `None` when the reading is dropped entirely.
-    ///
-    /// `radius` is the sensor's interval radius; it is unused by the
-    /// current kinds but kept in the signature so future kinds can scale
-    /// with sensor precision without an API break.
-    pub fn corrupt(&self, truth: f64, radius: f64) -> Option<f64> {
-        let _ = radius;
+    pub fn corrupt(&self, truth: f64) -> Option<f64> {
         match *self {
             FaultKind::StuckAt { value } => Some(value),
             FaultKind::Bias { offset } => Some(truth + offset),
@@ -79,7 +72,6 @@ impl FaultKind {
 /// assert!(model.fires(&mut rng)); // probability 1.0 always fires
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultModel {
     kind: FaultKind,
     probability: f64,
@@ -127,26 +119,26 @@ mod tests {
     #[test]
     fn stuck_at_ignores_truth() {
         let k = FaultKind::StuckAt { value: 3.0 };
-        assert_eq!(k.corrupt(100.0, 1.0), Some(3.0));
-        assert_eq!(k.corrupt(-5.0, 1.0), Some(3.0));
+        assert_eq!(k.corrupt(100.0), Some(3.0));
+        assert_eq!(k.corrupt(-5.0), Some(3.0));
     }
 
     #[test]
     fn bias_shifts_truth() {
         let k = FaultKind::Bias { offset: -2.5 };
-        assert_eq!(k.corrupt(10.0, 1.0), Some(7.5));
+        assert_eq!(k.corrupt(10.0), Some(7.5));
     }
 
     #[test]
     fn scale_multiplies_truth() {
         let k = FaultKind::Scale { factor: 1.5 };
-        assert_eq!(k.corrupt(10.0, 1.0), Some(15.0));
-        assert_eq!(k.corrupt(0.0, 1.0), Some(0.0));
+        assert_eq!(k.corrupt(10.0), Some(15.0));
+        assert_eq!(k.corrupt(0.0), Some(0.0));
     }
 
     #[test]
     fn silent_drops_reading() {
-        assert_eq!(FaultKind::Silent.corrupt(10.0, 1.0), None);
+        assert_eq!(FaultKind::Silent.corrupt(10.0), None);
     }
 
     #[test]

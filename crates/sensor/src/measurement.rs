@@ -21,7 +21,6 @@ use crate::SensorId;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Measurement {
     /// Which sensor produced this reading.
     pub sensor: SensorId,

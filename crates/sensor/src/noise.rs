@@ -31,8 +31,6 @@ use rand::Rng;
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[non_exhaustive]
 pub enum NoiseModel {
     /// Measurements equal the true value exactly.
     None,

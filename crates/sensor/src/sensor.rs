@@ -19,7 +19,6 @@ use crate::{FaultModel, Measurement, NoiseModel, SensorSpec};
 /// assert_eq!(id.to_string(), "s3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorId(usize);
 
 impl SensorId {
@@ -122,7 +121,7 @@ impl Sensor {
         let radius = self.spec.radius();
         let honest = truth + self.noise.sample_offset(radius, rng);
         let value = match self.fault {
-            Some(fault) if fault.fires(rng) => fault.kind().corrupt(honest, radius)?,
+            Some(fault) if fault.fires(rng) => fault.kind().corrupt(honest)?,
             _ => honest,
         };
         let interval = Interval::centered(value, radius).ok()?;

@@ -25,7 +25,6 @@
 /// assert_eq!(spec.interval_width(), 0.2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorSpec {
     precision: f64,
     jitter: f64,
